@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
 
 from . import catalog
 from .catalog import (
@@ -61,7 +60,6 @@ from .paracyclic import (
 from .pseudomonoid import (
     build_pseudomonoid,
     pentagon_flip_discrepancy,
-    pentagon_triple_discrepancy,
     pseudomonoid_from_two_truncated,
     search_associator_lift,
     verify_pentagon,
@@ -77,7 +75,7 @@ from .simplicial import (
     make_simplicial,
     unglue,
 )
-from .spans import FinMap, FinSet, Span, SpanCell, spans_isomorphic
+from .spans import FinMap, FinSet, Span, spans_isomorphic
 
 
 def segal_fixtures() -> dict:

@@ -293,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paracyclic", action="store_true")
     p.add_argument("--gamma", action="store_true")
     p.add_argument("--full-hexagon", dest="full_hexagon", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("derive", help="derive one structure from another")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from .spans import (
     FinMap,
@@ -26,12 +26,10 @@ from .spans import (
     Span,
     SpanCell,
     StructuralError,
-    UNIT,
     block_braiding_span,
     braiding_span,
     decode_tuple,
     encode_tuple,
-    identity_map,
     identity_span,
 )
 

@@ -67,20 +67,26 @@ def document_to_dict(doc: StructureDocument) -> dict:
     return out
 
 
+def _is_index(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _parse_level(entry) -> FinSet:
-    if isinstance(entry, int):
+    if _is_index(entry):
         return FinSet(entry)
-    if isinstance(entry, dict) and "size" in entry:
+    if isinstance(entry, dict) and _is_index(entry.get("size")):
         labels = entry.get("labels")
         return FinSet(entry["size"], tuple(labels) if labels is not None else None)
     raise DocumentError(f"bad level entry {entry!r}")
 
 
 def _parse_table(entry, dom: FinSet, cod: FinSet, what: str) -> FinMap:
-    if not isinstance(entry, list) or len(entry) != dom.size:
+    if not isinstance(entry, list):
+        raise DocumentError(f"{what}: table must be a list, not {type(entry).__name__}")
+    if len(entry) != dom.size:
         raise DocumentError(f"{what}: table length {len(entry)} differs from domain {dom.size}")
-    if any(not isinstance(v, int) or not 0 <= v < cod.size for v in entry):
-        raise DocumentError(f"{what}: index out of range")
+    if any(not _is_index(v) or not 0 <= v < cod.size for v in entry):
+        raise DocumentError(f"{what}: entry not an integer index below {cod.size}")
     return FinMap(dom, cod, tuple(entry))
 
 
@@ -90,34 +96,38 @@ def document_from_dict(data: dict) -> StructureDocument:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise DocumentError(f"unsupported schema_version {data.get('schema_version')!r}")
     try:
-        N = data["truncation"]
-        levels = [_parse_level(l) for l in data["levels"]]
-        if len(levels) != N + 1:
-            raise DocumentError("declared truncation differs from the level count")
-        face = [()]
-        for n in range(1, N + 1):
-            row = data["face"][n - 1]
-            if len(row) != n + 1:
-                raise DocumentError(f"need {n + 1} face maps at level {n}")
-            face.append(tuple(
-                _parse_table(row[i], levels[n], levels[n - 1], f"face d_{i}^{n}")
-                for i in range(n + 1)
-            ))
-        degen = []
-        for n in range(N):
-            row = data["degen"][n]
-            if len(row) != n + 1:
-                raise DocumentError(f"need {n + 1} degeneracy maps at level {n}")
-            degen.append(tuple(
-                _parse_table(row[i], levels[n], levels[n + 1], f"degeneracy s_{i}^{n}")
-                for i in range(n + 1)
-            ))
-        degen.append(())
-        X = make_simplicial(levels, face, degen)
-    except (KeyError, IndexError, TypeError) as exc:
+        return _document_from_dict(data)
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise DocumentError(f"missing or malformed field: {exc}") from exc
     except StructuralError as exc:
         raise DocumentError(str(exc)) from exc
+
+
+def _document_from_dict(data: dict) -> StructureDocument:
+    N = data["truncation"]
+    levels = [_parse_level(l) for l in data["levels"]]
+    if len(levels) != N + 1:
+        raise DocumentError("declared truncation differs from the level count")
+    face = [()]
+    for n in range(1, N + 1):
+        row = data["face"][n - 1]
+        if len(row) != n + 1:
+            raise DocumentError(f"need {n + 1} face maps at level {n}")
+        face.append(tuple(
+            _parse_table(row[i], levels[n], levels[n - 1], f"face d_{i}^{n}")
+            for i in range(n + 1)
+        ))
+    degen = []
+    for n in range(N):
+        row = data["degen"][n]
+        if len(row) != n + 1:
+            raise DocumentError(f"need {n + 1} degeneracy maps at level {n}")
+        degen.append(tuple(
+            _parse_table(row[i], levels[n], levels[n + 1], f"degeneracy s_{i}^{n}")
+            for i in range(n + 1)
+        ))
+    degen.append(())
+    X = make_simplicial(levels, face, degen)
 
     paracyclic = None
     if "paracyclic" in data:
@@ -147,6 +157,8 @@ def document_from_dict(data: dict) -> StructureDocument:
         block = data["counit"]
         if block.get("right") != "point":
             raise DocumentError("counit right leg must be the point")
+        if not _is_index(block["apex_size"]):
+            raise DocumentError("counit apex_size must be an integer")
         apex = FinSet(block["apex_size"])
         left = _parse_table(block["left"], apex, levels[1], "counit left leg")
         counit = Span(levels[1], UNIT, apex, left, constant_map(apex, UNIT))

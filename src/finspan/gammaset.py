@@ -19,7 +19,6 @@ tower of transpositions triangle by triangle.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +27,6 @@ from .diagrams import (
     DiagramPath,
     RewriteRule,
     braiding_rule,
-    cell_from_rule,
     compare_paths,
     evaluate,
     identity_box,
@@ -37,7 +35,7 @@ from .diagrams import (
     rule_from_spancell,
     syllepsis_rule,
 )
-from .paracyclic import LambdaMor, lambda_compose
+from .paracyclic import LambdaMor
 from .reporting import CheckResult, Report
 from .simplicial import (
     Triangulation,
@@ -46,16 +44,12 @@ from .simplicial import (
     check_2segal,
     glue,
     unglue,
-    vertex_map,
 )
 from .spans import (
     FinMap,
-    FinSet,
-    Span,
     SpanCell,
     StructuralError,
     braiding_span,
-    encode_tuple,
     identity_map,
 )
 

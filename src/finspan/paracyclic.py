@@ -16,9 +16,7 @@ components.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 from .diagrams import (
     Box,
@@ -46,7 +44,6 @@ from .spans import (
     StructuralError,
     UNIT,
     constant_map,
-    encode_tuple,
     identity_map,
     spans_isomorphic,
 )

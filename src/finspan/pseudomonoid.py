@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .diagrams import (
     Box,
     DiagramPath,
-    RewriteRule,
     cell_from_rule,
     compare_paths,
     evaluate,

@@ -12,9 +12,9 @@ tables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional, Sequence
 
 from .reporting import CheckResult, Report
 from .spans import FinMap, FinSet, StructuralError, identity_map
@@ -30,12 +30,17 @@ class TruncSimplicialSet:
 
     `face[n]` holds (d_0^n, ..., d_n^n) for 1 <= n <= N (face[0] is empty);
     `degen[n]` holds (s_0^n, ..., s_n^n) for 0 <= n < N (degen[N] is empty).
+
+    `memo` holds data derived from the tables (vertex maps, polygon stacks,
+    Segal witnesses).  It is left out of `==` and `hash`, so two equal
+    structures never share an entry, and it dies with its structure.
     """
 
     N: int
     levels: tuple[FinSet, ...]
     face: tuple[tuple[FinMap, ...], ...]
     degen: tuple[tuple[FinMap, ...], ...]
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 2 or len(self.levels) != self.N + 1:
@@ -266,14 +271,17 @@ def enumerate_subdivisions(n: int) -> tuple[Subdivision, ...]:
 
 
 def vertex_map(X: TruncSimplicialSet, n: int, keep: Sequence[int]) -> FinMap:
-    """The map X_n -> X_{k} induced by the monotone inclusion of `keep`."""
-    keep_set = set(keep)
-    cur = identity_map(X.levels[n])
-    level = n
-    for v in sorted(set(range(n + 1)) - keep_set, reverse=True):
-        cur = cur.then(X.d(level, v))
-        level -= 1
-    return cur
+    """The map X_n -> X_{k} induced by the monotone inclusion of `keep`,
+    memoised in `X.memo`."""
+    key = (n, tuple(keep))
+    if key not in X.memo:
+        cur = identity_map(X.levels[n])
+        level = n
+        for v in sorted(set(range(n + 1)) - set(keep), reverse=True):
+            cur = cur.then(X.d(level, v))
+            level -= 1
+        X.memo[key] = cur
+    return X.memo[key]
 
 
 def edge_map(X: TruncSimplicialSet, n: int, kind) -> FinMap:
@@ -303,9 +311,9 @@ class PolygonStack:
     cells: tuple[tuple[int, ...], ...]
     elements: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
-        return _stack_index(self)
+        return {e: i for i, e in enumerate(self.elements)}
 
     def edge_value(self, element: tuple[int, ...], edge: tuple[int, int]) -> int:
         for c, e in zip(self.cells, element):
@@ -314,13 +322,11 @@ class PolygonStack:
         raise GluingError(f"edge {edge} not present in the subdivision")
 
 
-@lru_cache(maxsize=None)
-def _stack_index(stack: PolygonStack) -> dict[tuple[int, ...], int]:
-    return {e: i for i, e in enumerate(stack.elements)}
-
-
-@lru_cache(maxsize=None)
 def polygon_stack(X: TruncSimplicialSet, n: int, cells: tuple[tuple[int, ...], ...]) -> PolygonStack:
+    """The iterated pullback for `cells`, memoised in `X.memo`."""
+    key = (n, cells)
+    if key in X.memo:
+        return X.memo[key]
     shared: dict[tuple[int, int], list[int]] = {}
     for ci, c in enumerate(cells):
         for a, b in itertools.combinations(c, 2):
@@ -349,7 +355,8 @@ def polygon_stack(X: TruncSimplicialSet, n: int, cells: tuple[tuple[int, ...], .
                     grown.append((chosen + (e,), new_edges))
         partial = grown
     elements = tuple(sorted(chosen for chosen, _ in partial))
-    return PolygonStack(X, n, cells, elements)
+    X.memo[key] = PolygonStack(X, n, cells, elements)
+    return X.memo[key]
 
 
 @dataclass(frozen=True)
@@ -385,11 +392,13 @@ def segal_map(X: TruncSimplicialSet, T: Triangulation) -> tuple[FinSet, FinMap]:
     return FinSet(len(stack.elements)), fwd
 
 
-@lru_cache(maxsize=None)
 def segal_witness(X: TruncSimplicialSet, T: Triangulation) -> SegalWitness:
-    stack, fwd = subdivision_map(X, T.n, T.triangles)
-    inverse = fwd.inverse() if fwd.is_bijective() else None
-    return SegalWitness(T.n, T, stack, fwd, inverse)
+    """The triangulation map for T with its inverse, memoised in `X.memo`."""
+    if T not in X.memo:
+        stack, fwd = subdivision_map(X, T.n, T.triangles)
+        inverse = fwd.inverse() if fwd.is_bijective() else None
+        X.memo[T] = SegalWitness(T.n, T, stack, fwd, inverse)
+    return X.memo[T]
 
 
 def check_2segal(X: TruncSimplicialSet) -> Report:

@@ -16,8 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 

@@ -79,6 +79,25 @@ class TestCli:
         bad.write_text("{")
         assert main(["check", str(bad)]) == 2
 
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["paracyclic"].update(tau=[0] * len(d["levels"])),
+        lambda d: d.update(paracyclic=3),
+        lambda d: d.update(counit={"left": [0, 0, 0], "right": "point"}),
+        lambda d: d.update(counit={"apex_size": -1, "left": [], "right": "point"}),
+        lambda d: d.update(counit={"apex_size": True, "left": [0], "right": "point"}),
+        lambda d: d["face"][1][0].__setitem__(0, True),
+    ], ids=["tau-entries-ints", "paracyclic-not-object", "counit-without-apex-size",
+            "negative-apex-size", "boolean-apex-size", "boolean-face-index"])
+    def test_check_rejects_malformed_blocks(self, tmp_path, capsys, mutate):
+        data = json.loads((FIXTURES / "interval_l2.json").read_text())
+        mutate(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["check", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err + captured.out
+
     def test_check_skips_absent_blocks(self, capsys):
         assert main(["check", str(FIXTURES / "chain_poset_nerve.json"), "--gamma"]) == 0
         out = capsys.readouterr().out

@@ -1,10 +1,14 @@
 """Simplicial identities, triangulations, 2-Segal maps, unitality, and the
 polygon calculus for faces and degeneracies."""
 
+import gc
+import weakref
+
 import pytest
 
 from finspan import catalog
 from finspan.acceptance import catalog_non_two_segal
+from finspan.documents import StructureDocument, dumps_document, loads_document
 from finspan.simplicial import (
     Subdivision,
     Triangulation,
@@ -219,3 +223,44 @@ class TestChangeOfTriangulation:
                 for wb in witnesses:
                     through = wa.inverse.then(wb.forward).then(wb.inverse).then(wa.forward)
                     assert through.table == tuple(range(len(wa.stack.elements)))
+
+
+class TestMemo:
+    def test_equal_structures_share_no_memo_entry(self, nerve_z2):
+        text = dumps_document(StructureDocument(nerve_z2))
+        X = loads_document(text).simplicial
+        Y = loads_document(text).simplicial
+        assert X == Y and hash(X) == hash(Y)
+        check_2segal(X)
+        check_2segal(Y)
+        assert X.memo.keys() == Y.memo.keys()
+        assert not {id(v) for v in X.memo.values()} & {id(v) for v in Y.memo.values()}
+        assert all(segal_witness(Y, T).stack.X is Y for T in enumerate_triangulations(3))
+
+    def test_vertex_map_is_memoised(self, nerve_z2):
+        assert vertex_map(nerve_z2, 4, (0, 2)) is vertex_map(nerve_z2, 4, (0, 2))
+
+    def test_no_cache_outlives_its_structure(self):
+        # no other test builds Z_4 at 3: a cache keyed by value could otherwise
+        # hold an equal structure and leave this one unpinned
+        X = catalog.nerve(catalog.cyclic_group_category(4), 3)
+        check_2segal(X)
+        glue(X, T13, unglue(X, T13, 0))
+        ref = weakref.ref(X)
+        del X
+        gc.collect()
+        assert ref() is None
+
+    def test_each_vertex_map_composes_at_most_n_faces(self, monkeypatch):
+        X = catalog.nerve(catalog.cyclic_group_category(3), 5)
+        calls = []
+        then = FinMap.then
+
+        def counting_then(self, g):
+            calls.append(1)
+            return then(self, g)
+
+        monkeypatch.setattr(FinMap, "then", counting_then)
+        assert check_2segal(X).ok
+        vertex_maps = sum(isinstance(v, FinMap) for v in X.memo.values())
+        assert 0 < len(calls) <= X.N * vertex_maps
