@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from .spans import (
@@ -49,11 +50,25 @@ class Box:
         if _wire_size(self.out_objs) != self.span.tgt.size:
             raise StructuralError("out wires do not multiply to the span target")
 
-    def in_values(self, e: int) -> tuple[int, ...]:
-        return decode_tuple(self.span.left.table[e], tuple(o.size for o in self.in_objs))
+    @cached_property
+    def in_table(self) -> tuple[tuple[int, ...], ...]:
+        """The in-wire values of each apex element."""
+        sizes = tuple(o.size for o in self.in_objs)
+        return tuple(decode_tuple(v, sizes) for v in self.span.left.table)
 
-    def out_values(self, e: int) -> tuple[int, ...]:
-        return decode_tuple(self.span.right.table[e], tuple(o.size for o in self.out_objs))
+    @cached_property
+    def out_table(self) -> tuple[tuple[int, ...], ...]:
+        """The out-wire values of each apex element."""
+        sizes = tuple(o.size for o in self.out_objs)
+        return tuple(decode_tuple(v, sizes) for v in self.span.right.table)
+
+    @cached_property
+    def fibers(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """The apex elements over each in-wire value, in increasing order."""
+        fibers: dict[tuple[int, ...], list[int]] = {}
+        for e, vals in enumerate(self.in_table):
+            fibers.setdefault(vals, []).append(e)
+        return {vals: tuple(es) for vals, es in fibers.items()}
 
 
 def _wire_size(objs: tuple[FinSet, ...]) -> int:
@@ -85,11 +100,11 @@ def row_out_objs(row: Row) -> tuple[FinSet, ...]:
 
 
 def row_in_values(row: Row, asn: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(v for b, e in zip(row, asn) for v in b.in_values(e))
+    return tuple(v for b, e in zip(row, asn) for v in b.in_table[e])
 
 
 def row_out_values(row: Row, asn: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(v for b, e in zip(row, asn) for v in b.out_values(e))
+    return tuple(v for b, e in zip(row, asn) for v in b.out_table[e])
 
 
 Assignment = tuple[tuple[int, ...], ...]
@@ -116,20 +131,28 @@ def evaluate(diagram: Diagram) -> EvaluatedDiagram:
         if row_out_objs(upper) != row_in_objs(lower):
             raise StructuralError("row boundaries do not chain")
 
-    # enumerate row assignments grouped by their in-wire values
-    partial: list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]] = [((), ())]
-    for i, row in enumerate(diagram):
-        by_in: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for combo in itertools.product(*[range(b.span.apex.size) for b in row]):
-            by_in.setdefault(row_in_values(row, combo), []).append(combo)
+    # row 0 is unconstrained; each later row is the pullback of the frontier
+    # (the out-wire values so far) against the row, i.e. the product of each
+    # box's fiber over its slice of the frontier.  Extensions are computed
+    # once per distinct frontier, so every row tuple is built once per row
+    # and shared by all assignments that contain it.
+    first = diagram[0]
+    partial = [
+        ((combo,), row_out_values(first, combo))
+        for combo in itertools.product(*[range(b.span.apex.size) for b in first])
+    ]
+    for row in diagram[1:]:
+        ins, _ = _box_wire_offsets(row)
+        over: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
         grown = []
         for rows_so_far, frontier in partial:
-            key = frontier if i > 0 else None
-            candidates = by_in.get(key, []) if i > 0 else [
-                c for combos in by_in.values() for c in combos
-            ]
-            for combo in candidates:
-                grown.append((rows_so_far + (combo,), row_out_values(row, combo)))
+            extensions = over.get(frontier)
+            if extensions is None:
+                fibers = [b.fibers.get(frontier[ins[j] : ins[j + 1]], ()) for j, b in enumerate(row)]
+                extensions = over[frontier] = [
+                    (combo, row_out_values(row, combo)) for combo in itertools.product(*fibers)
+                ]
+            grown.extend((rows_so_far + (combo,), out) for combo, out in extensions)
         partial = grown
 
     assignments = tuple(sorted(a for a, _ in partial))
@@ -387,7 +410,7 @@ def tensorator_rule(f: Box, g: Box) -> RewriteRule:
     def fn(asn):
         ef = asn[0][0]
         eg = asn[1][-1]
-        return (f.in_values(ef) + (eg,), (ef,) + g.out_values(eg))
+        return (f.in_table[ef] + (eg,), (ef,) + g.out_table[eg])
 
     return make_rule("tensorator", src, tgt, fn)
 
@@ -412,7 +435,7 @@ def braiding_rule(f: Box, g: Box) -> RewriteRule:
     def fn(asn):
         ef, eg = asn[0]
         p = encode_tuple(
-            f.in_values(ef) + g.in_values(eg),
+            f.in_table[ef] + g.in_table[eg],
             tuple(o.size for o in f.in_objs + g.in_objs),
         )
         return ((p,), (eg, ef))

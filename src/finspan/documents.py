@@ -76,7 +76,11 @@ def _parse_level(entry) -> FinSet:
         return FinSet(entry)
     if isinstance(entry, dict) and _is_index(entry.get("size")):
         labels = entry.get("labels")
-        return FinSet(entry["size"], tuple(labels) if labels is not None else None)
+        if labels is None:
+            return FinSet(entry["size"])
+        if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+            raise DocumentError(f"level labels must be a list of strings, not {labels!r}")
+        return FinSet(entry["size"], tuple(labels))
     raise DocumentError(f"bad level entry {entry!r}")
 
 

@@ -1,5 +1,7 @@
 """The stacked-diagram evaluator and rewrite engine."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -8,12 +10,15 @@ from finspan.diagrams import (
     Box,
     DiagramPath,
     box_from_span,
+    braiding_rule,
     compare_paths,
     delete_identity_row,
     evaluate,
+    hexagonator_rule,
     identity_box,
     insert_identity_row,
     make_rule,
+    syllepsis_rule,
     tensorator_rule,
 )
 from finspan.spans import (
@@ -22,6 +27,8 @@ from finspan.spans import (
     Span,
     StructuralError,
     compose_spans,
+    decode_tuple,
+    encode_tuple,
     identity_span,
     product_span,
 )
@@ -97,3 +104,110 @@ def test_rule_must_preserve_exterior_wires():
 
     with pytest.raises(StructuralError):
         make_rule("bad", ((box_from_span(swap),),), ((idb,),), bad)
+
+
+# ---------------------------------------------------------------------------
+# differential check of evaluate against the full row product
+
+
+def _wires(table, objs, e):
+    return decode_tuple(table[e], tuple(o.size for o in objs))
+
+
+def _row_wires(row, combo, side):
+    if side == "in":
+        return tuple(v for b, e in zip(row, combo) for v in _wires(b.span.left.table, b.in_objs, e))
+    return tuple(v for b, e in zip(row, combo) for v in _wires(b.span.right.table, b.out_objs, e))
+
+
+def brute_force_evaluate(diagram):
+    """Every combination of apex elements over all rows, kept when the rows
+    chain, sorted; and the span it spans between the outer wires."""
+    rows = [list(itertools.product(*[range(b.span.apex.size) for b in row])) for row in diagram]
+    assignments = sorted(
+        asn for asn in itertools.product(*rows)
+        if all(
+            _row_wires(upper, a, "out") == _row_wires(lower, b, "in")
+            for upper, lower, a, b in zip(diagram, diagram[1:], asn, asn[1:])
+        )
+    )
+    in_sizes = tuple(o.size for b in diagram[0] for o in b.in_objs)
+    out_sizes = tuple(o.size for b in diagram[-1] for o in b.out_objs)
+    src, tgt, apex = FinSet(math.prod(in_sizes)), FinSet(math.prod(out_sizes)), FinSet(len(assignments))
+    left = tuple(encode_tuple(_row_wires(diagram[0], a[0], "in"), in_sizes) for a in assignments)
+    right = tuple(encode_tuple(_row_wires(diagram[-1], a[-1], "out"), out_sizes) for a in assignments)
+    return tuple(assignments), Span(src, tgt, apex, FinMap(apex, src, left), FinMap(apex, tgt, right))
+
+
+def rand_box(rng, in_objs, out_objs, apex_size):
+    span = rand_span(rng, math.prod(o.size for o in in_objs), math.prod(o.size for o in out_objs), apex_size)
+    return Box(span, in_objs, out_objs, name="r")
+
+
+def rand_diagram(rng):
+    """Two or three rows of boxes on random wires.  Boxes may have no in
+    wires (the unit shape), no out wires, an empty apex or empty fibers."""
+    wires = tuple(FinSet(rng.randint(1, 3)) for _ in range(rng.randint(0, 3)))
+    diagram = []
+    for _ in range(rng.randint(2, 3)):
+        cuts = sorted(rng.randint(0, len(wires)) for _ in range(rng.randint(0, 2)))
+        groups = [wires[a:b] for a, b in zip([0] + cuts, cuts + [len(wires)])]
+        if rng.random() < 0.3:
+            groups.insert(rng.randint(0, len(groups)), ())
+        row, out = [], ()
+        for ins in groups:
+            outs = tuple(FinSet(rng.randint(1, 3)) for _ in range(rng.randint(0, 2)))
+            apex = 0 if rng.random() < 0.02 else rng.randint(1, 2 + math.prod(o.size for o in ins))
+            row.append(rand_box(rng, ins, outs, apex))
+            out += outs
+        diagram.append(tuple(row))
+        wires = out
+    return tuple(diagram)
+
+
+def assert_matches_brute_force(diagram):
+    ev = evaluate(diagram)
+    assignments, span = brute_force_evaluate(diagram)
+    assert ev.assignments == assignments
+    assert ev.span == span
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_evaluate_matches_full_row_product(seed):
+    assert_matches_brute_force(rand_diagram(random.Random(1000 + seed)))
+
+
+def test_evaluate_matches_full_row_product_on_unit_and_empty_boxes():
+    rng = random.Random(7)
+    x = FinSet(2)
+    eta = rand_box(rng, (), (x,), 3)
+    empty = rand_box(rng, (x,), (x,), 0)
+    sparse = Box(Span(x, x, FinSet(2), FinMap(FinSet(2), x, (1, 1)), FinMap(FinSet(2), x, (0, 1))),
+                 (x,), (x,), name="sparse")
+    assert_matches_brute_force(((eta, eta), (sparse, identity_box(x))))
+    assert_matches_brute_force(((eta,), (empty,)))
+    assert_matches_brute_force(((identity_box(x),), (sparse,), (sparse,)))
+
+
+def test_evaluate_matches_full_row_product_on_coherence_patterns():
+    rng = random.Random(8)
+    x, y, z = FinSet(2), FinSet(3), FinSet(2)
+    f = box_from_span(rand_span(rng, 2, 3, 4), "f")
+    g = box_from_span(rand_span(rng, 3, 2, 3), "g")
+    for rule in (tensorator_rule(f, g), braiding_rule(f, g), syllepsis_rule(x, y),
+                 hexagonator_rule(x, y, z)):
+        assert_matches_brute_force(rule.src)
+        assert_matches_brute_force(rule.tgt)
+
+
+def test_box_tables_leave_equality_and_hash_alone():
+    s = rand_span(random.Random(9), 6, 2, 5)
+    x, y = FinSet(2), FinSet(3)
+    a, b = Box(s, (x, y), (x,), name="a"), Box(s, (x, y), (x,), name="b")
+    before = hash(a)
+    assert a.in_table == tuple(decode_tuple(v, (2, 3)) for v in s.left.table)
+    assert a.out_table == tuple((v,) for v in s.right.table)
+    assert sorted(e for es in a.fibers.values() for e in es) == list(range(5))
+    assert hash(a) == before == hash(b)
+    assert a == b and b == a
+    assert {a: 1}[b] == 1

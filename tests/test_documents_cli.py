@@ -1,5 +1,6 @@
 """JSON documents and the command-line interface."""
 
+import importlib.util
 import json
 import pathlib
 
@@ -86,8 +87,10 @@ class TestCli:
         lambda d: d.update(counit={"apex_size": -1, "left": [], "right": "point"}),
         lambda d: d.update(counit={"apex_size": True, "left": [0], "right": "point"}),
         lambda d: d["face"][1][0].__setitem__(0, True),
+        lambda d: d["levels"].__setitem__(0, {"size": 1, "labels": "a"}),
     ], ids=["tau-entries-ints", "paracyclic-not-object", "counit-without-apex-size",
-            "negative-apex-size", "boolean-apex-size", "boolean-face-index"])
+            "negative-apex-size", "boolean-apex-size", "boolean-face-index",
+            "string-labels"])
     def test_check_rejects_malformed_blocks(self, tmp_path, capsys, mutate):
         data = json.loads((FIXTURES / "interval_l2.json").read_text())
         mutate(data)
@@ -166,3 +169,16 @@ class TestCli:
                      "--gamma", "--full-hexagon"]) == 0
         out = capsys.readouterr().out
         assert "span-level hexagon equation" in out
+
+
+def test_make_fixtures_regenerates_the_shipped_fixtures(tmp_path, monkeypatch):
+    path = FIXTURES.parent / "demos" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    monkeypatch.setattr(make_fixtures, "OUT", tmp_path)
+    assert make_fixtures.main() == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in FIXTURES.glob("*.json"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
