@@ -41,9 +41,10 @@ for k, v in sorted(moved.items()):
 print("the discrepancy swaps the two labels around the middle unit triangle")
 
 print()
-print("== exhaustive search over fiber-preserving associators ==")
-for a in range(4):
+print("== pruned exhaustive search over fiber-preserving associators ==")
+for a in range(6):
     res = search_associator_lift(no_lift_family(a))
     print(f"|A| = {a}: {res.status} "
-          f"({res.candidates_tried} of {res.candidates_total} candidates)")
+          f"({res.candidates_tried} of {res.candidates_total} candidates, "
+          f"{res.nodes} search nodes)")
 print("only the empty and singleton label sets admit a lift")

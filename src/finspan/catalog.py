@@ -611,29 +611,17 @@ def two_truncated_simplicial(T: TwoTruncatedData) -> TruncSimplicialSet:
 def no_lift_canonical_associator(T: TwoTruncatedData) -> dict:
     """The canonical associator of the no-lift family: match taco fibers by
     their label component (fibers are singletons or copies of the label set)."""
-    from .pseudomonoid import taco_pairs
-
-    left_pairs, right_pairs = taco_pairs(T)
-    d0, d1, d2 = T.d2
-
-    def key13(p):
-        a, b = p
-        return (d2.table[a], d0.table[a], d0.table[b], d1.table[b])
-
-    def key02(p):
-        a, b = p
-        return (d2.table[a], d2.table[b], d0.table[b], d1.table[a])
+    from .pseudomonoid import taco_fibers
 
     def label(p):
         return tuple(x for x in p if x >= 3) or None
 
-    by_key: dict[tuple, dict] = {}
-    for p in right_pairs:
-        by_key.setdefault(key02(p), {})[label(p)] = p
+    left, right = taco_fibers(T)
     out = {}
-    for p in left_pairs:
-        out[p] = by_key[key13(p)][label(p)]
-    return out
+    for key, pairs in left.items():
+        by_label = {label(p): p for p in right[key]}
+        out.update((p, by_label[label(p)]) for p in pairs)
+    return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------

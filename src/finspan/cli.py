@@ -37,6 +37,7 @@ from .paracyclic import (
 from .pseudomonoid import ConstructionError, search_associator_lift, two_truncation
 from .reporting import CheckResult, Report
 from .simplicial import (
+    GluingError,
     check_2segal,
     check_simplicial_identities,
     check_subdivision_criterion,
@@ -148,6 +149,9 @@ def cmd_derive(args) -> int:
     except NotCommutativeError as exc:
         print(f"not commutative: {exc}", file=sys.stderr)
         return 1
+    except (GluingError, ConstructionError) as exc:
+        print(f"cannot derive: {exc}", file=sys.stderr)
+        return 1
     except StructuralError as exc:
         return _fail(str(exc))
     text = dumps_document(out)
@@ -160,6 +164,8 @@ def cmd_derive(args) -> int:
 
 
 def cmd_search_lift(args) -> int:
+    if args.budget < 1:
+        return _fail(f"--budget must be at least 1, got {args.budget}")
     try:
         doc = load_document(args.path)
     except (DocumentError, OSError) as exc:
@@ -172,6 +178,8 @@ def cmd_search_lift(args) -> int:
     print(f"verdict: {res.status}")
     if res.candidates_total:
         print(f"candidates: {res.candidates_tried} tried of {res.candidates_total}")
+    if args.verbose:
+        print(f"nodes: {res.nodes}")
     if res.detail:
         print(res.detail)
     if res.status == "lift exists" and args.verbose:
@@ -310,9 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_derive)
 
-    p = sub.add_parser("search-lift", help="exhaustive associator lift search")
+    p = sub.add_parser("search-lift", help="pruned exhaustive associator lift search")
     p.add_argument("path")
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument("--budget", type=int, default=1_000_000,
+                   help="most search nodes (fiber bijections assigned) to explore")
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(fn=cmd_search_lift)
 

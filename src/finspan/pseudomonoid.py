@@ -14,6 +14,7 @@ of the five square flips inside the pentagon, which only needs X_2.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -288,14 +289,14 @@ class TwoTruncatedData:
         s0_0 = self.s0
         s0_1, s1_1 = self.s1
         checks = [
-            ("d0 s0 = id", s0_0.then(d0_1), None),
-            ("d1 s0 = id", s0_0.then(d1_1), None),
-            ("d0 s0^1 = id", s0_1.then(d0_2), None),
-            ("d1 s0^1 = id", s0_1.then(d1_2), None),
-            ("d1 s1^1 = id", s1_1.then(d1_2), None),
-            ("d2 s1^1 = id", s1_1.then(d2_2), None),
+            ("d0 s0 = id", s0_0.then(d0_1)),
+            ("d1 s0 = id", s0_0.then(d1_1)),
+            ("d0 s0^1 = id", s0_1.then(d0_2)),
+            ("d1 s0^1 = id", s0_1.then(d1_2)),
+            ("d1 s1^1 = id", s1_1.then(d1_2)),
+            ("d2 s1^1 = id", s1_1.then(d2_2)),
         ]
-        for name, got, _ in checks:
+        for name, got in checks:
             if got.table != tuple(range(got.dom.size)):
                 raise StructuralError(f"truncated identity fails: {name}")
         if s0_1.then(d2_2).table != d1_1.then(s0_0).table:
@@ -324,6 +325,22 @@ def taco_pairs(T: TwoTruncatedData) -> tuple[tuple[tuple[int, int], ...], tuple[
     right = tuple(
         (a, b) for a in T.x2 for b in T.x2 if d0.table[a] == d1.table[b]
     )
+    return left, right
+
+
+def taco_fibers(T: TwoTruncatedData) -> tuple[dict, dict]:
+    """The left (0 1 2),(0 2 3) and right (0 1 3),(1 2 3) taco pairs grouped
+    by their boundary edges (01, 12, 23, 03), in index order within each
+    fiber.  An associator maps each left fiber bijectively to the right
+    fiber with the same key."""
+    d0, d1, d2 = T.d2
+    left_pairs, right_pairs = taco_pairs(T)
+    left: dict[tuple, list] = {}
+    for a, b in left_pairs:
+        left.setdefault((d2.table[a], d0.table[a], d0.table[b], d1.table[b]), []).append((a, b))
+    right: dict[tuple, list] = {}
+    for a, b in right_pairs:
+        right.setdefault((d2.table[a], d2.table[b], d0.table[b], d1.table[a]), []).append((a, b))
     return left, right
 
 
@@ -431,6 +448,57 @@ def pentagon_flip_discrepancy(T: TwoTruncatedData, assoc: dict) -> dict:
     return {e: rhs_back[lhs[e]] for e in start}
 
 
+def _walk_steps(flips) -> tuple:
+    """One side of the pentagon cycle as index steps on fan elements: step
+    (i, j, src) looks up the taco pair of components i and j and builds the
+    next element from `src`, indices into the old components followed by
+    the pair's two images.  The same bookkeeping as `_flip`, done once."""
+    triangles = PENTAGON_TRIANGULATIONS["a"]
+    steps = []
+    for _, _, (q0, q1, q2, q3) in flips:
+        pos = {t: i for i, t in enumerate(triangles)}
+        i, j = pos.pop((q0, q1, q2)), pos.pop((q0, q2, q3))
+        pos[(q0, q1, q3)] = len(triangles)
+        pos[(q1, q2, q3)] = len(triangles) + 1
+        triangles = tuple(sorted(pos))
+        steps.append((i, j, tuple(pos[t] for t in triangles)))
+    return tuple(steps)
+
+
+_LHS_STEPS = _walk_steps(PENTAGON_LHS_FLIPS)
+_RHS_STEPS = _walk_steps(PENTAGON_RHS_FLIPS)
+
+
+def _walk(steps, assoc, element):
+    """Follow one side from a fan element as far as `assoc` reaches: the end
+    element and None, or None and the first taco pair `assoc` lacks."""
+    for i, j, src in steps:
+        pair = (element[i], element[j])
+        image = assoc.get(pair)
+        if image is None:
+            return None, pair
+        components = element + image
+        element = tuple(components[s] for s in src)
+    return element, None
+
+
+def _settle(starts, assoc, fiber_of):
+    """Walk both sides from each start element.  None when some element's
+    walks both end and differ; otherwise the elements still undecided, keyed
+    by the open fiber that must be assigned before they can be."""
+    waiting: dict[int, list] = {}
+    for e in starts:
+        lhs, lhs_missing = _walk(_LHS_STEPS, assoc, e)
+        rhs, rhs_missing = _walk(_RHS_STEPS, assoc, e)
+        if lhs_missing is None and rhs_missing is None:
+            if lhs != rhs:
+                return None
+        else:
+            fiber = max(fiber_of[p] for p in (lhs_missing, rhs_missing) if p is not None)
+            waiting.setdefault(fiber, []).append(e)
+    return waiting
+
+
 @dataclass
 class LiftSearchResult:
     status: str  # "lift exists" | "no lift" | "budget exceeded"
@@ -438,61 +506,80 @@ class LiftSearchResult:
     candidates_tried: int = 0
     candidates_total: int = 0
     detail: str = ""
+    nodes: int = 0  # fiber bijections assigned by the search
 
 
 def search_associator_lift(T: TwoTruncatedData, budget: int = 1_000_000) -> LiftSearchResult:
-    """Exhaustively search span isomorphisms between the taco spaces for one
-    whose pentagon cycle closes.  Fibers over the four edge values are
-    enumerated in index order; bijections per fiber in lexicographic order."""
-    d0, d1, d2 = T.d2
-    left_pairs, right_pairs = taco_pairs(T)
+    """Search the span isomorphisms between the taco spaces for one whose
+    pentagon cycle closes, and return the lexicographically first.
 
-    def key13(p):
-        a, b = p
-        return (d2.table[a], d0.table[a], d0.table[b], d1.table[b])
-
-    def key02(p):
-        a, b = p
-        return (d2.table[a], d2.table[b], d0.table[b], d1.table[a])
-
-    fibers13: dict[tuple, list] = {}
-    for p in left_pairs:
-        fibers13.setdefault(key13(p), []).append(p)
-    fibers02: dict[tuple, list] = {}
-    for p in right_pairs:
-        fibers02.setdefault(key02(p), []).append(p)
-
-    if set(fibers13) != set(fibers02) or any(
-        len(fibers13[k]) != len(fibers02[k]) for k in fibers13
-    ):
-        bad = sorted(set(fibers13) ^ set(fibers02)) or [
-            k for k in sorted(fibers13) if len(fibers13[k]) != len(fibers02[k])
+    Candidates are ordered by fiber key, then by bijection per fiber in
+    lexicographic order.  The search is depth first: singleton fibers are
+    fixed up front, and each node assigns the next fiber one bijection.
+    After each node the start elements of the fan stack that were waiting
+    on that fiber are walked along both sides of the pentagon cycle.  A
+    walk that ends never changes as the associator grows, so when both
+    walks end and differ no candidate below the node closes the pentagon:
+    the node is pruned and all its candidates count as tried.
+    `candidates_tried` and the witness are therefore those of trying every
+    candidate in order.  `budget` bounds the nodes explored."""
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    left, right = taco_fibers(T)
+    if set(left) != set(right) or any(len(left[k]) != len(right[k]) for k in left):
+        bad = sorted(set(left) ^ set(right)) or [
+            k for k in sorted(left) if len(left[k]) != len(right[k])
         ]
         return LiftSearchResult("no lift", detail=f"taco spans not isomorphic at fiber {bad[0]}")
 
-    keys = sorted(fibers13)
-    total = 1
-    for k in keys:
-        f = 1
-        for i in range(2, len(fibers13[k]) + 1):
-            f *= i
-        total *= f
-    if total > budget:
-        return LiftSearchResult("budget exceeded", candidates_total=total,
-                                detail=f"{total} candidates exceed budget {budget}")
+    keys = sorted(left)
+    assoc = {left[k][0]: right[k][0] for k in keys if len(left[k]) == 1}
+    open_keys = [k for k in keys if len(left[k]) > 1]
+    fiber_of = {p: i for i, k in enumerate(open_keys) for p in left[k]}
+    sizes = [math.factorial(len(left[k])) for k in open_keys]
+    total = math.prod(sizes)
 
-    tried = 0
-    for perms in itertools.product(*[itertools.permutations(fibers02[k]) for k in keys]):
-        tried += 1
-        assoc = {}
-        for k, perm in zip(keys, perms):
-            for src, dst in zip(fibers13[k], perm):
-                assoc[src] = dst
-        disc = pentagon_flip_discrepancy(T, assoc)
-        if all(k == v for k, v in disc.items()):
-            return LiftSearchResult("lift exists", witness=assoc,
-                                    candidates_tried=tried, candidates_total=total)
-    return LiftSearchResult("no lift", candidates_tried=tried, candidates_total=total)
+    waiting = _settle(_pentagon_stack(T, PENTAGON_TRIANGULATIONS["a"]), assoc, fiber_of)
+    if waiting is None:
+        return LiftSearchResult("no lift", candidates_tried=total, candidates_total=total)
+    tried = nodes = 0
+    found = not open_keys
+    # one frame per assigned fiber: its bijections still to try, and the
+    # start elements waiting before it was assigned
+    stack = [(itertools.permutations(right[open_keys[0]]), waiting)] if open_keys else []
+    while stack:
+        i = len(stack) - 1
+        perms, waiting = stack[-1]
+        perm = next(perms, None)
+        if perm is None:
+            stack.pop()
+            for p in left[open_keys[i]]:
+                del assoc[p]
+            continue
+        if nodes == budget:
+            return LiftSearchResult("budget exceeded", candidates_tried=tried, candidates_total=total,
+                                    nodes=nodes, detail=f"search stopped at its budget of {budget} nodes")
+        nodes += 1
+        assoc.update(zip(left[open_keys[i]], perm))
+        settled = _settle(waiting.get(i, ()), assoc, fiber_of)
+        if settled is None:
+            tried += math.prod(sizes[i + 1:])
+            continue
+        if i + 1 == len(open_keys):
+            found = True
+            break
+        child = {j: starts for j, starts in waiting.items() if j > i}
+        for j, starts in settled.items():
+            child[j] = child.get(j, []) + starts
+        stack.append((itertools.permutations(right[open_keys[i + 1]]), child))
+    if not found:
+        return LiftSearchResult("no lift", candidates_tried=tried, candidates_total=total, nodes=nodes)
+
+    witness = {p: assoc[p] for k in keys for p in left[k]}
+    if any(k != v for k, v in pentagon_flip_discrepancy(T, witness).items()):
+        raise RuntimeError("pruned lift search returned an associator whose pentagon does not close")
+    return LiftSearchResult("lift exists", witness=witness, candidates_tried=tried + 1,
+                            candidates_total=total, nodes=nodes)
 
 
 def pseudomonoid_from_two_truncated(T: TwoTruncatedData, assoc: dict) -> PseudomonoidData:

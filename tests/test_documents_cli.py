@@ -147,6 +147,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "not Frobenius" in err
 
+    @pytest.mark.parametrize("fixture,level,direction", [
+        ("twisted_z3_inversion.json", 1, "paracyclic-to-frobenius"),
+        ("interval_l3.json", 2, "gamma-to-commutative"),
+    ])
+    def test_derive_reports_failed_identities(self, tmp_path, capsys, fixture, level, direction):
+        data = json.loads((FIXTURES / fixture).read_text())
+        data["face"][level][0][0] = 1  # in range, but the identities fail
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["check", str(bad)]) == 1
+        capsys.readouterr()
+        assert main(["derive", str(bad), "--direction", direction]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
     def test_search_lift_exit_codes(self):
         assert main(["search-lift", str(FIXTURES / "nolift_a1.json")]) == 0
         assert main(["search-lift", str(FIXTURES / "nolift_a2.json")]) == 1
@@ -155,6 +171,21 @@ class TestCli:
         assert main(["search-lift", str(FIXTURES / "nolift_a3.json"), "--budget", "10"]) == 1
         out = capsys.readouterr().out
         assert "budget exceeded" in out
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_search_lift_rejects_budget_below_one(self, capsys, budget):
+        assert main(["search-lift", str(FIXTURES / "nolift_a3.json"), "--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_search_lift_output(self, capsys):
+        path = str(FIXTURES / "nolift_a3.json")
+        assert main(["search-lift", path]) == 1
+        assert capsys.readouterr().out == "verdict: no lift\ncandidates: 1296 tried of 1296\n"
+        assert main(["search-lift", path, "-v"]) == 1
+        assert capsys.readouterr().out == (
+            "verdict: no lift\ncandidates: 1296 tried of 1296\nnodes: 24\n"
+        )
 
     def test_example_emission(self, tmp_path):
         out = tmp_path / "z2.json"

@@ -1,12 +1,24 @@
 """Pseudomonoid construction, the coherence equations, taco spaces, and
 the associator lift search."""
 
+import itertools
+import math
+import pathlib
+import random
+
 import pytest
 
 from finspan import catalog
 from finspan.catalog import no_lift_canonical_associator, no_lift_family
+from finspan.documents import load_document
 from finspan.pseudomonoid import (
+    PENTAGON_LHS_FLIPS,
+    PENTAGON_RHS_FLIPS,
+    PENTAGON_TRIANGULATIONS,
     ConstructionError,
+    TwoTruncatedData,
+    _flip,
+    _pentagon_stack,
     build_pseudomonoid,
     canonical_segal_associator,
     n_fold_multiplication,
@@ -14,6 +26,7 @@ from finspan.pseudomonoid import (
     pentagon_triple_discrepancy,
     pseudomonoid_from_two_truncated,
     search_associator_lift,
+    taco_fibers,
     taco_pairs,
     taco_spaces,
     triangulation_composite_span,
@@ -23,6 +36,93 @@ from finspan.pseudomonoid import (
 )
 from finspan.simplicial import Triangulation
 from finspan.spans import FinMap, FinSet, spans_isomorphic
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+# ---------------------------------------------------------------------------
+# brute-force reference for the associator-lift search
+
+
+def _candidates(T):
+    """Every fiber-preserving associator, fibers in key order and bijections
+    per fiber in lexicographic order, the first fiber varying slowest."""
+    left, right = taco_fibers(T)
+    keys = sorted(left)
+    for perms in itertools.product(*[itertools.permutations(right[k]) for k in keys]):
+        yield {src: dst for k, perm in zip(keys, perms) for src, dst in zip(left[k], perm)}
+
+
+def _closes(assoc, start):
+    """Both sides of the pentagon cycle agree on every fan element.  Each side
+    is a bijection of stacks, so this holds exactly when the flip
+    discrepancy is the identity; it stops at the first disagreement."""
+    def side(flips, element):
+        triangles = PENTAGON_TRIANGULATIONS["a"]
+        for _, _, quad in flips:
+            triangles, element = _flip(triangles, quad, assoc, element)
+        return element
+
+    return all(side(PENTAGON_LHS_FLIPS, e) == side(PENTAGON_RHS_FLIPS, e) for e in start)
+
+
+def brute_force_lift(T, limit=None):
+    """(status, witness, tried, total) from trying every candidate in order,
+    or None once more than `limit` candidates have been tried."""
+    left, right = taco_fibers(T)
+    if set(left) != set(right) or any(len(left[k]) != len(right[k]) for k in left):
+        return "no lift", None, 0, 0
+    total = math.prod(math.factorial(len(ps)) for ps in left.values())
+    start = _pentagon_stack(T, PENTAGON_TRIANGULATIONS["a"])
+    for tried, assoc in enumerate(_candidates(T), 1):
+        if limit is not None and tried > limit:
+            return None
+        if _closes(assoc, start):
+            return "lift exists", assoc, tried, total
+    return "no lift", None, total, total
+
+
+def relabel_x2(T, rng):
+    """The same data with the 2-simplices renumbered by a random permutation."""
+    new = list(T.x2)
+    rng.shuffle(new)  # new[e] is the index of old element e
+    old = sorted(T.x2, key=new.__getitem__)
+    x2 = FinSet(T.x2.size, labels=tuple(T.x2.labels[e] for e in old) if T.x2.labels else None)
+    return TwoTruncatedData(
+        T.x0, T.x1, x2, T.d1,
+        tuple(FinMap(x2, T.x1, tuple(d.table[e] for e in old)) for d in T.d2),
+        T.s0,
+        tuple(FinMap(T.x1, x2, tuple(new[e] for e in s.table)) for s in T.s1),
+    )
+
+
+def doubled_point() -> TwoTruncatedData:
+    """X_2 of the point, doubled: one fiber of four taco pairs (24 candidates)."""
+    pt, two = FinSet(1), FinSet(2)
+    one = FinMap(pt, pt, (0,))
+    down = FinMap(two, pt, (0, 0))
+    up = FinMap(pt, two, (0,))
+    return TwoTruncatedData(pt, pt, two, (one, one), (down, down, down), one, (up, up))
+
+
+def random_two_truncated(rng) -> TwoTruncatedData:
+    """X_1 = {0, 1} with the three degenerate 2-simplices of the no-lift
+    family and two to six more with random faces."""
+    faces = [(0, 0, 0), (0, 1, 1), (1, 1, 0)]  # (d0, d1, d2) of (0,0), (1,0), (0,1)
+    faces += [tuple(rng.randrange(2) for _ in range(3)) for _ in range(rng.randrange(2, 7))]
+    pt, x1, x2 = FinSet(1), FinSet(2), FinSet(len(faces))
+    return TwoTruncatedData(
+        pt, x1, x2,
+        (FinMap(x1, pt, (0, 0)), FinMap(x1, pt, (0, 0))),
+        tuple(FinMap(x2, x1, tuple(f[i] for f in faces)) for i in range(3)),
+        FinMap(pt, x1, (0,)),
+        (FinMap(x1, x2, (0, 2)), FinMap(x1, x2, (0, 1))),
+    )
+
+
+def _fixture_truncations():
+    return [pytest.param(two_truncation(load_document(path).simplicial), id=path.stem)
+            for path in sorted(FIXTURES.glob("*.json"))]
 
 
 class TestBuild:
@@ -61,34 +161,14 @@ class TestEquations:
     def test_flip_route_agrees_with_diagram_route(self):
         """All sixteen candidate associators of the doubled family get the
         same pentagon verdict from the flip cycle and the rewrite paths."""
-        import itertools
-
         T = no_lift_family(2)
-        left, right = taco_pairs(T)
-        d0, d1, d2 = T.d2
-
-        def key13(p):
-            return (d2.table[p[0]], d0.table[p[0]], d0.table[p[1]], d1.table[p[1]])
-
-        def key02(p):
-            return (d2.table[p[0]], d2.table[p[1]], d0.table[p[1]], d1.table[p[0]])
-
-        fibers13, fibers02 = {}, {}
-        for p in left:
-            fibers13.setdefault(key13(p), []).append(p)
-        for p in right:
-            fibers02.setdefault(key02(p), []).append(p)
-        keys = sorted(fibers13)
+        start = _pentagon_stack(T, PENTAGON_TRIANGULATIONS["a"])
         count = 0
-        for perms in itertools.product(*[itertools.permutations(fibers02[k]) for k in keys]):
-            assoc = {}
-            for k, perm in zip(keys, perms):
-                for src, dst in zip(fibers13[k], perm):
-                    assoc[src] = dst
+        for assoc in _candidates(T):
             flips = pentagon_flip_discrepancy(T, assoc)
             flip_ok = all(k == v for k, v in flips.items())
             diagram_ok = verify_pentagon(pseudomonoid_from_two_truncated(T, assoc)).ok
-            assert flip_ok == diagram_ok
+            assert flip_ok == diagram_ok == _closes(assoc, start)
             count += 1
         assert count == 16
 
@@ -161,18 +241,9 @@ class TestNoLift:
     def test_any_associator_swaps_with_automorphisms(self):
         """Every associator choice produces a discrepancy of the shape
         (a, e, a') -> (phi'(a'), e, phi(a)) on the all-ones block."""
-        import itertools
-
         T = no_lift_family(2)
         canon = no_lift_canonical_associator(T)
-        d0, d1, d2 = T.d2
-
-        def key13(p):
-            return (d2.table[p[0]], d0.table[p[0]], d0.table[p[1]], d1.table[p[1]])
-
-        fibers = {}
-        for p in canon:
-            fibers.setdefault(key13(p), []).append(p)
+        fibers, _ = taco_fibers(T)
         a_fibers = sorted(k for k, ps in fibers.items() if len(ps) > 1)
         for swaps in itertools.product([False, True], repeat=len(a_fibers)):
             assoc = dict(canon)
@@ -208,6 +279,69 @@ class TestNoLift:
         P = pseudomonoid_from_two_truncated(T, no_lift_canonical_associator(T))
         assert verify_pentagon(P).ok
         assert verify_triangle(P).ok
+
+
+class TestPrunedSearch:
+    """The pruned search returns what trying every candidate in order returns."""
+
+    def assert_matches_brute_force(self, T, limit=None):
+        """The search's result, once checked against the reference; None when
+        the reference needs more than `limit` candidates."""
+        want = brute_force_lift(T, limit)
+        if want is None:
+            return None
+        res = search_associator_lift(T)
+        assert (res.status, res.witness, res.candidates_tried, res.candidates_total) == want
+        if res.witness is not None:
+            disc = pentagon_flip_discrepancy(T, res.witness)
+            assert all(k == v for k, v in disc.items())
+        return res
+
+    @pytest.mark.parametrize("T", _fixture_truncations())
+    def test_fixture_truncations(self, T):
+        self.assert_matches_brute_force(T)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("a", range(4))
+    def test_relabelled_no_lift_family(self, a, seed):
+        self.assert_matches_brute_force(relabel_x2(no_lift_family(a), random.Random(seed)))
+
+    def test_doubled_point(self):
+        T = doubled_point()
+        self.assert_matches_brute_force(T)
+        assert search_associator_lift(T).candidates_total == 24
+
+    def test_random_two_truncated_data(self):
+        """Random data whose reference answer takes at most 2000 candidates,
+        among them lifts that are not the first candidate."""
+        compared = late_lifts = 0
+        for seed in range(800):
+            T = random_two_truncated(random.Random(seed))
+            res = self.assert_matches_brute_force(T, limit=2000)
+            if res is not None:
+                compared += 1
+                late_lifts += res.status == "lift exists" and res.candidates_tried > 1
+        assert compared > 750 and late_lifts >= 3
+
+    @pytest.mark.parametrize("a,nodes", [(4, 96), (5, 480)])
+    def test_large_label_sets_are_decided(self, a, nodes):
+        res = search_associator_lift(no_lift_family(a))
+        assert res.status == "no lift"
+        assert res.candidates_tried == res.candidates_total == math.factorial(a) ** 4
+        assert res.nodes == nodes
+
+    def test_budget_bounds_nodes(self):
+        T = no_lift_family(3)
+        needed = search_associator_lift(T).nodes
+        assert search_associator_lift(T, budget=needed).status == "no lift"
+        res = search_associator_lift(T, budget=needed - 1)
+        assert res.status == "budget exceeded" and res.nodes == needed - 1
+        assert res.candidates_tried < res.candidates_total == 1296
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError):
+            search_associator_lift(no_lift_family(1), budget=budget)
 
 
 class TestNFold:
