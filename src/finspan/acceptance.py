@@ -31,6 +31,7 @@ from .catalog import (
     path_graph,
     twisted_cyclic_paracyclic,
 )
+from .diagrams import first_moved
 from .gammaset import (
     GammaData,
     check_gamma,
@@ -135,14 +136,10 @@ def criterion_2_pentagon_triangle() -> Report:
         pent = verify_pentagon(P)
         tri = verify_triangle(P)
         report.add(CheckResult(f"{name}: pentagon", pent.ok,
-                               witness=None if pent.ok else _first_moved(pent.discrepancy)))
+                               witness=first_moved(pent.discrepancy)))
         report.add(CheckResult(f"{name}: triangle", tri.ok,
-                               witness=None if tri.ok else _first_moved(tri.discrepancy)))
+                               witness=first_moved(tri.discrepancy)))
     return report
-
-
-def _first_moved(disc: dict):
-    return next(((k, v) for k, v in disc.items() if k != v), None)
 
 
 def criterion_3_no_lift() -> Report:
@@ -434,7 +431,7 @@ def criterion_9_mutation_sensitivity() -> Report:
     pent = verify_pentagon(pseudomonoid_from_two_truncated(T, canon))
     report.add(CheckResult(
         "pentagon checker rejects the canonical associator on the doubled family",
-        (not pent.ok) and _first_moved(pent.discrepancy) is not None,
+        (not pent.ok) and first_moved(pent.discrepancy) is not None,
         witness=None if not pent.ok else "mutation passed silently",
     ))
 
@@ -445,7 +442,7 @@ def criterion_9_mutation_sensitivity() -> Report:
     tri = verify_triangle(pseudomonoid_from_two_truncated(T, mutated))
     report.add(CheckResult(
         "triangle checker detects a unit-fiber associator swap",
-        (not tri.ok) and _first_moved(tri.discrepancy) is not None,
+        (not tri.ok) and first_moved(tri.discrepancy) is not None,
         witness=None if not tri.ok else "mutation passed silently",
     ))
     return report

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .gammaset import GammaData, PhiStarMor, phistar_d, phistar_s, phistar_theta
 from .paracyclic import ParacyclicData
-from .pseudomonoid import TwoTruncatedData
+from .pseudomonoid import TwoTruncatedData, two_truncated_simplicial  # re-exported
 from .simplicial import TruncSimplicialSet, make_simplicial
 from .spans import FinMap, FinSet, StructuralError
 
@@ -597,15 +597,6 @@ def no_lift_family(a_size: int) -> TwoTruncatedData:
         FinMap(x1, x2, (0, 1)),  # s_1(k) = (k, 0)
     )
     return TwoTruncatedData(x0, x1, x2, d1_maps, d2_maps, s0, s1_maps)
-
-
-def two_truncated_simplicial(T: TwoTruncatedData) -> TruncSimplicialSet:
-    """Repackage 2-truncated data as a truncation-2 simplicial set."""
-    return make_simplicial(
-        [T.x0, T.x1, T.x2],
-        [(), T.d1, T.d2],
-        [(T.s0,), T.s1, ()],
-    )
 
 
 def no_lift_canonical_associator(T: TwoTruncatedData) -> dict:

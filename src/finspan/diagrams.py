@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Optional
 
 from .spans import (
     FinMap,
@@ -392,6 +392,12 @@ def compare_paths(p: DiagramPath, q: DiagramPath) -> tuple[bool, dict[Assignment
     q_back = {v: k for k, v in q.map.items()}
     discrepancy = {a: q_back[p.map[a]] for a in p.start.assignments}
     return all(k == v for k, v in discrepancy.items()), discrepancy
+
+
+def first_moved(discrepancy: dict[Assignment, Assignment]) -> Optional[tuple[Assignment, Assignment]]:
+    """The first (assignment, image) pair a discrepancy moves, or None when
+    it is the identity: the witness of an unequal `compare_paths`."""
+    return next(((k, v) for k, v in discrepancy.items() if k != v), None)
 
 
 # ---------------------------------------------------------------------------

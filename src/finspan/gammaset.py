@@ -29,6 +29,7 @@ from .diagrams import (
     braiding_rule,
     compare_paths,
     evaluate,
+    first_moved,
     identity_box,
     hexagonator_rule,
     make_rule,
@@ -38,6 +39,7 @@ from .diagrams import (
 from .paracyclic import LambdaMor
 from .reporting import CheckResult, Report
 from .simplicial import (
+    T13,
     Triangulation,
     TruncSimplicialSet,
     _triangulation_with_triangle,
@@ -349,26 +351,20 @@ def check_gamma(G: GammaData) -> Report:
     """The Moore, mixed, and final-face relations within the truncation."""
     X = G.base
     report = Report()
-
-    def eq(name, lhs, rhs):
-        ok = lhs.table == rhs.table
-        w = None if ok else next(e for e in range(len(lhs.table)) if lhs.table[e] != rhs.table[e])
-        report.add(CheckResult(name, ok, witness=w))
-
-    eq("d_0^1 = d_1^1 (pointed collapse)", X.d(1, 0), X.d(1, 1))
+    report.equal("d_0^1 = d_1^1 (pointed collapse)", X.d(1, 0), X.d(1, 1))
     for n in range(2, X.N + 1):
         for i in range(1, n):
-            eq(f"theta_{i}^2 = id at level {n}",
-               G.theta(n, i).then(G.theta(n, i)), identity_map(X.levels[n]))
+            report.equal(f"theta_{i}^2 = id at level {n}",
+                         G.theta(n, i).then(G.theta(n, i)), identity_map(X.levels[n]))
         for i in range(1, n - 1):
-            eq(f"braid theta_{i} theta_{i+1} at level {n}",
-               G.theta(n, i).then(G.theta(n, i + 1)).then(G.theta(n, i)),
-               G.theta(n, i + 1).then(G.theta(n, i)).then(G.theta(n, i + 1)))
+            report.equal(f"braid theta_{i} theta_{i+1} at level {n}",
+                         G.theta(n, i).then(G.theta(n, i + 1)).then(G.theta(n, i)),
+                         G.theta(n, i + 1).then(G.theta(n, i)).then(G.theta(n, i + 1)))
         for i in range(1, n):
             for j in range(i + 2, n):
-                eq(f"theta_{i} theta_{j} commute at level {n}",
-                   G.theta(n, i).then(G.theta(n, j)),
-                   G.theta(n, j).then(G.theta(n, i)))
+                report.equal(f"theta_{i} theta_{j} commute at level {n}",
+                             G.theta(n, i).then(G.theta(n, j)),
+                             G.theta(n, j).then(G.theta(n, i)))
     # mixed with degeneracies: theta_i s_j (level 1 gives the swap of the
     # two degeneracies of an edge)
     for n in range(1, X.N):
@@ -383,7 +379,7 @@ def check_gamma(G: GammaData) -> Report:
                     rhs = X.s(n, i)
                 else:
                     rhs = G.theta(n, i - 1).then(X.s(n, j))
-                eq(f"theta_{i} s_{j} at level {n}", lhs, rhs)
+                report.equal(f"theta_{i} s_{j} at level {n}", lhs, rhs)
     # mixed with faces: theta_i d_j for the generator faces j <= n-1
     for n in range(3, X.N + 1):
         for i in range(1, n - 1):
@@ -397,18 +393,18 @@ def check_gamma(G: GammaData) -> Report:
                     rhs = G.theta(n, i + 1).then(G.theta(n, i)).then(X.d(n, i + 1))
                 else:
                     rhs = G.theta(n, i + 1).then(X.d(n, j))
-                eq(f"theta_{i} d_{j} at level {n}", lhs, rhs)
+                report.equal(f"theta_{i} d_{j} at level {n}", lhs, rhs)
     # absorption d_i theta_i = d_i
     for n in range(2, X.N + 1):
         for i in range(1, n):
-            eq(f"d_{i} theta_{i} = d_{i} at level {n}",
-               G.theta(n, i).then(X.d(n, i)), X.d(n, i))
+            report.equal(f"d_{i} theta_{i} = d_{i} at level {n}",
+                         G.theta(n, i).then(X.d(n, i)), X.d(n, i))
     # the final face from the transpositions
     for n in range(2, X.N + 1):
         pipeline = identity_map(X.levels[n])
         for i in range(n - 1, 0, -1):
             pipeline = pipeline.then(G.theta(n, i))
-        eq(f"final face identity at level {n}", pipeline.then(X.d(n, 0)), X.d(n, n))
+        report.equal(f"final face identity at level {n}", pipeline.then(X.d(n, 0)), X.d(n, n))
     return report
 
 
@@ -500,10 +496,6 @@ def theta_from_gamma_cell(X: TruncSimplicialSet, gamma: SpanCell) -> FinMap:
     return FinMap(X.levels[2], X.levels[2], table)
 
 
-T13 = Triangulation(3, ((0, 1, 2), (0, 2, 3)))
-T02 = Triangulation(3, ((0, 1, 3), (1, 2, 3)))
-
-
 def crossing_map(X: TruncSimplicialSet, theta: FinMap) -> FinMap:
     """The auxiliary level-3 map c with d_1 c = theta d_2 and d_3 c = d_0."""
     table = []
@@ -565,8 +557,7 @@ def span_level_commutativity(X: TruncSimplicialSet, theta: FinMap) -> Report:
         .rewrite(v_inv, 0, (0, 0))
     )
     ok, disc = compare_paths(lhs, rhs)
-    report.add(CheckResult("span-level symmetry equation", ok,
-                           witness=None if ok else next((k, v) for k, v in disc.items() if k != v)))
+    report.add(CheckResult("span-level symmetry equation", ok, witness=first_moved(disc)))
 
     slide = braiding_rule(idb, mub)
     hexr = hexagonator_rule(x1, x1, x1)
@@ -590,8 +581,7 @@ def span_level_commutativity(X: TruncSimplicialSet, theta: FinMap) -> Report:
         .delete_identity_row(1)
     )
     ok, disc = compare_paths(lhs, rhs)
-    report.add(CheckResult("span-level hexagon equation", ok,
-                           witness=None if ok else next((k, v) for k, v in disc.items() if k != v)))
+    report.add(CheckResult("span-level hexagon equation", ok, witness=first_moved(disc)))
     return report
 
 
@@ -600,23 +590,17 @@ def reduced_commutativity(X: TruncSimplicialSet, G: GammaData) -> Report:
     the crossing map equals theta_2 theta_1 at level 3."""
     report = Report()
     theta = G.theta(2, 1)
-
-    def eq(name, lhs, rhs):
-        ok = lhs.table == rhs.table
-        w = None if ok else next(e for e in range(len(lhs.table)) if lhs.table[e] != rhs.table[e])
-        report.add(CheckResult(name, ok, witness=w))
-
-    eq("reduced symmetry: theta involution", theta.then(theta), identity_map(X.levels[2]))
+    report.equal("reduced symmetry: theta involution", theta.then(theta), identity_map(X.levels[2]))
     if X.N >= 3:
         c = crossing_map(X, theta)
-        eq("reduced hexagon: crossing = theta_2 theta_1",
-           c, G.theta(3, 1).then(G.theta(3, 2)))
-        eq("hexagon component at d_1",
-           G.theta(3, 1).then(G.theta(3, 2)).then(X.d(3, 1)),
-           X.d(3, 2).then(theta))
-        eq("hexagon component at d_3",
-           G.theta(3, 1).then(G.theta(3, 2)).then(X.d(3, 3)),
-           X.d(3, 0))
+        report.equal("reduced hexagon: crossing = theta_2 theta_1",
+                     c, G.theta(3, 1).then(G.theta(3, 2)))
+        report.equal("hexagon component at d_1",
+                     G.theta(3, 1).then(G.theta(3, 2)).then(X.d(3, 1)),
+                     X.d(3, 2).then(theta))
+        report.equal("hexagon component at d_3",
+                     G.theta(3, 1).then(G.theta(3, 2)).then(X.d(3, 3)),
+                     X.d(3, 0))
     return report
 
 

@@ -23,6 +23,7 @@ from .diagrams import (
     DiagramPath,
     cell_from_rule,
     compare_paths,
+    first_moved,
     identity_box,
     make_rule,
     tensorator_rule,
@@ -45,6 +46,8 @@ from .spans import (
     UNIT,
     constant_map,
     identity_map,
+    pullback_pairs,
+    pullback_square_witness,
     spans_isomorphic,
 )
 
@@ -235,14 +238,6 @@ def check_paracyclic(P: ParacyclicData) -> Report:
     """All translation relations and bijectivity, within the truncation."""
     X, tau = P.base, P.tau
     report = Report()
-
-    def eq(name, lhs, rhs):
-        if lhs.table == rhs.table:
-            report.add(CheckResult(name, True))
-        else:
-            w = next(e for e in range(len(lhs.table)) if lhs.table[e] != rhs.table[e])
-            report.add(CheckResult(name, False, witness=w))
-
     for n, t in enumerate(tau):
         report.add(CheckResult(
             f"tau bijective at level {n}", t.is_bijective(),
@@ -254,7 +249,7 @@ def check_paracyclic(P: ParacyclicData) -> Report:
         for i in range(n + 1):
             lhs = tau[n].then(X.d(n, i))
             rhs = X.d(n, i + 1).then(tau[n - 1]) if i < n else X.d(n, 0)
-            eq(f"d_{i} tau relation at level {n}", lhs, rhs)
+            report.equal(f"d_{i} tau relation at level {n}", lhs, rhs)
     for n in range(X.N):
         for i in range(n + 1):
             lhs = tau[n].then(X.s(n, i))
@@ -262,9 +257,9 @@ def check_paracyclic(P: ParacyclicData) -> Report:
                 rhs = X.s(n, i + 1).then(tau[n + 1])
             else:
                 rhs = X.s(n, 0).then(tau[n + 1]).then(tau[n + 1])
-            eq(f"s_{i} tau relation at level {n}", lhs, rhs)
+            report.equal(f"s_{i} tau relation at level {n}", lhs, rhs)
     for n in range(X.N):
-        eq(
+        report.equal(
             f"exceptional rule d_0 s_extra = tau at level {n}",
             P.extra_degeneracy(n).then(X.d(n + 1, 0)),
             tau[n],
@@ -277,30 +272,24 @@ def check_extra_degeneracy_relations(P: ParacyclicData) -> Report:
     s_i s_{n+1}, within the truncation."""
     X = P.base
     report = Report()
-
-    def eq(name, lhs, rhs):
-        ok = lhs.table == rhs.table
-        w = None if ok else next(e for e in range(len(lhs.table)) if lhs.table[e] != rhs.table[e])
-        report.add(CheckResult(name, ok, witness=w))
-
     for n in range(X.N):
         s_extra = P.extra_degeneracy(n)
         if n >= 1:
             for i in range(1, n + 1):
-                eq(f"d_{i} s_extra at level {n}",
-                   s_extra.then(X.d(n + 1, i)),
-                   X.d(n, i).then(P.extra_degeneracy(n - 1)))
-        eq(f"d_top s_extra = id at level {n}",
-           s_extra.then(X.d(n + 1, n + 1)), identity_map(X.levels[n]))
+                report.equal(f"d_{i} s_extra at level {n}",
+                             s_extra.then(X.d(n + 1, i)),
+                             X.d(n, i).then(P.extra_degeneracy(n - 1)))
+        report.equal(f"d_top s_extra = id at level {n}",
+                     s_extra.then(X.d(n + 1, n + 1)), identity_map(X.levels[n]))
     for n in range(X.N - 1):
         s_extra = P.extra_degeneracy(n)
         for i in range(n + 1):
-            eq(f"s_{i} s_extra at level {n}",
-               s_extra.then(X.s(n + 1, i)),
-               X.s(n, i).then(P.extra_degeneracy(n + 1)))
-        eq(f"s_extra s_extra at level {n}",
-           s_extra.then(X.s(n + 1, n + 1)),
-           s_extra.then(P.extra_degeneracy(n + 1)))
+            report.equal(f"s_{i} s_extra at level {n}",
+                         s_extra.then(X.s(n + 1, i)),
+                         X.s(n, i).then(P.extra_degeneracy(n + 1)))
+        report.equal(f"s_extra s_extra at level {n}",
+                     s_extra.then(X.s(n + 1, n + 1)),
+                     s_extra.then(P.extra_degeneracy(n + 1)))
     return report
 
 
@@ -357,10 +346,7 @@ def counit_span(X: TruncSimplicialSet, s1_0: FinMap) -> Span:
 
 def pairing_apex_pairs(X: TruncSimplicialSet, eps: Span) -> tuple[tuple[int, int], ...]:
     """Apex pairs (m, e) of the induced pairing eps ∘ mu."""
-    return tuple(
-        (m, e) for m in X.levels[2] for e in eps.apex
-        if X.d(2, 1).table[m] == eps.left.table[e]
-    )
+    return pullback_pairs(X.d(2, 1), eps.left)
 
 
 def frobenius_from_paracyclic(P: ParacyclicData) -> CounitData:
@@ -375,15 +361,7 @@ def frobenius_from_paracyclic(P: ParacyclicData) -> CounitData:
     eps = counit_span(X, s1_0)
     tau1 = P.tau[1]
 
-    s2_1 = P.extra_degeneracy(1)
-    pairs = {
-        (xi, u)
-        for xi in X.levels[2]
-        for u in X.levels[0]
-        if X.d(2, 1).table[xi] == s1_0.table[u]
-    }
-    images = {(s2_1.table[x], X.d(1, 1).table[x]) for x in X.levels[1]}
-    if images != pairs or len(images) != X.levels[1].size:
+    if pullback_square_witness(P.extra_degeneracy(1), X.d(1, 1), X.d(2, 1), s1_0) is not None:
         raise NotFrobeniusError("extra-degeneracy unitality square is not a pullback")
 
     alpha = pairing_apex_pairs(X, eps)
@@ -446,14 +424,7 @@ def paracyclic_from_frobenius(X: TruncSimplicialSet, eps: Span) -> ParacyclicDat
     s2_1 = FinMap(X.levels[1], X.levels[2], tuple(chosen[x] for x in X.levels[1]))
     if s2_1.then(X.d(2, 1)).table != X.d(1, 1).then(s1_0).table:
         raise NotFrobeniusError("derived s_2 does not satisfy d_1 s_2 = s_1 d_1")
-    pairs = {
-        (xi, u)
-        for xi in X.levels[2]
-        for u in X.levels[0]
-        if X.d(2, 1).table[xi] == s1_0.table[u]
-    }
-    images = {(s2_1.table[x], X.d(1, 1).table[x]) for x in X.levels[1]}
-    if images != pairs or len(images) != X.levels[1].size:
+    if pullback_square_witness(s2_1, X.d(1, 1), X.d(2, 1), s1_0) is not None:
         raise NotFrobeniusError("extra-degeneracy unitality square is not a pullback")
 
     # the tower of extra degeneracies: s_{n+1}^n for n >= 2 by gluing the
@@ -580,18 +551,14 @@ def frobenius_witnesses(C: CounitData) -> FrobeniusWitnesses:
     lhs1 = DiagramPath(start1).rewrite(zag_rule, 0, (0, 0))
     rhs1 = DiagramPath(start1).rewrite(c_alpha, 1, (0, 0)).rewrite(zig_rule, 0, (1, 1))
     ok1, disc1 = compare_paths(lhs1, rhs1)
-    report.add(CheckResult("pairing snake coherence", ok1,
-                           witness=None if ok1 else next(iter(
-                               (k, v) for k, v in disc1.items() if k != v))))
+    report.add(CheckResult("pairing snake coherence", ok1, witness=first_moved(disc1)))
 
     c_beta = tensorator_rule(bb, bb)
     start2 = ((bb,), (idb, idb, bb), (idb, ab, idb))
     lhs2 = DiagramPath(start2).rewrite(zag_rule, 1, (1, 1))
     rhs2 = DiagramPath(start2).rewrite(c_beta, 0, (0, 0)).rewrite(zig_rule, 1, (0, 0))
     ok2, disc2 = compare_paths(lhs2, rhs2)
-    report.add(CheckResult("copairing snake coherence", ok2,
-                           witness=None if ok2 else next(iter(
-                               (k, v) for k, v in disc2.items() if k != v))))
+    report.add(CheckResult("copairing snake coherence", ok2, witness=first_moved(disc2)))
 
     return FrobeniusWitnesses(beta, cell_from_rule(zig_rule), cell_from_rule(zag_rule), report)
 

@@ -30,13 +30,16 @@ from .diagrams import (
     tensorator_rule,
 )
 from .simplicial import (
+    T02,
+    T13,
     Triangulation,
     TruncSimplicialSet,
     check_2segal,
     check_unitality,
     edge_map,
+    make_simplicial,
+    polygon_stack,
     segal_witness,
-    vertex_map,
 )
 from .spans import (
     FinMap,
@@ -48,6 +51,7 @@ from .spans import (
     constant_map,
     encode_tuple,
     identity_span,
+    pullback_pairs,
 )
 
 
@@ -142,12 +146,9 @@ class PseudomonoidData:
 # construction from a 2-Segal set
 
 
-T13 = Triangulation(3, ((0, 1, 2), (0, 2, 3)))
-T02 = Triangulation(3, ((0, 1, 3), (1, 2, 3)))
-
-
 def build_pseudomonoid(X: TruncSimplicialSet) -> PseudomonoidData:
-    """The pseudomonoid of a 2-Segal, unital simplicial set (N >= 3)."""
+    """The pseudomonoid of a 2-Segal, unital simplicial set (N >= 3): its
+    2-truncation with the 2-Segal associator."""
     if X.N < 3:
         raise ConstructionError("need truncation level at least 3")
     segal = check_2segal(X)
@@ -156,48 +157,7 @@ def build_pseudomonoid(X: TruncSimplicialSet) -> PseudomonoidData:
     unital = check_unitality(X)
     if not unital.ok:
         raise ConstructionError(f"not unital: {unital.failures[0].name}")
-
-    x0, x1, x2 = X.levels[0], X.levels[1], X.levels[2]
-    mu = mult_span(x1, x2, X.d(2, 0), X.d(2, 1), X.d(2, 2))
-    eta = unit_span(x0, x1, X.s(0, 0))
-    mub = mult_box(mu, x1)
-    etab = unit_box(eta, x1)
-    idb = identity_box(x1)
-
-    w13 = segal_witness(X, T13)
-    w02 = segal_witness(X, T02)
-    e1 = vertex_map(X, 3, (0, 1))
-
-    def assoc_fn(asn):
-        m1 = asn[0][0]
-        m2 = asn[1][0]
-        psi = w13.inverse.table[w13.stack.index[(m1, m2)]]
-        ma, mb = w02.stack.elements[w02.forward.table[psi]]
-        return ((e1.table[psi], mb), (ma,))
-
-    a_rule = make_rule("associator", assoc_src_rows(mub, idb), assoc_tgt_rows(mub, idb), assoc_fn)
-
-    lev = evaluate(lunit_src_rows(etab, mub, idb))
-    linv = {}
-    for x in x1:
-        linv[((X.d(1, 1).table[x], x), (X.s(1, 0).table[x],))] = x
-    if len(linv) != lev.span.apex.size or set(linv) != set(lev.assignments):
-        raise ConstructionError("left unitality composite is not trivial")
-    lunit = SpanCell(lev.span, identity_span(x1), FinMap(
-        lev.span.apex, x1, tuple(linv[a] for a in lev.assignments)
-    ))
-
-    rev = evaluate(runit_src_rows(etab, mub, idb))
-    rinv = {}
-    for x in x1:
-        rinv[((x, X.d(1, 0).table[x]), (X.s(1, 1).table[x],))] = x
-    if len(rinv) != rev.span.apex.size or set(rinv) != set(rev.assignments):
-        raise ConstructionError("right unitality composite is not trivial")
-    runit = SpanCell(rev.span, identity_span(x1), FinMap(
-        rev.span.apex, x1, tuple(rinv[a] for a in rev.assignments)
-    ))
-
-    return PseudomonoidData(x1, eta, mu, cell_from_rule(a_rule), lunit, runit)
+    return pseudomonoid_from_two_truncated(two_truncation(X), canonical_segal_associator(X))
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +277,20 @@ def two_truncation(X: TruncSimplicialSet) -> TwoTruncatedData:
     )
 
 
+def two_truncated_simplicial(T: TwoTruncatedData) -> TruncSimplicialSet:
+    """Repackage 2-truncated data as a truncation-2 simplicial set."""
+    return make_simplicial(
+        [T.x0, T.x1, T.x2],
+        [(), T.d1, T.d2],
+        [(T.s0,), T.s1, ()],
+    )
+
+
 def taco_pairs(T: TwoTruncatedData) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """The left (0 1 2),(0 2 3) and right (0 1 3),(1 2 3) taco pairs: the
+    pullbacks of d_1 against d_2 and of d_0 against d_1."""
     d0, d1, d2 = T.d2
-    left = tuple(
-        (a, b) for a in T.x2 for b in T.x2 if d1.table[a] == d2.table[b]
-    )
-    right = tuple(
-        (a, b) for a in T.x2 for b in T.x2 if d0.table[a] == d1.table[b]
-    )
-    return left, right
+    return pullback_pairs(d1, d2), pullback_pairs(d0, d1)
 
 
 def taco_fibers(T: TwoTruncatedData) -> tuple[dict, dict]:
@@ -385,35 +350,10 @@ PENTAGON_LHS_FLIPS = (("a", "b", (0, 1, 2, 3)), ("b", "c", (0, 1, 3, 4)), ("c", 
 PENTAGON_RHS_FLIPS = (("a", "e", (0, 2, 3, 4)), ("e", "d", (0, 1, 2, 4)))
 
 
-def _pentagon_stack(T: TwoTruncatedData, triangles) -> tuple[tuple, ...]:
-    d0, d1, d2 = T.d2
-
-    def edge(tri, e, elt):
-        a, b, c = tri
-        if e == (a, b):
-            return d2.table[elt]
-        if e == (a, c):
-            return d1.table[elt]
-        if e == (b, c):
-            return d0.table[elt]
-        raise StructuralError("edge not in triangle")
-
-    elements = []
-    for combo in itertools.product(T.x2, repeat=len(triangles)):
-        edges = {}
-        ok = True
-        for tri, elt in zip(triangles, combo):
-            for e in itertools.combinations(tri, 2):
-                v = edge(tri, e, elt)
-                if e in edges and edges[e] != v:
-                    ok = False
-                    break
-                edges[e] = v
-            if not ok:
-                break
-        if ok:
-            elements.append(combo)
-    return tuple(elements)
+def _fan_stack(T: TwoTruncatedData) -> tuple[tuple, ...]:
+    """The elements of the iterated pullback of X_2's over the fan
+    triangulation "a" of the pentagon, in lexicographic order."""
+    return polygon_stack(two_truncated_simplicial(T), 4, PENTAGON_TRIANGULATIONS["a"]).elements
 
 
 def _flip(triangles, quad, assoc, element):
@@ -433,8 +373,7 @@ def pentagon_flip_discrepancy(T: TwoTruncatedData, assoc: dict) -> dict:
     """Walk both sides of the pentagon cycle and compose one against the
     other: the result maps the fan-triangulation stack to itself and is the
     identity exactly when the pentagon equation holds."""
-    assoc_inv = {v: k for k, v in assoc.items()}
-    start = _pentagon_stack(T, PENTAGON_TRIANGULATIONS["a"])
+    start = _fan_stack(T)
 
     def walk(flips, element):
         triangles = PENTAGON_TRIANGULATIONS["a"]
@@ -539,7 +478,7 @@ def search_associator_lift(T: TwoTruncatedData, budget: int = 1_000_000) -> Lift
     sizes = [math.factorial(len(left[k])) for k in open_keys]
     total = math.prod(sizes)
 
-    waiting = _settle(_pentagon_stack(T, PENTAGON_TRIANGULATIONS["a"]), assoc, fiber_of)
+    waiting = _settle(_fan_stack(T), assoc, fiber_of)
     if waiting is None:
         return LiftSearchResult("no lift", candidates_tried=total, candidates_total=total)
     tried = nodes = 0

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from .spans import FinMap, first_difference
+
 
 @dataclass
 class CheckResult:
@@ -15,7 +17,6 @@ class CheckResult:
     passed: Optional[bool]
     witness: Any = None
     detail: str = ""
-    seconds: float = 0.0
 
     @property
     def status(self) -> str:
@@ -37,6 +38,12 @@ class Report:
     def add(self, result: CheckResult) -> "Report":
         self.results.append(result)
         return self
+
+    def equal(self, name: str, lhs: FinMap, rhs: FinMap) -> "Report":
+        """Add the check that two maps agree, witnessed on failure by the
+        first element where they differ."""
+        witness = first_difference(lhs, rhs)
+        return self.add(CheckResult(name, witness is None, witness=witness))
 
     def extend(self, other: "Report") -> "Report":
         self.results.extend(other.results)

@@ -17,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 
 class StructuralError(ValueError):
@@ -97,8 +97,10 @@ def constant_map(dom: FinSet, cod: FinSet, value: int = 0) -> FinMap:
     return FinMap(dom, cod, tuple([value] * dom.size))
 
 
-def map_from_callable(dom: FinSet, cod: FinSet, fn) -> FinMap:
-    return FinMap(dom, cod, tuple(fn(i) for i in dom))
+def first_difference(f: FinMap, g: FinMap) -> Optional[int]:
+    """The first element on which two maps with a common domain differ, or
+    None when they are equal."""
+    return next((e for e, (a, b) in enumerate(zip(f.table, g.table)) if a != b), None)
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,29 @@ def pullback_pairs(f: FinMap, g: FinMap) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def pullback_square_witness(p: FinMap, q: FinMap, f: FinMap, g: FinMap):
+    """None when the square p: D -> A, q: D -> B over f: A -> C, g: B -> C
+    is a pullback, that is when (p, q) maps D bijectively onto the pullback
+    of f against g.  Otherwise the witness is ("not injective", x, y) for
+    the first two elements with equal images, ("not surjective", (a, b))
+    for the first pullback pair missed in the iteration order of the set
+    of pairs, or ("square does not commute",)."""
+    images: dict[tuple[int, int], int] = {}
+    for x in p.dom:
+        key = (p.table[x], q.table[x])
+        if key in images:
+            return ("not injective", images[key], x)
+        images[key] = x
+    pairs = pullback_pairs(f, g)
+    # set order rather than index order keeps the reported witnesses stable
+    for pair in set(pairs):
+        if pair not in images:
+            return ("not surjective", pair)
+    if len(images) != len(pairs):
+        return ("square does not commute",)
+    return None
+
+
 def pullback(f: FinMap, g: FinMap) -> tuple[FinSet, FinMap, FinMap]:
     """The set {(a, b) : f(a) = g(b)} with its two projections."""
     pairs = pullback_pairs(f, g)
@@ -193,15 +218,6 @@ def compose_spans(f: Span, g: Span) -> Span:
     left = FinMap(apex, f.src, tuple(f.left.table[a] for a, _ in pairs))
     right = FinMap(apex, g.tgt, tuple(g.right.table[b] for _, b in pairs))
     return Span(f.src, g.tgt, apex, left, right)
-
-
-def compose_chain(spans: Iterable[Span]) -> Span:
-    """Left-nested composite of a nonempty chain of composable spans."""
-    spans = list(spans)
-    out = spans[0]
-    for s in spans[1:]:
-        out = compose_spans(out, s)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -314,23 +330,15 @@ class ProductShape:
         return n
 
     def decode(self, index: int) -> tuple[int, ...]:
-        sizes = self.leaf_sizes()
-        out = []
-        for s in reversed(sizes):
-            out.append(index % s)
-            index //= s
-        return tuple(reversed(out))
+        return decode_tuple(index, self.leaf_sizes())
 
     def encode(self, values: tuple[int, ...]) -> int:
         sizes = self.leaf_sizes()
         if len(values) != len(sizes):
             raise StructuralError("tuple arity differs from leaf count")
-        index = 0
-        for v, s in zip(values, sizes):
-            if not 0 <= v < s:
-                raise StructuralError("tuple entry out of range")
-            index = index * s + v
-        return index
+        if any(not 0 <= v < s for v, s in zip(values, sizes)):
+            raise StructuralError("tuple entry out of range")
+        return encode_tuple(values, sizes)
 
 
 def encode_tuple(values: tuple[int, ...], sizes: tuple[int, ...]) -> int:

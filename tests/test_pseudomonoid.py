@@ -17,8 +17,8 @@ from finspan.pseudomonoid import (
     PENTAGON_TRIANGULATIONS,
     ConstructionError,
     TwoTruncatedData,
+    _fan_stack,
     _flip,
-    _pentagon_stack,
     build_pseudomonoid,
     canonical_segal_associator,
     n_fold_multiplication,
@@ -35,13 +35,47 @@ from finspan.pseudomonoid import (
     verify_triangle,
 )
 from finspan.simplicial import Triangulation
-from finspan.spans import FinMap, FinSet, spans_isomorphic
+from finspan.spans import FinMap, FinSet, StructuralError, spans_isomorphic
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # ---------------------------------------------------------------------------
-# brute-force reference for the associator-lift search
+# brute-force references for the fan stack and the associator-lift search
+
+
+def brute_force_fan_stack(T) -> tuple[tuple, ...]:
+    """The fan stack by filtering all of X_2^3: the triples of triangles of
+    the fan triangulation "a" that agree on every shared edge."""
+    d0, d1, d2 = T.d2
+    triangles = PENTAGON_TRIANGULATIONS["a"]
+
+    def edge(tri, e, elt):
+        a, b, c = tri
+        if e == (a, b):
+            return d2.table[elt]
+        if e == (a, c):
+            return d1.table[elt]
+        if e == (b, c):
+            return d0.table[elt]
+        raise StructuralError("edge not in triangle")
+
+    elements = []
+    for combo in itertools.product(T.x2, repeat=len(triangles)):
+        edges = {}
+        ok = True
+        for tri, elt in zip(triangles, combo):
+            for e in itertools.combinations(tri, 2):
+                v = edge(tri, e, elt)
+                if e in edges and edges[e] != v:
+                    ok = False
+                    break
+                edges[e] = v
+            if not ok:
+                break
+        if ok:
+            elements.append(combo)
+    return tuple(elements)
 
 
 def _candidates(T):
@@ -73,7 +107,7 @@ def brute_force_lift(T, limit=None):
     if set(left) != set(right) or any(len(left[k]) != len(right[k]) for k in left):
         return "no lift", None, 0, 0
     total = math.prod(math.factorial(len(ps)) for ps in left.values())
-    start = _pentagon_stack(T, PENTAGON_TRIANGULATIONS["a"])
+    start = brute_force_fan_stack(T)
     for tried, assoc in enumerate(_candidates(T), 1):
         if limit is not None and tried > limit:
             return None
@@ -162,7 +196,7 @@ class TestEquations:
         """All sixteen candidate associators of the doubled family get the
         same pentagon verdict from the flip cycle and the rewrite paths."""
         T = no_lift_family(2)
-        start = _pentagon_stack(T, PENTAGON_TRIANGULATIONS["a"])
+        start = brute_force_fan_stack(T)
         count = 0
         for assoc in _candidates(T):
             flips = pentagon_flip_discrepancy(T, assoc)
@@ -279,6 +313,24 @@ class TestNoLift:
         P = pseudomonoid_from_two_truncated(T, no_lift_canonical_associator(T))
         assert verify_pentagon(P).ok
         assert verify_triangle(P).ok
+
+
+class TestFanStack:
+    """The fan stack built as a polygon stack of the 2-truncation equals the
+    brute-force filter of X_2^3."""
+
+    @pytest.mark.parametrize("T", _fixture_truncations())
+    def test_fixture_truncations(self, T):
+        assert _fan_stack(T) == brute_force_fan_stack(T)
+
+    @pytest.mark.parametrize("a", range(6))
+    def test_no_lift_family(self, a):
+        assert _fan_stack(no_lift_family(a)) == brute_force_fan_stack(no_lift_family(a))
+
+    def test_random_two_truncated_data(self):
+        for seed in range(300):
+            T = random_two_truncated(random.Random(seed))
+            assert _fan_stack(T) == brute_force_fan_stack(T), seed
 
 
 class TestPrunedSearch:
