@@ -88,7 +88,7 @@ def cmd_check(args) -> int:
             report.add(CheckResult(f"cyclicity verdict: {res.verdict}", True))
             report.add(CheckResult("cyclicity criteria agree", res.agree,
                                    witness=None if res.agree else (res.two_condition, res.all_levels)))
-    if args.gamma or (not explicit and doc.gamma is not None):
+    if args.gamma or ((args.full_hexagon or not explicit) and doc.gamma is not None):
         if doc.gamma is None:
             report.add(CheckResult("transposition relations", None, detail="no gamma block"))
         else:

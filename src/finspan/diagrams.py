@@ -118,13 +118,8 @@ class EvaluatedDiagram:
     index: dict[Assignment, int] = field(compare=False)
 
 
-_EVAL_CACHE: dict[Diagram, EvaluatedDiagram] = {}
-
-
 def evaluate(diagram: Diagram) -> EvaluatedDiagram:
     """The composite span of a diagram with canonically ordered apex."""
-    if diagram in _EVAL_CACHE:
-        return _EVAL_CACHE[diagram]
     if not diagram:
         raise StructuralError("empty diagram")
     for upper, lower in zip(diagram, diagram[1:]):
@@ -169,12 +164,10 @@ def evaluate(diagram: Diagram) -> EvaluatedDiagram:
     right = FinMap(apex, tgt, tuple(
         encode_tuple(row_out_values(diagram[-1], a[-1]), out_sizes) for a in assignments
     ))
-    ev = EvaluatedDiagram(
+    return EvaluatedDiagram(
         diagram, Span(src, tgt, apex, left, right), assignments,
         {a: i for i, a in enumerate(assignments)},
     )
-    _EVAL_CACHE[diagram] = ev
-    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +180,21 @@ class RewriteRule:
 
     Patterns are stored with equal row counts (shorter ones are padded with
     identity rows at the bottom) and with equal exterior wire profiles, so
-    that splicing a rule into a diagram is pure row surgery.
+    that splicing a rule into a diagram is pure row surgery.  `cell` is the
+    rule's 2-cell between the evaluated unpadded patterns; padding changes
+    neither the spans nor the order of their apexes.
     """
 
     name: str
     src: Diagram
     tgt: Diagram
     mapping: dict[Assignment, Assignment] = field(compare=False)
+    cell: SpanCell = field(compare=False)
 
     def inverse(self) -> "RewriteRule":
+        cell = self.cell.inverse()
         inv = {v: k for k, v in self.mapping.items()}
-        if len(inv) != len(self.mapping):
-            raise StructuralError(f"rule {self.name} is not invertible")
-        return RewriteRule(self.name + "^-1", self.tgt, self.src, inv)
+        return RewriteRule(self.name + "^-1", self.tgt, self.src, inv, cell)
 
 
 def _pad_rows(rows: Diagram, count: int) -> Diagram:
@@ -216,6 +211,18 @@ def _pad_assignment(rows_unpadded: Diagram, asn, count: int) -> Assignment:
     while len(asn) < count:
         asn = asn + (vals,)
     return asn
+
+
+def _padded_rule(name: str, ev_src: EvaluatedDiagram, ev_tgt: EvaluatedDiagram, cell: SpanCell) -> RewriteRule:
+    """The rule carrying `cell` between two evaluated unpadded patterns."""
+    src_rows, tgt_rows = ev_src.diagram, ev_tgt.diagram
+    depth = max(len(src_rows), len(tgt_rows))
+    images = (ev_tgt.assignments[j] for j in cell.map.table)
+    mapping = {
+        _pad_assignment(src_rows, a, depth): _pad_assignment(tgt_rows, b, depth)
+        for a, b in zip(ev_src.assignments, images)
+    }
+    return RewriteRule(name, _pad_rows(src_rows, depth), _pad_rows(tgt_rows, depth), mapping, cell)
 
 
 def make_rule(
@@ -236,23 +243,21 @@ def make_rule(
         raise StructuralError("rule patterns have different in wires")
     if row_out_objs(src_rows[-1]) != row_out_objs(tgt_rows[-1]):
         raise StructuralError("rule patterns have different out wires")
-    depth = max(len(src_rows), len(tgt_rows))
-    src_p = _pad_rows(src_rows, depth)
-    tgt_p = _pad_rows(tgt_rows, depth)
-    ev_src = evaluate(src_p)
-    ev_tgt = evaluate(tgt_p)
-    mapping: dict[Assignment, Assignment] = {}
-    for padded in ev_src.assignments:
-        bare = padded[: len(src_rows)]
-        image = _pad_assignment(tgt_rows, fn(bare), depth)
-        if image not in ev_tgt.index:
+    ev_src = evaluate(src_rows)
+    ev_tgt = evaluate(tgt_rows)
+    table = []
+    for asn in ev_src.assignments:
+        image = tuple(fn(asn))
+        j = ev_tgt.index.get(image)
+        if j is None:
             raise StructuralError(f"rule {name}: image assignment is not valid")
-        if row_in_values(src_p[0], padded[0]) != row_in_values(tgt_p[0], image[0]):
+        if row_in_values(src_rows[0], asn[0]) != row_in_values(tgt_rows[0], image[0]):
             raise StructuralError(f"rule {name}: in wires not preserved")
-        if row_out_values(src_p[-1], padded[-1]) != row_out_values(tgt_p[-1], image[-1]):
+        if row_out_values(src_rows[-1], asn[-1]) != row_out_values(tgt_rows[-1], image[-1]):
             raise StructuralError(f"rule {name}: out wires not preserved")
-        mapping[padded] = image
-    return RewriteRule(name, src_p, tgt_p, mapping)
+        table.append(j)
+    cell = SpanCell(ev_src.span, ev_tgt.span, FinMap(ev_src.span.apex, ev_tgt.span.apex, tuple(table)))
+    return _padded_rule(name, ev_src, ev_tgt, cell)
 
 
 def rule_from_spancell(name: str, src_rows: Diagram, tgt_rows: Diagram, cell: SpanCell) -> RewriteRule:
@@ -261,18 +266,7 @@ def rule_from_spancell(name: str, src_rows: Diagram, tgt_rows: Diagram, cell: Sp
     ev_tgt = evaluate(tuple(tuple(r) for r in tgt_rows))
     if cell.source != ev_src.span or cell.target != ev_tgt.span:
         raise StructuralError("cell boundaries differ from the evaluated patterns")
-
-    def fn(asn):
-        return ev_tgt.assignments[cell.map.table[ev_src.index[asn]]]
-
-    return make_rule(name, src_rows, tgt_rows, fn)
-
-
-def cell_from_rule(rule: RewriteRule) -> SpanCell:
-    ev_src = evaluate(rule.src)
-    ev_tgt = evaluate(rule.tgt)
-    table = tuple(ev_tgt.index[rule.mapping[a]] for a in ev_src.assignments)
-    return SpanCell(ev_src.span, ev_tgt.span, FinMap(ev_src.span.apex, ev_tgt.span.apex, table))
+    return _padded_rule(name, ev_src, ev_tgt, cell)
 
 
 def _box_wire_offsets(row: Row) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -283,15 +277,20 @@ def _box_wire_offsets(row: Row) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(ins), tuple(outs)
 
 
+# An element map of one rewrite step: an assignment of the diagram before
+# the step to the assignment of the diagram after it.
+Step = Callable[[Assignment], Assignment]
+
+
 def apply_rewrite(
-    ev: EvaluatedDiagram,
+    diagram: Diagram,
     rule: RewriteRule,
     at_row: int,
     cols: tuple[int, ...],
-) -> tuple[EvaluatedDiagram, dict[Assignment, Assignment]]:
+) -> tuple[Diagram, Step]:
     """Apply `rule` whose pattern row r starts at box index cols[r] of
-    diagram row at_row + r.  Returns the new evaluation and element map."""
-    diagram = ev.diagram
+    diagram row at_row + r.  Returns the new diagram and the element map;
+    the map checks that each image chains from row to row."""
     depth = len(rule.src)
     if len(cols) != depth or at_row + depth > len(diagram):
         raise StructuralError("rewrite location out of range")
@@ -313,70 +312,72 @@ def apply_rewrite(
         row = diagram[at_row + r]
         new_rows[at_row + r] = row[: cols[r]] + rule.tgt[r] + row[cols[r] + len(rule.src[r]) :]
     new_diagram = tuple(new_rows)
-    new_ev = evaluate(new_diagram)
+    # the row interfaces that touch a rewritten row
+    seams = range(max(at_row, 1), min(at_row + depth, len(new_diagram) - 1) + 1)
 
-    mapping: dict[Assignment, Assignment] = {}
-    for asn in ev.assignments:
-        local = tuple(
-            asn[at_row + r][cols[r] : cols[r] + len(rule.src[r])] for r in range(depth)
-        )
+    def step(asn: Assignment) -> Assignment:
+        local = tuple(asn[at_row + r][cols[r] : cols[r] + len(rule.src[r])] for r in range(depth))
         image = rule.mapping[local]
         rows = list(asn)
         for r in range(depth):
             old = asn[at_row + r]
             rows[at_row + r] = old[: cols[r]] + image[r] + old[cols[r] + len(rule.src[r]) :]
-        new_asn = tuple(rows)
-        if new_asn not in new_ev.index:
-            raise StructuralError(f"rule {rule.name}: rewrite produced an invalid assignment")
-        mapping[asn] = new_asn
-    return new_ev, mapping
+        for i in seams:
+            if row_out_values(new_diagram[i - 1], rows[i - 1]) != row_in_values(new_diagram[i], rows[i]):
+                raise StructuralError(f"rule {rule.name}: rewrite produced an invalid assignment")
+        return tuple(rows)
+
+    return new_diagram, step
 
 
-def insert_identity_row(ev: EvaluatedDiagram, at: int) -> tuple[EvaluatedDiagram, dict[Assignment, Assignment]]:
+def insert_identity_row(diagram: Diagram, at: int) -> tuple[Diagram, Step]:
     """Insert a row of identity wires at interface `at` (0..rows)."""
-    diagram = ev.diagram
     objs = row_in_objs(diagram[0]) if at == 0 else row_out_objs(diagram[at - 1])
     row = tuple(identity_box(o) for o in objs)
-    new_diagram = diagram[:at] + (row,) + diagram[at:]
-    new_ev = evaluate(new_diagram)
-    mapping = {}
-    for asn in ev.assignments:
+
+    def step(asn: Assignment) -> Assignment:
         vals = row_in_values(diagram[0], asn[0]) if at == 0 else row_out_values(diagram[at - 1], asn[at - 1])
-        mapping[asn] = asn[:at] + (vals,) + asn[at:]
-    return new_ev, mapping
+        return asn[:at] + (vals,) + asn[at:]
+
+    return diagram[:at] + (row,) + diagram[at:], step
 
 
-def delete_identity_row(ev: EvaluatedDiagram, at: int) -> tuple[EvaluatedDiagram, dict[Assignment, Assignment]]:
-    diagram = ev.diagram
+def delete_identity_row(diagram: Diagram, at: int) -> tuple[Diagram, Step]:
     if any(b.name != "id" for b in diagram[at]):
         raise StructuralError("row is not all identities")
-    new_diagram = diagram[:at] + diagram[at + 1 :]
-    new_ev = evaluate(new_diagram)
-    mapping = {asn: asn[:at] + asn[at + 1 :] for asn in ev.assignments}
-    return new_ev, mapping
+    if len(diagram) == 1:
+        raise StructuralError("empty diagram")
+    return diagram[:at] + diagram[at + 1 :], lambda asn: asn[:at] + asn[at + 1 :]
 
 
 class DiagramPath:
-    """A chain of rewrites, tracking where each start apex element goes."""
+    """A chain of rewrites from a start diagram.  Only the element map of
+    each step is kept: `compare_paths` evaluates the start diagram and
+    carries each start assignment along the steps."""
 
     def __init__(self, diagram: Diagram):
-        self.start = evaluate(tuple(tuple(r) for r in diagram))
-        self.current = self.start
-        self.map: dict[Assignment, Assignment] = {a: a for a in self.start.assignments}
+        self.start = self.diagram = tuple(tuple(r) for r in diagram)
+        self.steps: list[Step] = []
 
-    def _push(self, new_ev, step):
-        self.map = {k: step[v] for k, v in self.map.items()}
-        self.current = new_ev
+    def _push(self, diagram: Diagram, step: Step) -> "DiagramPath":
+        self.diagram = diagram
+        self.steps.append(step)
         return self
 
     def rewrite(self, rule: RewriteRule, at_row: int, cols: tuple[int, ...]) -> "DiagramPath":
-        return self._push(*apply_rewrite(self.current, rule, at_row, cols))
+        return self._push(*apply_rewrite(self.diagram, rule, at_row, cols))
 
     def insert_identity_row(self, at: int) -> "DiagramPath":
-        return self._push(*insert_identity_row(self.current, at))
+        return self._push(*insert_identity_row(self.diagram, at))
 
     def delete_identity_row(self, at: int) -> "DiagramPath":
-        return self._push(*delete_identity_row(self.current, at))
+        return self._push(*delete_identity_row(self.diagram, at))
+
+    def transport(self, asn: Assignment) -> Assignment:
+        """Where the path takes a start assignment."""
+        for step in self.steps:
+            asn = step(asn)
+        return asn
 
 
 def compare_paths(p: DiagramPath, q: DiagramPath) -> tuple[bool, dict[Assignment, Assignment]]:
@@ -385,12 +386,13 @@ def compare_paths(p: DiagramPath, q: DiagramPath) -> tuple[bool, dict[Assignment
     Returns (equal, discrepancy) where the discrepancy composes q backwards
     after p, an automorphism-style map on the start apex (identity iff equal).
     """
-    if p.start.diagram != q.start.diagram:
+    if p.start != q.start:
         raise StructuralError("paths start at different diagrams")
-    if p.current.diagram != q.current.diagram:
+    if p.diagram != q.diagram:
         raise StructuralError("paths end at different diagrams")
-    q_back = {v: k for k, v in q.map.items()}
-    discrepancy = {a: q_back[p.map[a]] for a in p.start.assignments}
+    start = evaluate(p.start).assignments
+    q_back = {q.transport(a): a for a in start}
+    discrepancy = {a: q_back[p.transport(a)] for a in start}
     return all(k == v for k, v in discrepancy.items()), discrepancy
 
 
@@ -480,16 +482,16 @@ def hexagonator_rule(x: FinSet, y: FinSet, z: FinSet) -> RewriteRule:
 
 
 def tensorator_cell(f: Span, g: Span) -> SpanCell:
-    return cell_from_rule(tensorator_rule(box_from_span(f, "f"), box_from_span(g, "g")))
+    return tensorator_rule(box_from_span(f, "f"), box_from_span(g, "g")).cell
 
 
 def braiding_cell(f: Span, g: Span) -> SpanCell:
-    return cell_from_rule(braiding_rule(box_from_span(f, "f"), box_from_span(g, "g")))
+    return braiding_rule(box_from_span(f, "f"), box_from_span(g, "g")).cell
 
 
 def syllepsis_cell(x: FinSet, y: FinSet) -> SpanCell:
-    return cell_from_rule(syllepsis_rule(x, y))
+    return syllepsis_rule(x, y).cell
 
 
 def hexagonator_cell(x: FinSet, y: FinSet, z: FinSet) -> SpanCell:
-    return cell_from_rule(hexagonator_rule(x, y, z))
+    return hexagonator_rule(x, y, z).cell

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .diagrams import (
     Box,
     DiagramPath,
-    cell_from_rule,
     compare_paths,
     first_moved,
     identity_box,
@@ -560,7 +559,7 @@ def frobenius_witnesses(C: CounitData) -> FrobeniusWitnesses:
     ok2, disc2 = compare_paths(lhs2, rhs2)
     report.add(CheckResult("copairing snake coherence", ok2, witness=first_moved(disc2)))
 
-    return FrobeniusWitnesses(beta, cell_from_rule(zig_rule), cell_from_rule(zag_rule), report)
+    return FrobeniusWitnesses(beta, zig_rule.cell, zag_rule.cell, report)
 
 
 # ---------------------------------------------------------------------------

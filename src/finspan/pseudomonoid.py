@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .diagrams import (
     Box,
     DiagramPath,
-    cell_from_rule,
     compare_paths,
     evaluate,
     identity_box,
@@ -170,7 +169,6 @@ class EquationResult:
 
     ok: bool
     discrepancy: dict
-    start: object = field(repr=False, default=None)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -201,16 +199,7 @@ def verify_pentagon(P: PseudomonoidData) -> EquationResult:
     step included; the discrepancy automorphism is returned when unequal."""
     lhs, rhs = _pentagon_paths(P)
     ok, discrepancy = compare_paths(lhs, rhs)
-    return EquationResult(ok, discrepancy, lhs.start)
-
-
-def pentagon_triple_discrepancy(result: EquationResult) -> dict:
-    """Project the pentagon discrepancy to triples of multiplication apex
-    elements (the iterated-taco coordinates)."""
-    out = {}
-    for a, b in result.discrepancy.items():
-        out[(a[0][0], a[1][0], a[2][0])] = (b[0][0], b[1][0], b[2][0])
-    return out
+    return EquationResult(ok, discrepancy)
 
 
 def verify_triangle(P: PseudomonoidData) -> EquationResult:
@@ -223,7 +212,7 @@ def verify_triangle(P: PseudomonoidData) -> EquationResult:
     lhs = DiagramPath(start).rewrite(a, 1, (0, 0)).rewrite(l_rule, 0, (1, 1))
     rhs = DiagramPath(start).rewrite(r_rule, 0, (0, 0))
     ok, discrepancy = compare_paths(lhs, rhs)
-    return EquationResult(ok, discrepancy, lhs.start)
+    return EquationResult(ok, discrepancy)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +541,7 @@ def pseudomonoid_from_two_truncated(T: TwoTruncatedData, assoc: dict) -> Pseudom
     runit = SpanCell(rev.span, identity_span(T.x1), FinMap(
         rev.span.apex, T.x1, tuple(rinv[a] for a in rev.assignments)
     ))
-    return PseudomonoidData(T.x1, eta, mu, cell_from_rule(a_rule), lunit, runit)
+    return PseudomonoidData(T.x1, eta, mu, a_rule.cell, lunit, runit)
 
 
 def canonical_segal_associator(X: TruncSimplicialSet) -> dict:

@@ -1,26 +1,30 @@
 """The stacked-diagram evaluator and rewrite engine."""
 
+import gc
 import itertools
 import math
+import pathlib
 import random
+import weakref
 
 import pytest
 
+from finspan import catalog, diagrams, gammaset, paracyclic, pseudomonoid
 from finspan.diagrams import (
     Box,
     DiagramPath,
+    RewriteRule,
     box_from_span,
     braiding_rule,
     compare_paths,
-    delete_identity_row,
     evaluate,
     hexagonator_rule,
     identity_box,
-    insert_identity_row,
     make_rule,
     syllepsis_rule,
     tensorator_rule,
 )
+from finspan.documents import load_document
 from finspan.spans import (
     FinMap,
     FinSet,
@@ -29,9 +33,10 @@ from finspan.spans import (
     compose_spans,
     decode_tuple,
     encode_tuple,
-    identity_span,
     product_span,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def rand_span(rng, ns, nt, na):
@@ -83,6 +88,12 @@ def test_insert_delete_identity_rows_cancel():
     assert ok
 
 
+def test_deleting_the_only_row_rejected():
+    path = DiagramPath(((identity_box(FinSet(2)),),))
+    with pytest.raises(StructuralError, match="empty diagram"):
+        path.delete_identity_row(0)
+
+
 def test_rewrite_with_tensorator_and_back():
     rng = random.Random(5)
     f = box_from_span(rand_span(rng, 2, 2, 3), "f")
@@ -104,6 +115,111 @@ def test_rule_must_preserve_exterior_wires():
 
     with pytest.raises(StructuralError):
         make_rule("bad", ((box_from_span(swap),),), ((idb,),), bad)
+
+
+def test_corrupted_rule_mapping_is_caught_in_transport():
+    x = FinSet(2)
+    idb = identity_box(x)
+    start = ((idb,), (idb,))
+    rule = make_rule("id", start, start, lambda asn: asn)
+    # the image of ((0,), (0,)) no longer chains from row 0 to row 1
+    corrupted = dict(rule.mapping)
+    corrupted[((0,), (0,))] = ((0,), (1,))
+    bad = RewriteRule("bad", rule.src, rule.tgt, corrupted, rule.cell)
+    path = DiagramPath(start).rewrite(bad, 0, (0, 0))
+    with pytest.raises(StructuralError, match="rewrite produced an invalid assignment"):
+        compare_paths(path, DiagramPath(start))
+
+
+def test_corrupted_rule_mapping_is_caught_at_the_pattern_boundary():
+    x = FinSet(2)
+    idb = identity_box(x)
+    rule = make_rule("id", ((idb,),), ((idb,),), lambda asn: asn)
+    # the image changes the pattern's in wire, which the row above fixes
+    bad = RewriteRule("bad", rule.src, rule.tgt, {((0,),): ((1,),), ((1,),): ((0,),)}, rule.cell)
+    start = ((idb,), (idb,))
+    path = DiagramPath(start).rewrite(bad, 1, (0,))
+    with pytest.raises(StructuralError, match="rewrite produced an invalid assignment"):
+        compare_paths(path, DiagramPath(start))
+
+
+def test_inverse_of_non_injective_rule_rejected():
+    x = FinSet(2)
+    both = Span(x, x, x, FinMap(x, x, (0, 0)), FinMap(x, x, (0, 0)))
+    rule = make_rule("collapse", ((box_from_span(both),),), ((identity_box(x),),), lambda asn: ((0,),))
+    with pytest.raises(StructuralError, match="not invertible"):
+        rule.inverse()
+
+
+def test_compare_paths_needs_common_start_and_end():
+    rng = random.Random(6)
+    f = box_from_span(rand_span(rng, 2, 3, 4), "f")
+    g = box_from_span(rand_span(rng, 2, 3, 3), "g")
+    with pytest.raises(StructuralError, match="start at different diagrams"):
+        compare_paths(DiagramPath(((f,),)), DiagramPath(((g,),)))
+    with pytest.raises(StructuralError, match="end at different diagrams"):
+        compare_paths(DiagramPath(((f,),)), DiagramPath(((f,),)).insert_identity_row(0))
+
+
+def _fixture_equation_paths(monkeypatch):
+    """Every (lhs, rhs) pair that the pentagon, triangle, snake and hexagon
+    checks compare on the shipped fixtures."""
+    pairs = []
+
+    def recording(p, q):
+        pairs.append((p, q))
+        return compare_paths(p, q)
+
+    for module in (pseudomonoid, paracyclic, gammaset):
+        monkeypatch.setattr(module, "compare_paths", recording)
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = load_document(path)
+        try:
+            P = pseudomonoid.build_pseudomonoid(doc.simplicial)
+        except pseudomonoid.ConstructionError:
+            P = None
+        if P is not None:
+            pseudomonoid.verify_pentagon(P)
+            pseudomonoid.verify_triangle(P)
+        if doc.paracyclic is not None:
+            try:
+                paracyclic.frobenius_witnesses(paracyclic.frobenius_from_paracyclic(doc.paracyclic))
+            except paracyclic.NotFrobeniusError:
+                pass
+        if doc.gamma is not None:
+            gammaset.span_level_commutativity(doc.simplicial, doc.gamma.theta(2, 1))
+    return pairs
+
+
+def test_transported_elements_are_assignments_of_the_end_diagram(monkeypatch):
+    pairs = _fixture_equation_paths(monkeypatch)
+    # pentagon and triangle on 12 fixtures, two snakes on 8, symmetry and hexagon on 3
+    assert len(pairs) == 12 * 2 + 8 * 2 + 3 * 2
+    for lhs, rhs in pairs:
+        start = evaluate(lhs.start).assignments
+        for path in (lhs, rhs):
+            end = evaluate(path.diagram).index
+            assert all(path.transport(a) in end for a in start)
+
+
+class TestMemo:
+    def test_no_evaluation_outlives_its_equation(self, monkeypatch):
+        # no other test builds Z_5 at 3, so no equal diagram was evaluated before
+        P = pseudomonoid.build_pseudomonoid(catalog.nerve(catalog.cyclic_group_category(5), 3))
+        refs = []
+
+        def recording(diagram):
+            ev = evaluate(diagram)
+            refs.append(weakref.ref(ev))
+            return ev
+
+        monkeypatch.setattr(diagrams, "evaluate", recording)
+        assert pseudomonoid.verify_pentagon(P).ok
+        assert pseudomonoid.verify_triangle(P).ok
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+        # each equation evaluates its start diagram, and each rule its two patterns
+        assert len(refs) == (1 + 2 * 2) + (1 + 3 * 2)
 
 
 # ---------------------------------------------------------------------------

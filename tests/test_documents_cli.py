@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -200,6 +201,16 @@ class TestCli:
                      "--gamma", "--full-hexagon"]) == 0
         out = capsys.readouterr().out
         assert "span-level hexagon equation" in out
+
+    def test_full_hexagon_flag_next_to_another_check(self, capsys):
+        assert main(["check", str(FIXTURES / "interval_l3.json"),
+                     "--subdivisions", "--full-hexagon"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3:-1] == ["[pass] span-level symmetry equation",
+                                "[pass] span-level hexagon equation"]
+        assert re.sub(r"in [0-9.]+s:", "in Ts:", lines[-1]) == (
+            "checked in Ts: 68 passed, 0 failed, 0 skipped"
+        )
 
 
 def test_make_fixtures_regenerates_the_shipped_fixtures(tmp_path, monkeypatch):

@@ -23,7 +23,6 @@ from finspan.pseudomonoid import (
     canonical_segal_associator,
     n_fold_multiplication,
     pentagon_flip_discrepancy,
-    pentagon_triple_discrepancy,
     pseudomonoid_from_two_truncated,
     search_associator_lift,
     taco_fibers,
