@@ -13,7 +13,6 @@ from finspan.spans import (
     braiding_span,
     compose_spans,
     identity_span,
-    product_span,
     pullback,
     spans_isomorphic,
 )

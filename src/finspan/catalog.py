@@ -16,7 +16,7 @@ from .gammaset import GammaData, PhiStarMor, phistar_d, phistar_s, phistar_theta
 from .paracyclic import ParacyclicData
 from .pseudomonoid import TwoTruncatedData, two_truncated_simplicial  # re-exported
 from .simplicial import TruncSimplicialSet, make_simplicial
-from .spans import FinMap, FinSet, StructuralError
+from .spans import FinMap, FinSet, StructuralError, iterated_pullback
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +240,15 @@ def groupoid_cyclic(C: SmallCategory, N: int, bisection: Optional[FinMap] = None
     return ParacyclicData(X, tuple(tau_maps))
 
 
-def _nerve_tuples(C: SmallCategory, n: int) -> list[tuple[int, ...]]:
-    out = []
-    for combo in itertools.product(range(C.morphisms.size), repeat=n):
-        if all(C.tgt.table[combo[i]] == C.src.table[combo[i + 1]] for i in range(n - 1)):
-            out.append(combo)
-    return out
+def _chain_factors(C: SmallCategory, n: int) -> list:
+    """n morphism factors, the i-th keyed by the objects i and i + 1 it
+    runs between, for `iterated_pullback`."""
+    ends = tuple(zip(C.src.table, C.tgt.table))
+    return [((i, i + 1), ends) for i in range(n)]
+
+
+def _nerve_tuples(C: SmallCategory, n: int) -> tuple[tuple[int, ...], ...]:
+    return iterated_pullback(_chain_factors(C, n))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +265,8 @@ class PartialMonoid:
     unit: int
 
     def __post_init__(self):
+        if not 0 <= self.unit < self.elements.size:
+            raise StructuralError(f"unit {self.unit} is not an element")
         for x in self.elements:
             if self.product[self.unit][x] != x or self.product[x][self.unit] != x:
                 raise StructuralError("unit law fails")
@@ -425,12 +430,10 @@ def identity_endofunctor(C: SmallCategory) -> Endofunctor:
 def _twisted_tuples(C: SmallCategory, F: Endofunctor, n: int) -> list[tuple[int, ...]]:
     """Ascending tuples (f_0, ..., f_n): consecutive composable and the top
     morphism composable with the twist of the bottom one."""
-    out = []
-    for combo in itertools.product(range(C.morphisms.size), repeat=n + 1):
-        if all(C.tgt.table[combo[i]] == C.src.table[combo[i + 1]] for i in range(n)):
-            if C.tgt.table[combo[n]] == F.on_objects.table[C.src.table[combo[0]]]:
-                out.append(combo)
-    return out
+    # a last factor, the source u of f_0 paired with its twist F(u), closes
+    # the cycle; u is determined by f_0, so dropping it keeps the order
+    twist = tuple((u, F.on_objects.table[u]) for u in C.objects)
+    return [t[:-1] for t in iterated_pullback(_chain_factors(C, n + 1) + [((0, n + 1), twist)])]
 
 
 def twisted_cyclic_nerve(C: SmallCategory, F: Endofunctor, N: int) -> TruncSimplicialSet:

@@ -16,7 +16,6 @@ comparing the element maps decides the equation exactly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -32,6 +31,7 @@ from .spans import (
     decode_tuple,
     encode_tuple,
     identity_span,
+    iterated_pullback,
 )
 
 
@@ -61,14 +61,6 @@ class Box:
         """The out-wire values of each apex element."""
         sizes = tuple(o.size for o in self.out_objs)
         return tuple(decode_tuple(v, sizes) for v in self.span.right.table)
-
-    @cached_property
-    def fibers(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """The apex elements over each in-wire value, in increasing order."""
-        fibers: dict[tuple[int, ...], list[int]] = {}
-        for e, vals in enumerate(self.in_table):
-            fibers.setdefault(vals, []).append(e)
-        return {vals: tuple(es) for vals, es in fibers.items()}
 
 
 def _wire_size(objs: tuple[FinSet, ...]) -> int:
@@ -126,31 +118,22 @@ def evaluate(diagram: Diagram) -> EvaluatedDiagram:
         if row_out_objs(upper) != row_in_objs(lower):
             raise StructuralError("row boundaries do not chain")
 
-    # row 0 is unconstrained; each later row is the pullback of the frontier
-    # (the out-wire values so far) against the row, i.e. the product of each
-    # box's fiber over its slice of the frontier.  Extensions are computed
-    # once per distinct frontier, so every row tuple is built once per row
-    # and shared by all assignments that contain it.
-    first = diagram[0]
-    partial = [
-        ((combo,), row_out_values(first, combo))
-        for combo in itertools.product(*[range(b.span.apex.size) for b in first])
-    ]
-    for row in diagram[1:]:
-        ins, _ = _box_wire_offsets(row)
-        over: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-        grown = []
-        for rows_so_far, frontier in partial:
-            extensions = over.get(frontier)
-            if extensions is None:
-                fibers = [b.fibers.get(frontier[ins[j] : ins[j + 1]], ()) for j, b in enumerate(row)]
-                extensions = over[frontier] = [
-                    (combo, row_out_values(row, combo)) for combo in itertools.product(*fibers)
-                ]
-            grown.extend((rows_so_far + (combo,), out) for combo, out in extensions)
-        partial = grown
-
-    assignments = tuple(sorted(a for a, _ in partial))
+    # one factor per box, keyed by the wire coordinates (row interface,
+    # wire) of its in and out wires; flat tuples are regrouped by row, and
+    # equal row tuples are shared
+    factors, cuts = [], [0]
+    for r, row in enumerate(diagram):
+        ins, outs = _box_wire_offsets(row)
+        for j, b in enumerate(row):
+            keys = tuple((r, w) for w in range(ins[j], ins[j + 1])) + tuple(
+                (r + 1, w) for w in range(outs[j], outs[j + 1]))
+            factors.append((keys, tuple(i + o for i, o in zip(b.in_table, b.out_table))))
+        cuts.append(cuts[-1] + len(row))
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+    assignments = tuple(
+        tuple(rows.setdefault(flat[a:b], flat[a:b]) for a, b in zip(cuts, cuts[1:]))
+        for flat in iterated_pullback(factors)
+    )
     in_objs = row_in_objs(diagram[0])
     out_objs = row_out_objs(diagram[-1])
     src = FinSet(_wire_size(in_objs))

@@ -23,6 +23,7 @@ from .spans import (
     StructuralError,
     first_difference,
     identity_map,
+    iterated_pullback,
     pullback_square_witness,
 )
 
@@ -250,17 +251,13 @@ def _subdivisions_of(vertices: tuple[int, ...]):
     for size in range(1, len(interior) + 1):
         for subset in itertools.combinations(interior, size):
             cell = (v0,) + subset + (vk,)
-            gap_lists = []
-            walls = (v0,) + subset + (vk,)
-            ok = True
-            for a, b in zip(walls, walls[1:]):
-                ia, ib = vertices.index(a), vertices.index(b)
-                gap_lists.append(vertices[ia : ib + 1])
-            for combo in itertools.product(*[_subdivisions_of(g) for g in gap_lists]):
-                cells = (cell,)
-                for part in combo:
-                    cells = cells + part
-                yield cells
+            # each gap between consecutive cell vertices is subdivided on its own
+            parts = [()]
+            for a, b in zip(cell, cell[1:]):
+                gap = tuple(_subdivisions_of(vertices[vertices.index(a) : vertices.index(b) + 1]))
+                parts = [done + more for done in parts for more in gap]
+            for part in parts:
+                yield (cell,) + part
 
 
 def enumerate_subdivisions(n: int) -> tuple[Subdivision, ...]:
@@ -299,12 +296,6 @@ def edge_map(X: TruncSimplicialSet, n: int, kind) -> FinMap:
     return vertex_map(X, n, (i - 1, i))
 
 
-def _cell_edge_value(X: TruncSimplicialSet, cell: tuple[int, ...], element: int, edge: tuple[int, int]) -> int:
-    k = len(cell) - 1
-    pi, pj = cell.index(edge[0]), cell.index(edge[1])
-    return vertex_map(X, k, (pi, pj)).table[element] if k > 1 else element
-
-
 @dataclass(frozen=True)
 class PolygonStack:
     """The iterated pullback attached to a polygon subdivision: one component
@@ -323,7 +314,7 @@ class PolygonStack:
     def edge_value(self, element: tuple[int, ...], edge: tuple[int, int]) -> int:
         for c, e in zip(self.cells, element):
             if edge[0] in c and edge[1] in c:
-                return _cell_edge_value(self.X, c, e, edge)
+                return vertex_map(self.X, len(c) - 1, (c.index(edge[0]), c.index(edge[1]))).table[e]
         raise GluingError(f"edge {edge} not present in the subdivision")
 
 
@@ -332,34 +323,13 @@ def polygon_stack(X: TruncSimplicialSet, n: int, cells: tuple[tuple[int, ...], .
     key = (n, cells)
     if key in X.memo:
         return X.memo[key]
-    shared: dict[tuple[int, int], list[int]] = {}
-    for ci, c in enumerate(cells):
-        for a, b in itertools.combinations(c, 2):
-            shared.setdefault((a, b), []).append(ci)
-    diagonals = {e: cs for e, cs in shared.items() if len(cs) == 2}
-
-    partial: list[tuple[tuple[int, ...], dict]] = [((), {})]
-    for ci, c in enumerate(cells):
-        k = len(c) - 1
-        grown = []
-        for chosen, edges in partial:
-            for e in X.levels[k]:
-                new_edges = dict(edges)
-                ok = True
-                for a, b in itertools.combinations(c, 2):
-                    if (a, b) not in diagonals:
-                        continue
-                    v = _cell_edge_value(X, c, e, (a, b))
-                    if (a, b) in new_edges:
-                        if new_edges[(a, b)] != v:
-                            ok = False
-                            break
-                    else:
-                        new_edges[(a, b)] = v
-                if ok:
-                    grown.append((chosen + (e,), new_edges))
-        partial = grown
-    elements = tuple(sorted(chosen for chosen, _ in partial))
+    # two cells can share only a side, so a cell is keyed by its sides
+    factors = []
+    for c in cells:
+        sides = tuple((i, i + 1) for i in range(len(c) - 1)) + ((0, len(c) - 1),)
+        columns = [vertex_map(X, len(c) - 1, side).table for side in sides]
+        factors.append((tuple((c[i], c[j]) for i, j in sides), tuple(zip(*columns))))
+    elements = iterated_pullback(factors)
     X.memo[key] = PolygonStack(X, n, cells, elements)
     return X.memo[key]
 
@@ -378,9 +348,10 @@ class SegalWitness:
 def subdivision_map(X: TruncSimplicialSet, n: int, cells: tuple[tuple[int, ...], ...]) -> tuple[PolygonStack, FinMap]:
     stack = polygon_stack(X, n, cells)
     idx = stack.index
+    tables = [vertex_map(X, n, c).table for c in cells]
     table = []
     for psi in X.levels[n]:
-        comp = tuple(vertex_map(X, n, c).table[psi] for c in cells)
+        comp = tuple(t[psi] for t in tables)
         if comp not in idx:
             raise GluingError(
                 f"components of element {psi} at level {n} violate the shared-edge "

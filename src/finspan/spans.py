@@ -158,18 +158,52 @@ def identity_cell(f: Span) -> SpanCell:
 # pullbacks and composition
 
 
+def iterated_pullback(factors) -> tuple[tuple[int, ...], ...]:
+    """The iterated pullback of finite sets that share named keys.
+
+    Each factor is `(keys, values)` with distinct keys, where `values[e]` is
+    element e's tuple of values on `keys`.  Returns the tuples with one
+    element per factor that agree on every shared key, in lexicographic
+    order.
+
+    Each factor extends the tuples so far by its fiber over the keys already
+    bound, so no product is built and then filtered.  A key's value is
+    carried only while a later factor still reads it, and tuples carrying
+    equal values share one extension, built once.
+    """
+    last = {k: i for i, (keys, _) in enumerate(factors) for k in keys}
+    live: tuple = ()
+    partial: list[tuple[tuple[int, ...], tuple]] = [((), ())]
+    for i, (keys, values) in enumerate(factors):
+        pos = {k: p for p, k in enumerate(live)}
+        bound = [q for q, k in enumerate(keys) if k in pos]
+        look = [pos[keys[q]] for q in bound]
+        kept = [p for p, k in enumerate(live) if last[k] > i]
+        fresh = [q for q, k in enumerate(keys) if k not in pos and last[k] > i]
+        live = tuple(live[p] for p in kept) + tuple(keys[q] for q in fresh)
+        fibers: dict[tuple, list[tuple[int, tuple]]] = {}
+        for e, vals in enumerate(values):
+            fibers.setdefault(tuple(vals[q] for q in bound), []).append(
+                (e, tuple(vals[q] for q in fresh)))
+        extensions: dict[tuple, list[tuple[int, tuple]]] = {}
+        grown = []
+        for prefix, carried in partial:
+            ext = extensions.get(carried)
+            if ext is None:
+                old = tuple(carried[p] for p in kept)
+                fiber = fibers.get(tuple(carried[p] for p in look), ())
+                ext = extensions[carried] = [(e, old + new) for e, new in fiber]
+            grown.extend((prefix + (e,), nxt) for e, nxt in ext)
+        partial = grown
+    return tuple(prefix for prefix, _ in partial)
+
+
 def pullback_pairs(f: FinMap, g: FinMap) -> tuple[tuple[int, int], ...]:
     """Element pairs of the pullback of f against g, lexicographic in (a, b)."""
     if f.cod != g.cod:
         raise StructuralError("pullback requires a common codomain")
-    by_value: dict[int, list[int]] = {}
-    for b, v in enumerate(g.table):
-        by_value.setdefault(v, []).append(b)
-    pairs = []
-    for a, v in enumerate(f.table):
-        for b in by_value.get(v, ()):
-            pairs.append((a, b))
-    return tuple(pairs)
+    return iterated_pullback([(("v",), [(v,) for v in f.table]),
+                              (("v",), [(v,) for v in g.table])])
 
 
 def pullback_square_witness(p: FinMap, q: FinMap, f: FinMap, g: FinMap):

@@ -4,8 +4,6 @@ two timed criteria carry their stated wall-clock budgets."""
 
 import time
 
-import pytest
-
 from finspan import acceptance
 
 

@@ -196,6 +196,12 @@ class TestCli:
     def test_example_unknown_name(self):
         assert main(["example", "does-not-exist"]) == 2
 
+    def test_example_interval_below_zero(self, capsys):
+        assert main(["example", "interval", "--L", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
     def test_full_hexagon_flag(self, capsys):
         assert main(["check", str(FIXTURES / "interval_l2.json"),
                      "--gamma", "--full-hexagon"]) == 0

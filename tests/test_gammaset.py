@@ -1,14 +1,12 @@
 """Pointed-cardinal morphisms, the interstice functor, Gamma structures,
 and the commutativity correspondence."""
 
-import itertools
 import random
 
 import pytest
 
 from finspan import catalog
 from finspan.gammaset import (
-    CommutativityCell,
     GammaData,
     NotCommutativeError,
     PhiStarMor,
@@ -33,7 +31,7 @@ from finspan.gammaset import (
     theta_via_triangulation,
 )
 from finspan.paracyclic import LambdaMor, delta_action, lambda_compose, lambda_delta, lambda_sigma
-from finspan.simplicial import Triangulation, enumerate_triangulations
+from finspan.simplicial import enumerate_triangulations
 from finspan.spans import FinMap
 
 

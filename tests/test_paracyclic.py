@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from finspan import catalog
 from finspan.paracyclic import (
-    CounitData,
     LambdaMor,
     NotFrobeniusError,
     ParacyclicData,

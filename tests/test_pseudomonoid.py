@@ -33,7 +33,6 @@ from finspan.pseudomonoid import (
     verify_pentagon,
     verify_triangle,
 )
-from finspan.simplicial import Triangulation
 from finspan.spans import FinMap, FinSet, StructuralError, spans_isomorphic
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"

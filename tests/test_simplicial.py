@@ -2,6 +2,7 @@
 polygon calculus for faces and degeneracies."""
 
 import gc
+import itertools
 import weakref
 
 import pytest
@@ -10,7 +11,6 @@ from finspan import catalog
 from finspan.acceptance import catalog_non_two_segal
 from finspan.documents import StructureDocument, dumps_document, loads_document
 from finspan.simplicial import (
-    Subdivision,
     Triangulation,
     check_2segal,
     check_simplicial_identities,
@@ -23,13 +23,13 @@ from finspan.simplicial import (
     face_via_polygon,
     glue,
     make_simplicial,
-    segal_map,
+    polygon_stack,
     segal_witness,
     subdivision_map,
     unglue,
     vertex_map,
 )
-from finspan.spans import FinMap, FinSet
+from finspan.spans import FinMap
 
 
 T13 = Triangulation(3, ((0, 1, 2), (0, 2, 3)))
@@ -153,6 +153,49 @@ class TestSubdivisions:
         X = catalog.nerve(catalog.cyclic_group_category(3), 5)
         stack, fwd = subdivision_map(X, 5, ((0, 1, 2), (0, 2, 3, 4, 5)))
         assert fwd.is_bijective()
+
+
+def brute_force_polygon_stack(X, n, cells):
+    """The iterated pullback for `cells` as a filtered product: extend every
+    partial element by all of X_k for each cell, keep it when its values on
+    the diagonals agree with those fixed so far, and sort."""
+    shared = {}
+    for ci, c in enumerate(cells):
+        for a, b in itertools.combinations(c, 2):
+            shared.setdefault((a, b), []).append(ci)
+    diagonals = {e for e, cs in shared.items() if len(cs) == 2}
+
+    partial = [((), {})]
+    for c in cells:
+        grown = []
+        for chosen, edges in partial:
+            for e in X.levels[len(c) - 1]:
+                new_edges = dict(edges)
+                ok = True
+                for a, b in itertools.combinations(c, 2):
+                    if (a, b) not in diagonals:
+                        continue
+                    v = vertex_map(X, len(c) - 1, (c.index(a), c.index(b))).table[e]
+                    if new_edges.setdefault((a, b), v) != v:
+                        ok = False
+                        break
+                if ok:
+                    grown.append((chosen + (e,), new_edges))
+        partial = grown
+    return tuple(sorted(chosen for chosen, _ in partial))
+
+
+class TestPolygonStack:
+    @pytest.mark.parametrize("make", [
+        lambda: catalog.nerve(catalog.cyclic_group_category(3), 5),
+        lambda: catalog.building(3, 5),
+        catalog_non_two_segal,
+    ], ids=["z3_at_5", "building_3_5", "non_two_segal"])
+    def test_matches_filtered_product_on_every_subdivision(self, make):
+        X = make()
+        for n in range(2, X.N + 1):
+            for S in enumerate_subdivisions(n):
+                assert polygon_stack(X, n, S.cells).elements == brute_force_polygon_stack(X, n, S.cells)
 
 
 class TestEdgeMaps:

@@ -9,13 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finspan.diagrams import (
-    box_from_span,
     braiding_cell,
-    evaluate,
     hexagonator_cell,
     syllepsis_cell,
     tensorator_cell,
-    tensorator_rule,
 )
 from finspan.spans import (
     FinMap,
@@ -32,6 +29,7 @@ from finspan.spans import (
     identity_cell,
     identity_map,
     identity_span,
+    iterated_pullback,
     product_span,
     pullback,
     spans_isomorphic,
@@ -84,6 +82,71 @@ class TestPullback:
         g = FinMap(FinSet(1), FinSet(3), (0,))
         with pytest.raises(StructuralError):
             pullback(f, g)
+
+
+def brute_force_pullback(factors):
+    """Every tuple of the full product, kept when the factors agree on each
+    shared key, sorted."""
+    out = []
+    for combo in itertools.product(*[range(len(values)) for _, values in factors]):
+        bound = {}
+        if all(bound.setdefault(k, v) == v
+               for (keys, values), e in zip(factors, combo)
+               for k, v in zip(keys, values[e])):
+            out.append(combo)
+    return tuple(sorted(out))
+
+
+def rand_factors(rng):
+    """Two to four factors over the keys a, b, c, d with values in 0..2.
+    Factors may read no key, be empty, or repeat values."""
+    factors = []
+    for _ in range(rng.randint(2, 4)):
+        keys = tuple(rng.sample("abcd", rng.randint(0, 3)))
+        size = 0 if rng.random() < 0.08 else rng.randint(1, 5)
+        factors.append((keys, [tuple(rng.randrange(3) for _ in keys) for _ in range(size)]))
+    return factors
+
+
+def _readers(factors):
+    readers = {}
+    for i, (keys, _) in enumerate(factors):
+        for k in keys:
+            readers.setdefault(k, []).append(i)
+    return readers
+
+
+class TestIteratedPullback:
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_filtered_full_product(self, seed):
+        factors = rand_factors(random.Random(seed))
+        assert iterated_pullback(factors) == brute_force_pullback(factors)
+
+    def test_random_factor_lists_cover_the_shapes(self):
+        shapes = set()
+        for seed in range(200):
+            factors = rand_factors(random.Random(seed))
+            readers = _readers(factors).values()
+            shapes.add(("shared by two", any(len(r) == 2 for r in readers)))
+            shapes.add(("shared by three", any(len(r) == 3 for r in readers)))
+            shapes.add(("skips a factor", any(b - a > 1 for r in readers for a, b in zip(r, r[1:]))))
+            shapes.add(("no keys", any(not keys for keys, _ in factors)))
+            shapes.add(("empty", any(not values for _, values in factors)))
+            shapes.add(("repeated values", any(len(set(values)) < len(values) for _, values in factors)))
+        assert {name for name, seen in shapes if seen} == {
+            "shared by two", "shared by three", "skips a factor", "no keys", "empty", "repeated values",
+        }
+
+    def test_key_read_by_the_first_and_third_factor_only(self):
+        factors = [(("k",), [(0,), (1,), (1,)]), ((), [(), ()]), (("k",), [(1,), (0,)])]
+        assert iterated_pullback(factors) == brute_force_pullback(factors) == (
+            (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0),
+        )
+
+    def test_degenerate_factor_lists(self):
+        assert iterated_pullback([]) == ((),)
+        assert iterated_pullback([((), [(), ()]), (("k",), [])]) == ()
+        assert iterated_pullback([((), [(), ()]), ((), [()])]) == ((0, 0), (1, 0))
 
 
 class TestComposition:
