@@ -301,16 +301,19 @@ def interval_monoid(L: int) -> PartialMonoid:
 
 
 def _monoid_tuples(M: PartialMonoid, n: int) -> list[tuple[int, ...]]:
-    def fully_composable(t):
-        for a in range(len(t)):
-            acc = t[a]
-            for b in range(a + 1, len(t)):
-                if not M.defined(acc, t[b]):
-                    return False
-                acc = M.product[acc][t[b]]
-        return True
-
-    return [t for t in itertools.product(range(M.elements.size), repeat=n) if fully_composable(t)]
+    """The fully composable n-tuples in lexicographic order.  Each composable
+    tuple carries the products of its suffix runs, and is extended by x only
+    when every run times x is defined."""
+    level: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
+    for _ in range(n):
+        longer = []
+        for t, runs in level:
+            for x in range(M.elements.size):
+                products = tuple(M.product[r][x] for r in runs)
+                if all(p >= 0 for p in products):
+                    longer.append((t + (x,), products + (x,)))
+        level = longer
+    return [t for t, _ in level]
 
 
 def partial_monoid_nerve(M: PartialMonoid, N: int) -> TruncSimplicialSet:

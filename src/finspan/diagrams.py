@@ -91,12 +91,31 @@ def row_out_objs(row: Row) -> tuple[FinSet, ...]:
     return tuple(o for b in row for o in b.out_objs)
 
 
-def row_in_values(row: Row, asn: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(v for b, e in zip(row, asn) for v in b.in_table[e])
+# A wire reader (col, table, offset) reads one wire of a row from the apex
+# elements of its boxes: table[elements[col]][offset], where `table` is the
+# in_table or out_table of box `col`.
+WireReader = tuple[int, tuple[tuple[int, ...], ...], int]
 
 
-def row_out_values(row: Row, asn: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(v for b, e in zip(row, asn) for v in b.out_table[e])
+def _in_wires(row: Row) -> tuple[WireReader, ...]:
+    return tuple((c, b.in_table, o) for c, b in enumerate(row) for o in range(len(b.in_objs)))
+
+
+def _out_wires(row: Row) -> tuple[WireReader, ...]:
+    return tuple((c, b.out_table, o) for c, b in enumerate(row) for o in range(len(b.out_objs)))
+
+
+def _read(wires: tuple[WireReader, ...], elements: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(table[elements[c]][o] for c, table, o in wires)
+
+
+def _leg_index(legs: tuple[tuple[int, tuple[int, ...]], ...], elements: tuple[int, ...]) -> int:
+    """The row-major index of a row's boundary, folded from each box's
+    (boundary size, leg table): equals `encode_tuple` of its wire values."""
+    index = 0
+    for (size, table), e in zip(legs, elements):
+        index = index * size + table[e]
+    return index
 
 
 Assignment = tuple[tuple[int, ...], ...]
@@ -134,19 +153,13 @@ def evaluate(diagram: Diagram) -> EvaluatedDiagram:
         tuple(rows.setdefault(flat[a:b], flat[a:b]) for a, b in zip(cuts, cuts[1:]))
         for flat in iterated_pullback(factors)
     )
-    in_objs = row_in_objs(diagram[0])
-    out_objs = row_out_objs(diagram[-1])
-    src = FinSet(_wire_size(in_objs))
-    tgt = FinSet(_wire_size(out_objs))
+    src = FinSet(_wire_size(row_in_objs(diagram[0])))
+    tgt = FinSet(_wire_size(row_out_objs(diagram[-1])))
     apex = FinSet(len(assignments))
-    in_sizes = tuple(o.size for o in in_objs)
-    out_sizes = tuple(o.size for o in out_objs)
-    left = FinMap(apex, src, tuple(
-        encode_tuple(row_in_values(diagram[0], a[0]), in_sizes) for a in assignments
-    ))
-    right = FinMap(apex, tgt, tuple(
-        encode_tuple(row_out_values(diagram[-1], a[-1]), out_sizes) for a in assignments
-    ))
+    firsts = tuple((b.span.src.size, b.span.left.table) for b in diagram[0])
+    lasts = tuple((b.span.tgt.size, b.span.right.table) for b in diagram[-1])
+    left = FinMap(apex, src, tuple(_leg_index(firsts, a[0]) for a in assignments))
+    right = FinMap(apex, tgt, tuple(_leg_index(lasts, a[-1]) for a in assignments))
     return EvaluatedDiagram(
         diagram, Span(src, tgt, apex, left, right), assignments,
         {a: i for i, a in enumerate(assignments)},
@@ -190,10 +203,10 @@ def _pad_rows(rows: Diagram, count: int) -> Diagram:
 
 def _pad_assignment(rows_unpadded: Diagram, asn, count: int) -> Assignment:
     asn = tuple(asn)
-    vals = row_out_values(rows_unpadded[-1], asn[-1])
-    while len(asn) < count:
-        asn = asn + (vals,)
-    return asn
+    if len(asn) >= count:
+        return asn
+    vals = _read(_out_wires(rows_unpadded[-1]), asn[-1])
+    return asn + (vals,) * (count - len(asn))
 
 
 def _padded_rule(name: str, ev_src: EvaluatedDiagram, ev_tgt: EvaluatedDiagram, cell: SpanCell) -> RewriteRule:
@@ -217,8 +230,8 @@ def make_rule(
     """Build a rule from unpadded patterns and an assignment-level map.
 
     `fn` receives and returns unpadded assignments.  The exterior wire
-    values of source and image must agree (the 2-cell condition); this is
-    checked on every source assignment.
+    values of source and image must agree (the 2-cell condition); the
+    rule's `SpanCell` checks this on its legs.
     """
     src_rows = tuple(tuple(r) for r in src_rows)
     tgt_rows = tuple(tuple(r) for r in tgt_rows)
@@ -234,12 +247,12 @@ def make_rule(
         j = ev_tgt.index.get(image)
         if j is None:
             raise StructuralError(f"rule {name}: image assignment is not valid")
-        if row_in_values(src_rows[0], asn[0]) != row_in_values(tgt_rows[0], image[0]):
-            raise StructuralError(f"rule {name}: in wires not preserved")
-        if row_out_values(src_rows[-1], asn[-1]) != row_out_values(tgt_rows[-1], image[-1]):
-            raise StructuralError(f"rule {name}: out wires not preserved")
         table.append(j)
-    cell = SpanCell(ev_src.span, ev_tgt.span, FinMap(ev_src.span.apex, ev_tgt.span.apex, tuple(table)))
+    cell_map = FinMap(ev_src.span.apex, ev_tgt.span.apex, tuple(table))
+    try:
+        cell = SpanCell(ev_src.span, ev_tgt.span, cell_map)
+    except StructuralError as err:
+        raise StructuralError(f"rule {name}: {err}") from None
     return _padded_rule(name, ev_src, ev_tgt, cell)
 
 
@@ -295,19 +308,31 @@ def apply_rewrite(
         row = diagram[at_row + r]
         new_rows[at_row + r] = row[: cols[r]] + rule.tgt[r] + row[cols[r] + len(rule.src[r]) :]
     new_diagram = tuple(new_rows)
-    # the row interfaces that touch a rewritten row
-    seams = range(max(at_row, 1), min(at_row + depth, len(new_diagram) - 1) + 1)
+    # (row, first col, end col) of the local pattern before the step
+    bounds = tuple((at_row + r, cols[r], cols[r] + len(rule.src[r])) for r in range(depth))
+    # at each row interface that touches a rewritten row, the wires that a
+    # rewritten box reads or writes; every other wire keeps the value it
+    # had in the valid assignment the step starts from
+    rewritten = {at_row + r: range(cols[r], cols[r] + len(rule.tgt[r])) for r in range(depth)}
+    seams = tuple(
+        (i, tuple(
+            (upper, lower)
+            for upper, lower in zip(_out_wires(new_diagram[i - 1]), _in_wires(new_diagram[i]))
+            if upper[0] in rewritten.get(i - 1, ()) or lower[0] in rewritten.get(i, ())
+        ))
+        for i in range(max(at_row, 1), min(at_row + depth, len(new_diagram) - 1) + 1)
+    )
 
     def step(asn: Assignment) -> Assignment:
-        local = tuple(asn[at_row + r][cols[r] : cols[r] + len(rule.src[r])] for r in range(depth))
-        image = rule.mapping[local]
+        image = rule.mapping[tuple(asn[i][a:b] for i, a, b in bounds)]
         rows = list(asn)
-        for r in range(depth):
-            old = asn[at_row + r]
-            rows[at_row + r] = old[: cols[r]] + image[r] + old[cols[r] + len(rule.src[r]) :]
-        for i in seams:
-            if row_out_values(new_diagram[i - 1], rows[i - 1]) != row_in_values(new_diagram[i], rows[i]):
-                raise StructuralError(f"rule {rule.name}: rewrite produced an invalid assignment")
+        for (i, a, b), local in zip(bounds, image):
+            rows[i] = asn[i][:a] + local + asn[i][b:]
+        for i, wires in seams:
+            above, below = rows[i - 1], rows[i]
+            for (uc, ut, uo), (lc, lt, lo) in wires:
+                if ut[above[uc]][uo] != lt[below[lc]][lo]:
+                    raise StructuralError(f"rule {rule.name}: rewrite produced an invalid assignment")
         return tuple(rows)
 
     return new_diagram, step
@@ -317,10 +342,11 @@ def insert_identity_row(diagram: Diagram, at: int) -> tuple[Diagram, Step]:
     """Insert a row of identity wires at interface `at` (0..rows)."""
     objs = row_in_objs(diagram[0]) if at == 0 else row_out_objs(diagram[at - 1])
     row = tuple(identity_box(o) for o in objs)
+    source = 0 if at == 0 else at - 1
+    wires = _in_wires(diagram[0]) if at == 0 else _out_wires(diagram[at - 1])
 
     def step(asn: Assignment) -> Assignment:
-        vals = row_in_values(diagram[0], asn[0]) if at == 0 else row_out_values(diagram[at - 1], asn[at - 1])
-        return asn[:at] + (vals,) + asn[at:]
+        return asn[:at] + (_read(wires, asn[source]),) + asn[at:]
 
     return diagram[:at] + (row,) + diagram[at:], step
 

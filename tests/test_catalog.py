@@ -1,5 +1,6 @@
 """Constructor invariants for every example family."""
 
+import itertools
 import random
 
 import pytest
@@ -64,6 +65,23 @@ class TestPartialMonoids:
     def test_interval_zero_is_trivial(self):
         X = catalog.partial_monoid_nerve(catalog.interval_monoid(0), 4)
         assert [l.size for l in X.levels] == [1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("L", range(8))
+    def test_monoid_tuples_match_filtered_product(self, L):
+        M = catalog.interval_monoid(L)
+
+        def fully_composable(t):
+            for a in range(len(t)):
+                acc = t[a]
+                for b in t[a + 1 :]:
+                    if not M.defined(acc, b):
+                        return False
+                    acc = M.product[acc][b]
+            return True
+
+        for n in range(1, 6):
+            expected = [t for t in itertools.product(range(L + 1), repeat=n) if fully_composable(t)]
+            assert catalog._monoid_tuples(M, n) == expected
 
     def test_nerves_are_segal(self, interval_l2, interval_l3):
         for X in (interval_l2, interval_l3):

@@ -113,7 +113,7 @@ def test_rule_must_preserve_exterior_wires():
     def bad(asn):
         return ((0,),)
 
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match="rule bad"):
         make_rule("bad", ((box_from_span(swap),),), ((idb,),), bad)
 
 
@@ -139,6 +139,30 @@ def test_corrupted_rule_mapping_is_caught_at_the_pattern_boundary():
     bad = RewriteRule("bad", rule.src, rule.tgt, {((0,),): ((1,),), ((1,),): ((0,),)}, rule.cell)
     start = ((idb,), (idb,))
     path = DiagramPath(start).rewrite(bad, 1, (0,))
+    with pytest.raises(StructuralError, match="rewrite produced an invalid assignment"):
+        compare_paths(path, DiagramPath(start))
+
+
+@pytest.mark.parametrize("col", [0, 1])
+@pytest.mark.parametrize("straddling", ["above", "below"])
+def test_chain_check_reads_the_wires_of_a_box_straddling_the_pattern(straddling, col):
+    # a box with two wires on the pattern's side (the diagonal x -> x*x or
+    # its reverse) meets the rewritten box on one wire and an identity that
+    # is not rewritten on the other
+    x = FinSet(2)
+    idb = identity_box(x)
+    pairs = FinSet(4)
+    ident, diagonal = FinMap(x, x, (0, 1)), FinMap(x, pairs, (0, 3))
+    if straddling == "above":
+        start, at_row = ((Box(Span(x, pairs, x, ident, diagonal), (x,), (x, x)),), (idb, idb)), 1
+    else:
+        start, at_row = ((idb, idb), (Box(Span(pairs, x, x, diagonal, ident), (x, x), (x,)),)), 0
+    rule = make_rule("id", ((idb,),), ((idb,),), lambda asn: asn)
+    ok, _ = compare_paths(DiagramPath(start).rewrite(rule, at_row, (col,)), DiagramPath(start))
+    assert ok
+    # swapping the rewritten wire's value breaks the diagonal's equal pair
+    bad = RewriteRule("bad", rule.src, rule.tgt, {((0,),): ((1,),), ((1,),): ((0,),)}, rule.cell)
+    path = DiagramPath(start).rewrite(bad, at_row, (col,))
     with pytest.raises(StructuralError, match="rewrite produced an invalid assignment"):
         compare_paths(path, DiagramPath(start))
 
@@ -200,6 +224,68 @@ def test_transported_elements_are_assignments_of_the_end_diagram(monkeypatch):
         for path in (lhs, rhs):
             end = evaluate(path.diagram).index
             assert all(path.transport(a) in end for a in start)
+
+
+def _whole_row_rewrite_step(new_diagram, rule, at_row, cols):
+    """A rewrite step that decodes both whole rows at every row interface
+    touching a rewritten row."""
+    depth = len(rule.src)
+    seams = range(max(at_row, 1), min(at_row + depth, len(new_diagram) - 1) + 1)
+
+    def step(asn):
+        local = tuple(asn[at_row + r][cols[r] : cols[r] + len(rule.src[r])] for r in range(depth))
+        image = rule.mapping[local]
+        rows = list(asn)
+        for r in range(depth):
+            old = asn[at_row + r]
+            rows[at_row + r] = old[: cols[r]] + image[r] + old[cols[r] + len(rule.src[r]) :]
+        for i in seams:
+            if _row_wires(new_diagram[i - 1], rows[i - 1], "out") != _row_wires(new_diagram[i], rows[i], "in"):
+                raise StructuralError("invalid assignment")
+        return tuple(rows)
+
+    return step
+
+
+def _whole_row_insert_step(diagram, at):
+    def step(asn):
+        vals = _row_wires(diagram[0], asn[0], "in") if at == 0 else _row_wires(diagram[at - 1], asn[at - 1], "out")
+        return asn[:at] + (vals,) + asn[at:]
+
+    return step
+
+
+def test_steps_match_whole_row_steps_on_fixture_paths(monkeypatch):
+    reference = {}
+    apply_rewrite, insert_identity_row = diagrams.apply_rewrite, diagrams.insert_identity_row
+
+    def rewrite(diagram, rule, at_row, cols):
+        new, step = apply_rewrite(diagram, rule, at_row, cols)
+        reference[step] = _whole_row_rewrite_step(new, rule, at_row, cols)
+        return new, step
+
+    def insert(diagram, at):
+        new, step = insert_identity_row(diagram, at)
+        reference[step] = _whole_row_insert_step(diagram, at)
+        return new, step
+
+    monkeypatch.setattr(diagrams, "apply_rewrite", rewrite)
+    monkeypatch.setattr(diagrams, "insert_identity_row", insert)
+    pairs = _fixture_equation_paths(monkeypatch)
+    assert len(pairs) == 12 * 2 + 8 * 2 + 3 * 2
+    checked = set()
+    for lhs, rhs in pairs:
+        start = evaluate(lhs.start).assignments
+        for path in (lhs, rhs):
+            steps = [reference.get(step, step) for step in path.steps]
+            checked.update(step for step in path.steps if step in reference)
+            for a in start:
+                b = a
+                for step in steps:
+                    b = step(b)
+                assert path.transport(a) == b
+    # every recorded rewrite and insertion lies on a compared path
+    assert checked == reference.keys()
 
 
 class TestMemo:
