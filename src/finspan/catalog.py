@@ -318,6 +318,12 @@ def _monoid_tuples(M: PartialMonoid, n: int) -> list[tuple[int, ...]]:
 
 def partial_monoid_nerve(M: PartialMonoid, N: int) -> TruncSimplicialSet:
     """Level n holds the fully composable n-tuples; level 0 is a point."""
+    return _monoid_nerve(M, N)[0]
+
+
+def _monoid_nerve(M: PartialMonoid, N: int) -> tuple[TruncSimplicialSet, list, list]:
+    """`partial_monoid_nerve` with the tuple levels it is built from and
+    their index dicts."""
     if N < 3:
         raise StructuralError("correspondence checks need N >= 3")
     tuple_levels = [[()]] + [_monoid_tuples(M, n) for n in range(1, N + 1)]
@@ -351,16 +357,13 @@ def partial_monoid_nerve(M: PartialMonoid, N: int) -> TruncSimplicialSet:
             maps.append(FinMap(levels[n], levels[n + 1], tuple(table)))
         degen.append(tuple(maps))
     degen.append(())
-    return make_simplicial(levels, face, degen)
+    return make_simplicial(levels, face, degen), tuple_levels, index_levels
 
 
 def interval_cyclic(L: int, N: int) -> ParacyclicData:
     """The cyclic structure on the interval nerve: rotate and complete the
     sum to L."""
-    M = interval_monoid(L)
-    X = partial_monoid_nerve(M, N)
-    tuple_levels = [[()]] + [_monoid_tuples(M, n) for n in range(1, N + 1)]
-    index_levels = [{t: i for i, t in enumerate(ts)} for ts in tuple_levels]
+    X, tuple_levels, index_levels = _monoid_nerve(interval_monoid(L), N)
     tau_maps = [FinMap(X.levels[0], X.levels[0], (0,))]
     for n in range(1, N + 1):
         table = []
@@ -376,9 +379,7 @@ def commutative_monoid_gamma(M: PartialMonoid, N: int) -> GammaData:
     monoid: permutation of tuple components."""
     if not M.is_commutative():
         raise StructuralError("transposition actions need commutativity")
-    X = partial_monoid_nerve(M, N)
-    tuple_levels = [[()]] + [_monoid_tuples(M, n) for n in range(1, N + 1)]
-    index_levels = [{t: i for i, t in enumerate(ts)} for ts in tuple_levels]
+    X, tuple_levels, index_levels = _monoid_nerve(M, N)
     tables: list[tuple[FinMap, ...]] = [(), ()]
     for n in range(2, N + 1):
         row = []

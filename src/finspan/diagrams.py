@@ -109,13 +109,14 @@ def _read(wires: tuple[WireReader, ...], elements: tuple[int, ...]) -> tuple[int
     return tuple(table[elements[c]][o] for c, table, o in wires)
 
 
-def _leg_index(legs: tuple[tuple[int, tuple[int, ...]], ...], elements: tuple[int, ...]) -> int:
-    """The row-major index of a row's boundary, folded from each box's
-    (boundary size, leg table): equals `encode_tuple` of its wire values."""
-    index = 0
-    for (size, table), e in zip(legs, elements):
-        index = index * size + table[e]
-    return index
+def _leg_column(legs, columns, count: int) -> tuple[int, ...]:
+    """The row-major index of a row's boundary in each of `count` tuples,
+    folded from each box's (boundary size, leg table) and element column:
+    equals `encode_tuple` of the row's wire values."""
+    index = [0] * count
+    for (size, table), column in zip(legs, columns):
+        index = [i * size + table[e] for i, e in zip(index, column)]
+    return tuple(index)
 
 
 Assignment = tuple[tuple[int, ...], ...]
@@ -138,8 +139,8 @@ def evaluate(diagram: Diagram) -> EvaluatedDiagram:
             raise StructuralError("row boundaries do not chain")
 
     # one factor per box, keyed by the wire coordinates (row interface,
-    # wire) of its in and out wires; flat tuples are regrouped by row, and
-    # equal row tuples are shared
+    # wire) of its in and out wires; each row's tuples are zipped from its
+    # boxes' element columns, and an empty row reads () in every tuple
     factors, cuts = [], [0]
     for r, row in enumerate(diagram):
         ins, outs = _box_wire_offsets(row)
@@ -148,18 +149,18 @@ def evaluate(diagram: Diagram) -> EvaluatedDiagram:
                 (r + 1, w) for w in range(outs[j], outs[j + 1]))
             factors.append((keys, tuple(i + o for i, o in zip(b.in_table, b.out_table))))
         cuts.append(cuts[-1] + len(row))
-    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-    assignments = tuple(
-        tuple(rows.setdefault(flat[a:b], flat[a:b]) for a, b in zip(cuts, cuts[1:]))
-        for flat in iterated_pullback(factors)
-    )
+    flat = iterated_pullback(factors)
+    columns = tuple(zip(*flat))
+    rows = [tuple(zip(*columns[a:b])) if a < b else ((),) * len(flat)
+            for a, b in zip(cuts, cuts[1:])]
+    assignments = tuple(zip(*rows))
     src = FinSet(_wire_size(row_in_objs(diagram[0])))
     tgt = FinSet(_wire_size(row_out_objs(diagram[-1])))
     apex = FinSet(len(assignments))
-    firsts = tuple((b.span.src.size, b.span.left.table) for b in diagram[0])
-    lasts = tuple((b.span.tgt.size, b.span.right.table) for b in diagram[-1])
-    left = FinMap(apex, src, tuple(_leg_index(firsts, a[0]) for a in assignments))
-    right = FinMap(apex, tgt, tuple(_leg_index(lasts, a[-1]) for a in assignments))
+    firsts = ((b.span.src.size, b.span.left.table) for b in diagram[0])
+    lasts = ((b.span.tgt.size, b.span.right.table) for b in diagram[-1])
+    left = FinMap(apex, src, _leg_column(firsts, columns[: cuts[1]], len(flat)))
+    right = FinMap(apex, tgt, _leg_column(lasts, columns[cuts[-2]:], len(flat)))
     return EvaluatedDiagram(
         diagram, Span(src, tgt, apex, left, right), assignments,
         {a: i for i, a in enumerate(assignments)},

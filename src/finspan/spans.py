@@ -61,7 +61,7 @@ class FinMap:
     def __post_init__(self):
         if len(self.table) != self.dom.size:
             raise StructuralError("table length differs from domain size")
-        if any(not (0 <= v < self.cod.size) for v in self.table):
+        if self.table and (min(self.table) < 0 or max(self.table) >= self.cod.size):
             raise StructuralError("table entry out of codomain range")
 
     def __call__(self, i: int) -> int:
@@ -166,36 +166,60 @@ def iterated_pullback(factors) -> tuple[tuple[int, ...], ...]:
     element per factor that agree on every shared key, in lexicographic
     order.
 
-    Each factor extends the tuples so far by its fiber over the keys already
-    bound, so no product is built and then filtered.  A key's value is
-    carried only while a later factor still reads it, and tuples carrying
-    equal values share one extension, built once.
+    Factors are joined in connected order: factor 0 first, then always the
+    first remaining factor that reads a key already bound, or the next
+    remaining one when none does.  Each factor extends the partial tuples by
+    its fiber over the keys already bound, so no product is built and then
+    filtered.  A key's value is carried only while a later factor in the
+    join order still reads it, and tuples carrying equal values share one
+    extension, built once.  The tuples are kept as one element column per
+    factor: each join step lists the parent of every extended tuple and
+    re-indexes the earlier columns through it.  The result is sorted only
+    when the join order differs from the given one.
     """
-    last = {k: i for i, (keys, _) in enumerate(factors) for k in keys}
+    if not factors:
+        return ((),)
+    order, seen, rest = [], set(), list(range(len(factors)))
+    while rest:
+        i = next((i for i in rest if not seen.isdisjoint(factors[i][0])), rest[0])
+        rest.remove(i)
+        order.append(i)
+        seen.update(factors[i][0])
+    last = {k: j for j, i in enumerate(order) for k in factors[i][0]}
     live: tuple = ()
-    partial: list[tuple[tuple[int, ...], tuple]] = [((), ())]
-    for i, (keys, values) in enumerate(factors):
+    partial: list[tuple] = [()]
+    columns: list[list[int]] = []
+    for j, i in enumerate(order):
+        keys, values = factors[i]
         pos = {k: p for p, k in enumerate(live)}
         bound = [q for q, k in enumerate(keys) if k in pos]
         look = [pos[keys[q]] for q in bound]
-        kept = [p for p, k in enumerate(live) if last[k] > i]
-        fresh = [q for q, k in enumerate(keys) if k not in pos and last[k] > i]
+        kept = [p for p, k in enumerate(live) if last[k] > j]
+        fresh = [q for q, k in enumerate(keys) if k not in pos and last[k] > j]
         live = tuple(live[p] for p in kept) + tuple(keys[q] for q in fresh)
-        fibers: dict[tuple, list[tuple[int, tuple]]] = {}
+        fibers: dict[tuple, tuple[list[int], list[tuple]]] = {}
         for e, vals in enumerate(values):
-            fibers.setdefault(tuple(vals[q] for q in bound), []).append(
-                (e, tuple(vals[q] for q in fresh)))
-        extensions: dict[tuple, list[tuple[int, tuple]]] = {}
-        grown = []
-        for prefix, carried in partial:
+            es, news = fibers.setdefault(tuple(vals[q] for q in bound), ([], []))
+            es.append(e)
+            news.append(tuple(vals[q] for q in fresh))
+        extensions: dict[tuple, tuple[list[int], list[tuple]]] = {}
+        parents: list[int] = []
+        column: list[int] = []
+        grown: list[tuple] = []
+        for a, carried in enumerate(partial):
             ext = extensions.get(carried)
             if ext is None:
                 old = tuple(carried[p] for p in kept)
-                fiber = fibers.get(tuple(carried[p] for p in look), ())
-                ext = extensions[carried] = [(e, old + new) for e, new in fiber]
-            grown.extend((prefix + (e,), nxt) for e, nxt in ext)
+                es, news = fibers.get(tuple(carried[p] for p in look), ((), ()))
+                ext = extensions[carried] = (es, [old + new for new in news])
+            parents += [a] * len(ext[0])
+            column += ext[0]
+            grown += ext[1]
+        columns = [list(map(col.__getitem__, parents)) for col in columns]
+        columns.append(column)
         partial = grown
-    return tuple(prefix for prefix, _ in partial)
+    tuples = zip(*(columns[order.index(i)] for i in range(len(order))))
+    return tuple(tuples) if order == sorted(order) else tuple(sorted(tuples))
 
 
 def pullback_pairs(f: FinMap, g: FinMap) -> tuple[tuple[int, int], ...]:

@@ -389,6 +389,8 @@ def test_evaluate_matches_full_row_product_on_unit_and_empty_boxes():
     assert_matches_brute_force(((eta, eta), (sparse, identity_box(x))))
     assert_matches_brute_force(((eta,), (empty,)))
     assert_matches_brute_force(((identity_box(x),), (sparse,), (sparse,)))
+    assert_matches_brute_force(((),))
+    assert_matches_brute_force(((), ()))
 
 
 def test_evaluate_matches_full_row_product_on_coherence_patterns():

@@ -116,6 +116,17 @@ def _readers(factors):
     return readers
 
 
+def _joined_out_of_order(factors):
+    """Whether some factor reads no key of the factors before it while a
+    later factor does, so the connected join order is not the given one."""
+    keys = [set(k) for k, _ in factors]
+    for i in range(1, len(keys)):
+        before = set().union(*keys[:i])
+        if not keys[i] & before and any(later & before for later in keys[i + 1:]):
+            return True
+    return False
+
+
 class TestIteratedPullback:
     @pytest.mark.parametrize("seed", range(200))
     def test_matches_filtered_full_product(self, seed):
@@ -133,8 +144,10 @@ class TestIteratedPullback:
             shapes.add(("no keys", any(not keys for keys, _ in factors)))
             shapes.add(("empty", any(not values for _, values in factors)))
             shapes.add(("repeated values", any(len(set(values)) < len(values) for _, values in factors)))
+            shapes.add(("joined out of order", _joined_out_of_order(factors)))
         assert {name for name, seen in shapes if seen} == {
             "shared by two", "shared by three", "skips a factor", "no keys", "empty", "repeated values",
+            "joined out of order",
         }
 
     def test_key_read_by_the_first_and_third_factor_only(self):
