@@ -50,7 +50,6 @@ from .simplicial import (
     degen_via_polygon,
     glue,
     make_simplicial,
-    segal_map,
     unglue,
 )
 from .pseudomonoid import (

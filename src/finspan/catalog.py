@@ -3,20 +3,23 @@
 Each constructor emits a truncated simplicial set, optionally together
 with the paracyclic translations or the transposition actions that the
 family carries.  Composable tuples are enumerated lexicographically in
-morphism indices, so documents and witnesses are reproducible.
+morphism indices, so documents and witnesses are reproducible.  Every
+family lists its simplices as tuples and states each structure map as a
+rule on tuples; `_tuple_structure` tabulates the rules.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from .gammaset import GammaData, PhiStarMor, phistar_d, phistar_s, phistar_theta
+from .gammaset import GammaData, PhiStarMor, phistar_d, phistar_d_top, phistar_s, phistar_theta
 from .paracyclic import ParacyclicData
 from .pseudomonoid import TwoTruncatedData, two_truncated_simplicial  # re-exported
 from .simplicial import TruncSimplicialSet, make_simplicial
-from .spans import FinMap, FinSet, StructuralError, iterated_pullback
+from .spans import FinMap, FinSet, StructuralError, identity_map, iterated_pullback
 
 
 # ---------------------------------------------------------------------------
@@ -150,55 +153,65 @@ def pair_groupoid(k: int) -> SmallCategory:
     )
 
 
+def _tuple_structure(levels, tuples, face, degen) -> tuple[TruncSimplicialSet, Callable]:
+    """The simplicial set whose level n lists `tuples[n]`, with the faces
+    and degeneracies that `face(n, i)` and `degen(n, i)` give as rules on
+    tuples, together with `move(n, m, rule)`, the map from level n to
+    level m that sends each tuple t to `rule(t)`."""
+    index = [{t: i for i, t in enumerate(ts)} for ts in tuples]
+
+    def move(n, m, rule):
+        return FinMap(levels[n], levels[m], tuple(map(index[m].__getitem__, map(rule, tuples[n]))))
+
+    N = len(tuples) - 1
+    X = make_simplicial(
+        levels,
+        [()] + [tuple(move(n, n - 1, face(n, i)) for i in range(n + 1)) for n in range(1, N + 1)],
+        [tuple(move(n, n + 1, degen(n, i)) for i in range(n + 1)) for n in range(N)] + [()],
+    )
+    return X, move
+
+
+def _bar_face(product):
+    """The faces of a bar construction: drop the first or the last entry,
+    or multiply two neighbours by the table `product`."""
+
+    def face(n, i):
+        if i == 0:
+            return lambda t: t[1:]
+        if i == n:
+            return lambda t: t[:-1]
+        return lambda t: t[: i - 1] + (product[t[i - 1]][t[i]],) + t[i + 1 :]
+
+    return face
+
+
 def nerve(C: SmallCategory, N: int) -> TruncSimplicialSet:
     """The nerve: level n holds composable n-tuples, lexicographic order."""
+    return _nerve(C, N)[0]
+
+
+def _nerve(C: SmallCategory, N: int) -> tuple[TruncSimplicialSet, Callable]:
+    """`nerve` with its `move`; level 0 lists the objects as 1-tuples."""
     if N < 3:
         raise StructuralError("correspondence checks need N >= 3")
-    tuple_levels = [[()]] + [_nerve_tuples(C, n) for n in range(1, N + 1)]
-    index_levels = [{t: i for i, t in enumerate(ts)} for ts in tuple_levels]
-    levels = [C.objects] + [FinSet(len(ts)) for ts in tuple_levels[1:]]
+    src, tgt, ident = C.src.table, C.tgt.table, C.identity.table
+    tuples = [[(u,) for u in C.objects]] + [_nerve_tuples(C, n) for n in range(1, N + 1)]
+    levels = [C.objects] + [FinSet(len(ts)) for ts in tuples[1:]]
+    inner = _bar_face(C.then_table)
 
-    def chain_objects(t: tuple[int, ...]) -> tuple[int, ...]:
-        return (C.src.table[t[0]],) + tuple(C.tgt.table[f] for f in t)
+    def face(n, i):
+        if n == 1:
+            ends = src if i else tgt
+            return lambda t: (ends[t[0]],)
+        return inner(n, i)
 
-    face = [()]
-    for n in range(1, N + 1):
-        maps = []
-        for i in range(n + 1):
-            table = []
-            for t in tuple_levels[n]:
-                if n == 1:
-                    objs = chain_objects(t)
-                    table.append(objs[1] if i == 0 else objs[0])
-                    continue
-                if i == 0:
-                    new = t[1:]
-                elif i == n:
-                    new = t[:-1]
-                else:
-                    new = t[: i - 1] + (C.then(t[i - 1], t[i]),) + t[i + 1 :]
-                table.append(index_levels[n - 1][new])
-            maps.append(FinMap(levels[n], levels[n - 1], tuple(table)))
-        face.append(tuple(maps))
+    def degen(n, i):
+        if n == 0:
+            return lambda t: (ident[t[0]],)
+        return lambda t: t[:i] + (ident[tgt[t[i - 1]] if i else src[t[0]]],) + t[i:]
 
-    degen = []
-    for n in range(N):
-        maps = []
-        for i in range(n + 1):
-            table = []
-            if n == 0:
-                for u in C.objects:
-                    table.append(index_levels[1][(C.identity.table[u],)])
-            else:
-                for t in tuple_levels[n]:
-                    objs = chain_objects(t)
-                    new = t[:i] + (C.identity.table[objs[i]],) + t[i:]
-                    table.append(index_levels[n + 1][new])
-            maps.append(FinMap(levels[n], levels[n + 1], tuple(table)))
-        degen.append(tuple(maps))
-    degen.append(())
-
-    return make_simplicial(levels, face, degen)
+    return _tuple_structure(levels, tuples, face, degen)
 
 
 def groupoid_cyclic(C: SmallCategory, N: int, bisection: Optional[FinMap] = None) -> ParacyclicData:
@@ -214,30 +227,19 @@ def groupoid_cyclic(C: SmallCategory, N: int, bisection: Optional[FinMap] = None
             raise StructuralError("bisection must be a section of the source")
         if len(set(C.tgt.table[bisection.table[u]] for u in C.objects)) != C.objects.size:
             raise StructuralError("bisection target map must be bijective")
-    X = nerve(C, N)
-    omega = bisection or C.identity
+    X, move = _nerve(C, N)
+    then, omega = C.then_table, (bisection or C.identity).table
+    inverse = tuple(C.inverse(f) for f in C.morphisms)
 
-    tuple_levels = [None] + [
-        _nerve_tuples(C, n) for n in range(1, N + 1)
-    ]
-    index_levels = [None] + [{t: i for i, t in enumerate(ts)} for ts in tuple_levels[1:]]
+    def rotate(t):
+        total = t[0]
+        for f in t[1:]:
+            total = then[total][f]
+        return t[1:] + (then[inverse[total]][omega[C.src.table[t[0]]]],)
 
-    tau_maps = []
     # tau^0 = d_0 omega: u -> target of the bisection
-    tau_maps.append(FinMap(C.objects, C.objects, tuple(
-        C.tgt.table[omega.table[u]] for u in C.objects
-    )))
-    for n in range(1, N + 1):
-        table = []
-        for t in tuple_levels[n]:
-            total = t[0]
-            for f in t[1:]:
-                total = C.then(total, f)
-            last = C.then(C.inverse(total), omega.table[C.src.table[t[0]]])
-            new = t[1:] + (last,)
-            table.append(index_levels[n][new])
-        tau_maps.append(FinMap(X.levels[n], X.levels[n], tuple(table)))
-    return ParacyclicData(X, tuple(tau_maps))
+    tau = [move(0, 0, lambda t: (C.tgt.table[omega[t[0]]],))]
+    return ParacyclicData(X, tuple(tau + [move(n, n, rotate) for n in range(1, N + 1)]))
 
 
 def _chain_factors(C: SmallCategory, n: int) -> list:
@@ -300,20 +302,20 @@ def interval_monoid(L: int) -> PartialMonoid:
     return PartialMonoid(elements, product, 0)
 
 
-def _monoid_tuples(M: PartialMonoid, n: int) -> list[tuple[int, ...]]:
-    """The fully composable n-tuples in lexicographic order.  Each composable
-    tuple carries the products of its suffix runs, and is extended by x only
-    when every run times x is defined."""
-    level: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
-    for _ in range(n):
+def _monoid_levels(M: PartialMonoid, N: int) -> list[list[tuple[int, ...]]]:
+    """The fully composable tuples of each length 0..N in lexicographic
+    order.  Each composable tuple carries the products of its suffix runs,
+    and is extended by x only when every run times x is defined."""
+    levels: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[((), ())]]
+    for _ in range(N):
         longer = []
-        for t, runs in level:
+        for t, runs in levels[-1]:
             for x in range(M.elements.size):
                 products = tuple(M.product[r][x] for r in runs)
                 if all(p >= 0 for p in products):
                     longer.append((t + (x,), products + (x,)))
-        level = longer
-    return [t for t, _ in level]
+        levels.append(longer)
+    return [[t for t, _ in level] for level in levels]
 
 
 def partial_monoid_nerve(M: PartialMonoid, N: int) -> TruncSimplicialSet:
@@ -321,57 +323,25 @@ def partial_monoid_nerve(M: PartialMonoid, N: int) -> TruncSimplicialSet:
     return _monoid_nerve(M, N)[0]
 
 
-def _monoid_nerve(M: PartialMonoid, N: int) -> tuple[TruncSimplicialSet, list, list]:
-    """`partial_monoid_nerve` with the tuple levels it is built from and
-    their index dicts."""
+def _monoid_nerve(M: PartialMonoid, N: int) -> tuple[TruncSimplicialSet, Callable]:
+    """`partial_monoid_nerve` with its `move`."""
     if N < 3:
         raise StructuralError("correspondence checks need N >= 3")
-    tuple_levels = [[()]] + [_monoid_tuples(M, n) for n in range(1, N + 1)]
-    index_levels = [{t: i for i, t in enumerate(ts)} for ts in tuple_levels]
-    levels = [FinSet(1)] + [FinSet(len(ts)) for ts in tuple_levels[1:]]
-
-    face = [()]
-    for n in range(1, N + 1):
-        maps = []
-        for i in range(n + 1):
-            table = []
-            for t in tuple_levels[n]:
-                if i == 0:
-                    new = t[1:]
-                elif i == n:
-                    new = t[:-1]
-                else:
-                    new = t[: i - 1] + (M.product[t[i - 1]][t[i]],) + t[i + 1 :]
-                table.append(index_levels[n - 1][new])
-            maps.append(FinMap(levels[n], levels[n - 1], tuple(table)))
-        face.append(tuple(maps))
-
-    degen = []
-    for n in range(N):
-        maps = []
-        for i in range(n + 1):
-            table = []
-            for t in tuple_levels[n]:
-                new = t[:i] + (M.unit,) + t[i:]
-                table.append(index_levels[n + 1][new])
-            maps.append(FinMap(levels[n], levels[n + 1], tuple(table)))
-        degen.append(tuple(maps))
-    degen.append(())
-    return make_simplicial(levels, face, degen), tuple_levels, index_levels
+    tuples = _monoid_levels(M, N)
+    levels = [FinSet(len(ts)) for ts in tuples]
+    unit = M.unit
+    return _tuple_structure(
+        levels, tuples, _bar_face(M.product), lambda n, i: lambda t: t[:i] + (unit,) + t[i:]
+    )
 
 
 def interval_cyclic(L: int, N: int) -> ParacyclicData:
     """The cyclic structure on the interval nerve: rotate and complete the
     sum to L."""
-    X, tuple_levels, index_levels = _monoid_nerve(interval_monoid(L), N)
-    tau_maps = [FinMap(X.levels[0], X.levels[0], (0,))]
-    for n in range(1, N + 1):
-        table = []
-        for t in tuple_levels[n]:
-            new = t[1:] + (L - sum(t),)
-            table.append(index_levels[n][new])
-        tau_maps.append(FinMap(X.levels[n], X.levels[n], tuple(table)))
-    return ParacyclicData(X, tuple(tau_maps))
+    X, move = _monoid_nerve(interval_monoid(L), N)
+    tau = [move(0, 0, lambda t: t)]
+    tau += [move(n, n, lambda t: t[1:] + (L - sum(t),)) for n in range(1, N + 1)]
+    return ParacyclicData(X, tuple(tau))
 
 
 def commutative_monoid_gamma(M: PartialMonoid, N: int) -> GammaData:
@@ -379,19 +349,11 @@ def commutative_monoid_gamma(M: PartialMonoid, N: int) -> GammaData:
     monoid: permutation of tuple components."""
     if not M.is_commutative():
         raise StructuralError("transposition actions need commutativity")
-    X, tuple_levels, index_levels = _monoid_nerve(M, N)
-    tables: list[tuple[FinMap, ...]] = [(), ()]
-    for n in range(2, N + 1):
-        row = []
-        for i in range(1, n):
-            table = []
-            for t in tuple_levels[n]:
-                new = list(t)
-                new[i - 1], new[i] = new[i], new[i - 1]
-                table.append(index_levels[n][tuple(new)])
-            row.append(FinMap(X.levels[n], X.levels[n], tuple(table)))
-        tables.append(tuple(row))
-    return GammaData(X, tuple(tables))
+    X, move = _monoid_nerve(M, N)
+    return GammaData(X, ((), ()) + tuple(
+        tuple(move(n, n, lambda t: t[: i - 1] + (t[i], t[i - 1]) + t[i + 1 :]) for i in range(1, n))
+        for n in range(2, N + 1)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +388,6 @@ class Endofunctor:
 
 
 def identity_endofunctor(C: SmallCategory) -> Endofunctor:
-    from .spans import identity_map
-
     return Endofunctor(identity_map(C.objects), identity_map(C.morphisms))
 
 
@@ -443,39 +403,27 @@ def _twisted_tuples(C: SmallCategory, F: Endofunctor, n: int) -> list[tuple[int,
 def twisted_cyclic_nerve(C: SmallCategory, F: Endofunctor, N: int) -> TruncSimplicialSet:
     """Levels hold twisted composable cycles; the initial face folds the
     twisted bottom morphism into the top one."""
+    return _twisted_nerve(C, F, N)[0]
+
+
+def _twisted_nerve(C: SmallCategory, F: Endofunctor, N: int) -> tuple[TruncSimplicialSet, Callable]:
+    """`twisted_cyclic_nerve` with its `move`."""
     if N < 3:
         raise StructuralError("correspondence checks need N >= 3")
     F.validate(C)
-    tuple_levels = [_twisted_tuples(C, F, n) for n in range(N + 1)]
-    index_levels = [{t: i for i, t in enumerate(ts)} for ts in tuple_levels]
-    levels = [FinSet(len(ts)) for ts in tuple_levels]
+    tuples = [_twisted_tuples(C, F, n) for n in range(N + 1)]
+    levels = [FinSet(len(ts)) for ts in tuples]
+    then, Fm, src, ident = C.then_table, F.on_morphisms.table, C.src.table, C.identity.table
 
-    face = [()]
-    for n in range(1, N + 1):
-        maps = []
-        for i in range(n + 1):
-            table = []
-            for t in tuple_levels[n]:
-                if i == 0:
-                    new = t[1:-1] + (C.then(t[-1], F.on_morphisms.table[t[0]]),)
-                else:
-                    new = t[: i - 1] + (C.then(t[i - 1], t[i]),) + t[i + 1 :]
-                table.append(index_levels[n - 1][new])
-            maps.append(FinMap(levels[n], levels[n - 1], tuple(table)))
-        face.append(tuple(maps))
+    def face(n, i):
+        if i == 0:
+            return lambda t: t[1:-1] + (then[t[-1]][Fm[t[0]]],)
+        return lambda t: t[: i - 1] + (then[t[i - 1]][t[i]],) + t[i + 1 :]
 
-    degen = []
-    for n in range(N):
-        maps = []
-        for i in range(n + 1):
-            table = []
-            for t in tuple_levels[n]:
-                new = t[:i] + (C.identity.table[C.src.table[t[i]]],) + t[i:]
-                table.append(index_levels[n + 1][new])
-            maps.append(FinMap(levels[n], levels[n + 1], tuple(table)))
-        degen.append(tuple(maps))
-    degen.append(())
-    return make_simplicial(levels, face, degen)
+    def degen(n, i):
+        return lambda t: t[:i] + (ident[src[t[i]]],) + t[i:]
+
+    return _tuple_structure(levels, tuples, face, degen)
 
 
 def twisted_cyclic_paracyclic(C: SmallCategory, F: Endofunctor, N: int) -> ParacyclicData:
@@ -483,17 +431,9 @@ def twisted_cyclic_paracyclic(C: SmallCategory, F: Endofunctor, N: int) -> Parac
     twist to be an automorphism."""
     if not F.is_automorphism():
         raise StructuralError("paracyclic translations need an automorphism twist")
-    X = twisted_cyclic_nerve(C, F, N)
-    tuple_levels = [_twisted_tuples(C, F, n) for n in range(N + 1)]
-    index_levels = [{t: i for i, t in enumerate(ts)} for ts in tuple_levels]
-    tau_maps = []
-    for n in range(N + 1):
-        table = []
-        for t in tuple_levels[n]:
-            new = t[1:] + (F.on_morphisms.table[t[0]],)
-            table.append(index_levels[n][new])
-        tau_maps.append(FinMap(X.levels[n], X.levels[n], tuple(table)))
-    return ParacyclicData(X, tuple(tau_maps))
+    X, move = _twisted_nerve(C, F, N)
+    Fm = F.on_morphisms.table
+    return ParacyclicData(X, tuple(move(n, n, lambda t: t[1:] + (Fm[t[0]],)) for n in range(N + 1)))
 
 
 def building(k: int, N: int) -> TruncSimplicialSet:
@@ -529,7 +469,7 @@ def _partition_elements(G: Graph, n: int) -> list[tuple[int, ...]]:
 def graph_partition_action(G: Graph, f: PhiStarMor, element: tuple[int, ...]) -> tuple[int, ...]:
     """The pointed-map functor on vertex block assignments: block i goes to
     block f(i); vertices sent to the basepoint drop out."""
-    return tuple(f(b) for b in element)
+    return tuple(map(f, element))
 
 
 def graph_partition_gamma(G: Graph, N: int) -> GammaData:
@@ -537,37 +477,19 @@ def graph_partition_gamma(G: Graph, N: int) -> GammaData:
     the derived simplicial structure and transposition actions."""
     if N < 3:
         raise StructuralError("correspondence checks need N >= 3")
-    elems = [_partition_elements(G, n) for n in range(N + 1)]
-    index = [{t: i for i, t in enumerate(ts)} for ts in elems]
-    levels = [FinSet(len(ts)) for ts in elems]
+    tuples = [_partition_elements(G, n) for n in range(N + 1)]
 
-    def action_map(f: PhiStarMor) -> FinMap:
-        table = tuple(
-            index[f.m][graph_partition_action(G, f, t)] for t in elems[f.n]
-        )
-        return FinMap(levels[f.n], levels[f.m], table)
+    def action(f: PhiStarMor):
+        return functools.partial(graph_partition_action, G, f)
 
-    face = [()]
-    for n in range(1, N + 1):
-        face.append(tuple(
-            action_map(phistar_d(n, i)) for i in range(n)
-        ) + (action_map(_phistar_dn(n)),))
-    degen = []
-    for n in range(N):
-        degen.append(tuple(action_map(phistar_s(n, i)) for i in range(n + 1)))
-    degen.append(())
-    X = make_simplicial(levels, face, degen)
-
-    tables: list[tuple[FinMap, ...]] = [(), ()]
-    for n in range(2, N + 1):
-        tables.append(tuple(action_map(phistar_theta(n, i)) for i in range(1, n)))
-    return GammaData(X, tuple(tables))
-
-
-def _phistar_dn(n: int) -> PhiStarMor:
-    from .gammaset import phistar_d_top
-
-    return phistar_d_top(n)
+    X, move = _tuple_structure(
+        [FinSet(len(ts)) for ts in tuples], tuples,
+        lambda n, i: action(phistar_d(n, i) if i < n else phistar_d_top(n)),
+        lambda n, i: action(phistar_s(n, i)),
+    )
+    return GammaData(X, ((), ()) + tuple(
+        tuple(move(n, n, action(phistar_theta(n, i))) for i in range(1, n)) for n in range(2, N + 1)
+    ))
 
 
 # ---------------------------------------------------------------------------

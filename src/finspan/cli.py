@@ -7,7 +7,6 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 input error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -327,12 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", help="emit a catalog example as a document")
     p.add_argument("name")
-    p.add_argument(
-        "--n-levels",
-        type=int,
-        default=int(os.environ.get("FINSPAN_LEVELS", "4")),
-        help="truncation level (default 4, or the FINSPAN_LEVELS variable)",
-    )
+    p.add_argument("--n-levels", type=int, default=4, help="truncation level (default 4)")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--L", type=int, default=2)
     p.add_argument("--a-size", type=int, default=1)

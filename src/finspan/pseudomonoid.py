@@ -527,20 +527,19 @@ def pseudomonoid_from_two_truncated(T: TwoTruncatedData, assoc: dict) -> Pseudom
 
     a_rule = make_rule("associator", assoc_src_rows(mub, idb), assoc_tgt_rows(mub, idb), assoc_fn)
 
-    lev = evaluate(lunit_src_rows(etab, mub, idb))
-    linv = {((T.d1[1].table[x], x), (T.s1[0].table[x],)): x for x in T.x1}
-    if set(linv) != set(lev.assignments):
-        raise ConstructionError("left unitality square is not a pullback")
-    lunit = SpanCell(lev.span, identity_span(T.x1), FinMap(
-        lev.span.apex, T.x1, tuple(linv[a] for a in lev.assignments)
-    ))
-    rev = evaluate(runit_src_rows(etab, mub, idb))
-    rinv = {((x, T.d1[0].table[x]), (T.s1[1].table[x],)): x for x in T.x1}
-    if set(rinv) != set(rev.assignments):
-        raise ConstructionError("right unitality square is not a pullback")
-    runit = SpanCell(rev.span, identity_span(T.x1), FinMap(
-        rev.span.apex, T.x1, tuple(rinv[a] for a in rev.assignments)
-    ))
+    def unitor(side, rows, key):
+        ev = evaluate(rows)
+        inv = {key(x): x for x in T.x1}
+        if set(inv) != set(ev.assignments):
+            raise ConstructionError(f"{side} unitality square is not a pullback")
+        return SpanCell(ev.span, identity_span(T.x1), FinMap(
+            ev.span.apex, T.x1, tuple(inv[a] for a in ev.assignments)
+        ))
+
+    lunit = unitor("left", lunit_src_rows(etab, mub, idb),
+                   lambda x: ((T.d1[1].table[x], x), (T.s1[0].table[x],)))
+    runit = unitor("right", runit_src_rows(etab, mub, idb),
+                   lambda x: ((x, T.d1[0].table[x]), (T.s1[1].table[x],)))
     return PseudomonoidData(T.x1, eta, mu, a_rule.cell, lunit, runit)
 
 

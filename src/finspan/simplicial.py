@@ -338,7 +338,6 @@ def polygon_stack(X: TruncSimplicialSet, n: int, cells: tuple[tuple[int, ...], .
 class SegalWitness:
     """A triangulation map together with its inverse when bijective."""
 
-    n: int
     triangulation: Triangulation
     stack: PolygonStack
     forward: FinMap
@@ -362,18 +361,12 @@ def subdivision_map(X: TruncSimplicialSet, n: int, cells: tuple[tuple[int, ...],
     return stack, fwd
 
 
-def segal_map(X: TruncSimplicialSet, T: Triangulation) -> tuple[FinSet, FinMap]:
-    """The iterated pullback of X_2's over X_1 for T and the map into it."""
-    stack, fwd = subdivision_map(X, T.n, T.triangles)
-    return FinSet(len(stack.elements)), fwd
-
-
 def segal_witness(X: TruncSimplicialSet, T: Triangulation) -> SegalWitness:
     """The triangulation map for T with its inverse, memoised in `X.memo`."""
     if T not in X.memo:
         stack, fwd = subdivision_map(X, T.n, T.triangles)
         inverse = fwd.inverse() if fwd.is_bijective() else None
-        X.memo[T] = SegalWitness(T.n, T, stack, fwd, inverse)
+        X.memo[T] = SegalWitness(T, stack, fwd, inverse)
     return X.memo[T]
 
 

@@ -193,6 +193,10 @@ class TestCli:
         assert main(["example", "nerve-z2", "-o", str(out)]) == 0
         assert main(["check", str(out)]) == 0
 
+    def test_environment_does_not_reach_the_parser(self, monkeypatch):
+        monkeypatch.setenv("FINSPAN_LEVELS", "abc")
+        assert main(["check", str(FIXTURES / "nerve_z2.json")]) == 0
+
     def test_example_unknown_name(self):
         assert main(["example", "does-not-exist"]) == 2
 

@@ -201,7 +201,7 @@ class TestGammaStructures:
         G = interval_l3_gamma
         # the action of the reversal permutation on triples reverses tuples
         act = permutation_action(G, 3, (3, 2, 1))
-        tuples3 = catalog._monoid_tuples(catalog.interval_monoid(3), 3)
+        tuples3 = catalog._monoid_levels(catalog.interval_monoid(3), 3)[3]
         index = {t: i for i, t in enumerate(tuples3)}
         for t in tuples3:
             assert act.table[index[t]] == index[tuple(reversed(t))]
