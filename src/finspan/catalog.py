@@ -19,7 +19,7 @@ from .gammaset import GammaData, PhiStarMor, phistar_d, phistar_d_top, phistar_s
 from .paracyclic import ParacyclicData
 from .pseudomonoid import TwoTruncatedData, two_truncated_simplicial  # re-exported
 from .simplicial import TruncSimplicialSet, make_simplicial
-from .spans import FinMap, FinSet, StructuralError, identity_map, iterated_pullback
+from .spans import FinMap, FinSet, StructuralError, identity_map
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def _nerve(C: SmallCategory, N: int) -> tuple[TruncSimplicialSet, Callable]:
     if N < 3:
         raise StructuralError("correspondence checks need N >= 3")
     src, tgt, ident = C.src.table, C.tgt.table, C.identity.table
-    tuples = [[(u,) for u in C.objects]] + [_nerve_tuples(C, n) for n in range(1, N + 1)]
+    tuples = _chain_levels(C, N)
     levels = [C.objects] + [FinSet(len(ts)) for ts in tuples[1:]]
     inner = _bar_face(C.then_table)
 
@@ -242,15 +242,18 @@ def groupoid_cyclic(C: SmallCategory, N: int, bisection: Optional[FinMap] = None
     return ParacyclicData(X, tuple(tau + [move(n, n, rotate) for n in range(1, N + 1)]))
 
 
-def _chain_factors(C: SmallCategory, n: int) -> list:
-    """n morphism factors, the i-th keyed by the objects i and i + 1 it
-    runs between, for `iterated_pullback`."""
-    ends = tuple(zip(C.src.table, C.tgt.table))
-    return [((i, i + 1), ends) for i in range(n)]
-
-
-def _nerve_tuples(C: SmallCategory, n: int) -> tuple[tuple[int, ...], ...]:
-    return iterated_pullback(_chain_factors(C, n))
+def _chain_levels(C: SmallCategory, N: int) -> list[list[tuple[int, ...]]]:
+    """The objects as 1-tuples, then the composable n-tuples for n = 1..N
+    in lexicographic order: each level extends the one before by every
+    morphism out of its last target, in index order."""
+    out_of: list[list[int]] = [[] for _ in C.objects]
+    for f in C.morphisms:
+        out_of[C.src.table[f]].append(f)
+    tgt = C.tgt.table
+    levels = [[(u,) for u in C.objects], [(f,) for f in C.morphisms]]
+    for _ in range(2, N + 1):
+        levels.append([t + (f,) for t in levels[-1] for f in out_of[tgt[t[-1]]]])
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +394,6 @@ def identity_endofunctor(C: SmallCategory) -> Endofunctor:
     return Endofunctor(identity_map(C.objects), identity_map(C.morphisms))
 
 
-def _twisted_tuples(C: SmallCategory, F: Endofunctor, n: int) -> list[tuple[int, ...]]:
-    """Ascending tuples (f_0, ..., f_n): consecutive composable and the top
-    morphism composable with the twist of the bottom one."""
-    # a last factor, the source u of f_0 paired with its twist F(u), closes
-    # the cycle; u is determined by f_0, so dropping it keeps the order
-    twist = tuple((u, F.on_objects.table[u]) for u in C.objects)
-    return [t[:-1] for t in iterated_pullback(_chain_factors(C, n + 1) + [((0, n + 1), twist)])]
-
-
 def twisted_cyclic_nerve(C: SmallCategory, F: Endofunctor, N: int) -> TruncSimplicialSet:
     """Levels hold twisted composable cycles; the initial face folds the
     twisted bottom morphism into the top one."""
@@ -411,9 +405,12 @@ def _twisted_nerve(C: SmallCategory, F: Endofunctor, N: int) -> tuple[TruncSimpl
     if N < 3:
         raise StructuralError("correspondence checks need N >= 3")
     F.validate(C)
-    tuples = [_twisted_tuples(C, F, n) for n in range(N + 1)]
+    # level n: the composable (n + 1)-tuples (f_0, ..., f_n) whose top
+    # morphism is composable with the twist of the bottom one
+    then, Fo, Fm = C.then_table, F.on_objects.table, F.on_morphisms.table
+    src, tgt, ident = C.src.table, C.tgt.table, C.identity.table
+    tuples = [[t for t in chains if tgt[t[-1]] == Fo[src[t[0]]]] for chains in _chain_levels(C, N + 1)[1:]]
     levels = [FinSet(len(ts)) for ts in tuples]
-    then, Fm, src, ident = C.then_table, F.on_morphisms.table, C.src.table, C.identity.table
 
     def face(n, i):
         if i == 0:

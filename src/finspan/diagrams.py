@@ -16,6 +16,7 @@ comparing the element maps decides the equation exactly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -62,6 +63,16 @@ class Box:
         sizes = tuple(o.size for o in self.out_objs)
         return tuple(decode_tuple(v, sizes) for v in self.span.right.table)
 
+    @cached_property
+    def in_wires(self) -> tuple[tuple[int, ...], ...]:
+        """For each in wire, its value at each apex element."""
+        return tuple(tuple(r[o] for r in self.in_table) for o in range(len(self.in_objs)))
+
+    @cached_property
+    def out_wires(self) -> tuple[tuple[int, ...], ...]:
+        """For each out wire, its value at each apex element."""
+        return tuple(tuple(r[o] for r in self.out_table) for o in range(len(self.out_objs)))
+
 
 def _wire_size(objs: tuple[FinSet, ...]) -> int:
     n = 1
@@ -91,22 +102,18 @@ def row_out_objs(row: Row) -> tuple[FinSet, ...]:
     return tuple(o for b in row for o in b.out_objs)
 
 
-# A wire reader (col, table, offset) reads one wire of a row from the apex
-# elements of its boxes: table[elements[col]][offset], where `table` is the
-# in_table or out_table of box `col`.
-WireReader = tuple[int, tuple[tuple[int, ...], ...], int]
+# A wire reader (col, table) reads one wire of a row from the element
+# column of box `col`: table[e] for each element e, where `table` is one of
+# that box's in_wires or out_wires.
+WireReader = tuple[int, tuple[int, ...]]
 
 
 def _in_wires(row: Row) -> tuple[WireReader, ...]:
-    return tuple((c, b.in_table, o) for c, b in enumerate(row) for o in range(len(b.in_objs)))
+    return tuple((c, t) for c, b in enumerate(row) for t in b.in_wires)
 
 
 def _out_wires(row: Row) -> tuple[WireReader, ...]:
-    return tuple((c, b.out_table, o) for c, b in enumerate(row) for o in range(len(b.out_objs)))
-
-
-def _read(wires: tuple[WireReader, ...], elements: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(table[elements[c]][o] for c, table, o in wires)
+    return tuple((c, t) for c, b in enumerate(row) for t in b.out_wires)
 
 
 def _leg_column(legs, columns, count: int) -> tuple[int, ...]:
@@ -121,13 +128,31 @@ def _leg_column(legs, columns, count: int) -> tuple[int, ...]:
 
 Assignment = tuple[tuple[int, ...], ...]
 
+# A batch of apex elements of one diagram, held as one element column per
+# box: columns[row][box][k] is that box's element in the batch's k-th member.
+Columns = tuple[tuple[tuple[int, ...], ...], ...]
+
+
+def _members(columns, count: int):
+    """The `count` members of a batch as flat tuples, from its box columns
+    listed row-major."""
+    return zip(*columns) if columns else itertools.repeat((), count)
+
 
 @dataclass(frozen=True)
 class EvaluatedDiagram:
+    """A diagram's composite span; its apex lists the assignments (one apex
+    element per box, grouped by row) in canonical order, and `columns`
+    holds the same elements as one column per box, grouped by row."""
+
     diagram: Diagram
     span: Span
     assignments: tuple[Assignment, ...]
-    index: dict[Assignment, int] = field(compare=False)
+    columns: Columns = field(compare=False)
+
+    @cached_property
+    def index(self) -> dict[Assignment, int]:
+        return {a: i for i, a in enumerate(self.assignments)}
 
 
 def evaluate(diagram: Diagram) -> EvaluatedDiagram:
@@ -150,21 +175,18 @@ def evaluate(diagram: Diagram) -> EvaluatedDiagram:
             factors.append((keys, tuple(i + o for i, o in zip(b.in_table, b.out_table))))
         cuts.append(cuts[-1] + len(row))
     flat = iterated_pullback(factors)
-    columns = tuple(zip(*flat))
-    rows = [tuple(zip(*columns[a:b])) if a < b else ((),) * len(flat)
-            for a, b in zip(cuts, cuts[1:])]
+    columns = tuple(zip(*flat)) if flat else ((),) * cuts[-1]
+    box_columns = tuple(columns[a:b] for a, b in zip(cuts, cuts[1:]))
+    rows = [tuple(zip(*row)) if row else ((),) * len(flat) for row in box_columns]
     assignments = tuple(zip(*rows))
     src = FinSet(_wire_size(row_in_objs(diagram[0])))
     tgt = FinSet(_wire_size(row_out_objs(diagram[-1])))
     apex = FinSet(len(assignments))
     firsts = ((b.span.src.size, b.span.left.table) for b in diagram[0])
     lasts = ((b.span.tgt.size, b.span.right.table) for b in diagram[-1])
-    left = FinMap(apex, src, _leg_column(firsts, columns[: cuts[1]], len(flat)))
-    right = FinMap(apex, tgt, _leg_column(lasts, columns[cuts[-2]:], len(flat)))
-    return EvaluatedDiagram(
-        diagram, Span(src, tgt, apex, left, right), assignments,
-        {a: i for i, a in enumerate(assignments)},
-    )
+    left = FinMap(apex, src, _leg_column(firsts, box_columns[0], len(flat)))
+    right = FinMap(apex, tgt, _leg_column(lasts, box_columns[-1], len(flat)))
+    return EvaluatedDiagram(diagram, Span(src, tgt, apex, left, right), assignments, box_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +199,18 @@ class RewriteRule:
 
     Patterns are stored with equal row counts (shorter ones are padded with
     identity rows at the bottom) and with equal exterior wire profiles, so
-    that splicing a rule into a diagram is pure row surgery.  `cell` is the
-    rule's 2-cell between the evaluated unpadded patterns; padding changes
-    neither the spans nor the order of their apexes.
+    that splicing a rule into a diagram is pure row surgery.  `mapping` is
+    the 2-cell as one flat table: each element of the padded src pattern,
+    its box elements listed row-major, to the element of the padded tgt
+    pattern it goes to, listed the same way.  `cell` is the rule's 2-cell
+    between the evaluated unpadded patterns; padding changes neither the
+    spans nor the order of their apexes.
     """
 
     name: str
     src: Diagram
     tgt: Diagram
-    mapping: dict[Assignment, Assignment] = field(compare=False)
+    mapping: dict[tuple[int, ...], tuple[int, ...]] = field(compare=False)
     cell: SpanCell = field(compare=False)
 
     def inverse(self) -> "RewriteRule":
@@ -202,24 +227,24 @@ def _pad_rows(rows: Diagram, count: int) -> Diagram:
     return rows
 
 
-def _pad_assignment(rows_unpadded: Diagram, asn, count: int) -> Assignment:
-    asn = tuple(asn)
-    if len(asn) >= count:
-        return asn
-    vals = _read(_out_wires(rows_unpadded[-1]), asn[-1])
-    return asn + (vals,) * (count - len(asn))
+def _padded_members(ev: EvaluatedDiagram, depth: int) -> list[tuple[int, ...]]:
+    """The elements of an evaluated pattern padded to `depth` rows, as flat
+    tuples: the box columns of each identity row are the last row's
+    out-wire values."""
+    columns = [c for row in ev.columns for c in row]
+    pad = depth - len(ev.diagram)
+    if pad:
+        last = ev.columns[-1]
+        columns += [tuple(map(t.__getitem__, last[c])) for c, t in _out_wires(ev.diagram[-1])] * pad
+    return list(_members(columns, len(ev.assignments)))
 
 
 def _padded_rule(name: str, ev_src: EvaluatedDiagram, ev_tgt: EvaluatedDiagram, cell: SpanCell) -> RewriteRule:
     """The rule carrying `cell` between two evaluated unpadded patterns."""
-    src_rows, tgt_rows = ev_src.diagram, ev_tgt.diagram
-    depth = max(len(src_rows), len(tgt_rows))
-    images = (ev_tgt.assignments[j] for j in cell.map.table)
-    mapping = {
-        _pad_assignment(src_rows, a, depth): _pad_assignment(tgt_rows, b, depth)
-        for a, b in zip(ev_src.assignments, images)
-    }
-    return RewriteRule(name, _pad_rows(src_rows, depth), _pad_rows(tgt_rows, depth), mapping, cell)
+    depth = max(len(ev_src.diagram), len(ev_tgt.diagram))
+    images = _padded_members(ev_tgt, depth)
+    mapping = dict(zip(_padded_members(ev_src, depth), map(images.__getitem__, cell.map.table)))
+    return RewriteRule(name, _pad_rows(ev_src.diagram, depth), _pad_rows(ev_tgt.diagram, depth), mapping, cell)
 
 
 def make_rule(
@@ -274,9 +299,10 @@ def _box_wire_offsets(row: Row) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(ins), tuple(outs)
 
 
-# An element map of one rewrite step: an assignment of the diagram before
-# the step to the assignment of the diagram after it.
-Step = Callable[[Assignment], Assignment]
+# The element map of one rewrite step: a batch of `count` elements of the
+# diagram before the step, as box columns, to the box columns of their
+# images in the diagram after it.
+Step = Callable[[Columns, int], Columns]
 
 
 def apply_rewrite(
@@ -311,6 +337,8 @@ def apply_rewrite(
     new_diagram = tuple(new_rows)
     # (row, first col, end col) of the local pattern before the step
     bounds = tuple((at_row + r, cols[r], cols[r] + len(rule.src[r])) for r in range(depth))
+    # where each row of the image starts among its box columns
+    cuts = tuple(itertools.accumulate((len(row) for row in rule.tgt), initial=0))
     # at each row interface that touches a rewritten row, the wires that a
     # rewritten box reads or writes; every other wire keeps the value it
     # had in the valid assignment the step starts from
@@ -323,16 +351,19 @@ def apply_rewrite(
         ))
         for i in range(max(at_row, 1), min(at_row + depth, len(new_diagram) - 1) + 1)
     )
+    mapping = rule.mapping
 
-    def step(asn: Assignment) -> Assignment:
-        image = rule.mapping[tuple(asn[i][a:b] for i, a, b in bounds)]
-        rows = list(asn)
-        for (i, a, b), local in zip(bounds, image):
-            rows[i] = asn[i][:a] + local + asn[i][b:]
+    def step(columns: Columns, count: int) -> Columns:
+        pattern = [c for i, a, b in bounds for c in columns[i][a:b]]
+        images = list(map(mapping.__getitem__, _members(pattern, count)))
+        image = tuple(zip(*images)) if images else ((),) * cuts[-1]
+        rows = list(columns)
+        for (i, a, b), start, end in zip(bounds, cuts, cuts[1:]):
+            rows[i] = columns[i][:a] + image[start:end] + columns[i][b:]
         for i, wires in seams:
             above, below = rows[i - 1], rows[i]
-            for (uc, ut, uo), (lc, lt, lo) in wires:
-                if ut[above[uc]][uo] != lt[below[lc]][lo]:
+            for (uc, ut), (lc, lt) in wires:
+                if list(map(ut.__getitem__, above[uc])) != list(map(lt.__getitem__, below[lc])):
                     raise StructuralError(f"rule {rule.name}: rewrite produced an invalid assignment")
         return tuple(rows)
 
@@ -346,8 +377,9 @@ def insert_identity_row(diagram: Diagram, at: int) -> tuple[Diagram, Step]:
     source = 0 if at == 0 else at - 1
     wires = _in_wires(diagram[0]) if at == 0 else _out_wires(diagram[at - 1])
 
-    def step(asn: Assignment) -> Assignment:
-        return asn[:at] + (_read(wires, asn[source]),) + asn[at:]
+    def step(columns: Columns, count: int) -> Columns:
+        inserted = tuple(tuple(map(t.__getitem__, columns[source][c])) for c, t in wires)
+        return columns[:at] + (inserted,) + columns[at:]
 
     return diagram[:at] + (row,) + diagram[at:], step
 
@@ -357,13 +389,14 @@ def delete_identity_row(diagram: Diagram, at: int) -> tuple[Diagram, Step]:
         raise StructuralError("row is not all identities")
     if len(diagram) == 1:
         raise StructuralError("empty diagram")
-    return diagram[:at] + diagram[at + 1 :], lambda asn: asn[:at] + asn[at + 1 :]
+    return diagram[:at] + diagram[at + 1 :], lambda columns, count: columns[:at] + columns[at + 1 :]
 
 
 class DiagramPath:
     """A chain of rewrites from a start diagram.  Only the element map of
-    each step is kept: `compare_paths` evaluates the start diagram and
-    carries each start assignment along the steps."""
+    each step is kept, and each maps a whole batch of elements, held as box
+    columns, at once: `compare_paths` carries the start diagram's evaluated
+    columns along the steps."""
 
     def __init__(self, diagram: Diagram):
         self.start = self.diagram = tuple(tuple(r) for r in diagram)
@@ -383,26 +416,39 @@ class DiagramPath:
     def delete_identity_row(self, at: int) -> "DiagramPath":
         return self._push(*delete_identity_row(self.diagram, at))
 
-    def transport(self, asn: Assignment) -> Assignment:
-        """Where the path takes a start assignment."""
+    def carry(self, columns: Columns, count: int) -> Columns:
+        """Where the path takes a batch of `count` start elements."""
         for step in self.steps:
-            asn = step(asn)
-        return asn
+            columns = step(columns, count)
+        return columns
+
+    def transport(self, asn: Assignment) -> Assignment:
+        """Where the path takes a start assignment, carried as a batch of one."""
+        columns = self.carry(tuple(tuple((e,) for e in row) for row in asn), 1)
+        return tuple(tuple(c[0] for c in row) for row in columns)
 
 
 def compare_paths(p: DiagramPath, q: DiagramPath) -> tuple[bool, dict[Assignment, Assignment]]:
     """Decide whether two paths from a common start define the same 2-cell.
 
-    Returns (equal, discrepancy) where the discrepancy composes q backwards
-    after p, an automorphism-style map on the start apex (identity iff equal).
+    Both paths carry the start diagram's evaluated box columns, q first;
+    their end elements are matched as flat tuples of box elements.  Returns
+    (equal, discrepancy) where the discrepancy composes q backwards after p,
+    an automorphism-style map on the start apex (identity iff equal), keyed
+    by start assignment in apex order.
     """
     if p.start != q.start:
         raise StructuralError("paths start at different diagrams")
     if p.diagram != q.diagram:
         raise StructuralError("paths end at different diagrams")
-    start = evaluate(p.start).assignments
-    q_back = {q.transport(a): a for a in start}
-    discrepancy = {a: q_back[p.transport(a)] for a in start}
+    start = evaluate(p.start)
+    count = len(start.assignments)
+
+    def ends(path: DiagramPath):
+        return _members([c for row in path.carry(start.columns, count) for c in row], count)
+
+    q_back = dict(zip(ends(q), start.assignments))
+    discrepancy = {a: q_back[e] for a, e in zip(start.assignments, ends(p))}
     return all(k == v for k, v in discrepancy.items()), discrepancy
 
 

@@ -18,6 +18,7 @@ from finspan.diagrams import (
     braiding_rule,
     compare_paths,
     evaluate,
+    first_moved,
     hexagonator_rule,
     identity_box,
     make_rule,
@@ -122,9 +123,9 @@ def test_corrupted_rule_mapping_is_caught_in_transport():
     idb = identity_box(x)
     start = ((idb,), (idb,))
     rule = make_rule("id", start, start, lambda asn: asn)
-    # the image of ((0,), (0,)) no longer chains from row 0 to row 1
+    # the image of (0, 0) no longer chains from row 0 to row 1
     corrupted = dict(rule.mapping)
-    corrupted[((0,), (0,))] = ((0,), (1,))
+    corrupted[(0, 0)] = (0, 1)
     bad = RewriteRule("bad", rule.src, rule.tgt, corrupted, rule.cell)
     path = DiagramPath(start).rewrite(bad, 0, (0, 0))
     with pytest.raises(StructuralError, match="rewrite produced an invalid assignment"):
@@ -136,7 +137,7 @@ def test_corrupted_rule_mapping_is_caught_at_the_pattern_boundary():
     idb = identity_box(x)
     rule = make_rule("id", ((idb,),), ((idb,),), lambda asn: asn)
     # the image changes the pattern's in wire, which the row above fixes
-    bad = RewriteRule("bad", rule.src, rule.tgt, {((0,),): ((1,),), ((1,),): ((0,),)}, rule.cell)
+    bad = RewriteRule("bad", rule.src, rule.tgt, {(0,): (1,), (1,): (0,)}, rule.cell)
     start = ((idb,), (idb,))
     path = DiagramPath(start).rewrite(bad, 1, (0,))
     with pytest.raises(StructuralError, match="rewrite produced an invalid assignment"):
@@ -161,7 +162,7 @@ def test_chain_check_reads_the_wires_of_a_box_straddling_the_pattern(straddling,
     ok, _ = compare_paths(DiagramPath(start).rewrite(rule, at_row, (col,)), DiagramPath(start))
     assert ok
     # swapping the rewritten wire's value breaks the diagonal's equal pair
-    bad = RewriteRule("bad", rule.src, rule.tgt, {((0,),): ((1,),), ((1,),): ((0,),)}, rule.cell)
+    bad = RewriteRule("bad", rule.src, rule.tgt, {(0,): (1,), (1,): (0,)}, rule.cell)
     path = DiagramPath(start).rewrite(bad, at_row, (col,))
     with pytest.raises(StructuralError, match="rewrite produced an invalid assignment"):
         compare_paths(path, DiagramPath(start))
@@ -185,9 +186,8 @@ def test_compare_paths_needs_common_start_and_end():
         compare_paths(DiagramPath(((f,),)), DiagramPath(((f,),)).insert_identity_row(0))
 
 
-def _fixture_equation_paths(monkeypatch):
-    """Every (lhs, rhs) pair that the pentagon, triangle, snake and hexagon
-    checks compare on the shipped fixtures."""
+def _record_equations(monkeypatch) -> list:
+    """The (lhs, rhs) pairs that the equation checks compare from now on."""
     pairs = []
 
     def recording(p, q):
@@ -196,6 +196,13 @@ def _fixture_equation_paths(monkeypatch):
 
     for module in (pseudomonoid, paracyclic, gammaset):
         monkeypatch.setattr(module, "compare_paths", recording)
+    return pairs
+
+
+def _fixture_equation_paths(monkeypatch):
+    """Every (lhs, rhs) pair that the pentagon, triangle, snake and hexagon
+    checks compare on the shipped fixtures."""
+    pairs = _record_equations(monkeypatch)
     for path in sorted(FIXTURES.glob("*.json")):
         doc = load_document(path)
         try:
@@ -233,12 +240,14 @@ def _whole_row_rewrite_step(new_diagram, rule, at_row, cols):
     seams = range(max(at_row, 1), min(at_row + depth, len(new_diagram) - 1) + 1)
 
     def step(asn):
-        local = tuple(asn[at_row + r][cols[r] : cols[r] + len(rule.src[r])] for r in range(depth))
+        local = tuple(e for r in range(depth) for e in asn[at_row + r][cols[r] : cols[r] + len(rule.src[r])])
         image = rule.mapping[local]
         rows = list(asn)
         for r in range(depth):
             old = asn[at_row + r]
-            rows[at_row + r] = old[: cols[r]] + image[r] + old[cols[r] + len(rule.src[r]) :]
+            width = len(rule.tgt[r])
+            rows[at_row + r] = old[: cols[r]] + image[:width] + old[cols[r] + len(rule.src[r]) :]
+            image = image[width:]
         for i in seams:
             if _row_wires(new_diagram[i - 1], rows[i - 1], "out") != _row_wires(new_diagram[i], rows[i], "in"):
                 raise StructuralError("invalid assignment")
@@ -255,7 +264,21 @@ def _whole_row_insert_step(diagram, at):
     return step
 
 
-def test_steps_match_whole_row_steps_on_fixture_paths(monkeypatch):
+def _batch_of_one(step):
+    """A batch step applied to one assignment."""
+    def apply(asn):
+        columns = step(tuple(tuple((e,) for e in row) for row in asn), 1)
+        return tuple(tuple(c[0] for c in row) for row in columns)
+
+    return apply
+
+
+@pytest.fixture
+def whole_row(monkeypatch):
+    """Records a whole-row step for each rewrite and insertion made while
+    the test runs, and returns a check that a path's batch map agrees with
+    running the recorded steps (deletions as they are) one assignment at a
+    time; the check returns the path's recorded steps."""
     reference = {}
     apply_rewrite, insert_identity_row = diagrams.apply_rewrite, diagrams.insert_identity_row
 
@@ -271,26 +294,115 @@ def test_steps_match_whole_row_steps_on_fixture_paths(monkeypatch):
 
     monkeypatch.setattr(diagrams, "apply_rewrite", rewrite)
     monkeypatch.setattr(diagrams, "insert_identity_row", insert)
+
+    def check(path):
+        ev = evaluate(path.start)
+        count = len(ev.assignments)
+        steps = [reference.get(step) or _batch_of_one(step) for step in path.steps]
+        expected = []
+        for a in ev.assignments:
+            for step in steps:
+                a = step(a)
+            expected.append(a)
+        ends = path.carry(ev.columns, count)
+        assert list(zip(*(tuple(zip(*row)) if row else ((),) * count for row in ends))) == expected
+        assert [path.transport(a) for a in ev.assignments] == expected
+        return [step for step in path.steps if step in reference]
+
+    check.reference = reference
+    return check
+
+
+def test_steps_match_whole_row_steps_on_fixture_paths(monkeypatch, whole_row):
     pairs = _fixture_equation_paths(monkeypatch)
     assert len(pairs) == 12 * 2 + 8 * 2 + 3 * 2
     checked = set()
     for lhs, rhs in pairs:
-        start = evaluate(lhs.start).assignments
         for path in (lhs, rhs):
-            steps = [reference.get(step, step) for step in path.steps]
-            checked.update(step for step in path.steps if step in reference)
-            for a in start:
-                b = a
-                for step in steps:
-                    b = step(b)
-                assert path.transport(a) == b
+            checked.update(whole_row(path))
     # every recorded rewrite and insertion lies on a compared path
-    assert checked == reference.keys()
+    assert checked == whole_row.reference.keys()
+
+
+@pytest.mark.parametrize("category", [catalog.cyclic_group_category(5), catalog.pair_groupoid(3)],
+                         ids=["Z5", "pair3"])
+def test_steps_match_whole_row_steps_on_pentagon_and_triangle(monkeypatch, whole_row, category):
+    pairs = _record_equations(monkeypatch)
+    P = pseudomonoid.build_pseudomonoid(catalog.nerve(category, 3))
+    assert pseudomonoid.verify_pentagon(P).ok
+    assert pseudomonoid.verify_triangle(P).ok
+    assert len(pairs) == 2
+    checked = set()
+    for lhs, rhs in pairs:
+        for path in (lhs, rhs):
+            checked.update(whole_row(path))
+    assert checked == whole_row.reference.keys()
+
+
+def test_rule_changing_a_row_width_below_the_top_row(whole_row):
+    # two rows of two identity wires become one box on the pair, padded
+    # with a row of two identities: row widths 2, 2 go to 1, 2, at column 1
+    rng = random.Random(10)
+    x, pairs = FinSet(2), FinSet(4)
+    idb = identity_box(x)
+    pair = Box(Span(pairs, pairs, pairs, FinMap(pairs, pairs, (0, 1, 2, 3)), FinMap(pairs, pairs, (0, 1, 2, 3))),
+               (x, x), (x, x), name="pair")
+    rule = make_rule("merge", ((idb, idb), (idb, idb)), ((pair,),),
+                     lambda asn: ((encode_tuple(asn[0], (2, 2)),),))
+    assert [len(row) for row in rule.tgt] == [1, 2]
+    start = (
+        (rand_box(rng, (x,), (x,), 3), rand_box(rng, (x,), (x, x), 5)),
+        (idb, idb, idb),
+        (idb, idb, idb),
+        (rand_box(rng, (x, x), (x,), 6), rand_box(rng, (x,), (x,), 3)),
+    )
+    assert len(evaluate(start).assignments) > 0
+    there = DiagramPath(start).rewrite(rule, 1, (1, 1))
+    assert there.diagram[1:3] == ((idb, pair), (idb, idb, idb))
+    back = DiagramPath(start).rewrite(rule, 1, (1, 1)).rewrite(rule.inverse(), 1, (1, 1))
+    whole_row(there)
+    whole_row(back)
+    ok, discrepancy = compare_paths(back, DiagramPath(start))
+    assert ok and len(discrepancy) == len(evaluate(start).assignments)
+
+
+def test_compare_paths_on_an_empty_start_apex(whole_row):
+    rng = random.Random(11)
+    f = box_from_span(rand_span(rng, 2, 2, 0), "f")
+    g = box_from_span(rand_span(rng, 2, 2, 3), "g")
+    rule = tensorator_rule(f, g)
+    start = rule.src
+    path = DiagramPath(start).rewrite(rule, 0, (0, 0)).insert_identity_row(1).delete_identity_row(1)
+    path.rewrite(rule.inverse(), 0, (0, 0))
+    assert whole_row(path)
+    assert compare_paths(path, DiagramPath(start)) == (True, {})
+
+
+def test_steps_across_a_zero_box_row(whole_row):
+    # row 2 has no boxes: the counit eps ends the wire and the unit eta
+    # starts it again; flip swaps two elements of eta with equal legs
+    x, one, three = FinSet(2), FinSet(1), FinSet(3)
+    idb = identity_box(x)
+    eps = Box(Span(x, one, x, FinMap(x, x, (0, 1)), FinMap(x, one, (0, 0))), (x,), (), name="eps")
+    eta = Box(Span(one, x, three, FinMap(three, one, (0, 0, 0)), FinMap(three, x, (0, 0, 1))), (), (x,), name="eta")
+    flip = make_rule("flip", ((eta,),), ((eta,),), lambda asn: (({0: 1, 1: 0}.get(asn[0][0], asn[0][0]),),))
+    start = ((idb,), (eps,), (), (eta,), (idb,))
+    assert len(evaluate(start).assignments) == 6
+    once = DiagramPath(start).rewrite(flip, 3, (0,))
+    detour = DiagramPath(start).rewrite(flip, 3, (0,)).insert_identity_row(2).delete_identity_row(3)
+    twice = DiagramPath(start).rewrite(flip, 3, (0,)).delete_identity_row(2).insert_identity_row(2)
+    twice.rewrite(flip, 3, (0,))
+    for path in (once, detour, twice):
+        assert whole_row(path)
+    assert compare_paths(once, detour)[0]
+    assert compare_paths(twice, DiagramPath(start))[0]
+    ok, discrepancy = compare_paths(once, DiagramPath(start))
+    assert not ok
+    assert first_moved(discrepancy) == (((0,), (0,), (), (0,), (0,)), ((0,), (0,), (), (1,), (0,)))
 
 
 class TestMemo:
     def test_no_evaluation_outlives_its_equation(self, monkeypatch):
-        # no other test builds Z_5 at 3, so no equal diagram was evaluated before
         P = pseudomonoid.build_pseudomonoid(catalog.nerve(catalog.cyclic_group_category(5), 3))
         refs = []
 

@@ -1,6 +1,7 @@
 """Pseudomonoid construction, the coherence equations, taco spaces, and
 the associator lift search."""
 
+import hashlib
 import itertools
 import math
 import pathlib
@@ -10,6 +11,7 @@ import pytest
 
 from finspan import catalog
 from finspan.catalog import no_lift_canonical_associator, no_lift_family
+from finspan.diagrams import first_moved
 from finspan.documents import load_document
 from finspan.pseudomonoid import (
     PENTAGON_LHS_FLIPS,
@@ -311,6 +313,30 @@ class TestNoLift:
         P = pseudomonoid_from_two_truncated(T, no_lift_canonical_associator(T))
         assert verify_pentagon(P).ok
         assert verify_triangle(P).ok
+
+    def test_failing_equation_witnesses_are_pinned(self):
+        # the two failing equations of acceptance criterion 9: the canonical
+        # pentagon on |A| = 2 and the triangle after a unit-fiber swap
+        T = no_lift_family(2)
+        canon = no_lift_canonical_associator(T)
+        pent = verify_pentagon(pseudomonoid_from_two_truncated(T, canon))
+        mutated = dict(canon)
+        d0, d1, d2 = T.d2
+        fiber = [p for p in canon if (d2.table[p[0]], d0.table[p[0]], d0.table[p[1]]) == (1, 0, 1)]
+        mutated[fiber[0]], mutated[fiber[1]] = canon[fiber[1]], canon[fiber[0]]
+        tri = verify_triangle(pseudomonoid_from_two_truncated(T, mutated))
+        pinned = [
+            ((((3, 1, 1), (2, 1), (4,)), ((4, 1, 1), (2, 1), (3,))), 29,
+             "fc35fd625e530605c26722f9d61de978fd7749d5b1e4e2a8d6db5b3bdb7f4926"),
+            ((((1, 0, 1), (1, 1), (3,)), ((1, 0, 1), (1, 1), (4,))), 5,
+             "98cbc1c5df3fb55f059746fe30a909ac3d6edd56f30118d4777e4fcc446ae78c"),
+        ]
+        for result, (witness, size, digest) in zip((pent, tri), pinned):
+            assert not result.ok
+            assert first_moved(result.discrepancy) == witness
+            assert len(result.discrepancy) == size
+            items = repr(sorted(result.discrepancy.items())).encode()
+            assert hashlib.sha256(items).hexdigest() == digest
 
 
 class TestFanStack:
