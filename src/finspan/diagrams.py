@@ -204,14 +204,22 @@ class RewriteRule:
     its box elements listed row-major, to the element of the padded tgt
     pattern it goes to, listed the same way.  `cell` is the rule's 2-cell
     between the evaluated unpadded patterns; padding changes neither the
-    spans nor the order of their apexes.
+    spans nor the order of their apexes.  `carry` maps a batch of elements
+    through `mapping`.
     """
 
     name: str
     src: Diagram
     tgt: Diagram
-    mapping: dict[tuple[int, ...], tuple[int, ...]] = field(compare=False)
-    cell: SpanCell = field(compare=False)
+    mapping: dict[tuple[int, ...], tuple[int, ...]] = field(compare=False, repr=False)
+    cell: SpanCell = field(compare=False, repr=False)
+
+    def carry(self, columns, count: int) -> tuple[tuple[int, ...], ...]:
+        """The images of a batch of `count` elements of the padded src
+        pattern, given as its box columns listed row-major, as the padded
+        tgt pattern's box columns listed row-major."""
+        images = list(map(self.mapping.__getitem__, _members(columns, count)))
+        return tuple(zip(*images)) if images else ((),) * sum(map(len, self.tgt))
 
     def inverse(self) -> "RewriteRule":
         cell = self.cell.inverse()
@@ -267,19 +275,25 @@ def make_rule(
         raise StructuralError("rule patterns have different out wires")
     ev_src = evaluate(src_rows)
     ev_tgt = evaluate(tgt_rows)
+    cell = _rule_cell(name, ev_src, ev_tgt, ev_tgt.index, (tuple(fn(asn)) for asn in ev_src.assignments))
+    return _padded_rule(name, ev_src, ev_tgt, cell)
+
+
+def _rule_cell(name: str, ev_src: EvaluatedDiagram, ev_tgt: EvaluatedDiagram, index: dict, images) -> SpanCell:
+    """The 2-cell taking each src element, in apex order, to the tgt element
+    `index` gives for its image; the exterior wire values must agree, which
+    the cell's legs check."""
     table = []
-    for asn in ev_src.assignments:
-        image = tuple(fn(asn))
-        j = ev_tgt.index.get(image)
+    for image in images:
+        j = index.get(image)
         if j is None:
             raise StructuralError(f"rule {name}: image assignment is not valid")
         table.append(j)
     cell_map = FinMap(ev_src.span.apex, ev_tgt.span.apex, tuple(table))
     try:
-        cell = SpanCell(ev_src.span, ev_tgt.span, cell_map)
+        return SpanCell(ev_src.span, ev_tgt.span, cell_map)
     except StructuralError as err:
         raise StructuralError(f"rule {name}: {err}") from None
-    return _padded_rule(name, ev_src, ev_tgt, cell)
 
 
 def rule_from_spancell(name: str, src_rows: Diagram, tgt_rows: Diagram, cell: SpanCell) -> RewriteRule:
@@ -351,12 +365,9 @@ def apply_rewrite(
         ))
         for i in range(max(at_row, 1), min(at_row + depth, len(new_diagram) - 1) + 1)
     )
-    mapping = rule.mapping
 
     def step(columns: Columns, count: int) -> Columns:
-        pattern = [c for i, a, b in bounds for c in columns[i][a:b]]
-        images = list(map(mapping.__getitem__, _members(pattern, count)))
-        image = tuple(zip(*images)) if images else ((),) * cuts[-1]
+        image = rule.carry([c for i, a, b in bounds for c in columns[i][a:b]], count)
         rows = list(columns)
         for (i, a, b), start, end in zip(bounds, cuts, cuts[1:]):
             rows[i] = columns[i][:a] + image[start:end] + columns[i][b:]
@@ -466,17 +477,50 @@ def _ids(objs: tuple[FinSet, ...]) -> tuple[Box, ...]:
     return tuple(identity_box(o) for o in objs)
 
 
+class _TensoratorRule(RewriteRule):
+    """The slide move c_{f,g}: (id⊗g)∘(f⊗id) => (f⊗id)∘(id⊗g).
+
+    Its element map is a relabelling of the two boxes' wires, so `carry`
+    computes it in closed form; `mapping` and `cell` are built from `carry`
+    when first read."""
+
+    def __init__(self, f: Box, g: Box):
+        src = ((f,) + _ids(g.in_objs), _ids(f.out_objs) + (g,))
+        tgt = (_ids(f.in_objs) + (g,), (f,) + _ids(g.out_objs))
+        for attr, value in (("name", "tensorator"), ("src", src), ("tgt", tgt), ("f", f), ("g", g)):
+            object.__setattr__(self, attr, value)
+
+    def carry(self, columns, count: int) -> tuple[tuple[int, ...], ...]:
+        # the src pattern's columns run f, the identities, g; the tgt's run
+        # f's in wires, g, f, g's out wires
+        ef, eg = columns[0], columns[-1]
+        return (
+            tuple(tuple(map(t.__getitem__, ef)) for t in self.f.in_wires) + (eg, ef)
+            + tuple(tuple(map(t.__getitem__, eg)) for t in self.g.out_wires)
+        )
+
+    @cached_property
+    def _tables(self) -> tuple[dict[tuple[int, ...], tuple[int, ...]], SpanCell]:
+        ev_src, ev_tgt = evaluate(self.src), evaluate(self.tgt)
+        count = len(ev_src.assignments)
+        sources = [c for row in ev_src.columns for c in row]
+        images = list(_members(self.carry(sources, count), count))
+        targets = _members([c for row in ev_tgt.columns for c in row], len(ev_tgt.assignments))
+        cell = _rule_cell(self.name, ev_src, ev_tgt, {m: j for j, m in enumerate(targets)}, images)
+        return dict(zip(_members(sources, count), images)), cell
+
+    @property
+    def mapping(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        return self._tables[0]
+
+    @property
+    def cell(self) -> SpanCell:
+        return self._tables[1]
+
+
 def tensorator_rule(f: Box, g: Box) -> RewriteRule:
     """The slide move c_{f,g}: (id⊗g)∘(f⊗id) => (f⊗id)∘(id⊗g)."""
-    src = ((f,) + _ids(g.in_objs), _ids(f.out_objs) + (g,))
-    tgt = (_ids(f.in_objs) + (g,), (f,) + _ids(g.out_objs))
-
-    def fn(asn):
-        ef = asn[0][0]
-        eg = asn[1][-1]
-        return (f.in_table[ef] + (eg,), (ef,) + g.out_table[eg])
-
-    return make_rule("tensorator", src, tgt, fn)
+    return _TensoratorRule(f, g)
 
 
 def braiding_rule(f: Box, g: Box) -> RewriteRule:

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion and prints what it printed when
+its output was recorded in tests/golden/demos/<stem>.txt."""
 
 import os
 import pathlib
@@ -9,11 +10,17 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+GOLDEN = ROOT / "tests" / "golden" / "demos"
+
+
+def test_every_demo_has_recorded_output():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == [d.stem for d in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, capture_output=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.txt").read_bytes()

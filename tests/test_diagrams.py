@@ -404,20 +404,28 @@ def test_steps_across_a_zero_box_row(whole_row):
 class TestMemo:
     def test_no_evaluation_outlives_its_equation(self, monkeypatch):
         P = pseudomonoid.build_pseudomonoid(catalog.nerve(catalog.cyclic_group_category(5), 3))
-        refs = []
+        refs, evaluated = [], []
 
         def recording(diagram):
             ev = evaluate(diagram)
             refs.append(weakref.ref(ev))
+            evaluated.append(diagram)
             return ev
 
         monkeypatch.setattr(diagrams, "evaluate", recording)
         assert pseudomonoid.verify_pentagon(P).ok
+        # the tensorator carries elements in closed form, so its patterns are
+        # never evaluated
+        mu = P.boxes()[0]
+        c = tensorator_rule(mu, mu)
+        assert c.src not in evaluated and c.tgt not in evaluated
         assert pseudomonoid.verify_triangle(P).ok
         gc.collect()
         assert refs and all(ref() is None for ref in refs)
-        # each equation evaluates its start diagram, and each rule its two patterns
-        assert len(refs) == (1 + 2 * 2) + (1 + 3 * 2)
+        # each equation evaluates its start diagram, and each table rule its
+        # two patterns: the associator in the pentagon; the associator and
+        # both unitors in the triangle
+        assert len(refs) == (1 + 1 * 2) + (1 + 3 * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -526,3 +534,90 @@ def test_box_tables_leave_equality_and_hash_alone():
     assert hash(a) == before == hash(b)
     assert a == b and b == a
     assert {a: 1}[b] == 1
+
+
+# ---------------------------------------------------------------------------
+# the closed-form tensorator against the assignment-level rule it replaced
+
+
+def fn_tensorator_rule(f, g):
+    """The tensorator built by `make_rule` from a map on assignments, as it
+    was built before its element map had a closed form."""
+    src = ((f,) + tuple(map(identity_box, g.in_objs)), tuple(map(identity_box, f.out_objs)) + (g,))
+    tgt = (tuple(map(identity_box, f.in_objs)) + (g,), (f,) + tuple(map(identity_box, g.out_objs)))
+
+    def fn(asn):
+        ef = asn[0][0]
+        eg = asn[1][-1]
+        return (f.in_table[ef] + (eg,), (ef,) + g.out_table[eg])
+
+    return make_rule("tensorator", src, tgt, fn)
+
+
+def assert_tensorator_matches_table(f, g):
+    rule, old = tensorator_rule(f, g), fn_tensorator_rule(f, g)
+    assert (rule.name, rule.src, rule.tgt) == (old.name, old.src, old.tgt)
+    ev = evaluate(rule.src)
+    columns = [c for row in ev.columns for c in row]
+    # the whole source batch, carried before the rule's tables are built
+    carried = rule.carry(columns, len(ev.assignments))
+    assert len(carried) == sum(map(len, rule.tgt))
+    assert list(zip(*carried)) == [old.mapping[m] for m in zip(*columns)]
+    assert rule.mapping == old.mapping
+    assert rule.cell.map.table == old.cell.map.table
+    assert (rule.cell.source, rule.cell.target) == (old.cell.source, old.cell.target)
+    assert rule.inverse().mapping == old.inverse().mapping
+
+
+def rand_tensorator_boxes(rng):
+    """Two boxes on zero to three wires a side, sometimes with an empty apex."""
+    def box():
+        ins, outs = (tuple(FinSet(rng.randint(1, 3)) for _ in range(rng.randint(0, 3))) for _ in range(2))
+        return rand_box(rng, ins, outs, 0 if rng.random() < 0.1 else rng.randint(1, 6))
+
+    return box(), box()
+
+
+TENSORATOR_SEEDS = range(40)
+
+
+def test_tensorator_seeds_cover_the_box_shapes():
+    boxes = [b for seed in TENSORATOR_SEEDS for b in rand_tensorator_boxes(random.Random(2000 + seed))]
+    assert any(len(b.in_objs) > 1 for b in boxes) and any(len(b.out_objs) > 1 for b in boxes)
+    assert any(not b.in_objs for b in boxes) and any(not b.out_objs for b in boxes)
+    assert any(b.span.apex.size == 0 for b in boxes)
+
+
+@pytest.mark.parametrize("seed", TENSORATOR_SEEDS)
+def test_tensorator_matches_the_assignment_level_rule(seed):
+    assert_tensorator_matches_table(*rand_tensorator_boxes(random.Random(2000 + seed)))
+
+
+@pytest.mark.parametrize("category", [catalog.cyclic_group_category(5), catalog.pair_groupoid(3)],
+                         ids=["Z5", "pair3"])
+def test_tensorator_of_mu_matches_the_assignment_level_rule(category):
+    mu = pseudomonoid.build_pseudomonoid(catalog.nerve(category, 3)).boxes()[0]
+    assert_tensorator_matches_table(mu, mu)
+
+
+def test_tensorator_image_that_does_not_chain_is_refused():
+    # carrying f's two in wires crossed gives identity values that f's own
+    # in wires contradict
+    rng = random.Random(12)
+    x = FinSet(2)
+    f = rand_box(rng, (x, x), (x,), 4)
+    g = rand_box(rng, (x,), (x,), 3)
+    assert any(a != b for a, b in zip(*f.in_wires))
+
+    class Crossed(diagrams._TensoratorRule):
+        def carry(self, columns, count):
+            image = super().carry(columns, count)
+            return (image[1], image[0]) + image[2:]
+
+    with pytest.raises(StructuralError, match="rule tensorator: image assignment is not valid"):
+        Crossed(f, g).cell
+    # a rewrite checks each image to chain, with no table to look it up in
+    start = evaluate(tensorator_rule(f, g).src)
+    path = DiagramPath(start.diagram).rewrite(Crossed(f, g), 0, (0, 0))
+    with pytest.raises(StructuralError, match="rule tensorator: rewrite produced an invalid assignment"):
+        path.carry(start.columns, len(start.assignments))
