@@ -88,36 +88,59 @@ def make_simplicial(levels, face, degen) -> TruncSimplicialSet:
     )
 
 
+def _composite(f: FinMap, g: FinMap) -> tuple[int, ...]:
+    """The table of f then g, composed by index lookups."""
+    return tuple(map(g.table.__getitem__, f.table))
+
+
+def _table_difference(dom: FinSet, cod: FinSet, lhs: tuple[int, ...], rhs: tuple[int, ...]) -> Optional[int]:
+    """The first element where two tables dom -> cod differ, or None when
+    they are equal; the maps are built only on a mismatch."""
+    if lhs == rhs:
+        return None
+    return first_difference(FinMap(dom, cod, lhs), FinMap(dom, cod, rhs))
+
+
+def _face_violations(X: TruncSimplicialSet) -> list:
+    """The failing face identities d_i d_j = d_{j-1} d_i, as (name, level,
+    witness), memoised in `X.memo`.  Vertex maps compose exactly when this
+    list is empty."""
+    if "face identities" not in X.memo:
+        violations = []
+        for n in range(2, X.N + 1):
+            for j in range(n + 1):
+                for i in range(j):
+                    lhs = _composite(X.d(n, j), X.d(n - 1, i))
+                    rhs = _composite(X.d(n, i), X.d(n - 1, j - 1))
+                    if (e := _table_difference(X.levels[n], X.levels[n - 2], lhs, rhs)) is not None:
+                        violations.append((f"d_{i} d_{j} = d_{j-1} d_{i}", n, e))
+        X.memo["face identities"] = violations
+    return X.memo["face identities"]
+
+
 def check_simplicial_identities(X: TruncSimplicialSet) -> Report:
     """Verify every simplicial identity within the truncation; failures name
     the identity, the indices, and a witnessing element."""
     report = Report()
-    violations = []
-    for n in range(2, X.N + 1):
-        for j in range(n + 1):
-            for i in range(j):
-                lhs = X.d(n, j).then(X.d(n - 1, i))
-                rhs = X.d(n, i).then(X.d(n - 1, j - 1))
-                if (e := first_difference(lhs, rhs)) is not None:
-                    violations.append((f"d_{i} d_{j} = d_{j-1} d_{i}", n, e))
+    violations = list(_face_violations(X))
     for n in range(X.N - 1):
         for j in range(n + 1):
             for i in range(j + 1):
-                lhs = X.s(n, j).then(X.s(n + 1, i))
-                rhs = X.s(n, i).then(X.s(n + 1, j + 1))
-                if (e := first_difference(lhs, rhs)) is not None:
+                lhs = _composite(X.s(n, j), X.s(n + 1, i))
+                rhs = _composite(X.s(n, i), X.s(n + 1, j + 1))
+                if (e := _table_difference(X.levels[n], X.levels[n + 2], lhs, rhs)) is not None:
                     violations.append((f"s_{i} s_{j} = s_{j+1} s_{i}", n, e))
     for n in range(X.N):
         for j in range(n + 1):
             for i in range(n + 2):
-                lhs = X.s(n, j).then(X.d(n + 1, i))
+                lhs = _composite(X.s(n, j), X.d(n + 1, i))
                 if i < j:
-                    rhs = X.d(n, i).then(X.s(n - 1, j - 1)) if n >= 1 else None
+                    rhs = _composite(X.d(n, i), X.s(n - 1, j - 1)) if n >= 1 else None
                 elif i in (j, j + 1):
-                    rhs = identity_map(X.levels[n])
+                    rhs = tuple(range(X.levels[n].size))
                 else:
-                    rhs = X.d(n, i - 1).then(X.s(n - 1, j)) if n >= 1 else None
-                if rhs is not None and (e := first_difference(lhs, rhs)) is not None:
+                    rhs = _composite(X.d(n, i - 1), X.s(n - 1, j)) if n >= 1 else None
+                if rhs is not None and (e := _table_difference(X.levels[n], X.levels[n], lhs, rhs)) is not None:
                     violations.append((f"d_{i} s_{j} mixed identity", n, e))
     for name, n, e in violations:
         report.add(CheckResult(f"simplicial identity {name} at level {n}", False, witness=e))
@@ -150,19 +173,21 @@ class Triangulation:
                 raise StructuralError("triangle vertex out of range")
             for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
                 edge_count[e] = edge_count.get(e, 0) + 1
-        for e in boundary_edges(self.n):
+        boundary = boundary_edges(self.n)
+        for e in boundary:
             if edge_count.get(e, 0) != 1:
                 raise StructuralError(f"boundary edge {e} not covered exactly once")
         for e, c in edge_count.items():
-            if e not in boundary_edges(self.n) and c != 2:
+            if e not in boundary and c != 2:
                 raise StructuralError(f"diagonal {e} not shared by two triangles")
 
     @property
     def diagonals(self) -> tuple[tuple[int, int], ...]:
+        boundary = boundary_edges(self.n)
         seen = set()
         for t in self.triangles:
             for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-                if e not in boundary_edges(self.n):
+                if e not in boundary:
                     seen.add(e)
         return tuple(sorted(seen))
 
@@ -371,20 +396,88 @@ def segal_witness(X: TruncSimplicialSet, T: Triangulation) -> SegalWitness:
 
 
 def check_2segal(X: TruncSimplicialSet) -> Report:
-    """Decide bijectivity of every triangulation map for 3 <= n <= N."""
+    """Decide bijectivity of every triangulation map for 3 <= n <= N.
+
+    At n = 3 each map is built as a `segal_witness`.  From n = 4 on, when
+    the face identities hold, a triangulation is decided from the memoised
+    codes of its two sub-polygons (`_stack_code`) and builds its stack only
+    when it fails, so every witness is the one its stack gives.  When the
+    face identities fail, vertex maps need not compose, and every
+    triangulation is built as a `segal_witness`, which raises `GluingError`
+    on a simplex whose components do not glue.
+    """
     report = Report()
+    codes = {} if X.N >= 4 and not _face_violations(X) else None
     for n in range(3, X.N + 1):
+        size = X.levels[n].size
         for T in enumerate_triangulations(n):
-            w = segal_witness(X, T)
+            if n == 3 or codes is None:
+                ok = segal_witness(X, T).inverse is not None
+            else:
+                table, _, counts = _stack_code(X, n, T.triangles, codes)
+                ok = sum(counts) == size and len(set(table)) == size
             name = f"2-Segal map at n={n}, diagonals {T.diagonals}"
-            if w.inverse is not None:
+            if ok:
                 report.add(CheckResult(name, True))
             else:
-                witness = _bijectivity_witness(w.forward)
+                witness = _bijectivity_witness(segal_witness(X, T).forward)
                 report.add(CheckResult(name, False, witness=witness))
     if X.N < 3:
         report.add(CheckResult("2-Segal maps", None, detail="truncation below 3"))
     return report
+
+
+def _stack_code(X: TruncSimplicialSet, n: int, triangles: tuple[tuple[int, int, int], ...],
+                memo: dict) -> tuple[Sequence[int], int, list[int]]:
+    """Code the triangulation map of `triangles`, a triangulation of the
+    polygon 0..n with n >= 2, as `(codes, radix, counts)`, memoised in `memo`.
+
+    `codes[psi]` lies in range(radix), and two simplices have equal codes
+    exactly when their stack tuples are equal.  `counts[e]` is the number
+    of stack elements whose outer edge (0, n) is e, so `sum(counts)` is the
+    size of the stack.  Level 3 reads both from its `segal_witness`.  Above
+    it, the top triangle (0, m, n) splits the polygon into L on 0..m and R
+    on m..n (shifted down by m), and a simplex psi gets the code
+    `(code_L[vL psi] * |X_2| + t[psi]) * radix_R + code_R[vR psi]` for the
+    vertex maps vL, t and vR onto L, the top triangle and R; an edge side
+    drops its term.  Stacks glue along the top triangle's sides, so the
+    counts add `count_L[d_2 t] * count_R[d_0 t]` at `d_1 t` over t in X_2.
+
+    The codes are exact only when the face identities hold, since psi's
+    component on a triangle of L is read through vL.
+    """
+    key = (n, triangles)
+    if key in memo:
+        return memo[key]
+    d0, d1, d2 = (f.table for f in X.face[2])
+    counts = [0] * X.levels[1].size
+    if n == 3:
+        w = segal_witness(X, Triangulation(3, triangles))
+        top = next(k for k, t in enumerate(triangles) if t[0] == 0 and t[2] == 3)
+        for e in w.stack.elements:
+            counts[d1[e[top]]] += 1
+        memo[key] = (w.forward.table, len(w.stack.elements), counts)
+        return memo[key]
+    m = next(t[1] for t in triangles if t[0] == 0 and t[2] == n)
+    size2 = X.levels[2].size
+    codes, radix = vertex_map(X, n, (0, m, n)).table, size2
+    left_counts = right_counts = (1,) * X.levels[1].size
+    if m > 1:
+        left, left_radix, left_counts = _stack_code(
+            X, m, tuple(t for t in triangles if t[2] <= m), memo)
+        vL = vertex_map(X, n, tuple(range(m + 1))).table
+        codes = [left[a] * size2 + b for a, b in zip(vL, codes)]
+        radix *= left_radix
+    if m < n - 1:
+        right, right_radix, right_counts = _stack_code(
+            X, n - m, tuple(tuple(v - m for v in t) for t in triangles if t[0] >= m), memo)
+        vR = vertex_map(X, n, tuple(range(m, n + 1))).table
+        codes = [a * right_radix + right[b] for a, b in zip(codes, vR)]
+        radix *= right_radix
+    for t in X.levels[2]:
+        counts[d1[t]] += left_counts[d2[t]] * right_counts[d0[t]]
+    memo[key] = (codes, radix, counts)
+    return memo[key]
 
 
 def _bijectivity_witness(f: FinMap):

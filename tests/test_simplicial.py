@@ -3,6 +3,7 @@ polygon calculus for faces and degeneracies."""
 
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
@@ -11,7 +12,11 @@ from finspan import catalog
 from finspan.acceptance import catalog_non_two_segal
 from finspan.documents import StructureDocument, dumps_document, loads_document
 from finspan.simplicial import (
+    GluingError,
+    SegalWitness,
     Triangulation,
+    _bijectivity_witness,
+    _stack_code,
     check_2segal,
     check_simplicial_identities,
     check_subdivision_criterion,
@@ -29,7 +34,7 @@ from finspan.simplicial import (
     unglue,
     vertex_map,
 )
-from finspan.spans import FinMap
+from finspan.spans import FinMap, FinSet
 
 
 T13 = Triangulation(3, ((0, 1, 2), (0, 2, 3)))
@@ -307,3 +312,156 @@ class TestMemo:
         assert check_2segal(X).ok
         vertex_maps = sum(isinstance(v, FinMap) for v in X.memo.values())
         assert 0 < len(calls) <= X.N * vertex_maps
+
+
+# ---------------------------------------------------------------------------
+# the coded 2-Segal check against the stack path
+
+
+def random_complex_nerve(rng, N):
+    """The ordered nerve of a random simplicial complex on 4-6 vertices with
+    2-5 faces of size 2-3, truncated at N: level n lists the monotone maps
+    [n] -> V whose image is a face, as nondecreasing tuples in lexicographic
+    order.  Faces delete an entry and degeneracies repeat one, so the
+    simplicial identities hold by construction."""
+    k = rng.randint(4, 6)
+    faces = {(v,) for v in range(k)}
+    for _ in range(rng.randint(2, 5)):
+        top = sorted(rng.sample(range(k), rng.randint(2, 3)))
+        faces.update(c for r in range(1, len(top) + 1) for c in itertools.combinations(top, r))
+    tuples = [
+        [t for t in itertools.combinations_with_replacement(range(k), n + 1)
+         if tuple(sorted(set(t))) in faces]
+        for n in range(N + 1)
+    ]
+    X, _ = catalog._tuple_structure(
+        [FinSet(len(ts)) for ts in tuples], tuples,
+        lambda n, i: lambda t: t[:i] + t[i + 1:],
+        lambda n, i: lambda t: t[:i + 1] + t[i:],
+    )
+    return X
+
+
+def doubled_top_simplex(X):
+    """X with its first top simplex doubled, as in `catalog_non_two_segal`:
+    every identity still holds, and no triangulation map at the top level
+    is injective."""
+    N = X.N
+    levels = list(X.levels[:N]) + [FinSet(X.levels[N].size + 1)]
+    face = [list(fs) for fs in X.face]
+    face[N] = [FinMap(levels[N], levels[N - 1], f.table + (f.table[0],)) for f in X.face[N]]
+    degen = [list(ss) for ss in X.degen]
+    degen[N - 1] = [FinMap(levels[N - 1], levels[N], s.table) for s in X.degen[N - 1]]
+    return make_simplicial(levels, face, degen)
+
+
+def stack_path_lines(X):
+    """The 2-Segal lines as every triangulation's stack and map give them."""
+    lines = []
+    for n in range(3, X.N + 1):
+        for T in enumerate_triangulations(n):
+            _, fwd = subdivision_map(X, n, T.triangles)
+            name = f"2-Segal map at n={n}, diagonals {T.diagonals}"
+            if fwd.is_bijective():
+                lines.append(f"[pass] {name}")
+            else:
+                lines.append(f"[FAIL] {name} witness={_bijectivity_witness(fwd)!r}")
+    return lines
+
+
+@pytest.fixture(scope="module")
+def complex_nerves():
+    return [random_complex_nerve(random.Random(seed), 5) for seed in range(200)]
+
+
+@pytest.fixture(scope="module")
+def doubled():
+    return [
+        doubled_top_simplex(catalog.nerve(catalog.cyclic_group_category(2), 5)),
+        doubled_top_simplex(catalog.nerve(catalog.cyclic_group_category(3), 4)),
+        doubled_top_simplex(random_complex_nerve(random.Random(0), 5)),
+    ]
+
+
+class TestCodedSegalMaps:
+    def test_lines_match_the_stack_path(self, complex_nerves, doubled):
+        kinds = set()
+        for X in complex_nerves + doubled + [catalog_non_two_segal()]:
+            # the stack path runs first, so the check finds its stacks memoised
+            expected = stack_path_lines(X)
+            rep = check_2segal(X)
+            assert rep.lines() == expected
+            kinds.update(r.witness[0] for r in rep.failures if "n=3" not in r.name)
+        # both ways of failing are decided from codes above n = 3
+        assert kinds == {"not injective", "not surjective"}
+
+    def test_agrees_with_the_subdivision_criterion(self, complex_nerves, doubled):
+        inputs = complex_nerves[:20] + doubled + [catalog_non_two_segal()]
+        verdicts = [check_2segal(X).ok for X in inputs]
+        assert not all(verdicts) and any(verdicts)
+        assert verdicts == [check_subdivision_criterion(X).ok for X in inputs]
+
+    def test_counts_size_every_stack(self):
+        X = random_complex_nerve(random.Random(0), 5)
+        assert not check_2segal(X).ok
+        memo = {}
+        for n in range(3, X.N + 1):
+            for T in enumerate_triangulations(n):
+                codes, radix, counts = _stack_code(X, n, T.triangles, memo)
+                stack, fwd = subdivision_map(X, n, T.triangles)
+                assert sum(counts) == len(stack.elements)
+                assert all(0 <= c < radix for c in codes)
+                assert len(set(codes)) == len(set(fwd.table))
+
+    def test_a_passing_check_builds_stacks_only_at_level_three(self):
+        X = catalog.nerve(catalog.cyclic_group_category(2), 5)
+        assert check_2segal(X).ok
+        witnesses = [v for v in X.memo.values() if isinstance(v, SegalWitness)]
+        assert witnesses and {w.triangulation.n for w in witnesses} == {3}
+
+
+def mutated_face(X, n, i, e):
+    """X with entry e of the face d_i^n moved to the next element."""
+    face = [list(fs) for fs in X.face]
+    d = face[n][i]
+    table = list(d.table)
+    table[e] = (table[e] + 1) % d.cod.size
+    face[n][i] = FinMap(d.dom, d.cod, tuple(table))
+    return make_simplicial(X.levels, face, X.degen)
+
+
+class TestBrokenFaceIdentities:
+    """A mutated face entry at N >= 4 takes the stack path, whose outcome is
+    pinned here: a `GluingError`, or a report."""
+
+    def test_unglueable_simplex_raises(self):
+        X = mutated_face(catalog.nerve(catalog.cyclic_group_category(2), 4), 4, 2, 0)
+        with pytest.raises(GluingError, match=(
+            "components of element 0 at level 4 violate the shared-edge constraints; "
+            "the simplicial identities do not hold"
+        )):
+            check_2segal(X)
+
+    def test_report_at_level_five(self):
+        X = mutated_face(catalog.nerve(catalog.cyclic_group_category(2), 5), 5, 2, 7)
+        assert check_simplicial_identities(X).lines() == [
+            "[FAIL] simplicial identity d_0 d_2 = d_1 d_0 at level 5 witness=7",
+            "[FAIL] simplicial identity d_1 d_2 = d_1 d_1 at level 5 witness=7",
+            "[FAIL] simplicial identity d_2 d_3 = d_2 d_2 at level 5 witness=7",
+            "[FAIL] simplicial identity d_2 d_4 = d_3 d_2 at level 5 witness=7",
+            "[FAIL] simplicial identity d_2 d_5 = d_4 d_2 at level 5 witness=7",
+            "[FAIL] simplicial identity d_2 s_0 mixed identity at level 4 witness=7",
+            "[FAIL] simplicial identity d_2 s_1 mixed identity at level 4 witness=7",
+        ]
+        rep = check_2segal(X)
+        assert len(rep.results) == 21
+        assert [r.line() for r in rep.failures] == [
+            f"[FAIL] 2-Segal map at n=5, diagonals {d} witness=('not injective', 4, 7)"
+            for d in (
+                ((1, 5), (2, 5), (3, 5)),
+                ((1, 3), (1, 5), (3, 5)),
+                ((0, 2), (2, 5), (3, 5)),
+                ((0, 3), (1, 3), (3, 5)),
+                ((0, 2), (0, 3), (3, 5)),
+            )
+        ]
