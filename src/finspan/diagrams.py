@@ -11,7 +11,11 @@ Equation checking works by rewriting: a rule replaces a sub-pattern of
 consecutive rows by another pattern and transports apex elements through
 the defining map of the corresponding 2-cell.  Running the two sides of an
 equation as rewrite paths from a common start to a common end diagram and
-comparing the element maps decides the equation exactly.
+comparing the element maps decides the equation exactly.  An equation
+evaluates only its start diagram: the structural rules (tensorator,
+braiding, syllepsis and its inverse, hexagonator) carry elements in closed
+form and build their tables only when read, and the other rules are built
+once from patterns their owners have already evaluated.
 """
 
 from __future__ import annotations
@@ -28,9 +32,6 @@ from .spans import (
     SpanCell,
     StructuralError,
     block_braiding_span,
-    braiding_span,
-    decode_tuple,
-    encode_tuple,
     identity_span,
     iterated_pullback,
 )
@@ -54,24 +55,34 @@ class Box:
     @cached_property
     def in_table(self) -> tuple[tuple[int, ...], ...]:
         """The in-wire values of each apex element."""
-        sizes = tuple(o.size for o in self.in_objs)
-        return tuple(decode_tuple(v, sizes) for v in self.span.left.table)
+        return tuple(zip(*self.in_wires)) if self.in_objs else ((),) * self.span.apex.size
 
     @cached_property
     def out_table(self) -> tuple[tuple[int, ...], ...]:
         """The out-wire values of each apex element."""
-        sizes = tuple(o.size for o in self.out_objs)
-        return tuple(decode_tuple(v, sizes) for v in self.span.right.table)
+        return tuple(zip(*self.out_wires)) if self.out_objs else ((),) * self.span.apex.size
 
     @cached_property
     def in_wires(self) -> tuple[tuple[int, ...], ...]:
         """For each in wire, its value at each apex element."""
-        return tuple(tuple(r[o] for r in self.in_table) for o in range(len(self.in_objs)))
+        return _wire_columns(self.span.left.table, self.in_objs)
 
     @cached_property
     def out_wires(self) -> tuple[tuple[int, ...], ...]:
         """For each out wire, its value at each apex element."""
-        return tuple(tuple(r[o] for r in self.out_table) for o in range(len(self.out_objs)))
+        return _wire_columns(self.span.right.table, self.out_objs)
+
+
+def _wire_columns(table: tuple[int, ...], objs: tuple[FinSet, ...]) -> tuple[tuple[int, ...], ...]:
+    """Each wire's value at each entry of a leg table whose values encode
+    the wires `objs` row-major, as `decode_tuple` reads them."""
+    if len(objs) == 1:
+        return (table,)
+    columns, stride = [], 1
+    for o in reversed(objs):
+        columns.append(tuple(v // stride % o.size for v in table))
+        stride *= o.size
+    return tuple(reversed(columns))
 
 
 def _wire_size(objs: tuple[FinSet, ...]) -> int:
@@ -205,7 +216,10 @@ class RewriteRule:
     pattern it goes to, listed the same way.  `cell` is the rule's 2-cell
     between the evaluated unpadded patterns; padding changes neither the
     spans nor the order of their apexes.  `carry` maps a batch of elements
-    through `mapping`.
+    through `mapping`.  The structural rules are `_ClosedFormRule`s: their
+    `carry` relabels columns directly, and `mapping` and `cell` are built
+    from it the first time either is read.  `apply_rewrite` checks every
+    image to chain, whichever kind of rule made it.
     """
 
     name: str
@@ -296,10 +310,9 @@ def _rule_cell(name: str, ev_src: EvaluatedDiagram, ev_tgt: EvaluatedDiagram, in
         raise StructuralError(f"rule {name}: {err}") from None
 
 
-def rule_from_spancell(name: str, src_rows: Diagram, tgt_rows: Diagram, cell: SpanCell) -> RewriteRule:
-    """Interpret a SpanCell between two evaluated patterns as a rule."""
-    ev_src = evaluate(tuple(tuple(r) for r in src_rows))
-    ev_tgt = evaluate(tuple(tuple(r) for r in tgt_rows))
+def rule_from_cell(name: str, ev_src: EvaluatedDiagram, ev_tgt: EvaluatedDiagram, cell: SpanCell) -> RewriteRule:
+    """Interpret a SpanCell between two evaluated unpadded patterns as a
+    rule; the cell's boundaries must be their spans."""
     if cell.source != ev_src.span or cell.target != ev_tgt.span:
         raise StructuralError("cell boundaries differ from the evaluated patterns")
     return _padded_rule(name, ev_src, ev_tgt, cell)
@@ -477,27 +490,16 @@ def _ids(objs: tuple[FinSet, ...]) -> tuple[Box, ...]:
     return tuple(identity_box(o) for o in objs)
 
 
-class _TensoratorRule(RewriteRule):
-    """The slide move c_{f,g}: (id⊗g)∘(f⊗id) => (f⊗id)∘(id⊗g).
+class _ClosedFormRule(RewriteRule):
+    """A structural rule whose element map is a relabelling of box columns.
 
-    Its element map is a relabelling of the two boxes' wires, so `carry`
-    computes it in closed form; `mapping` and `cell` are built from `carry`
-    when first read."""
+    A subclass gives only `carry`, computed column by column; `mapping` and
+    `cell` are built from it, over the evaluated padded patterns, the first
+    time either is read.  `parts` are the subclass's own attributes."""
 
-    def __init__(self, f: Box, g: Box):
-        src = ((f,) + _ids(g.in_objs), _ids(f.out_objs) + (g,))
-        tgt = (_ids(f.in_objs) + (g,), (f,) + _ids(g.out_objs))
-        for attr, value in (("name", "tensorator"), ("src", src), ("tgt", tgt), ("f", f), ("g", g)):
+    def __init__(self, name: str, src: Diagram, tgt: Diagram, **parts):
+        for attr, value in (("name", name), ("src", src), ("tgt", tgt), *parts.items()):
             object.__setattr__(self, attr, value)
-
-    def carry(self, columns, count: int) -> tuple[tuple[int, ...], ...]:
-        # the src pattern's columns run f, the identities, g; the tgt's run
-        # f's in wires, g, f, g's out wires
-        ef, eg = columns[0], columns[-1]
-        return (
-            tuple(tuple(map(t.__getitem__, ef)) for t in self.f.in_wires) + (eg, ef)
-            + tuple(tuple(map(t.__getitem__, eg)) for t in self.g.out_wires)
-        )
 
     @cached_property
     def _tables(self) -> tuple[dict[tuple[int, ...], tuple[int, ...]], SpanCell]:
@@ -518,6 +520,101 @@ class _TensoratorRule(RewriteRule):
         return self._tables[1]
 
 
+class _TensoratorRule(_ClosedFormRule):
+    """The slide move c_{f,g}: (id⊗g)∘(f⊗id) => (f⊗id)∘(id⊗g)."""
+
+    def __init__(self, f: Box, g: Box):
+        src = ((f,) + _ids(g.in_objs), _ids(f.out_objs) + (g,))
+        tgt = (_ids(f.in_objs) + (g,), (f,) + _ids(g.out_objs))
+        super().__init__("tensorator", src, tgt, f=f, g=g)
+
+    def carry(self, columns, count: int) -> tuple[tuple[int, ...], ...]:
+        # the src pattern's columns run f, the identities, g; the tgt's run
+        # f's in wires, g, f, g's out wires
+        ef, eg = columns[0], columns[-1]
+        return (
+            tuple(tuple(map(t.__getitem__, ef)) for t in self.f.in_wires) + (eg, ef)
+            + tuple(tuple(map(t.__getitem__, eg)) for t in self.g.out_wires)
+        )
+
+
+def _braid_box(first: tuple[FinSet, ...], second: tuple[FinSet, ...]) -> Box:
+    return Box(block_braiding_span(first, second), first + second, second + first, name="braid")
+
+
+class _BraidingRule(_ClosedFormRule):
+    """The move rho_{f,g}: rho∘(f⊗g) => (g⊗f)∘rho."""
+
+    def __init__(self, f: Box, g: Box):
+        src = ((f, g), (_braid_box(f.out_objs, g.out_objs),))
+        tgt = ((_braid_box(f.in_objs, g.in_objs),), (g, f))
+        super().__init__("braiding", src, tgt, f=f, g=g)
+
+    def carry(self, columns, count: int) -> tuple[tuple[int, ...], ...]:
+        # the new braid's element is its source index: f's in wires, then g's
+        ef, eg = columns[0], columns[1]
+        fl, gl, size = self.f.span.left.table, self.g.span.left.table, self.g.span.src.size
+        return (tuple(fl[a] * size + gl[b] for a, b in zip(ef, eg)), eg, ef)
+
+
+class _SyllepsisRule(_ClosedFormRule):
+    """v_{X,Y}: rho_{Y,X}∘rho_{X,Y} => id, whose identity side is padded to
+    a second identity row."""
+
+    def __init__(self, x: FinSet, y: FinSet):
+        ids = (identity_box(x), identity_box(y))
+        src = ((_braid_box((x,), (y,)),), (_braid_box((y,), (x,)),))
+        super().__init__("syllepsis", src, (ids, ids), x=x, y=y)
+
+    def carry(self, columns, count: int) -> tuple[tuple[int, ...], ...]:
+        # the first braid's element p is the pair (p // |Y|, p % |Y|), read
+        # by both identity rows
+        size = self.y.size
+        a = tuple(p // size for p in columns[0])
+        b = tuple(p % size for p in columns[0])
+        return (a, b, a, b)
+
+    def inverse(self) -> RewriteRule:
+        return _SyllepsisInverseRule(self)
+
+
+class _SyllepsisInverseRule(_ClosedFormRule):
+    """v_{X,Y}^-1: id => rho_{Y,X}∘rho_{X,Y}."""
+
+    def __init__(self, v: _SyllepsisRule):
+        super().__init__(v.name + "^-1", v.tgt, v.src, x=v.x, y=v.y)
+
+    def carry(self, columns, count: int) -> tuple[tuple[int, ...], ...]:
+        # the pair (a, b) of the first identity row is a * |Y| + b in X×Y
+        # and b * |X| + a in Y×X
+        a, b = columns[0], columns[1]
+        ys, xs = self.y.size, self.x.size
+        return (tuple(i * ys + j for i, j in zip(a, b)), tuple(j * xs + i for i, j in zip(a, b)))
+
+
+class _HexagonatorRule(_ClosedFormRule):
+    """R_{X|YZ}: crossing X over Y then over Z equals crossing X over Y⊗Z;
+    the single crossing is padded to an identity row on Y, Z, X."""
+
+    def __init__(self, x: FinSet, y: FinSet, z: FinSet):
+        src = (
+            (_braid_box((x,), (y,)), identity_box(z)),
+            (identity_box(y), _braid_box((x,), (z,))),
+        )
+        tgt = ((_braid_box((x,), (y, z)),), _ids((y, z, x)))
+        super().__init__("hexagonator", src, tgt, y=y, z=z)
+
+    def carry(self, columns, count: int) -> tuple[tuple[int, ...], ...]:
+        # the pair p in X×Y and c in Z make p * |Z| + c in X×Y×Z, whose out
+        # wires y, z, x the padding row reads
+        p, c = columns[0], columns[1]
+        ys, zs = self.y.size, self.z.size
+        return (
+            tuple(i * zs + k for i, k in zip(p, c)),
+            tuple(i % ys for i in p), c, tuple(i // ys for i in p),
+        )
+
+
 def tensorator_rule(f: Box, g: Box) -> RewriteRule:
     """The slide move c_{f,g}: (id⊗g)∘(f⊗id) => (f⊗id)∘(id⊗g)."""
     return _TensoratorRule(f, g)
@@ -525,60 +622,17 @@ def tensorator_rule(f: Box, g: Box) -> RewriteRule:
 
 def braiding_rule(f: Box, g: Box) -> RewriteRule:
     """The move rho_{f,g}: rho∘(f⊗g) => (g⊗f)∘rho."""
-    rho_out = Box(
-        block_braiding_span(f.out_objs, g.out_objs),
-        f.out_objs + g.out_objs,
-        g.out_objs + f.out_objs,
-        name="braid",
-    )
-    rho_in = Box(
-        block_braiding_span(f.in_objs, g.in_objs),
-        f.in_objs + g.in_objs,
-        g.in_objs + f.in_objs,
-        name="braid",
-    )
-    src = ((f, g), (rho_out,))
-    tgt = ((rho_in,), (g, f))
-
-    def fn(asn):
-        ef, eg = asn[0]
-        p = encode_tuple(
-            f.in_table[ef] + g.in_table[eg],
-            tuple(o.size for o in f.in_objs + g.in_objs),
-        )
-        return ((p,), (eg, ef))
-
-    return make_rule("braiding", src, tgt, fn)
+    return _BraidingRule(f, g)
 
 
 def syllepsis_rule(x: FinSet, y: FinSet) -> RewriteRule:
     """v_{X,Y}: rho_{Y,X}∘rho_{X,Y} => id."""
-    rho_xy = Box(braiding_span(x, y), (x, y), (y, x), name="braid")
-    rho_yx = Box(braiding_span(y, x), (y, x), (x, y), name="braid")
-    src = ((rho_xy,), (rho_yx,))
-    tgt = ((identity_box(x), identity_box(y)),)
-
-    def fn(asn):
-        (p,) = asn[0]
-        return (decode_tuple(p, (x.size, y.size)),)
-
-    return make_rule("syllepsis", src, tgt, fn)
+    return _SyllepsisRule(x, y)
 
 
 def hexagonator_rule(x: FinSet, y: FinSet, z: FinSet) -> RewriteRule:
     """R_{X|YZ}: crossing X over Y then over Z equals crossing X over Y⊗Z."""
-    rho_xy = Box(braiding_span(x, y), (x, y), (y, x), name="braid")
-    rho_xz = Box(braiding_span(x, z), (x, z), (z, x), name="braid")
-    rho_x_yz = Box(block_braiding_span((x,), (y, z)), (x, y, z), (y, z, x), name="braid")
-    src = ((rho_xy, identity_box(z)), (identity_box(y), rho_xz))
-    tgt = ((rho_x_yz,),)
-
-    def fn(asn):
-        p, c = asn[0]
-        a, b = decode_tuple(p, (x.size, y.size))
-        return ((encode_tuple((a, b, c), (x.size, y.size, z.size)),),)
-
-    return make_rule("hexagonator", src, tgt, fn)
+    return _HexagonatorRule(x, y, z)
 
 
 def tensorator_cell(f: Span, g: Span) -> SpanCell:

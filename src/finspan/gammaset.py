@@ -33,7 +33,6 @@ from .diagrams import (
     identity_box,
     hexagonator_rule,
     make_rule,
-    rule_from_spancell,
     syllepsis_rule,
 )
 from .paracyclic import LambdaMor
@@ -530,15 +529,13 @@ def theta_via_triangulation(
 def span_level_commutativity(X: TruncSimplicialSet, theta: FinMap) -> Report:
     """The symmetry and hexagon equations as genuine span-level rewrite
     paths, using the braiding, syllepsis, slide, and hexagonator cells."""
-    from .pseudomonoid import build_pseudomonoid, assoc_src_rows, assoc_tgt_rows
+    from .pseudomonoid import build_pseudomonoid
 
     report = Report()
     x1 = X.levels[1]
     P = build_pseudomonoid(X)
     mub, _, idb = P.boxes()
-    a_rule = rule_from_spancell(
-        "associator", assoc_src_rows(mub, idb), assoc_tgt_rows(mub, idb), P.assoc
-    )
+    a_rule = P.assoc_rule
     g_rule = gamma_rule(X, theta, mub)
     v_inv = syllepsis_rule(x1, x1).inverse()
 

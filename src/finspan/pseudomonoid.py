@@ -15,17 +15,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .diagrams import (
     Box,
     DiagramPath,
+    RewriteRule,
     compare_paths,
     evaluate,
     identity_box,
     make_rule,
-    rule_from_spancell,
+    rule_from_cell,
     tensorator_rule,
 )
 from .simplicial import (
@@ -103,7 +104,10 @@ class PseudomonoidData:
 
     The associator is a cell between the evaluated diagrams mu(mu x id) and
     mu(id x mu); the unitors map the evaluated unit composites to the
-    identity span.  All three cells must be invertible.
+    identity span.  All three cells must be invertible.  Each pattern is
+    evaluated once, to check the cells' boundaries and to build the three
+    rewrite rules the coherence equations use (`assoc_rule`, `lunit_rule`,
+    `runit_rule`).
     """
 
     carrier: FinSet
@@ -112,26 +116,38 @@ class PseudomonoidData:
     assoc: SpanCell
     lunit: SpanCell
     runit: SpanCell
+    assoc_rule: RewriteRule = field(init=False, compare=False, repr=False)
+    lunit_rule: RewriteRule = field(init=False, compare=False, repr=False)
+    runit_rule: RewriteRule = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name, cell in (("assoc", self.assoc), ("lunit", self.lunit), ("runit", self.runit)):
             if not cell.is_invertible():
                 raise ConstructionError(f"{name} cell is not invertible")
-        mu = mult_box(self.mult, self.carrier)
-        eta = unit_box(self.unit, self.carrier)
-        idb = identity_box(self.carrier)
-        if self.assoc.source != evaluate(assoc_src_rows(mu, idb)).span:
+        mu, eta, idb = self.boxes()
+        assoc_src = evaluate(assoc_src_rows(mu, idb))
+        assoc_tgt = evaluate(assoc_tgt_rows(mu, idb))
+        lunit_src = evaluate(lunit_src_rows(eta, mu, idb))
+        runit_src = evaluate(runit_src_rows(eta, mu, idb))
+        unit_tgt = evaluate(((idb,),))
+        if self.assoc.source != assoc_src.span:
             raise ConstructionError("assoc source is not mu(mu x id)")
-        if self.assoc.target != evaluate(assoc_tgt_rows(mu, idb)).span:
+        if self.assoc.target != assoc_tgt.span:
             raise ConstructionError("assoc target is not mu(id x mu)")
-        if self.lunit.source != evaluate(lunit_src_rows(eta, mu, idb)).span:
+        if self.lunit.source != lunit_src.span:
             raise ConstructionError("lunit source is not mu(eta x id)")
-        if self.runit.source != evaluate(runit_src_rows(eta, mu, idb)).span:
+        if self.runit.source != runit_src.span:
             raise ConstructionError("runit source is not mu(id x eta)")
-        if self.lunit.target != identity_span(self.carrier):
+        if self.lunit.target != unit_tgt.span:
             raise ConstructionError("lunit target is not the identity span")
-        if self.runit.target != identity_span(self.carrier):
+        if self.runit.target != unit_tgt.span:
             raise ConstructionError("runit target is not the identity span")
+        for attr, rule in (
+            ("assoc_rule", rule_from_cell("associator", assoc_src, assoc_tgt, self.assoc)),
+            ("lunit_rule", rule_from_cell("lunit", lunit_src, unit_tgt, self.lunit)),
+            ("runit_rule", rule_from_cell("runit", runit_src, unit_tgt, self.runit)),
+        ):
+            object.__setattr__(self, attr, rule)
 
     def boxes(self) -> tuple[Box, Box, Box]:
         return (
@@ -175,8 +191,8 @@ class EquationResult:
 
 
 def _pentagon_paths(P: PseudomonoidData) -> tuple[DiagramPath, DiagramPath]:
-    mu, eta, idb = P.boxes()
-    a = rule_from_spancell("associator", assoc_src_rows(mu, idb), assoc_tgt_rows(mu, idb), P.assoc)
+    mu, _, idb = P.boxes()
+    a = P.assoc_rule
     c = tensorator_rule(mu, mu)
     start = ((mu, idb, idb), (mu, idb), (mu,))
     lhs = (
@@ -205,12 +221,9 @@ def verify_pentagon(P: PseudomonoidData) -> EquationResult:
 def verify_triangle(P: PseudomonoidData) -> EquationResult:
     """Compare the two composite cells of the triangle equation."""
     mu, eta, idb = P.boxes()
-    a = rule_from_spancell("associator", assoc_src_rows(mu, idb), assoc_tgt_rows(mu, idb), P.assoc)
-    l_rule = rule_from_spancell("lunit", lunit_src_rows(eta, mu, idb), ((idb,),), P.lunit)
-    r_rule = rule_from_spancell("runit", runit_src_rows(eta, mu, idb), ((idb,),), P.runit)
     start = ((idb, eta, idb), (mu, idb), (mu,))
-    lhs = DiagramPath(start).rewrite(a, 1, (0, 0)).rewrite(l_rule, 0, (1, 1))
-    rhs = DiagramPath(start).rewrite(r_rule, 0, (0, 0))
+    lhs = DiagramPath(start).rewrite(P.assoc_rule, 1, (0, 0)).rewrite(P.lunit_rule, 0, (1, 1))
+    rhs = DiagramPath(start).rewrite(P.runit_rule, 0, (0, 0))
     ok, discrepancy = compare_paths(lhs, rhs)
     return EquationResult(ok, discrepancy)
 

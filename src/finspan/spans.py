@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -482,15 +483,11 @@ def braiding_span(x: FinSet, y: FinSet) -> Span:
 
 
 def block_braiding_span(first: tuple[FinSet, ...], second: tuple[FinSet, ...]) -> Span:
-    """Braiding that moves the block of `first` factors past `second`."""
-    sizes = tuple(o.size for o in first) + tuple(o.size for o in second)
-    out_sizes = tuple(o.size for o in second) + tuple(o.size for o in first)
-    apex = FinSet(1)
-    for s in sizes:
-        apex = FinSet(apex.size * s)
-    k = len(first)
-    table = []
-    for i in apex:
-        vals = decode_tuple(i, sizes)
-        table.append(encode_tuple(vals[k:] + vals[:k], out_sizes))
-    return Span(apex, FinSet(apex.size), apex, identity_map(apex), FinMap(apex, FinSet(apex.size), tuple(table)))
+    """Braiding that moves the block of `first` factors past `second`: the
+    pair (a, b) of block indices, a * T + b, goes to b * S + a, where S and T
+    are the sizes of the two blocks."""
+    S = math.prod(o.size for o in first)
+    T = math.prod(o.size for o in second)
+    apex = FinSet(S * T)
+    swap = FinMap(apex, apex, tuple(b * S + a for a in range(S) for b in range(T)))
+    return Span(apex, apex, apex, identity_map(apex), swap)

@@ -31,6 +31,8 @@ from finspan.spans import (
     FinSet,
     Span,
     StructuralError,
+    block_braiding_span,
+    braiding_span,
     compose_spans,
     decode_tuple,
     encode_tuple,
@@ -401,18 +403,26 @@ def test_steps_across_a_zero_box_row(whole_row):
     assert first_moved(discrepancy) == (((0,), (0,), (), (0,), (0,)), ((0,), (0,), (), (1,), (0,)))
 
 
+def _record_evaluations(monkeypatch) -> tuple[list, list]:
+    """Weak references to every evaluation made from now on, and the
+    diagrams evaluated."""
+    refs, evaluated = [], []
+
+    def recording(diagram):
+        ev = evaluate(diagram)
+        refs.append(weakref.ref(ev))
+        evaluated.append(diagram)
+        return ev
+
+    for module in (diagrams, pseudomonoid, gammaset):
+        monkeypatch.setattr(module, "evaluate", recording)
+    return refs, evaluated
+
+
 class TestMemo:
     def test_no_evaluation_outlives_its_equation(self, monkeypatch):
         P = pseudomonoid.build_pseudomonoid(catalog.nerve(catalog.cyclic_group_category(5), 3))
-        refs, evaluated = [], []
-
-        def recording(diagram):
-            ev = evaluate(diagram)
-            refs.append(weakref.ref(ev))
-            evaluated.append(diagram)
-            return ev
-
-        monkeypatch.setattr(diagrams, "evaluate", recording)
+        refs, evaluated = _record_evaluations(monkeypatch)
         assert pseudomonoid.verify_pentagon(P).ok
         # the tensorator carries elements in closed form, so its patterns are
         # never evaluated
@@ -422,10 +432,23 @@ class TestMemo:
         assert pseudomonoid.verify_triangle(P).ok
         gc.collect()
         assert refs and all(ref() is None for ref in refs)
-        # each equation evaluates its start diagram, and each table rule its
-        # two patterns: the associator in the pentagon; the associator and
-        # both unitors in the triangle
-        assert len(refs) == (1 + 1 * 2) + (1 + 3 * 2)
+        # each equation evaluates only its start diagram: the associator and
+        # unitor rules are the pseudomonoid's own, built when it was
+        assert len(refs) == 1 + 1
+
+    def test_commutativity_evaluates_no_structural_pattern(self, monkeypatch, interval_l3_gamma):
+        X, theta = interval_l3_gamma.base, interval_l3_gamma.theta(2, 1)
+        x1 = X.levels[1]
+        mu, _, idb = pseudomonoid.build_pseudomonoid(X).boxes()
+        refs, evaluated = _record_evaluations(monkeypatch)
+        report = gammaset.span_level_commutativity(X, theta)
+        assert report.ok
+        v = syllepsis_rule(x1, x1)
+        for rule in (braiding_rule(idb, mu), v, v.inverse(), hexagonator_rule(x1, x1, x1)):
+            assert rule.src not in evaluated and rule.tgt not in evaluated
+        del report
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +559,18 @@ def test_box_tables_leave_equality_and_hash_alone():
     assert {a: 1}[b] == 1
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_box_wire_tables_match_the_decoded_legs(seed):
+    # zero to three wires a side, size-1 wires among them
+    rng = random.Random(3000 + seed)
+    ins, outs = (tuple(FinSet(rng.randint(1, 3)) for _ in range(rng.randint(0, 3))) for _ in range(2))
+    b = rand_box(rng, ins, outs, rng.randint(0, 6))
+    for objs, table, rows, wires in ((ins, b.span.left.table, b.in_table, b.in_wires),
+                                     (outs, b.span.right.table, b.out_table, b.out_wires)):
+        assert rows == tuple(decode_tuple(v, tuple(o.size for o in objs)) for v in table)
+        assert wires == tuple(tuple(r[w] for r in rows) for w in range(len(objs)))
+
+
 # ---------------------------------------------------------------------------
 # the closed-form tensorator against the assignment-level rule it replaced
 
@@ -554,14 +589,65 @@ def fn_tensorator_rule(f, g):
     return make_rule("tensorator", src, tgt, fn)
 
 
-def assert_tensorator_matches_table(f, g):
-    rule, old = tensorator_rule(f, g), fn_tensorator_rule(f, g)
+def fn_braiding_rule(f, g):
+    """The braiding built by `make_rule` from a map on assignments, as it
+    was built before its element map had a closed form."""
+    rho_out = Box(block_braiding_span(f.out_objs, g.out_objs), f.out_objs + g.out_objs,
+                  g.out_objs + f.out_objs, name="braid")
+    rho_in = Box(block_braiding_span(f.in_objs, g.in_objs), f.in_objs + g.in_objs,
+                 g.in_objs + f.in_objs, name="braid")
+    src = ((f, g), (rho_out,))
+    tgt = ((rho_in,), (g, f))
+
+    def fn(asn):
+        ef, eg = asn[0]
+        p = encode_tuple(f.in_table[ef] + g.in_table[eg], tuple(o.size for o in f.in_objs + g.in_objs))
+        return ((p,), (eg, ef))
+
+    return make_rule("braiding", src, tgt, fn)
+
+
+def fn_syllepsis_rule(x, y):
+    """The syllepsis built by `make_rule`, as it was before."""
+    rho_xy = Box(braiding_span(x, y), (x, y), (y, x), name="braid")
+    rho_yx = Box(braiding_span(y, x), (y, x), (x, y), name="braid")
+    src = ((rho_xy,), (rho_yx,))
+    tgt = ((identity_box(x), identity_box(y)),)
+
+    def fn(asn):
+        (p,) = asn[0]
+        return (decode_tuple(p, (x.size, y.size)),)
+
+    return make_rule("syllepsis", src, tgt, fn)
+
+
+def fn_hexagonator_rule(x, y, z):
+    """The hexagonator built by `make_rule`, as it was before."""
+    rho_xy = Box(braiding_span(x, y), (x, y), (y, x), name="braid")
+    rho_xz = Box(braiding_span(x, z), (x, z), (z, x), name="braid")
+    rho_x_yz = Box(block_braiding_span((x,), (y, z)), (x, y, z), (y, z, x), name="braid")
+    src = ((rho_xy, identity_box(z)), (identity_box(y), rho_xz))
+    tgt = ((rho_x_yz,),)
+
+    def fn(asn):
+        p, c = asn[0]
+        a, b = decode_tuple(p, (x.size, y.size))
+        return ((encode_tuple((a, b, c), (x.size, y.size, z.size)),),)
+
+    return make_rule("hexagonator", src, tgt, fn)
+
+
+def assert_matches_table(rule, old):
+    """A closed-form rule agrees with the assignment-level rule `old`: its
+    `carry` on the whole source batch, before its tables are built, then
+    its table, cell and inverse table."""
     assert (rule.name, rule.src, rule.tgt) == (old.name, old.src, old.tgt)
+    assert "_tables" not in vars(rule)
     ev = evaluate(rule.src)
     columns = [c for row in ev.columns for c in row]
-    # the whole source batch, carried before the rule's tables are built
     carried = rule.carry(columns, len(ev.assignments))
     assert len(carried) == sum(map(len, rule.tgt))
+    assert all(isinstance(c, tuple) and len(c) == len(ev.assignments) for c in carried)
     assert list(zip(*carried)) == [old.mapping[m] for m in zip(*columns)]
     assert rule.mapping == old.mapping
     assert rule.cell.map.table == old.cell.map.table
@@ -569,7 +655,11 @@ def assert_tensorator_matches_table(f, g):
     assert rule.inverse().mapping == old.inverse().mapping
 
 
-def rand_tensorator_boxes(rng):
+def assert_tensorator_matches_table(f, g):
+    assert_matches_table(tensorator_rule(f, g), fn_tensorator_rule(f, g))
+
+
+def rand_box_pair(rng):
     """Two boxes on zero to three wires a side, sometimes with an empty apex."""
     def box():
         ins, outs = (tuple(FinSet(rng.randint(1, 3)) for _ in range(rng.randint(0, 3))) for _ in range(2))
@@ -578,19 +668,55 @@ def rand_tensorator_boxes(rng):
     return box(), box()
 
 
-TENSORATOR_SEEDS = range(40)
+BOX_PAIR_SEEDS = range(40)
 
 
 def test_tensorator_seeds_cover_the_box_shapes():
-    boxes = [b for seed in TENSORATOR_SEEDS for b in rand_tensorator_boxes(random.Random(2000 + seed))]
+    boxes = [b for seed in BOX_PAIR_SEEDS for b in rand_box_pair(random.Random(2000 + seed))]
     assert any(len(b.in_objs) > 1 for b in boxes) and any(len(b.out_objs) > 1 for b in boxes)
     assert any(not b.in_objs for b in boxes) and any(not b.out_objs for b in boxes)
     assert any(b.span.apex.size == 0 for b in boxes)
+    assert any(o.size == 1 for b in boxes for o in b.in_objs + b.out_objs)
 
 
-@pytest.mark.parametrize("seed", TENSORATOR_SEEDS)
+@pytest.mark.parametrize("seed", BOX_PAIR_SEEDS)
 def test_tensorator_matches_the_assignment_level_rule(seed):
-    assert_tensorator_matches_table(*rand_tensorator_boxes(random.Random(2000 + seed)))
+    assert_tensorator_matches_table(*rand_box_pair(random.Random(2000 + seed)))
+
+
+@pytest.mark.parametrize("seed", BOX_PAIR_SEEDS)
+def test_braiding_matches_the_assignment_level_rule(seed):
+    f, g = rand_box_pair(random.Random(2000 + seed))
+    assert_matches_table(braiding_rule(f, g), fn_braiding_rule(f, g))
+
+
+# set sizes for the syllepsis and hexagonator, 1 and the empty set included
+SET_SIZES = (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("sizes", list(itertools.product(SET_SIZES, repeat=2)))
+def test_syllepsis_matches_the_assignment_level_rule(sizes):
+    x, y = map(FinSet, sizes)
+    v, old = syllepsis_rule(x, y), fn_syllepsis_rule(x, y)
+    assert_matches_table(v, old)
+    # the inverse is closed-form too
+    assert_matches_table(v.inverse(), old.inverse())
+    assert v.inverse().cell == old.inverse().cell
+
+
+@pytest.mark.parametrize("sizes", list(itertools.product(SET_SIZES, repeat=3)))
+def test_hexagonator_matches_the_assignment_level_rule(sizes):
+    x, y, z = map(FinSet, sizes)
+    assert_matches_table(hexagonator_rule(x, y, z), fn_hexagonator_rule(x, y, z))
+
+
+def test_rules_of_the_commutativity_equations_match_the_assignment_level_rules(interval_l3_gamma):
+    X = interval_l3_gamma.base
+    x1 = X.levels[1]
+    mu, _, idb = pseudomonoid.build_pseudomonoid(X).boxes()
+    assert_matches_table(braiding_rule(idb, mu), fn_braiding_rule(idb, mu))
+    assert_matches_table(syllepsis_rule(x1, x1).inverse(), fn_syllepsis_rule(x1, x1).inverse())
+    assert_matches_table(hexagonator_rule(x1, x1, x1), fn_hexagonator_rule(x1, x1, x1))
 
 
 @pytest.mark.parametrize("category", [catalog.cyclic_group_category(5), catalog.pair_groupoid(3)],

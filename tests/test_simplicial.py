@@ -11,6 +11,7 @@ import pytest
 from finspan import catalog
 from finspan.acceptance import catalog_non_two_segal
 from finspan.documents import StructureDocument, dumps_document, loads_document
+from finspan.pseudomonoid import ConstructionError, build_pseudomonoid, verify_pentagon, verify_triangle
 from finspan.simplicial import (
     GluingError,
     SegalWitness,
@@ -418,6 +419,27 @@ class TestCodedSegalMaps:
         assert check_2segal(X).ok
         witnesses = [v for v in X.memo.values() if isinstance(v, SegalWitness)]
         assert witnesses and {w.triangulation.n for w in witnesses} == {3}
+
+
+class TestComplexNervePseudomonoids:
+    def test_two_segal_unital_nerves_give_coherent_pseudomonoids(self):
+        # a 2-Segal, unital complex nerve gives a pseudomonoid whose own
+        # associator and unitor rules close the pentagon and the triangle;
+        # any other is refused
+        built = refused = 0
+        for seed in range(100):
+            X = random_complex_nerve(random.Random(seed), 4)
+            if not (check_2segal(X).ok and check_unitality(X).ok):
+                with pytest.raises(ConstructionError):
+                    build_pseudomonoid(X)
+                refused += 1
+                continue
+            P = build_pseudomonoid(X)
+            assert (P.assoc_rule.cell, P.lunit_rule.cell, P.runit_rule.cell) == (P.assoc, P.lunit, P.runit)
+            assert verify_pentagon(P).ok
+            assert verify_triangle(P).ok
+            built += 1
+        assert (built, refused) == (75, 25)
 
 
 def mutated_face(X, n, i, e):

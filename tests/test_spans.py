@@ -2,6 +2,7 @@
 the monoidal coherence cells."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -22,9 +23,12 @@ from finspan.spans import (
     SpanCell,
     StructuralError,
     UNIT,
+    block_braiding_span,
     braiding_span,
     coherence_cell,
     compose_spans,
+    decode_tuple,
+    encode_tuple,
     horizontal_compose,
     identity_cell,
     identity_map,
@@ -389,3 +393,50 @@ class TestCoherenceCells:
             (r.source.right.table[i], i) for i in range(n)
         )
         assert r.source.right.table == r.target.right.table
+
+
+# ---------------------------------------------------------------------------
+# the block braiding against the swap table decoded and re-encoded element
+# by element
+
+
+def decoded_block_swap(first, second):
+    """The block braiding's swap table as each apex element's factors,
+    rotated by the first block."""
+    sizes = tuple(o.size for o in first + second)
+    out_sizes = tuple(o.size for o in second + first)
+    k = len(first)
+    return tuple(
+        encode_tuple(vals[k:] + vals[:k], out_sizes)
+        for vals in (decode_tuple(i, sizes) for i in range(math.prod(sizes)))
+    )
+
+
+BLOCK_CASES = [
+    ((), ()),
+    ((), (2, 3)),
+    ((3, 2), ()),
+    ((1,), (1,)),
+    ((1,), (3,)),
+    ((3,), (1, 1)),
+    ((2, 1, 3), (1, 2)),
+    ((2,), (3, 2)),
+    ((2, 3), (2,)),
+    ((0, 2), (3,)),
+    ((2,), (4, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("first, second", BLOCK_CASES + [
+    tuple(tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3))) for _ in range(2))
+    for rng in map(random.Random, range(20))
+])
+def test_block_braiding_matches_the_decoded_swap(first, second):
+    first, second = tuple(map(FinSet, first)), tuple(map(FinSet, second))
+    span = block_braiding_span(first, second)
+    table = decoded_block_swap(first, second)
+    assert span.right.table == table
+    assert span.apex.size == span.src.size == span.tgt.size == len(table)
+    assert span.left == identity_map(span.apex)
+    if len(first) == len(second) == 1:
+        assert span == braiding_span(*first, *second)
