@@ -572,7 +572,8 @@ def test_box_wire_tables_match_the_decoded_legs(seed):
 
 
 # ---------------------------------------------------------------------------
-# the closed-form tensorator against the assignment-level rule it replaced
+# the closed-form structural rules against the assignment-level rules they
+# replaced
 
 
 def fn_tensorator_rule(f, g):
