@@ -49,6 +49,7 @@ from .simplicial import (
     face_via_polygon,
     degen_via_polygon,
     glue,
+    glue_columns,
     make_simplicial,
     unglue,
 )

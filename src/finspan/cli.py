@@ -50,6 +50,20 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
+def _emit(text: str, output) -> int:
+    """Write a document's text to the file `output`, or to stdout when no
+    file is given; a file that cannot be written is bad input."""
+    if not output:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _fail(str(exc))
+    return 0
+
+
 def cmd_check(args) -> int:
     try:
         doc = load_document(args.path)
@@ -153,13 +167,7 @@ def cmd_derive(args) -> int:
         return 1
     except StructuralError as exc:
         return _fail(str(exc))
-    text = dumps_document(out)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(dumps_document(out), args.output)
 
 
 def cmd_search_lift(args) -> int:
@@ -268,13 +276,7 @@ def cmd_example(args) -> int:
         doc = EXAMPLES[args.name](args)
     except StructuralError as exc:
         return _fail(str(exc))
-    text = dumps_document(doc)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(dumps_document(doc), args.output)
 
 
 def cmd_acceptance(args) -> int:

@@ -89,7 +89,8 @@ def _parse_table(entry, dom: FinSet, cod: FinSet, what: str) -> FinMap:
         raise DocumentError(f"{what}: table must be a list, not {type(entry).__name__}")
     if len(entry) != dom.size:
         raise DocumentError(f"{what}: table length {len(entry)} differs from domain {dom.size}")
-    if any(not _is_index(v) or not 0 <= v < cod.size for v in entry):
+    # `type` is exact, so a bool is refused although it is an int
+    if entry and not (set(map(type, entry)) <= {int} and 0 <= min(entry) and max(entry) < cod.size):
         raise DocumentError(f"{what}: entry not an integer index below {cod.size}")
     return FinMap(dom, cod, tuple(entry))
 
@@ -174,8 +175,29 @@ def _document_from_dict(data: dict) -> StructureDocument:
     return StructureDocument(X, paracyclic, gamma, counit, commutative)
 
 
+def _canonical(value, indent: str) -> str:
+    """`value` as `json.dumps(value, indent=2, sort_keys=True)` writes it
+    at nesting `indent`; a flat list of integers is joined in one call
+    instead of going through the encoder entry by entry."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict) and value:
+        body = sep.join(f"{json.dumps(k)}: {_canonical(value[k], inner)}" for k in sorted(value))
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(value, list) and value:
+        if set(map(type, value)) <= {int}:
+            body = sep.join(map(str, value))
+        else:
+            body = sep.join(_canonical(v, inner) for v in value)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def dumps_document(doc: StructureDocument) -> str:
-    return json.dumps(document_to_dict(doc), indent=2, sort_keys=True) + "\n"
+    """The canonical text of a document: byte for byte what
+    `json.dumps(document_to_dict(doc), indent=2, sort_keys=True) + "\\n"`
+    gives."""
+    return _canonical(document_to_dict(doc), "") + "\n"
 
 
 def loads_document(text: str) -> StructureDocument:
@@ -187,10 +209,14 @@ def loads_document(text: str) -> StructureDocument:
 
 
 def save_document(doc: StructureDocument, path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_document(doc))
 
 
 def load_document(path) -> StructureDocument:
-    with open(path) as fh:
-        return loads_document(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"document is not UTF-8 text: {exc}") from exc
+    return loads_document(text)

@@ -43,8 +43,8 @@ from .simplicial import (
     TruncSimplicialSet,
     _triangulation_with_triangle,
     check_2segal,
-    glue,
-    unglue,
+    glue_columns,
+    vertex_map,
 )
 from .spans import (
     FinMap,
@@ -497,11 +497,8 @@ def theta_from_gamma_cell(X: TruncSimplicialSet, gamma: SpanCell) -> FinMap:
 
 def crossing_map(X: TruncSimplicialSet, theta: FinMap) -> FinMap:
     """The auxiliary level-3 map c with d_1 c = theta d_2 and d_3 c = d_0."""
-    table = []
-    for psi in X.levels[3]:
-        parts = (X.d(3, 0).table[psi], theta.table[X.d(3, 2).table[psi]])
-        table.append(glue(X, T13, parts))
-    return FinMap(X.levels[3], X.levels[3], tuple(table))
+    columns = (X.d(3, 0).table, tuple(map(theta.table.__getitem__, X.d(3, 2).table)))
+    return FinMap(X.levels[3], X.levels[3], glue_columns(X, T13, columns))
 
 
 def theta_via_triangulation(
@@ -518,12 +515,9 @@ def theta_via_triangulation(
     if tri not in T.triangles:
         raise StructuralError("triangulation misses the required triangle")
     pos = T.triangles.index(tri)
-    table = []
-    for psi in X.levels[n]:
-        comps = list(unglue(X, T, psi))
-        comps[pos] = theta.table[comps[pos]]
-        table.append(glue(X, T, tuple(comps)))
-    return FinMap(X.levels[n], X.levels[n], tuple(table))
+    columns = [vertex_map(X, n, t).table for t in T.triangles]
+    columns[pos] = tuple(map(theta.table.__getitem__, columns[pos]))
+    return FinMap(X.levels[n], X.levels[n], glue_columns(X, T, columns))
 
 
 def span_level_commutativity(X: TruncSimplicialSet, theta: FinMap) -> Report:

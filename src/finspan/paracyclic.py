@@ -33,7 +33,7 @@ from .simplicial import (
     TruncSimplicialSet,
     check_2segal,
     fan_triangulation,
-    glue,
+    glue_columns,
     vertex_map,
 )
 from .spans import (
@@ -381,6 +381,33 @@ def frobenius_from_paracyclic(P: ParacyclicData) -> CounitData:
 # Frobenius -> paracyclic
 
 
+def _glued_tower(X: TruncSimplicialSet, s1_0: FinMap, s2_1: FinMap) -> tuple[dict[int, FinMap], list[FinMap]]:
+    """The extra degeneracies s_{n+1}^n for n < N, from s_1^0 and s_2^1,
+    and the translations tau^n for n <= N.
+
+    Each s_{n+1}^n with n >= 2 glues the degenerate triangle s_2 e_out
+    along the outgoing edge, and tau^n = d_0 s_{n+1}^n below the top.  The
+    top translation glues its triangle components: the first N-1 fan
+    components shift, the last one is tau^2 of the initial triangle.
+    """
+    extra: dict[int, FinMap] = {0: s1_0, 1: s2_1}
+    for n in range(2, X.N):
+        base_tris = fan_triangulation(list(range(n + 1)), anchor=0)
+        new_tris = tuple(sorted(set(base_tris) | {(0, n, n + 1)}))
+        columns = {t: vertex_map(X, n, t).table for t in base_tris}
+        columns[(0, n, n + 1)] = tuple(map(s2_1.table.__getitem__, vertex_map(X, n, (0, n)).table))
+        glued = glue_columns(X, Triangulation(n + 1, new_tris), [columns[t] for t in new_tris])
+        extra[n] = FinMap(X.levels[n], X.levels[n + 1], glued)
+    tau = [extra[n].then(X.d(n + 1, 0)) for n in range(X.N)]
+
+    N = X.N
+    fan = Triangulation(N, tuple(sorted(fan_triangulation(list(range(N + 1)), anchor=0))))
+    columns = [vertex_map(X, N, (1, i + 1, i + 2)).table for i in range(1, N - 1)]
+    columns.append(tuple(map(tau[2].table.__getitem__, vertex_map(X, N, (0, 1, N)).table)))
+    tau.append(FinMap(X.levels[N], X.levels[N], glue_columns(X, fan, columns)))
+    return extra, tau
+
+
 def paracyclic_from_frobenius(X: TruncSimplicialSet, eps: Span) -> ParacyclicData:
     """Rebuild the paracyclic structure from a counit span.
 
@@ -426,47 +453,7 @@ def paracyclic_from_frobenius(X: TruncSimplicialSet, eps: Span) -> ParacyclicDat
     if pullback_square_witness(s2_1, X.d(1, 1), X.d(2, 1), s1_0) is not None:
         raise NotFrobeniusError("extra-degeneracy unitality square is not a pullback")
 
-    # the tower of extra degeneracies: s_{n+1}^n for n >= 2 by gluing the
-    # degenerate triangle s_2 e_out along the outgoing edge
-    extra: dict[int, FinMap] = {0: s1_0, 1: s2_1}
-    for n in range(2, X.N):
-        base_tris = fan_triangulation(list(range(n + 1)), anchor=0)
-        new_tris = tuple(sorted(set(base_tris) | {(0, n, n + 1)}))
-        T_new = Triangulation(n + 1, new_tris)
-        e_out = vertex_map(X, n, (0, n))
-        comp_tables = {t: vertex_map(X, n, t) for t in base_tris}
-        table = []
-        for psi in X.levels[n]:
-            comps = {t: comp_tables[t].table[psi] for t in base_tris}
-            comps[(0, n, n + 1)] = s2_1.table[e_out.table[psi]]
-            table.append(glue(X, T_new, tuple(comps[t] for t in sorted(comps))))
-        extra[n] = FinMap(X.levels[n], X.levels[n + 1], tuple(table))
-
-    tau = [s1_0.then(X.d(1, 0))]
-    for n in range(1, X.N):
-        tau.append(extra[n].then(X.d(n + 1, 0)))
-
-    # the top translation from its triangle components: the first N-1 fan
-    # components shift, the last one is tau^2 of the initial triangle
-    N = X.N
-    fan = fan_triangulation(list(range(N + 1)), anchor=0)
-    T_fan = Triangulation(N, tuple(sorted(fan)))
-    shift_tables = {
-        i: vertex_map(X, N, (1, i + 1, i + 2)) for i in range(1, N - 1)
-    }
-    wrap_table = vertex_map(X, N, (0, 1, N))
-    tau2 = tau[2]
-    table = []
-    for psi in X.levels[N]:
-        comps = {}
-        for i in range(1, N):
-            tri = tuple(sorted((0, i, i + 1)))
-            if i <= N - 2:
-                comps[tri] = shift_tables[i].table[psi]
-            else:
-                comps[tri] = tau2.table[wrap_table.table[psi]]
-        table.append(glue(X, T_fan, tuple(comps[t] for t in sorted(comps))))
-    tau.append(FinMap(X.levels[N], X.levels[N], tuple(table)))
+    extra, tau = _glued_tower(X, s1_0, s2_1)
 
     for n, t in enumerate(tau):
         if not t.is_bijective():

@@ -15,17 +15,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 from .diagrams import (
     Box,
     DiagramPath,
+    EvaluatedDiagram,
     RewriteRule,
+    _rule_cell,
     compare_paths,
     evaluate,
     identity_box,
-    make_rule,
     rule_from_cell,
     tensorator_rule,
 )
@@ -107,7 +108,9 @@ class PseudomonoidData:
     identity span.  All three cells must be invertible.  Each pattern is
     evaluated once, to check the cells' boundaries and to build the three
     rewrite rules the coherence equations use (`assoc_rule`, `lunit_rule`,
-    `runit_rule`).
+    `runit_rule`).  `evaluated` may hand over the evaluations of the
+    patterns mu(mu x id), mu(id x mu), mu(eta x id) and mu(id x eta), in
+    that order, when the caller has already made them.
     """
 
     carrier: FinSet
@@ -116,19 +119,23 @@ class PseudomonoidData:
     assoc: SpanCell
     lunit: SpanCell
     runit: SpanCell
+    evaluated: InitVar[tuple[EvaluatedDiagram, ...]] = ()
     assoc_rule: RewriteRule = field(init=False, compare=False, repr=False)
     lunit_rule: RewriteRule = field(init=False, compare=False, repr=False)
     runit_rule: RewriteRule = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, evaluated):
         for name, cell in (("assoc", self.assoc), ("lunit", self.lunit), ("runit", self.runit)):
             if not cell.is_invertible():
                 raise ConstructionError(f"{name} cell is not invertible")
         mu, eta, idb = self.boxes()
-        assoc_src = evaluate(assoc_src_rows(mu, idb))
-        assoc_tgt = evaluate(assoc_tgt_rows(mu, idb))
-        lunit_src = evaluate(lunit_src_rows(eta, mu, idb))
-        runit_src = evaluate(runit_src_rows(eta, mu, idb))
+        patterns = (assoc_src_rows(mu, idb), assoc_tgt_rows(mu, idb),
+                    lunit_src_rows(eta, mu, idb), runit_src_rows(eta, mu, idb))
+        if not evaluated:
+            evaluated = tuple(map(evaluate, patterns))
+        elif tuple(ev.diagram for ev in evaluated) != patterns:
+            raise ConstructionError("handed-over evaluations are not of the pseudomonoid's patterns")
+        assoc_src, assoc_tgt, lunit_src, runit_src = evaluated
         unit_tgt = evaluate(((idb,),))
         if self.assoc.source != assoc_src.span:
             raise ConstructionError("assoc source is not mu(mu x id)")
@@ -538,10 +545,12 @@ def pseudomonoid_from_two_truncated(T: TwoTruncatedData, assoc: dict) -> Pseudom
         za, zb = assoc[pair]
         return ((d2_2.table[za], zb), (za,))
 
-    a_rule = make_rule("associator", assoc_src_rows(mub, idb), assoc_tgt_rows(mub, idb), assoc_fn)
+    assoc_src = evaluate(assoc_src_rows(mub, idb))
+    assoc_tgt = evaluate(assoc_tgt_rows(mub, idb))
+    a_cell = _rule_cell("associator", assoc_src, assoc_tgt, assoc_tgt.index,
+                        map(assoc_fn, assoc_src.assignments))
 
-    def unitor(side, rows, key):
-        ev = evaluate(rows)
+    def unitor(side, ev, key):
         inv = {key(x): x for x in T.x1}
         if set(inv) != set(ev.assignments):
             raise ConstructionError(f"{side} unitality square is not a pullback")
@@ -549,11 +558,12 @@ def pseudomonoid_from_two_truncated(T: TwoTruncatedData, assoc: dict) -> Pseudom
             ev.span.apex, T.x1, tuple(inv[a] for a in ev.assignments)
         ))
 
-    lunit = unitor("left", lunit_src_rows(etab, mub, idb),
-                   lambda x: ((T.d1[1].table[x], x), (T.s1[0].table[x],)))
-    runit = unitor("right", runit_src_rows(etab, mub, idb),
-                   lambda x: ((x, T.d1[0].table[x]), (T.s1[1].table[x],)))
-    return PseudomonoidData(T.x1, eta, mu, a_rule.cell, lunit, runit)
+    lunit_src = evaluate(lunit_src_rows(etab, mub, idb))
+    lunit = unitor("left", lunit_src, lambda x: ((T.d1[1].table[x], x), (T.s1[0].table[x],)))
+    runit_src = evaluate(runit_src_rows(etab, mub, idb))
+    runit = unitor("right", runit_src, lambda x: ((x, T.d1[0].table[x]), (T.s1[1].table[x],)))
+    return PseudomonoidData(T.x1, eta, mu, a_cell, lunit, runit,
+                            evaluated=(assoc_src, assoc_tgt, lunit_src, runit_src))
 
 
 def canonical_segal_associator(X: TruncSimplicialSet) -> dict:

@@ -537,16 +537,30 @@ def unglue(X: TruncSimplicialSet, T: Triangulation, psi: int) -> tuple[int, ...]
     return tuple(vertex_map(X, T.n, t).table[psi] for t in T.triangles)
 
 
-def glue(X: TruncSimplicialSet, T: Triangulation, parts: Sequence[int]) -> int:
-    """The unique simplex with the given triangulated decomposition."""
+def glue_columns(X: TruncSimplicialSet, T: Triangulation, columns: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The unique simplices with the given triangulated decompositions, as
+    a batch: `columns` holds one column of components per triangle of T,
+    in `T.triangles` order, and member k has the components
+    `columns[j][k]`.  An empty batch glues nothing and raises nothing; an
+    error names the first member that fails."""
+    # no columns at all is the one decomposition with no components
+    keys = list(zip(*columns)) if columns else [()]
+    if not keys:
+        return ()
     w = segal_witness(X, T)
     if w.inverse is None:
         raise GluingError("triangulation map is not bijective; cannot glue")
-    key = tuple(parts)
     idx = w.stack.index
-    if key not in idx:
-        raise GluingError(f"incompatible parts {key} for diagonals {T.diagonals}")
-    return w.inverse.table[idx[key]]
+    try:
+        return tuple(map(w.inverse.table.__getitem__, map(idx.__getitem__, keys)))
+    except KeyError:
+        key = next(k for k in keys if k not in idx)
+        raise GluingError(f"incompatible parts {key} for diagonals {T.diagonals}") from None
+
+
+def glue(X: TruncSimplicialSet, T: Triangulation, parts: Sequence[int]) -> int:
+    """The unique simplex with the given triangulated decomposition."""
+    return glue_columns(X, T, [(p,) for p in parts])[0]
 
 
 def _triangle_at_vertex(n: int, i: int) -> tuple[int, int, int]:

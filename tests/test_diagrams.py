@@ -436,6 +436,28 @@ class TestMemo:
         # unitor rules are the pseudomonoid's own, built when it was
         assert len(refs) == 1 + 1
 
+    def test_each_pseudomonoid_pattern_is_evaluated_once(self, monkeypatch):
+        X = catalog.nerve(catalog.cyclic_group_category(5), 3)
+        _, evaluated = _record_evaluations(monkeypatch)
+        P = pseudomonoid.build_pseudomonoid(X)
+        mu, eta, idb = P.boxes()
+        patterns = [
+            pseudomonoid.assoc_src_rows(mu, idb), pseudomonoid.assoc_tgt_rows(mu, idb),
+            pseudomonoid.lunit_src_rows(eta, mu, idb), pseudomonoid.runit_src_rows(eta, mu, idb),
+            ((idb,),),
+        ]
+        assert len(evaluated) == len(patterns)
+        assert all(evaluated.count(p) == 1 for p in patterns)
+
+    def test_commutativity_makes_nine_evaluations(self, monkeypatch, interval_l3_gamma):
+        # the five pseudomonoid patterns, the commutor rule's two, and the
+        # start diagram of each equation; before the pseudomonoid took the
+        # evaluations its construction made, there were 13
+        X, theta = interval_l3_gamma.base, interval_l3_gamma.theta(2, 1)
+        _, evaluated = _record_evaluations(monkeypatch)
+        assert gammaset.span_level_commutativity(X, theta).ok
+        assert len(evaluated) == 5 + 2 + 2
+
     def test_commutativity_evaluates_no_structural_pattern(self, monkeypatch, interval_l3_gamma):
         X, theta = interval_l3_gamma.base, interval_l3_gamma.theta(2, 1)
         x1 = X.levels[1]

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import random
 import re
 
 import pytest
@@ -17,6 +18,9 @@ from finspan.documents import (
     dumps_document,
     loads_document,
 )
+from finspan.spans import UNIT, FinMap, FinSet, Span, constant_map
+from test_catalog import _catalog_documents
+from test_simplicial import empty_structure, random_complex_nerve
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -60,6 +64,70 @@ class TestDocuments:
             assert dumps_document(doc) == text
 
 
+def json_dumps_document(doc):
+    """The canonical text as the standard encoder writes it."""
+    return json.dumps(document_to_dict(doc), indent=2, sort_keys=True) + "\n"
+
+
+# label characters JSON escapes: quotes, backslashes, control characters,
+# and non-ASCII in and beyond the basic plane
+LABEL_CHARACTERS = ['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u2603", "\U0001f600", "a", " "]
+
+
+def labelled(doc, rng):
+    """`doc` with seeded labels on every level, made distinct by their
+    index."""
+    data = document_to_dict(doc)
+    data["levels"] = [
+        {"size": size, "labels": ["".join(rng.choices(LABEL_CHARACTERS, k=rng.randint(0, 4))) + str(e)
+                                  for e in range(size)]}
+        for size in (l if isinstance(l, int) else l["size"] for l in data["levels"])
+    ]
+    return document_from_dict(data)
+
+
+def empty_document():
+    """Every level of size 0, so every table is empty, with every block."""
+    X = empty_structure(3)
+    apex = FinSet(0)
+    counit = Span(X.levels[1], UNIT, apex, FinMap(apex, X.levels[1], ()), constant_map(apex, UNIT))
+    return StructureDocument(X, counit=counit, commutative=FinMap(X.levels[2], X.levels[2], ()))
+
+
+class TestCanonicalText:
+    def test_fixtures_match_the_standard_encoder(self):
+        for path in sorted(FIXTURES.glob("*.json")):
+            doc = loads_document(path.read_text())
+            assert dumps_document(doc) == json_dumps_document(doc)
+
+    def test_catalog_documents_match_the_standard_encoder(self):
+        docs = list(_catalog_documents())
+        assert len(docs) == 78
+        for name, doc in docs:
+            assert dumps_document(doc) == json_dumps_document(doc), name
+
+    def test_edge_cases_match_the_standard_encoder(self):
+        rng = random.Random(7)
+        docs = [empty_document(), labelled(empty_document(), rng)]
+        docs += [labelled(StructureDocument(random_complex_nerve(random.Random(seed), 3)), rng)
+                 for seed in range(20)]
+        for doc in docs:
+            text = dumps_document(doc)
+            assert text == json_dumps_document(doc)
+            assert dumps_document(loads_document(text)) == text
+        texts = "".join(dumps_document(doc) for doc in docs)
+        assert all(json.dumps(c)[1:-1] in texts for c in LABEL_CHARACTERS)
+        assert '"face": [\n    [\n      [],\n      []\n    ],' in dumps_document(docs[0])
+
+    @pytest.mark.parametrize("value", [True, 1.0, -1, 2, "0", [0], None],
+                             ids=["true", "float", "negative", "size", "string", "nested", "null"])
+    def test_table_entries_are_indices_below_the_size(self, nerve_z2, value):
+        data = document_to_dict(StructureDocument(nerve_z2))
+        data["face"][1][1][1] = value
+        with pytest.raises(DocumentError, match=r"^face d_1\^2: entry not an integer index below 2$"):
+            document_from_dict(data)
+
+
 class TestCli:
     def test_check_passes_on_fixture(self, capsys):
         assert main(["check", str(FIXTURES / "interval_l2.json")]) == 0
@@ -101,6 +169,31 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["derive", "--direction", "commutative-to-gamma"], ["search-lift"],
+    ], ids=["check", "derive", "search-lift"])
+    def test_non_utf8_document_is_bad_input(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        assert main(argv[:1] + [str(bad)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: document is not UTF-8 text: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["derive", str(FIXTURES / "interval_l2.json"), "--direction", "gamma-to-commutative"],
+        ["example", "nerve-z2"],
+    ], ids=["derive", "example"])
+    def test_unwritable_output_is_bad_input(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "x.json"
+        assert main(argv + ["-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert not out.parent.exists()
 
     def test_check_skips_absent_blocks(self, capsys):
         assert main(["check", str(FIXTURES / "chain_poset_nerve.json"), "--gamma"]) == 0

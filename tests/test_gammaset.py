@@ -31,8 +31,9 @@ from finspan.gammaset import (
     theta_via_triangulation,
 )
 from finspan.paracyclic import LambdaMor, delta_action, lambda_compose, lambda_delta, lambda_sigma
-from finspan.simplicial import enumerate_triangulations
-from finspan.spans import FinMap
+from finspan.simplicial import T13, _triangulation_with_triangle, enumerate_triangulations, vertex_map
+from finspan.spans import FinMap, StructuralError
+from test_simplicial import differential_inputs, empty_structure, loop_glue, outcome
 
 
 class TestPhiStar:
@@ -325,3 +326,106 @@ class TestCommutativityCorrespondence:
 
         assert reduced_commutativity(X, G).ok
         assert span_level_commutativity(X, swap).ok
+
+
+# ---------------------------------------------------------------------------
+# batch gluing against the per-simplex loops
+
+
+def loop_crossing_map(X, theta):
+    """`crossing_map` as one glue per simplex, as it was before batches."""
+    table = []
+    for psi in X.levels[3]:
+        parts = (X.d(3, 0).table[psi], theta.table[X.d(3, 2).table[psi]])
+        table.append(loop_glue(X, T13, parts))
+    return FinMap(X.levels[3], X.levels[3], tuple(table))
+
+
+def loop_theta_via_triangulation(X, theta, n, i, T=None):
+    """`theta_via_triangulation` as one glue per simplex, as it was before
+    batches."""
+    if n == 2:
+        return theta
+    tri = (i - 1, i, i + 1)
+    if T is None:
+        T = _triangulation_with_triangle(n, tri)
+    if tri not in T.triangles:
+        raise StructuralError("triangulation misses the required triangle")
+    pos = T.triangles.index(tri)
+    table = []
+    for psi in X.levels[n]:
+        comps = [vertex_map(X, T.n, t).table[psi] for t in T.triangles]
+        comps[pos] = theta.table[comps[pos]]
+        table.append(loop_glue(X, T, tuple(comps)))
+    return FinMap(X.levels[n], X.levels[n], tuple(table))
+
+
+def swap_theta(X, k):
+    """The tuple swap on the level 2 of the nerve of Z_k."""
+    pairs = [(a, b) for a in range(k) for b in range(k)]
+    index = {p: i for i, p in enumerate(pairs)}
+    return FinMap(X.levels[2], X.levels[2], tuple(index[(b, a)] for a, b in pairs))
+
+
+@pytest.fixture(scope="module")
+def theta_inputs():
+    """Each differential input with level-2 maps to glue through: the
+    identity, a seeded permutation, and the structure's own transposition
+    where it has one."""
+    rng = random.Random(3)
+    out = []
+    for name, X in differential_inputs():
+        size = X.levels[2].size
+        shuffled = list(range(size))
+        rng.shuffle(shuffled)
+        thetas = [FinMap(X.levels[2], X.levels[2], tuple(range(size))),
+                  FinMap(X.levels[2], X.levels[2], tuple(shuffled))]
+        if name == "Z_3":
+            thetas.append(swap_theta(X, 3))
+        elif name == "interval L=5":
+            thetas.append(catalog.commutative_monoid_gamma(catalog.interval_monoid(5), 5).theta(2, 1))
+        out.append((X, thetas))
+    return out
+
+
+class TestBatchGluing:
+    def test_theta_via_triangulation_matches_the_loop(self, theta_inputs):
+        raised = moved = 0
+        for X, thetas in theta_inputs:
+            for theta in thetas:
+                for n in (3, 4, 5):
+                    for i in range(1, n):
+                        got = outcome(theta_via_triangulation, X, theta, n, i)
+                        assert got == outcome(loop_theta_via_triangulation, X, theta, n, i)
+                        raised += isinstance(got, tuple)
+                        moved += isinstance(got, FinMap) and got.table != tuple(X.levels[n])
+        assert raised and moved
+
+    def test_every_triangulation_matches_the_loop(self, theta_inputs):
+        X, thetas = theta_inputs[0]
+        for theta in thetas:
+            for n in (3, 4):
+                for i in range(1, n):
+                    for T in enumerate_triangulations(n):
+                        if (i - 1, i, i + 1) not in T.triangles:
+                            continue
+                        assert (outcome(theta_via_triangulation, X, theta, n, i, T)
+                                == outcome(loop_theta_via_triangulation, X, theta, n, i, T))
+
+    def test_crossing_map_matches_the_loop(self, theta_inputs):
+        raised = glued = 0
+        for X, thetas in theta_inputs:
+            for theta in thetas:
+                got = outcome(crossing_map, X, theta)
+                assert got == outcome(loop_crossing_map, X, theta)
+                raised += isinstance(got, tuple)
+                glued += isinstance(got, FinMap)
+        assert raised and glued
+
+    def test_an_empty_structure_glues_nothing(self):
+        X = empty_structure(4)
+        theta = FinMap(X.levels[2], X.levels[2], ())
+        assert crossing_map(X, theta).table == ()
+        for n in (3, 4):
+            for i in range(1, n):
+                assert theta_via_triangulation(X, theta, n, i).table == ()

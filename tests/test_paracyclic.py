@@ -11,6 +11,7 @@ from finspan.paracyclic import (
     LambdaMor,
     NotFrobeniusError,
     ParacyclicData,
+    _glued_tower,
     check_cyclic,
     check_extra_degeneracy_relations,
     check_lambda_relations,
@@ -29,7 +30,9 @@ from finspan.paracyclic import (
     lambda_t,
     paracyclic_from_frobenius,
 )
+from finspan.simplicial import Triangulation, fan_triangulation, vertex_map
 from finspan.spans import FinMap, FinSet, Span, StructuralError, UNIT, constant_map
+from test_simplicial import differential_inputs, empty_structure, loop_glue, outcome
 
 
 def all_paracyclic_fixtures():
@@ -284,3 +287,76 @@ class TestCyclicity:
         res = check_cyclic(catalog.twisted_cyclic_paracyclic(G3, F, 4))
         assert res.verdict == "paracyclic-only"
         assert res.agree
+
+
+# ---------------------------------------------------------------------------
+# batch gluing against the per-simplex loops
+
+
+def loop_tower(X, s1_0, s2_1):
+    """The extra degeneracies and translations of `paracyclic_from_frobenius`
+    with one glue per simplex, as they were before batches."""
+    extra = {0: s1_0, 1: s2_1}
+    for n in range(2, X.N):
+        base_tris = fan_triangulation(list(range(n + 1)), anchor=0)
+        new_tris = tuple(sorted(set(base_tris) | {(0, n, n + 1)}))
+        T_new = Triangulation(n + 1, new_tris)
+        e_out = vertex_map(X, n, (0, n))
+        comp_tables = {t: vertex_map(X, n, t) for t in base_tris}
+        table = []
+        for psi in X.levels[n]:
+            comps = {t: comp_tables[t].table[psi] for t in base_tris}
+            comps[(0, n, n + 1)] = s2_1.table[e_out.table[psi]]
+            table.append(loop_glue(X, T_new, tuple(comps[t] for t in sorted(comps))))
+        extra[n] = FinMap(X.levels[n], X.levels[n + 1], tuple(table))
+    tau = [s1_0.then(X.d(1, 0))]
+    for n in range(1, X.N):
+        tau.append(extra[n].then(X.d(n + 1, 0)))
+
+    N = X.N
+    T_fan = Triangulation(N, tuple(sorted(fan_triangulation(list(range(N + 1)), anchor=0))))
+    table = []
+    for psi in X.levels[N]:
+        comps = {}
+        for i in range(1, N):
+            tri = (0, i, i + 1)
+            if i <= N - 2:
+                comps[tri] = vertex_map(X, N, (1, i + 1, i + 2)).table[psi]
+            else:
+                comps[tri] = tau[2].table[vertex_map(X, N, (0, 1, N)).table[psi]]
+        table.append(loop_glue(X, T_fan, tuple(comps[t] for t in sorted(comps))))
+    tau.append(FinMap(X.levels[N], X.levels[N], tuple(table)))
+    return extra, tau
+
+
+class TestBatchGluing:
+    def test_tower_matches_the_loops(self):
+        # the last degeneracy s_1 always glues along the outgoing edge; a
+        # seeded map X_1 -> X_2 mostly does not
+        rng = random.Random(11)
+        raised = glued = 0
+        for _, X in differential_inputs():
+            seeded = FinMap(X.levels[1], X.levels[2], tuple(
+                rng.randrange(X.levels[2].size) for _ in X.levels[1]))
+            for s2_1 in (X.s(1, 1), seeded):
+                got = outcome(_glued_tower, X, X.s(0, 0), s2_1)
+                assert got == outcome(loop_tower, X, X.s(0, 0), s2_1)
+                raised += got[0] == "GluingError"
+                glued += got[0] != "GluingError"
+        assert raised and glued
+
+    @pytest.mark.parametrize("P", [
+        catalog.groupoid_cyclic(catalog.cyclic_group_category(3), 5),
+        catalog.groupoid_cyclic(catalog.pair_groupoid(3), 5),
+        catalog.interval_cyclic(5, 5),
+    ], ids=["Z_3", "pair_groupoid(3)", "interval L=5"])
+    def test_derived_translations_match_the_loops(self, P):
+        derived = paracyclic_from_frobenius(P.base, frobenius_from_paracyclic(P).counit)
+        _, tau = loop_tower(P.base, P.extra_degeneracy(0), P.extra_degeneracy(1))
+        assert derived.tau == tuple(tau) == P.tau
+
+    def test_an_empty_structure_glues_nothing(self):
+        X = empty_structure(4)
+        extra, tau = _glued_tower(X, X.s(0, 0), X.s(1, 1))
+        assert [t.table for t in tau] == [()] * 5
+        assert all(s.table == () for s in extra.values())

@@ -11,13 +11,14 @@ import pytest
 
 from finspan import catalog
 from finspan.catalog import no_lift_canonical_associator, no_lift_family
-from finspan.diagrams import first_moved
+from finspan.diagrams import evaluate, first_moved
 from finspan.documents import load_document
 from finspan.pseudomonoid import (
     PENTAGON_LHS_FLIPS,
     PENTAGON_RHS_FLIPS,
     PENTAGON_TRIANGULATIONS,
     ConstructionError,
+    PseudomonoidData,
     TwoTruncatedData,
     _fan_stack,
     _flip,
@@ -176,6 +177,21 @@ class TestBuild:
         assert P.assoc.map.table == (0,)
         assert P.lunit.map.table == (0,)
         assert P.runit.map.table == (0,)
+
+    def test_handed_over_evaluations_give_the_same_rules(self, interval_l3):
+        P = build_pseudomonoid(interval_l3)
+        Q = PseudomonoidData(P.carrier, P.unit, P.mult, P.assoc, P.lunit, P.runit)
+        assert Q == P
+        for attr in ("assoc_rule", "lunit_rule", "runit_rule"):
+            rule, again = getattr(P, attr), getattr(Q, attr)
+            assert (rule.src, rule.tgt, rule.mapping, rule.cell) == (again.src, again.tgt, again.mapping, again.cell)
+
+    def test_rejects_evaluations_of_other_patterns(self, nerve_z2):
+        P = build_pseudomonoid(nerve_z2)
+        mu, _, idb = P.boxes()
+        ev = evaluate(((mu, idb), (mu,)))
+        with pytest.raises(ConstructionError, match="not of the pseudomonoid's patterns"):
+            PseudomonoidData(P.carrier, P.unit, P.mult, P.assoc, P.lunit, P.runit, evaluated=(ev,) * 4)
 
     def test_rejects_non_two_segal(self):
         from finspan.acceptance import catalog_non_two_segal

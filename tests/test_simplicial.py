@@ -28,6 +28,7 @@ from finspan.simplicial import (
     enumerate_triangulations,
     face_via_polygon,
     glue,
+    glue_columns,
     make_simplicial,
     polygon_stack,
     segal_witness,
@@ -487,3 +488,111 @@ class TestBrokenFaceIdentities:
                 ((0, 2), (0, 3), (3, 5)),
             )
         ]
+
+
+# ---------------------------------------------------------------------------
+# batch gluing against the per-simplex loop
+
+
+def loop_glue(X, T, parts):
+    """`glue` as one lookup per simplex, as it was before batches."""
+    w = segal_witness(X, T)
+    if w.inverse is None:
+        raise GluingError("triangulation map is not bijective; cannot glue")
+    key = tuple(parts)
+    idx = w.stack.index
+    if key not in idx:
+        raise GluingError(f"incompatible parts {key} for diagonals {T.diagonals}")
+    return w.inverse.table[idx[key]]
+
+
+def outcome(fn, *args):
+    """What a call returns, or the message of the `GluingError` it raises."""
+    try:
+        return fn(*args)
+    except GluingError as exc:
+        return ("GluingError", str(exc))
+
+
+def differential_inputs():
+    """The structures the batch and per-simplex gluing are compared on:
+    Z_3, the pair groupoid on 3 objects and the interval L = 5, each at 5,
+    and the seeded complex nerves at 5 that are 2-Segal."""
+    inputs = [
+        ("Z_3", catalog.nerve(catalog.cyclic_group_category(3), 5)),
+        ("pair_groupoid(3)", catalog.nerve(catalog.pair_groupoid(3), 5)),
+        ("interval L=5", catalog.partial_monoid_nerve(catalog.interval_monoid(5), 5)),
+    ]
+    for seed in range(60):
+        X = random_complex_nerve(random.Random(seed), 5)
+        if check_2segal(X).ok:
+            inputs.append((f"complex nerve {seed}", X))
+    return inputs
+
+
+@pytest.fixture(scope="module")
+def glue_inputs():
+    return differential_inputs()
+
+
+def empty_structure(N):
+    """Every level empty: each glue runs on an empty batch."""
+    levels = [FinSet(0)] * (N + 1)
+    empty = FinMap(FinSet(0), FinSet(0), ())
+    return make_simplicial(levels, [()] + [(empty,) * (n + 1) for n in range(1, N + 1)],
+                           [(empty,) * (n + 1) for n in range(N)] + [()])
+
+
+class TestGlueColumns:
+    def test_unglued_columns_glue_back(self, glue_inputs):
+        assert len(glue_inputs) > 3 + 20
+        for _, X in glue_inputs:
+            for n in (3, 4, 5):
+                for T in enumerate_triangulations(n):
+                    columns = [vertex_map(X, n, t).table for t in T.triangles]
+                    assert glue_columns(X, T, columns) == tuple(X.levels[n])
+
+    def test_matches_the_per_element_loop(self, glue_inputs):
+        # two seeded components per batch are moved; the batch raises for
+        # the first member the loop raises for, or gives the loop's table
+        rng = random.Random(5)
+        raised = glued = 0
+        for _, X in glue_inputs:
+            for n in (3, 4):
+                for T in enumerate_triangulations(n):
+                    columns = [list(vertex_map(X, n, t).table) for t in T.triangles]
+                    for _ in range(2):
+                        j, k = rng.randrange(len(columns)), rng.randrange(X.levels[n].size)
+                        columns[j][k] = rng.randrange(X.levels[2].size)
+                    loop = [outcome(loop_glue, X, T, parts) for parts in zip(*columns)]
+                    first_error = next((r for r in loop if isinstance(r, tuple)), None)
+                    assert outcome(glue_columns, X, T, columns) == (first_error or tuple(loop))
+                    assert [outcome(glue, X, T, parts) for parts in zip(*columns)] == loop
+                    raised += first_error is not None
+                    glued += first_error is None
+        assert raised and glued
+
+    def test_a_non_bijective_triangulation_raises_as_the_loop_does(self):
+        X = catalog_non_two_segal()
+        bad = [T for T in enumerate_triangulations(3) if segal_witness(X, T).inverse is None]
+        assert bad
+        for T in bad:
+            columns = [vertex_map(X, 3, t).table for t in T.triangles]
+            expected = outcome(loop_glue, X, T, next(zip(*columns)))
+            assert expected == ("GluingError", "triangulation map is not bijective; cannot glue")
+            assert outcome(glue_columns, X, T, columns) == expected
+
+    def test_an_empty_batch_glues_nothing(self):
+        X = catalog_non_two_segal()
+        T = T13
+        assert glue_columns(X, T, ((), ())) == ()
+        # nothing was looked up, so the failing witness was never built
+        assert T not in X.memo
+        assert segal_witness(X, T).inverse is None
+        assert glue_columns(X, T, ((), ())) == ()
+
+    def test_an_empty_structure_glues_nothing(self):
+        X = empty_structure(4)
+        for n in (3, 4):
+            for T in enumerate_triangulations(n):
+                assert glue_columns(X, T, [vertex_map(X, n, t).table for t in T.triangles]) == ()
