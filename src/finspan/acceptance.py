@@ -114,7 +114,7 @@ def gamma_fixtures() -> dict:
 
 def criterion_1_two_segal_suite() -> Report:
     report = Report()
-    t0 = time.time()
+    t0 = time.perf_counter()
     for name, X in segal_fixtures().items():
         ids = check_simplicial_identities(X)
         seg = check_2segal(X)
@@ -124,7 +124,7 @@ def criterion_1_two_segal_suite() -> Report:
                 report.add(CheckResult(f"{name}: {label}", True))
             else:
                 report.add(rep.failures[0])
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report.add(CheckResult("2-Segal suite under 60 s", elapsed < 60, detail=f"{elapsed:.1f}s"))
     return report
 
@@ -144,7 +144,7 @@ def criterion_2_pentagon_triangle() -> Report:
 
 def criterion_3_no_lift() -> Report:
     report = Report()
-    t0 = time.time()
+    t0 = time.perf_counter()
     expected = {0: "lift exists", 1: "lift exists", 2: "no lift", 3: "no lift"}
     for a, want in expected.items():
         res = search_associator_lift(no_lift_family(a))
@@ -166,7 +166,7 @@ def criterion_3_no_lift() -> Report:
         "canonical-associator pentagon discrepancy is the label swap",
         moved == want, witness=None if moved == want else moved,
     ))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report.add(CheckResult("no-lift suite under 5 min", elapsed < 300, detail=f"{elapsed:.1f}s"))
     return report
 
@@ -480,9 +480,9 @@ def run_all(seed: int = 0, verbose: bool = False) -> tuple[Report, list[str]]:
     total = Report()
     lines = []
     for name, fn in CRITERIA:
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = fn(seed) if fn in (criterion_7_morphism_calculi, criterion_8_oracles) else fn()
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         status = "pass" if rep.ok else "FAIL"
         lines.append(f"[{status}] criterion {name} ({elapsed:.1f}s, {len(rep.results)} checks)")
         if verbose or not rep.ok:

@@ -15,12 +15,17 @@ comparing the element maps decides the equation exactly.  An equation
 evaluates only its start diagram: the structural rules (tensorator,
 braiding, syllepsis and its inverse, hexagonator) carry elements in closed
 form and build their tables only when read, and the other rules are built
-once from patterns their owners have already evaluated.
+once from patterns their owners have already evaluated.  Steps map whole
+element columns and check each fact once: a table rule's images when a
+step first uses it, a closed-form rule's images in each step.  Two paths
+agree when their end columns are equal and distinct, and the discrepancy
+between them is built only when read.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -127,6 +132,17 @@ def _out_wires(row: Row) -> tuple[WireReader, ...]:
     return tuple((c, t) for c, b in enumerate(row) for t in b.out_wires)
 
 
+def _identity_free(wires) -> tuple[WireReader, ...]:
+    """The readers with each identity table replaced by None, since such a
+    wire's values are the element column itself."""
+    return tuple((c, None if t == tuple(range(len(t))) else t) for c, t in wires)
+
+
+def _wire_values(wires, row) -> list[tuple[int, ...]]:
+    """Each wire's values in a batch, read from the box columns of its row."""
+    return [row[c] if t is None else tuple(map(t.__getitem__, row[c])) for c, t in wires]
+
+
 def _leg_column(legs, columns, count: int) -> tuple[int, ...]:
     """The row-major index of a row's boundary in each of `count` tuples,
     folded from each box's (boundary size, leg table) and element column:
@@ -152,14 +168,19 @@ def _members(columns, count: int):
 
 @dataclass(frozen=True)
 class EvaluatedDiagram:
-    """A diagram's composite span; its apex lists the assignments (one apex
-    element per box, grouped by row) in canonical order, and `columns`
-    holds the same elements as one column per box, grouped by row."""
+    """A diagram's composite span; `columns` holds its apex elements as one
+    element column per box, grouped by row, in canonical order.  The same
+    elements as assignments (one apex element per box, grouped by row) and
+    their index are built from the columns the first time they are read."""
 
     diagram: Diagram
     span: Span
-    assignments: tuple[Assignment, ...]
-    columns: Columns = field(compare=False)
+    columns: Columns
+
+    @cached_property
+    def assignments(self) -> tuple[Assignment, ...]:
+        count = self.span.apex.size
+        return tuple(zip(*(tuple(zip(*row)) if row else ((),) * count for row in self.columns)))
 
     @cached_property
     def index(self) -> dict[Assignment, int]:
@@ -188,16 +209,14 @@ def evaluate(diagram: Diagram) -> EvaluatedDiagram:
     flat = iterated_pullback(factors)
     columns = tuple(zip(*flat)) if flat else ((),) * cuts[-1]
     box_columns = tuple(columns[a:b] for a, b in zip(cuts, cuts[1:]))
-    rows = [tuple(zip(*row)) if row else ((),) * len(flat) for row in box_columns]
-    assignments = tuple(zip(*rows))
     src = FinSet(_wire_size(row_in_objs(diagram[0])))
     tgt = FinSet(_wire_size(row_out_objs(diagram[-1])))
-    apex = FinSet(len(assignments))
+    apex = FinSet(len(flat))
     firsts = ((b.span.src.size, b.span.left.table) for b in diagram[0])
     lasts = ((b.span.tgt.size, b.span.right.table) for b in diagram[-1])
     left = FinMap(apex, src, _leg_column(firsts, box_columns[0], len(flat)))
     right = FinMap(apex, tgt, _leg_column(lasts, box_columns[-1], len(flat)))
-    return EvaluatedDiagram(diagram, Span(src, tgt, apex, left, right), assignments, box_columns)
+    return EvaluatedDiagram(diagram, Span(src, tgt, apex, left, right), box_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +237,10 @@ class RewriteRule:
     spans nor the order of their apexes.  `carry` maps a batch of elements
     through `mapping`.  The structural rules are `_ClosedFormRule`s: their
     `carry` relabels columns directly, and `mapping` and `cell` are built
-    from it the first time either is read.  `apply_rewrite` checks every
-    image to chain, whichever kind of rule made it.
+    from it the first time either is read.  A table rule's images are
+    checked once, as a whole (`images_chain`), the first time a rewrite
+    step uses the rule; a closed-form rule's images are checked to chain
+    in every step.
     """
 
     name: str
@@ -235,10 +256,32 @@ class RewriteRule:
         images = list(map(self.mapping.__getitem__, _members(columns, count)))
         return tuple(zip(*images)) if images else ((),) * sum(map(len, self.tgt))
 
+    @cached_property
+    def images_chain(self) -> bool:
+        """Whether each image in `mapping` chains across every interior
+        interface of the padded tgt pattern and keeps its source's exterior
+        in-wire and out-wire values, so that no seam of a diagram the rule
+        rewrites can break."""
+        keys = list(self.mapping)
+        columns = tuple(zip(*keys)) if keys else ((),) * sum(map(len, self.src))
+        src, tgt = _by_row(self.src, columns), _by_row(self.tgt, self.carry(columns, len(keys)))
+        sides = [
+            ((_in_wires(self.src[0]), src[0]), (_in_wires(self.tgt[0]), tgt[0])),
+            ((_out_wires(self.src[-1]), src[-1]), (_out_wires(self.tgt[-1]), tgt[-1])),
+        ] + [((_out_wires(self.tgt[i - 1]), tgt[i - 1]), (_in_wires(self.tgt[i]), tgt[i]))
+             for i in range(1, len(self.tgt))]
+        return all(_wire_values(*upper) == _wire_values(*lower) for upper, lower in sides)
+
     def inverse(self) -> "RewriteRule":
         cell = self.cell.inverse()
         inv = {v: k for k, v in self.mapping.items()}
         return RewriteRule(self.name + "^-1", self.tgt, self.src, inv, cell)
+
+
+def _by_row(pattern: Diagram, columns) -> Columns:
+    """A pattern's box columns, listed row-major, grouped by row."""
+    cuts = tuple(itertools.accumulate(map(len, pattern), initial=0))
+    return tuple(columns[a:b] for a, b in zip(cuts, cuts[1:]))
 
 
 def _pad_rows(rows: Diagram, count: int) -> Diagram:
@@ -258,7 +301,7 @@ def _padded_members(ev: EvaluatedDiagram, depth: int) -> list[tuple[int, ...]]:
     if pad:
         last = ev.columns[-1]
         columns += [tuple(map(t.__getitem__, last[c])) for c, t in _out_wires(ev.diagram[-1])] * pad
-    return list(_members(columns, len(ev.assignments)))
+    return list(_members(columns, ev.span.apex.size))
 
 
 def _padded_rule(name: str, ev_src: EvaluatedDiagram, ev_tgt: EvaluatedDiagram, cell: SpanCell) -> RewriteRule:
@@ -339,8 +382,11 @@ def apply_rewrite(
     cols: tuple[int, ...],
 ) -> tuple[Diagram, Step]:
     """Apply `rule` whose pattern row r starts at box index cols[r] of
-    diagram row at_row + r.  Returns the new diagram and the element map;
-    the map checks that each image chains from row to row."""
+    diagram row at_row + r.  Returns the new diagram and the element map.
+    The map refuses a rule whose images need not chain from row to row: a
+    table rule once, through `images_chain`, the first time a step uses it,
+    and a closed-form rule in every step, at each seam wire that a
+    rewritten box reads or writes."""
     depth = len(rule.src)
     if len(cols) != depth or at_row + depth > len(diagram):
         raise StructuralError("rewrite location out of range")
@@ -364,31 +410,32 @@ def apply_rewrite(
     new_diagram = tuple(new_rows)
     # (row, first col, end col) of the local pattern before the step
     bounds = tuple((at_row + r, cols[r], cols[r] + len(rule.src[r])) for r in range(depth))
-    # where each row of the image starts among its box columns
-    cuts = tuple(itertools.accumulate((len(row) for row in rule.tgt), initial=0))
-    # at each row interface that touches a rewritten row, the wires that a
-    # rewritten box reads or writes; every other wire keeps the value it
-    # had in the valid assignment the step starts from
-    rewritten = {at_row + r: range(cols[r], cols[r] + len(rule.tgt[r])) for r in range(depth)}
-    seams = tuple(
-        (i, tuple(
-            (upper, lower)
-            for upper, lower in zip(_out_wires(new_diagram[i - 1]), _in_wires(new_diagram[i]))
-            if upper[0] in rewritten.get(i - 1, ()) or lower[0] in rewritten.get(i, ())
-        ))
-        for i in range(max(at_row, 1), min(at_row + depth, len(new_diagram) - 1) + 1)
-    )
+    # a closed-form rule's images are checked at each row interface that
+    # touches a rewritten row, on the wires that a rewritten box reads or
+    # writes; every other wire keeps the value it had in the valid
+    # assignment the step starts from
+    closed_form = isinstance(rule, _ClosedFormRule)
+    seams = []
+    if closed_form:
+        rewritten = {at_row + r: range(cols[r], cols[r] + len(rule.tgt[r])) for r in range(depth)}
+        for i in range(max(at_row, 1), min(at_row + depth, len(new_diagram) - 1) + 1):
+            wires = [
+                (upper, lower)
+                for upper, lower in zip(_out_wires(new_diagram[i - 1]), _in_wires(new_diagram[i]))
+                if upper[0] in rewritten.get(i - 1, ()) or lower[0] in rewritten.get(i, ())
+            ]
+            seams.append((i, _identity_free(u for u, _ in wires), _identity_free(v for _, v in wires)))
 
     def step(columns: Columns, count: int) -> Columns:
+        if not (closed_form or rule.images_chain):
+            raise StructuralError(f"rule {rule.name}: rewrite produced an invalid assignment")
         image = rule.carry([c for i, a, b in bounds for c in columns[i][a:b]], count)
         rows = list(columns)
-        for (i, a, b), start, end in zip(bounds, cuts, cuts[1:]):
-            rows[i] = columns[i][:a] + image[start:end] + columns[i][b:]
-        for i, wires in seams:
-            above, below = rows[i - 1], rows[i]
-            for (uc, ut), (lc, lt) in wires:
-                if list(map(ut.__getitem__, above[uc])) != list(map(lt.__getitem__, below[lc])):
-                    raise StructuralError(f"rule {rule.name}: rewrite produced an invalid assignment")
+        for (i, a, b), part in zip(bounds, _by_row(rule.tgt, image)):
+            rows[i] = columns[i][:a] + part + columns[i][b:]
+        for i, uppers, lowers in seams:
+            if _wire_values(uppers, rows[i - 1]) != _wire_values(lowers, rows[i]):
+                raise StructuralError(f"rule {rule.name}: rewrite produced an invalid assignment")
         return tuple(rows)
 
     return new_diagram, step
@@ -452,31 +499,59 @@ class DiagramPath:
         return tuple(tuple(c[0] for c in row) for row in columns)
 
 
-def compare_paths(p: DiagramPath, q: DiagramPath) -> tuple[bool, dict[Assignment, Assignment]]:
+def compare_paths(p: DiagramPath, q: DiagramPath) -> tuple[bool, Mapping[Assignment, Assignment]]:
     """Decide whether two paths from a common start define the same 2-cell.
 
-    Both paths carry the start diagram's evaluated box columns, q first;
-    their end elements are matched as flat tuples of box elements.  Returns
-    (equal, discrepancy) where the discrepancy composes q backwards after p,
-    an automorphism-style map on the start apex (identity iff equal), keyed
-    by start assignment in apex order.
+    Both paths carry the start diagram's evaluated box columns, q first.
+    The cells are equal when the two end columns are equal and q's end
+    elements are distinct; otherwise their end elements are matched as
+    flat tuples of box elements.  Returns (equal, discrepancy) where the
+    discrepancy composes q backwards after p, an automorphism-style map on
+    the start apex (identity iff equal), keyed by start assignment in apex
+    order.  It is built the first time it is read, except for its size.
     """
     if p.start != q.start:
         raise StructuralError("paths start at different diagrams")
     if p.diagram != q.diagram:
         raise StructuralError("paths end at different diagrams")
     start = evaluate(p.start)
-    count = len(start.assignments)
-
-    def ends(path: DiagramPath):
-        return _members([c for row in path.carry(start.columns, count) for c in row], count)
-
-    q_back = dict(zip(ends(q), start.assignments))
-    discrepancy = {a: q_back[e] for a, e in zip(start.assignments, ends(p))}
+    count = start.span.apex.size
+    q_end = [c for row in q.carry(start.columns, count) for c in row]
+    p_end = [c for row in p.carry(start.columns, count) for c in row]
+    discrepancy = _Discrepancy(start, p_end, q_end)
+    if p_end == q_end and len(set(_members(q_end, count))) == count:
+        return True, discrepancy
     return all(k == v for k, v in discrepancy.items()), discrepancy
 
 
-def first_moved(discrepancy: dict[Assignment, Assignment]) -> Optional[tuple[Assignment, Assignment]]:
+class _Discrepancy(Mapping):
+    """The discrepancy of `compare_paths`: each start assignment, in apex
+    order, to the start assignment whose q end element is its p end
+    element.  The dict is built the first time an entry is read."""
+
+    def __init__(self, start: EvaluatedDiagram, p_end: list, q_end: list):
+        self._start, self._p_end, self._q_end = start, p_end, q_end
+
+    @cached_property
+    def _entries(self) -> dict[Assignment, Assignment]:
+        count, assignments = len(self), self._start.assignments
+        q_back = dict(zip(_members(self._q_end, count), assignments))
+        return {a: q_back[e] for a, e in zip(assignments, _members(self._p_end, count))}
+
+    def __len__(self) -> int:
+        return self._start.span.apex.size
+
+    def __getitem__(self, key: Assignment) -> Assignment:
+        return self._entries[key]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __repr__(self) -> str:
+        return repr(self._entries)
+
+
+def first_moved(discrepancy: Mapping[Assignment, Assignment]) -> Optional[tuple[Assignment, Assignment]]:
     """The first (assignment, image) pair a discrepancy moves, or None when
     it is the identity: the witness of an unequal `compare_paths`."""
     return next(((k, v) for k, v in discrepancy.items() if k != v), None)
@@ -504,10 +579,10 @@ class _ClosedFormRule(RewriteRule):
     @cached_property
     def _tables(self) -> tuple[dict[tuple[int, ...], tuple[int, ...]], SpanCell]:
         ev_src, ev_tgt = evaluate(self.src), evaluate(self.tgt)
-        count = len(ev_src.assignments)
+        count = ev_src.span.apex.size
         sources = [c for row in ev_src.columns for c in row]
         images = list(_members(self.carry(sources, count), count))
-        targets = _members([c for row in ev_tgt.columns for c in row], len(ev_tgt.assignments))
+        targets = _members([c for row in ev_tgt.columns for c in row], ev_tgt.span.apex.size)
         cell = _rule_cell(self.name, ev_src, ev_tgt, {m: j for j, m in enumerate(targets)}, images)
         return dict(zip(_members(sources, count), images)), cell
 

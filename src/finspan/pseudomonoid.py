@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
@@ -191,7 +192,7 @@ class EquationResult:
     """Outcome of one string-diagram equation between two rewrite paths."""
 
     ok: bool
-    discrepancy: dict
+    discrepancy: Mapping
 
     def __bool__(self) -> bool:
         return self.ok

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Optional, Sequence
 
 from .reporting import CheckResult, Report
@@ -40,7 +40,8 @@ class TruncSimplicialSet:
     `degen[n]` holds (s_0^n, ..., s_n^n) for 0 <= n < N (degen[N] is empty).
 
     `memo` holds data derived from the tables (vertex maps, polygon stacks,
-    Segal witnesses).  It is left out of `==` and `hash`, so two equal
+    Segal witnesses, the face identities and the 2-Segal and unitality
+    verdicts).  It is left out of `==` and `hash`, so two equal
     structures never share an entry, and it dies with its structure.
     """
 
@@ -395,6 +396,21 @@ def segal_witness(X: TruncSimplicialSet, T: Triangulation) -> SegalWitness:
     return X.memo[T]
 
 
+def _one_verdict(check):
+    """Decide `check` once per structure: its results are memoised in
+    `X.memo` under the check's name, and each call returns a fresh `Report`
+    of them, so that adding to it never changes the memo."""
+
+    @wraps(check)
+    def memoised(X: TruncSimplicialSet) -> Report:
+        if check.__name__ not in X.memo:
+            X.memo[check.__name__] = check(X).results
+        return Report(list(X.memo[check.__name__]))
+
+    return memoised
+
+
+@_one_verdict
 def check_2segal(X: TruncSimplicialSet) -> Report:
     """Decide bijectivity of every triangulation map for 3 <= n <= N.
 
@@ -507,6 +523,7 @@ def check_subdivision_criterion(X: TruncSimplicialSet) -> Report:
     return report
 
 
+@_one_verdict
 def check_unitality(X: TruncSimplicialSet) -> Report:
     """The three unitality squares, each checked as a pullback against s_0."""
     report = Report()

@@ -1,5 +1,6 @@
 """The stacked-diagram evaluator and rewrite engine."""
 
+import functools
 import gc
 import itertools
 import math
@@ -770,3 +771,164 @@ def test_tensorator_image_that_does_not_chain_is_refused():
     path = DiagramPath(start.diagram).rewrite(Crossed(f, g), 0, (0, 0))
     with pytest.raises(StructuralError, match="rule tensorator: rewrite produced an invalid assignment"):
         path.carry(start.columns, len(start.assignments))
+
+
+# ---------------------------------------------------------------------------
+# equations decided on end columns, table rules checked once
+
+
+def eager_discrepancy(p, q):
+    """The discrepancy of `compare_paths` built as two dicts over the start
+    apex, as it was before it was built only when read."""
+    start = evaluate(p.start)
+    count = len(start.assignments)
+
+    def ends(path):
+        return diagrams._members([c for row in path.carry(start.columns, count) for c in row], count)
+
+    q_back = dict(zip(ends(q), start.assignments))
+    return {a: q_back[e] for a, e in zip(start.assignments, ends(p))}
+
+
+def assert_matches_eager(p, q, ok):
+    eager = eager_discrepancy(p, q)
+    result, discrepancy = compare_paths(p, q)
+    assert result is ok and ok == all(k == v for k, v in eager.items())
+    assert len(discrepancy) == len(eager)
+    assert list(discrepancy.items()) == list(eager.items())
+    assert first_moved(discrepancy) == first_moved(eager)
+    assert discrepancy == eager and dict(discrepancy) == eager
+
+
+def commutor_symmetry_paths(theta):
+    """The span-level symmetry equation's two paths for a multiplication
+    box mu on X = {0, 1} with four elements over X x X, 0 and 1 over
+    (0, 1) and 2 and 3 over (1, 0), all with product 0, and the commutor
+    mu => mu∘rho that sends element m to theta[m]."""
+    x, pairs, four = FinSet(2), FinSet(4), FinSet(4)
+    mu = Box(Span(pairs, x, four, FinMap(four, pairs, (1, 1, 2, 2)), FinMap(four, x, (0, 0, 0, 0))),
+             (x, x), (x,), "mu")
+    idb = identity_box(x)
+    braid = Box(block_braiding_span((x,), (x,)), (x, x), (x, x), name="braid")
+    commutor = make_rule(
+        "commutor", ((idb, idb), (mu,)), ((braid,), (mu,)),
+        lambda asn: ((asn[0][0] * 2 + asn[0][1],), (theta[asn[1][0]],)),
+    )
+    start = ((mu,),)
+    lhs = (DiagramPath(start).insert_identity_row(0).rewrite(commutor, 0, (0, 0))
+           .insert_identity_row(1).rewrite(commutor, 1, (0, 0)))
+    rhs = DiagramPath(start).insert_identity_row(0).insert_identity_row(0)
+    rhs.rewrite(syllepsis_rule(x, x).inverse(), 0, (0, 0))
+    return lhs, rhs
+
+
+def test_discrepancy_matches_the_eager_construction_on_passing_equations(monkeypatch):
+    pairs = _record_equations(monkeypatch)
+    P = pseudomonoid.build_pseudomonoid(catalog.nerve(catalog.cyclic_group_category(3), 3))
+    assert pseudomonoid.verify_pentagon(P).ok and pseudomonoid.verify_triangle(P).ok
+    assert len(pairs) == 2
+    for lhs, rhs in pairs:
+        assert_matches_eager(lhs, rhs, True)
+    # an involutive commutor passes the symmetry equation
+    assert_matches_eager(*commutor_symmetry_paths((2, 3, 0, 1)), True)
+
+
+def test_discrepancy_matches_the_eager_construction_on_failing_equations(monkeypatch):
+    # the canonical associator of the no-lift family fails the pentagon, and
+    # a unit-fiber swap of it fails the triangle
+    pairs = _record_equations(monkeypatch)
+    T = catalog.no_lift_family(2)
+    canon = catalog.no_lift_canonical_associator(T)
+    assert not pseudomonoid.verify_pentagon(pseudomonoid.pseudomonoid_from_two_truncated(T, canon)).ok
+    mutated = dict(canon)
+    d0, _, d2 = T.d2
+    fiber = [p for p in canon if (d2.table[p[0]], d0.table[p[0]], d0.table[p[1]]) == (1, 0, 1)]
+    mutated[fiber[0]], mutated[fiber[1]] = canon[fiber[1]], canon[fiber[0]]
+    assert not pseudomonoid.verify_triangle(pseudomonoid.pseudomonoid_from_two_truncated(T, mutated)).ok
+    assert len(pairs) == 2
+    for lhs, rhs in pairs:
+        assert_matches_eager(lhs, rhs, False)
+    # mutating the involutive commutor (2, 3, 0, 1) at its last two entries
+    # fails the symmetry equation
+    assert_matches_eager(*commutor_symmetry_paths((2, 3, 1, 0)), False)
+
+
+def test_discrepancy_matches_the_eager_construction_on_flip_and_collapse():
+    x, three = FinSet(2), FinSet(3)
+    idb = identity_box(x)
+    eps = Box(Span(x, FinSet(1), x, FinMap(x, x, (0, 1)), FinMap(x, FinSet(1), (0, 0))), (x,), (), name="eps")
+    eta = Box(Span(FinSet(1), x, three, FinMap(three, FinSet(1), (0, 0, 0)), FinMap(three, x, (0, 0, 1))),
+              (), (x,), name="eta")
+    flip = make_rule("flip", ((eta,),), ((eta,),), lambda asn: (({0: 1, 1: 0}.get(asn[0][0], asn[0][0]),),))
+    start = ((idb,), (eps,), (), (eta,), (idb,))
+    assert_matches_eager(DiagramPath(start).rewrite(flip, 3, (0,)), DiagramPath(start), False)
+    # both paths collapse the two elements of `both` onto one: the end
+    # columns are equal, but q's end elements are not distinct
+    both = Span(x, x, x, FinMap(x, x, (0, 0)), FinMap(x, x, (0, 0)))
+    start = ((box_from_span(both),),)
+    collapse = make_rule("collapse", start, ((identity_box(x),),), lambda asn: ((0,),))
+    p, q = (DiagramPath(start).rewrite(collapse, 0, (0,)) for _ in range(2))
+    assert_matches_eager(p, q, False)
+    assert first_moved(compare_paths(p, q)[1]) == (((0,),), ((1,),))
+
+
+def test_len_of_a_passing_discrepancy_builds_nothing():
+    P = pseudomonoid.build_pseudomonoid(catalog.nerve(catalog.cyclic_group_category(4), 3))
+    pent = pseudomonoid.verify_pentagon(P)
+    assert pent.ok
+    assert len(pent.discrepancy) == 4 ** 4
+    assert "_entries" not in vars(pent.discrepancy)
+    assert first_moved(pent.discrepancy) is None
+    assert "_entries" in vars(pent.discrepancy)
+
+
+def test_evaluate_builds_assignments_only_when_read():
+    rng = random.Random(13)
+    diagram = rand_diagram(rng)
+    ev = evaluate(diagram)
+    assert "assignments" not in vars(ev) and "index" not in vars(ev)
+    assert ev.assignments == brute_force_evaluate(diagram)[0]
+    assert ev.index == {a: i for i, a in enumerate(ev.assignments)}
+
+
+def test_a_table_rule_checks_its_mapping_once(monkeypatch):
+    calls = []
+    images_chain = RewriteRule.images_chain.func
+
+    def counting(rule):
+        calls.append(rule)
+        return images_chain(rule)
+
+    # a cached_property assigned after its class body needs its name set
+    counted = functools.cached_property(counting)
+    counted.__set_name__(RewriteRule, "images_chain")
+    monkeypatch.setattr(RewriteRule, "images_chain", counted)
+    P = pseudomonoid.build_pseudomonoid(catalog.nerve(catalog.cyclic_group_category(3), 3))
+    assert pseudomonoid.verify_pentagon(P).ok
+    # five associator steps, one check of its images
+    assert calls == [P.assoc_rule]
+    assert P.assoc_rule.images_chain
+    x = FinSet(2)
+    idb = identity_box(x)
+    rule = make_rule("id", ((idb,),), ((idb,),), lambda asn: asn)
+    start = ((idb,), (idb,), (idb,))
+    path = DiagramPath(start)
+    for k in range(3):
+        path.rewrite(rule, k, (0,))
+    assert compare_paths(path, DiagramPath(start))[0]
+    assert calls[1:] == [rule]
+
+
+def test_a_corrupted_entry_that_no_element_reaches_is_refused():
+    # the unit eta only ever feeds 0 into the rewritten identity, so the
+    # corrupted image of 1 is never carried; the rule is refused anyway
+    x, one = FinSet(2), FinSet(1)
+    idb = identity_box(x)
+    eta = Box(Span(one, x, one, FinMap(one, one, (0,)), FinMap(one, x, (0,))), (), (x,), name="eta")
+    rule = make_rule("id", ((idb,),), ((idb,),), lambda asn: asn)
+    bad = RewriteRule("bad", rule.src, rule.tgt, {(0,): (0,), (1,): (0,)}, rule.cell)
+    start = ((eta,), (idb,))
+    assert compare_paths(DiagramPath(start).rewrite(rule, 1, (0,)), DiagramPath(start))[0]
+    path = DiagramPath(start).rewrite(bad, 1, (0,))
+    with pytest.raises(StructuralError, match="rule bad: rewrite produced an invalid assignment"):
+        compare_paths(path, DiagramPath(start))

@@ -6,10 +6,11 @@ import itertools
 import math
 import pathlib
 import random
+from collections.abc import Mapping
 
 import pytest
 
-from finspan import catalog
+from finspan import catalog, pseudomonoid
 from finspan.catalog import no_lift_canonical_associator, no_lift_family
 from finspan.diagrams import evaluate, first_moved
 from finspan.documents import load_document
@@ -353,6 +354,17 @@ class TestNoLift:
             assert len(result.discrepancy) == size
             items = repr(sorted(result.discrepancy.items())).encode()
             assert hashlib.sha256(items).hexdigest() == digest
+
+    def test_discrepancy_is_a_read_only_mapping_of_the_start_apex(self):
+        T = no_lift_family(2)
+        P = pseudomonoid_from_two_truncated(T, no_lift_canonical_associator(T))
+        pent = verify_pentagon(P)
+        assert isinstance(pent.discrepancy, Mapping)
+        start = evaluate(pseudomonoid._pentagon_paths(P)[0].start)
+        assert list(pent.discrepancy) == list(start.assignments)
+        key = next(iter(pent.discrepancy))
+        with pytest.raises(TypeError):
+            pent.discrepancy[key] = key
 
 
 class TestFanStack:

@@ -8,10 +8,11 @@ import weakref
 
 import pytest
 
-from finspan import catalog
+from finspan import catalog, simplicial
 from finspan.acceptance import catalog_non_two_segal
 from finspan.documents import StructureDocument, dumps_document, loads_document
 from finspan.pseudomonoid import ConstructionError, build_pseudomonoid, verify_pentagon, verify_triangle
+from finspan.reporting import CheckResult
 from finspan.simplicial import (
     GluingError,
     SegalWitness,
@@ -286,6 +287,23 @@ class TestMemo:
         assert X.memo.keys() == Y.memo.keys()
         assert not {id(v) for v in X.memo.values()} & {id(v) for v in Y.memo.values()}
         assert all(segal_witness(Y, T).stack.X is Y for T in enumerate_triangulations(3))
+
+    def test_one_verdict_per_structure(self, monkeypatch):
+        X = catalog.nerve(catalog.cyclic_group_category(3), 4)
+        first = {check: check(X) for check in (check_2segal, check_unitality)}
+
+        def decided_again(*args):
+            raise AssertionError("the verdict was decided again")
+
+        monkeypatch.setattr(simplicial, "enumerate_triangulations", decided_again)
+        monkeypatch.setattr(simplicial, "pullback_square_witness", decided_again)
+        build_pseudomonoid(X)
+        for check, report in first.items():
+            again = check(X)
+            assert again == report and again is not report and again.results is not report.results
+            # adding to a returned report leaves the memo alone
+            report.add(CheckResult("extra", False))
+            assert check(X) == again and check(X).ok
 
     def test_vertex_map_is_memoised(self, nerve_z2):
         assert vertex_map(nerve_z2, 4, (0, 2)) is vertex_map(nerve_z2, 4, (0, 2))
