@@ -136,9 +136,9 @@ def criterion_2_pentagon_triangle() -> Report:
         pent = verify_pentagon(P)
         tri = verify_triangle(P)
         report.add(CheckResult(f"{name}: pentagon", pent.ok,
-                               witness=first_moved(pent.discrepancy)))
+                               witness=None if pent.ok else first_moved(pent.discrepancy)))
         report.add(CheckResult(f"{name}: triangle", tri.ok,
-                               witness=first_moved(tri.discrepancy)))
+                               witness=None if tri.ok else first_moved(tri.discrepancy)))
     return report
 
 

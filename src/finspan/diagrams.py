@@ -11,15 +11,18 @@ Equation checking works by rewriting: a rule replaces a sub-pattern of
 consecutive rows by another pattern and transports apex elements through
 the defining map of the corresponding 2-cell.  Running the two sides of an
 equation as rewrite paths from a common start to a common end diagram and
-comparing the element maps decides the equation exactly.  An equation
+comparing the element maps decides the equation exactly.  Diagram elements
+are held in one form only, as one element column per box.  An equation
 evaluates only its start diagram: the structural rules (tensorator,
-braiding, syllepsis and its inverse, hexagonator) carry elements in closed
-form and build their tables only when read, and the other rules are built
-once from patterns their owners have already evaluated.  Steps map whole
-element columns and check each fact once: a table rule's images when a
-step first uses it, a closed-form rule's images in each step.  Two paths
-agree when their end columns are equal and distinct, and the discrepancy
-between them is built only when read.
+braiding, syllepsis and its inverse, hexagonator), the commutor and the
+zig and zag snakes carry elements in closed form, and the associator and
+unitors are table rules built once from patterns their owners have
+already evaluated.  Steps map whole element columns and check each fact
+once: a table rule's images when a step first uses it, a closed-form
+rule's images in each step.  Two paths agree when their end columns are
+equal and distinct, and the discrepancy between them is built only when
+read; it alone lists elements as nested assignments, one apex element per
+box grouped by row.
 """
 
 from __future__ import annotations
@@ -169,22 +172,18 @@ def _members(columns, count: int):
 @dataclass(frozen=True)
 class EvaluatedDiagram:
     """A diagram's composite span; `columns` holds its apex elements as one
-    element column per box, grouped by row, in canonical order.  The same
-    elements as assignments (one apex element per box, grouped by row) and
-    their index are built from the columns the first time they are read."""
+    element column per box, grouped by row, in canonical order."""
 
     diagram: Diagram
     span: Span
     columns: Columns
 
-    @cached_property
-    def assignments(self) -> tuple[Assignment, ...]:
-        count = self.span.apex.size
-        return tuple(zip(*(tuple(zip(*row)) if row else ((),) * count for row in self.columns)))
 
-    @cached_property
-    def index(self) -> dict[Assignment, int]:
-        return {a: i for i, a in enumerate(self.assignments)}
+def member_index(ev: EvaluatedDiagram) -> dict[tuple[int, ...], int]:
+    """Each apex element of an evaluated diagram, as the flat tuple of its
+    box elements listed row-major, to its place in apex order."""
+    members = _members([c for row in ev.columns for c in row], ev.span.apex.size)
+    return {m: j for j, m in enumerate(members)}
 
 
 def evaluate(diagram: Diagram) -> EvaluatedDiagram:
@@ -235,9 +234,11 @@ class RewriteRule:
     pattern it goes to, listed the same way.  `cell` is the rule's 2-cell
     between the evaluated unpadded patterns; padding changes neither the
     spans nor the order of their apexes.  `carry` maps a batch of elements
-    through `mapping`.  The structural rules are `_ClosedFormRule`s: their
-    `carry` relabels columns directly, and `mapping` and `cell` are built
-    from it the first time either is read.  A table rule's images are
+    through `mapping`.  The structural rules, the commutor and the snakes
+    are `ClosedFormRule`s: their `carry` relabels columns directly, and
+    `mapping` and `cell` are built from it the first time either is read.
+    The associator and unitors are the only table rules; a table rule is
+    built from a cell by `rule_from_cell`.  A table rule's images are
     checked once, as a whole (`images_chain`), the first time a rewrite
     step uses the rule; a closed-form rule's images are checked to chain
     in every step.
@@ -312,34 +313,12 @@ def _padded_rule(name: str, ev_src: EvaluatedDiagram, ev_tgt: EvaluatedDiagram, 
     return RewriteRule(name, _pad_rows(ev_src.diagram, depth), _pad_rows(ev_tgt.diagram, depth), mapping, cell)
 
 
-def make_rule(
-    name: str,
-    src_rows: Diagram,
-    tgt_rows: Diagram,
-    fn: Callable[[Assignment], Assignment],
-) -> RewriteRule:
-    """Build a rule from unpadded patterns and an assignment-level map.
-
-    `fn` receives and returns unpadded assignments.  The exterior wire
-    values of source and image must agree (the 2-cell condition); the
-    rule's `SpanCell` checks this on its legs.
-    """
-    src_rows = tuple(tuple(r) for r in src_rows)
-    tgt_rows = tuple(tuple(r) for r in tgt_rows)
-    if row_in_objs(src_rows[0]) != row_in_objs(tgt_rows[0]):
-        raise StructuralError("rule patterns have different in wires")
-    if row_out_objs(src_rows[-1]) != row_out_objs(tgt_rows[-1]):
-        raise StructuralError("rule patterns have different out wires")
-    ev_src = evaluate(src_rows)
-    ev_tgt = evaluate(tgt_rows)
-    cell = _rule_cell(name, ev_src, ev_tgt, ev_tgt.index, (tuple(fn(asn)) for asn in ev_src.assignments))
-    return _padded_rule(name, ev_src, ev_tgt, cell)
-
-
-def _rule_cell(name: str, ev_src: EvaluatedDiagram, ev_tgt: EvaluatedDiagram, index: dict, images) -> SpanCell:
+def _rule_cell(name: str, ev_src: EvaluatedDiagram, ev_tgt: EvaluatedDiagram, images) -> SpanCell:
     """The 2-cell taking each src element, in apex order, to the tgt element
-    `index` gives for its image; the exterior wire values must agree, which
-    the cell's legs check."""
+    that is its image, given as a flat tuple of box elements listed
+    row-major; the exterior wire values must agree, which the cell's legs
+    check."""
+    index = member_index(ev_tgt)
     table = []
     for image in images:
         j = index.get(image)
@@ -414,7 +393,7 @@ def apply_rewrite(
     # touches a rewritten row, on the wires that a rewritten box reads or
     # writes; every other wire keeps the value it had in the valid
     # assignment the step starts from
-    closed_form = isinstance(rule, _ClosedFormRule)
+    closed_form = isinstance(rule, ClosedFormRule)
     seams = []
     if closed_form:
         rewritten = {at_row + r: range(cols[r], cols[r] + len(rule.tgt[r])) for r in range(depth)}
@@ -493,11 +472,6 @@ class DiagramPath:
             columns = step(columns, count)
         return columns
 
-    def transport(self, asn: Assignment) -> Assignment:
-        """Where the path takes a start assignment, carried as a batch of one."""
-        columns = self.carry(tuple(tuple((e,) for e in row) for row in asn), 1)
-        return tuple(tuple(c[0] for c in row) for row in columns)
-
 
 def compare_paths(p: DiagramPath, q: DiagramPath) -> tuple[bool, Mapping[Assignment, Assignment]]:
     """Decide whether two paths from a common start define the same 2-cell.
@@ -518,7 +492,7 @@ def compare_paths(p: DiagramPath, q: DiagramPath) -> tuple[bool, Mapping[Assignm
     count = start.span.apex.size
     q_end = [c for row in q.carry(start.columns, count) for c in row]
     p_end = [c for row in p.carry(start.columns, count) for c in row]
-    discrepancy = _Discrepancy(start, p_end, q_end)
+    discrepancy = _Discrepancy(start.columns, count, p_end, q_end)
     if p_end == q_end and len(set(_members(q_end, count))) == count:
         return True, discrepancy
     return all(k == v for k, v in discrepancy.items()), discrepancy
@@ -527,19 +501,21 @@ def compare_paths(p: DiagramPath, q: DiagramPath) -> tuple[bool, Mapping[Assignm
 class _Discrepancy(Mapping):
     """The discrepancy of `compare_paths`: each start assignment, in apex
     order, to the start assignment whose q end element is its p end
-    element.  The dict is built the first time an entry is read."""
+    element.  The dict, and the start assignments it is keyed by, are built
+    from the start's box columns the first time an entry is read."""
 
-    def __init__(self, start: EvaluatedDiagram, p_end: list, q_end: list):
-        self._start, self._p_end, self._q_end = start, p_end, q_end
+    def __init__(self, start: Columns, count: int, p_end: list, q_end: list):
+        self._start, self._count, self._p_end, self._q_end = start, count, p_end, q_end
 
     @cached_property
     def _entries(self) -> dict[Assignment, Assignment]:
-        count, assignments = len(self), self._start.assignments
+        count = self._count
+        assignments = tuple(zip(*(tuple(zip(*row)) if row else ((),) * count for row in self._start)))
         q_back = dict(zip(_members(self._q_end, count), assignments))
         return {a: q_back[e] for a, e in zip(assignments, _members(self._p_end, count))}
 
     def __len__(self) -> int:
-        return self._start.span.apex.size
+        return self._count
 
     def __getitem__(self, key: Assignment) -> Assignment:
         return self._entries[key]
@@ -565,12 +541,13 @@ def _ids(objs: tuple[FinSet, ...]) -> tuple[Box, ...]:
     return tuple(identity_box(o) for o in objs)
 
 
-class _ClosedFormRule(RewriteRule):
-    """A structural rule whose element map is a relabelling of box columns.
+class ClosedFormRule(RewriteRule):
+    """A rule whose element map is a relabelling of box columns.
 
-    A subclass gives only `carry`, computed column by column; `mapping` and
+    Its `carry(columns, count)`, computed column by column, is a subclass's
+    method or the `carry` part given to the constructor; `mapping` and
     `cell` are built from it, over the evaluated padded patterns, the first
-    time either is read.  `parts` are the subclass's own attributes."""
+    time either is read.  `parts` are the rule's own attributes."""
 
     def __init__(self, name: str, src: Diagram, tgt: Diagram, **parts):
         for attr, value in (("name", name), ("src", src), ("tgt", tgt), *parts.items()):
@@ -582,8 +559,7 @@ class _ClosedFormRule(RewriteRule):
         count = ev_src.span.apex.size
         sources = [c for row in ev_src.columns for c in row]
         images = list(_members(self.carry(sources, count), count))
-        targets = _members([c for row in ev_tgt.columns for c in row], ev_tgt.span.apex.size)
-        cell = _rule_cell(self.name, ev_src, ev_tgt, {m: j for j, m in enumerate(targets)}, images)
+        cell = _rule_cell(self.name, ev_src, ev_tgt, images)
         return dict(zip(_members(sources, count), images)), cell
 
     @property
@@ -595,7 +571,7 @@ class _ClosedFormRule(RewriteRule):
         return self._tables[1]
 
 
-class _TensoratorRule(_ClosedFormRule):
+class _TensoratorRule(ClosedFormRule):
     """The slide move c_{f,g}: (id⊗g)∘(f⊗id) => (f⊗id)∘(id⊗g)."""
 
     def __init__(self, f: Box, g: Box):
@@ -617,7 +593,7 @@ def _braid_box(first: tuple[FinSet, ...], second: tuple[FinSet, ...]) -> Box:
     return Box(block_braiding_span(first, second), first + second, second + first, name="braid")
 
 
-class _BraidingRule(_ClosedFormRule):
+class _BraidingRule(ClosedFormRule):
     """The move rho_{f,g}: rho∘(f⊗g) => (g⊗f)∘rho."""
 
     def __init__(self, f: Box, g: Box):
@@ -632,7 +608,7 @@ class _BraidingRule(_ClosedFormRule):
         return (tuple(fl[a] * size + gl[b] for a, b in zip(ef, eg)), eg, ef)
 
 
-class _SyllepsisRule(_ClosedFormRule):
+class _SyllepsisRule(ClosedFormRule):
     """v_{X,Y}: rho_{Y,X}∘rho_{X,Y} => id, whose identity side is padded to
     a second identity row."""
 
@@ -653,7 +629,7 @@ class _SyllepsisRule(_ClosedFormRule):
         return _SyllepsisInverseRule(self)
 
 
-class _SyllepsisInverseRule(_ClosedFormRule):
+class _SyllepsisInverseRule(ClosedFormRule):
     """v_{X,Y}^-1: id => rho_{Y,X}∘rho_{X,Y}."""
 
     def __init__(self, v: _SyllepsisRule):
@@ -667,7 +643,7 @@ class _SyllepsisInverseRule(_ClosedFormRule):
         return (tuple(i * ys + j for i, j in zip(a, b)), tuple(j * xs + i for i, j in zip(a, b)))
 
 
-class _HexagonatorRule(_ClosedFormRule):
+class _HexagonatorRule(ClosedFormRule):
     """R_{X|YZ}: crossing X over Y then over Z equals crossing X over Y⊗Z;
     the single crossing is padded to an identity row on Y, Z, X."""
 

@@ -24,6 +24,7 @@ from typing import Optional
 
 from .diagrams import (
     Box,
+    ClosedFormRule,
     DiagramPath,
     RewriteRule,
     braiding_rule,
@@ -32,7 +33,7 @@ from .diagrams import (
     first_moved,
     identity_box,
     hexagonator_rule,
-    make_rule,
+    member_index,
     syllepsis_rule,
 )
 from .paracyclic import LambdaMor
@@ -449,49 +450,48 @@ def _braided_mult_rows(X: TruncSimplicialSet, mub: Box):
     return ((rho,), (mub,))
 
 
+def _commutor_images(X: TruncSimplicialSet, theta: FinMap, m) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The image of each level-2 element in the column `m` under mu =>
+    mu∘rho, as the braided composite's two box columns: the braid element
+    d_2(m)·|X_1| + d_0(m) and theta(m)."""
+    d0, d2, size = X.d(2, 0).table, X.d(2, 2).table, X.levels[1].size
+    return tuple(d2[e] * size + d0[e] for e in m), tuple(map(theta.table.__getitem__, m))
+
+
 def gamma_rule(X: TruncSimplicialSet, theta: FinMap, mub: Box) -> RewriteRule:
-    """The rewrite rule mu => mu∘rho carried by a level-2 involution."""
-    x1 = X.levels[1]
-    idb = identity_box(x1)
-    src = ((idb, idb), (mub,))
-    tgt = _braided_mult_rows(X, mub)
-
-    def fn(asn):
-        m = asn[1][0]
-        mprime = theta.table[m]
-        p = X.d(2, 2).table[m] * x1.size + X.d(2, 0).table[m]
-        return ((p,), (mprime,))
-
-    return make_rule("commutor", src, tgt, fn)
+    """The rewrite rule mu => mu∘rho carried by a level-2 involution.  Its
+    images depend on theta, so its cell is built here: an involution that
+    is not compatible with the span legs is refused at once."""
+    idb = identity_box(X.levels[1])
+    rule = ClosedFormRule("commutor", ((idb, idb), (mub,)), _braided_mult_rows(X, mub),
+                          carry=lambda columns, count: _commutor_images(X, theta, columns[2]))
+    rule.cell
+    return rule
 
 
 def gamma_cell(X: TruncSimplicialSet, theta: FinMap) -> SpanCell:
     """The public form of the cell: multiplication span => braided composite."""
     from .pseudomonoid import mult_span
 
-    x1 = X.levels[1]
-    mu = mult_span(x1, X.levels[2], X.d(2, 0), X.d(2, 1), X.d(2, 2))
-    mub = _mu_box(X)
-    ev = evaluate(_braided_mult_rows(X, mub))
+    mu = mult_span(X.levels[1], X.levels[2], X.d(2, 0), X.d(2, 1), X.d(2, 2))
+    ev = evaluate(_braided_mult_rows(X, _mu_box(X)))
+    index = member_index(ev)
     table = []
-    for m in X.levels[2]:
-        mprime = theta.table[m]
-        p = X.d(2, 2).table[m] * x1.size + X.d(2, 0).table[m]
-        key = ((p,), (mprime,))
-        if key not in ev.index:
+    for m, image in enumerate(zip(*_commutor_images(X, theta, range(X.levels[2].size)))):
+        if image not in index:
             raise StructuralError(
                 f"candidate involution is not compatible with the span legs at {m}"
             )
-        table.append(ev.index[key])
+        table.append(index[image])
     return SpanCell(mu, ev.span, FinMap(X.levels[2], ev.span.apex, tuple(table)))
 
 
 def theta_from_gamma_cell(X: TruncSimplicialSet, gamma: SpanCell) -> FinMap:
-    mub = _mu_box(X)
-    ev = evaluate(_braided_mult_rows(X, mub))
+    ev = evaluate(_braided_mult_rows(X, _mu_box(X)))
     if gamma.target != ev.span:
         raise StructuralError("cell target is not the braided multiplication")
-    table = tuple(ev.assignments[gamma.map.table[m]][1][0] for m in X.levels[2])
+    mu_column = ev.columns[1][0]
+    table = tuple(mu_column[gamma.map.table[m]] for m in X.levels[2])
     return FinMap(X.levels[2], X.levels[2], table)
 
 
@@ -548,7 +548,7 @@ def span_level_commutativity(X: TruncSimplicialSet, theta: FinMap) -> Report:
         .rewrite(v_inv, 0, (0, 0))
     )
     ok, disc = compare_paths(lhs, rhs)
-    report.add(CheckResult("span-level symmetry equation", ok, witness=first_moved(disc)))
+    report.add(CheckResult("span-level symmetry equation", ok, witness=None if ok else first_moved(disc)))
 
     slide = braiding_rule(idb, mub)
     hexr = hexagonator_rule(x1, x1, x1)
@@ -572,7 +572,7 @@ def span_level_commutativity(X: TruncSimplicialSet, theta: FinMap) -> Report:
         .delete_identity_row(1)
     )
     ok, disc = compare_paths(lhs, rhs)
-    report.add(CheckResult("span-level hexagon equation", ok, witness=first_moved(disc)))
+    report.add(CheckResult("span-level hexagon equation", ok, witness=None if ok else first_moved(disc)))
     return report
 
 

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 from .diagrams import (
     Box,
+    ClosedFormRule,
     DiagramPath,
     compare_paths,
     first_moved,
     identity_box,
-    make_rule,
     tensorator_rule,
 )
 from .reporting import CheckResult, Report
@@ -511,25 +511,21 @@ def frobenius_witnesses(C: CounitData) -> FrobeniusWitnesses:
     tensorator coherence checks on pairing and copairing."""
     x1 = C.base.levels[1]
     tau = C.tau1
-    tinv = tau.inverse()
     alpha = normalized_pairing_span(x1, tau)
     beta = copairing_span(x1, tau)
     ab = Box(alpha, (x1, x1), (), name="pairing")
     bb = Box(beta, (), (x1, x1), name="copairing")
     idb = identity_box(x1)
 
-    # zig: (beta x id) then (id x alpha), equal to the identity wire
-    def zig_fn(asn):
-        b = asn[0][0]
-        return ((b,), (b,))
+    # zig: (beta x id) then (id x alpha), and zag: (id x beta) then
+    # (alpha x id), each equal to the identity wire; the element in the
+    # first column (the copairing's for zig, the wire's for zag) is the
+    # wire's value, read by both identity rows
+    def snake(columns, count):
+        return columns[0], columns[0]
 
-    zig_rule = make_rule("zig", ((bb, idb), (idb, ab)), ((idb,), (idb,)), zig_fn)
-
-    def zag_fn(asn):
-        x = asn[0][0]
-        return ((x,), (x,))
-
-    zag_rule = make_rule("zag", ((idb, bb), (ab, idb)), ((idb,), (idb,)), zag_fn)
+    zig_rule = ClosedFormRule("zig", ((bb, idb), (idb, ab)), ((idb,), (idb,)), carry=snake)
+    zag_rule = ClosedFormRule("zag", ((idb, bb), (ab, idb)), ((idb,), (idb,)), carry=snake)
 
     report = Report()
     c_alpha = tensorator_rule(ab, ab)
@@ -537,14 +533,14 @@ def frobenius_witnesses(C: CounitData) -> FrobeniusWitnesses:
     lhs1 = DiagramPath(start1).rewrite(zag_rule, 0, (0, 0))
     rhs1 = DiagramPath(start1).rewrite(c_alpha, 1, (0, 0)).rewrite(zig_rule, 0, (1, 1))
     ok1, disc1 = compare_paths(lhs1, rhs1)
-    report.add(CheckResult("pairing snake coherence", ok1, witness=first_moved(disc1)))
+    report.add(CheckResult("pairing snake coherence", ok1, witness=None if ok1 else first_moved(disc1)))
 
     c_beta = tensorator_rule(bb, bb)
     start2 = ((bb,), (idb, idb, bb), (idb, ab, idb))
     lhs2 = DiagramPath(start2).rewrite(zag_rule, 1, (1, 1))
     rhs2 = DiagramPath(start2).rewrite(c_beta, 0, (0, 0)).rewrite(zig_rule, 1, (0, 0))
     ok2, disc2 = compare_paths(lhs2, rhs2)
-    report.add(CheckResult("copairing snake coherence", ok2, witness=first_moved(disc2)))
+    report.add(CheckResult("copairing snake coherence", ok2, witness=None if ok2 else first_moved(disc2)))
 
     return FrobeniusWitnesses(beta, zig_rule.cell, zag_rule.cell, report)
 

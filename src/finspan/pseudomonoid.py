@@ -28,6 +28,7 @@ from .diagrams import (
     compare_paths,
     evaluate,
     identity_box,
+    member_index,
     rule_from_cell,
     tensorator_rule,
 )
@@ -541,28 +542,27 @@ def pseudomonoid_from_two_truncated(T: TwoTruncatedData, assoc: dict) -> Pseudom
     etab = unit_box(eta, T.x1)
     idb = identity_box(T.x1)
 
-    def assoc_fn(asn):
-        pair = (asn[0][0], asn[1][0])
-        za, zb = assoc[pair]
-        return ((d2_2.table[za], zb), (za,))
-
+    # an associator src element (m, x, m') goes through the taco pair
+    # (m, m') to the tgt element (d_2 z_a, z_b, z_a) of its image (z_a, z_b)
     assoc_src = evaluate(assoc_src_rows(mub, idb))
     assoc_tgt = evaluate(assoc_tgt_rows(mub, idb))
-    a_cell = _rule_cell("associator", assoc_src, assoc_tgt, assoc_tgt.index,
-                        map(assoc_fn, assoc_src.assignments))
+    pairs = map(assoc.__getitem__, zip(assoc_src.columns[0][0], assoc_src.columns[1][0]))
+    a_cell = _rule_cell("associator", assoc_src, assoc_tgt,
+                        ((d2_2.table[za], zb, za) for za, zb in pairs))
 
     def unitor(side, ev, key):
         inv = {key(x): x for x in T.x1}
-        if set(inv) != set(ev.assignments):
+        members = member_index(ev)
+        if inv.keys() != members.keys():
             raise ConstructionError(f"{side} unitality square is not a pullback")
         return SpanCell(ev.span, identity_span(T.x1), FinMap(
-            ev.span.apex, T.x1, tuple(inv[a] for a in ev.assignments)
+            ev.span.apex, T.x1, tuple(map(inv.__getitem__, members))
         ))
 
     lunit_src = evaluate(lunit_src_rows(etab, mub, idb))
-    lunit = unitor("left", lunit_src, lambda x: ((T.d1[1].table[x], x), (T.s1[0].table[x],)))
+    lunit = unitor("left", lunit_src, lambda x: (T.d1[1].table[x], x, T.s1[0].table[x]))
     runit_src = evaluate(runit_src_rows(etab, mub, idb))
-    runit = unitor("right", runit_src, lambda x: ((x, T.d1[0].table[x]), (T.s1[1].table[x],)))
+    runit = unitor("right", runit_src, lambda x: (x, T.d1[0].table[x], T.s1[1].table[x]))
     return PseudomonoidData(T.x1, eta, mu, a_cell, lunit, runit,
                             evaluated=(assoc_src, assoc_tgt, lunit_src, runit_src))
 

@@ -10,7 +10,7 @@ import weakref
 
 import pytest
 
-from finspan import catalog, diagrams, gammaset, paracyclic, pseudomonoid
+from finspan import acceptance, catalog, diagrams, gammaset, paracyclic, pseudomonoid
 from finspan.diagrams import (
     Box,
     DiagramPath,
@@ -22,7 +22,8 @@ from finspan.diagrams import (
     first_moved,
     hexagonator_rule,
     identity_box,
-    make_rule,
+    row_in_objs,
+    row_out_objs,
     syllepsis_rule,
     tensorator_rule,
 )
@@ -50,6 +51,46 @@ def rand_span(rng, ns, nt, na):
         FinMap(apex, src, tuple(rng.randrange(ns) for _ in range(na))),
         FinMap(apex, tgt, tuple(rng.randrange(nt) for _ in range(na))),
     )
+
+
+# ---------------------------------------------------------------------------
+# assignment-level references: an apex element as one element per box,
+# grouped by row, which the package lists only in a discrepancy
+
+
+def assignments(ev):
+    """The apex elements of an evaluated diagram as assignments, in apex
+    order, zipped from its box columns."""
+    count = ev.span.apex.size
+    return tuple(zip(*(tuple(zip(*row)) if row else ((),) * count for row in ev.columns)))
+
+
+def transport(path, asn):
+    """Where a path takes one start assignment, carried as a batch of one."""
+    columns = path.carry(tuple(tuple((e,) for e in row) for row in asn), 1)
+    return tuple(tuple(c[0] for c in row) for row in columns)
+
+
+def make_rule(name, src_rows, tgt_rows, fn):
+    """A table rule from unpadded patterns and a map `fn` on assignments,
+    built as the package built every rule before their element maps had
+    closed forms: each image must be an assignment of the tgt pattern, and
+    the rule's `SpanCell` checks on its legs that the exterior wire values
+    of each source and image agree."""
+    src_rows = tuple(tuple(r) for r in src_rows)
+    tgt_rows = tuple(tuple(r) for r in tgt_rows)
+    if row_in_objs(src_rows[0]) != row_in_objs(tgt_rows[0]):
+        raise StructuralError("rule patterns have different in wires")
+    if row_out_objs(src_rows[-1]) != row_out_objs(tgt_rows[-1]):
+        raise StructuralError("rule patterns have different out wires")
+    ev_src, ev_tgt = evaluate(src_rows), evaluate(tgt_rows)
+    valid = set(assignments(ev_tgt))
+    # an image that is not an assignment goes in as None, which no flat
+    # tuple of box elements equals
+    images = (tuple(e for row in image for e in row) if image in valid else None
+              for image in (tuple(fn(a)) for a in assignments(ev_src)))
+    cell = diagrams._rule_cell(name, ev_src, ev_tgt, images)
+    return diagrams._padded_rule(name, ev_src, ev_tgt, cell)
 
 
 def test_single_box_evaluates_to_itself():
@@ -230,10 +271,10 @@ def test_transported_elements_are_assignments_of_the_end_diagram(monkeypatch):
     # pentagon and triangle on 12 fixtures, two snakes on 8, symmetry and hexagon on 3
     assert len(pairs) == 12 * 2 + 8 * 2 + 3 * 2
     for lhs, rhs in pairs:
-        start = evaluate(lhs.start).assignments
+        start = assignments(evaluate(lhs.start))
         for path in (lhs, rhs):
-            end = evaluate(path.diagram).index
-            assert all(path.transport(a) in end for a in start)
+            end = set(assignments(evaluate(path.diagram)))
+            assert all(transport(path, a) in end for a in start)
 
 
 def _whole_row_rewrite_step(new_diagram, rule, at_row, cols):
@@ -300,16 +341,16 @@ def whole_row(monkeypatch):
 
     def check(path):
         ev = evaluate(path.start)
-        count = len(ev.assignments)
+        count = ev.span.apex.size
         steps = [reference.get(step) or _batch_of_one(step) for step in path.steps]
         expected = []
-        for a in ev.assignments:
+        for a in assignments(ev):
             for step in steps:
                 a = step(a)
             expected.append(a)
         ends = path.carry(ev.columns, count)
         assert list(zip(*(tuple(zip(*row)) if row else ((),) * count for row in ends))) == expected
-        assert [path.transport(a) for a in ev.assignments] == expected
+        assert [transport(path, a) for a in assignments(ev)] == expected
         return [step for step in path.steps if step in reference]
 
     check.reference = reference
@@ -359,14 +400,14 @@ def test_rule_changing_a_row_width_below_the_top_row(whole_row):
         (idb, idb, idb),
         (rand_box(rng, (x, x), (x,), 6), rand_box(rng, (x,), (x,), 3)),
     )
-    assert len(evaluate(start).assignments) > 0
+    assert len(assignments(evaluate(start))) > 0
     there = DiagramPath(start).rewrite(rule, 1, (1, 1))
     assert there.diagram[1:3] == ((idb, pair), (idb, idb, idb))
     back = DiagramPath(start).rewrite(rule, 1, (1, 1)).rewrite(rule.inverse(), 1, (1, 1))
     whole_row(there)
     whole_row(back)
     ok, discrepancy = compare_paths(back, DiagramPath(start))
-    assert ok and len(discrepancy) == len(evaluate(start).assignments)
+    assert ok and len(discrepancy) == len(assignments(evaluate(start)))
 
 
 def test_compare_paths_on_an_empty_start_apex(whole_row):
@@ -390,7 +431,7 @@ def test_steps_across_a_zero_box_row(whole_row):
     eta = Box(Span(one, x, three, FinMap(three, one, (0, 0, 0)), FinMap(three, x, (0, 0, 1))), (), (x,), name="eta")
     flip = make_rule("flip", ((eta,),), ((eta,),), lambda asn: (({0: 1, 1: 0}.get(asn[0][0], asn[0][0]),),))
     start = ((idb,), (eps,), (), (eta,), (idb,))
-    assert len(evaluate(start).assignments) == 6
+    assert len(assignments(evaluate(start))) == 6
     once = DiagramPath(start).rewrite(flip, 3, (0,))
     detour = DiagramPath(start).rewrite(flip, 3, (0,)).insert_identity_row(2).delete_identity_row(3)
     twice = DiagramPath(start).rewrite(flip, 3, (0,)).delete_identity_row(2).insert_identity_row(2)
@@ -535,8 +576,8 @@ def rand_diagram(rng):
 
 def assert_matches_brute_force(diagram):
     ev = evaluate(diagram)
-    assignments, span = brute_force_evaluate(diagram)
-    assert ev.assignments == assignments
+    brute_force, span = brute_force_evaluate(diagram)
+    assert assignments(ev) == brute_force
     assert ev.span == span
 
 
@@ -669,9 +710,9 @@ def assert_matches_table(rule, old):
     assert "_tables" not in vars(rule)
     ev = evaluate(rule.src)
     columns = [c for row in ev.columns for c in row]
-    carried = rule.carry(columns, len(ev.assignments))
+    carried = rule.carry(columns, ev.span.apex.size)
     assert len(carried) == sum(map(len, rule.tgt))
-    assert all(isinstance(c, tuple) and len(c) == len(ev.assignments) for c in carried)
+    assert all(isinstance(c, tuple) and len(c) == ev.span.apex.size for c in carried)
     assert list(zip(*carried)) == [old.mapping[m] for m in zip(*columns)]
     assert rule.mapping == old.mapping
     assert rule.cell.map.table == old.cell.map.table
@@ -743,6 +784,81 @@ def test_rules_of_the_commutativity_equations_match_the_assignment_level_rules(i
     assert_matches_table(hexagonator_rule(x1, x1, x1), fn_hexagonator_rule(x1, x1, x1))
 
 
+def fn_commutor_rule(X, theta, mub):
+    """The commutor mu => mu∘rho built by `make_rule`, as it was before."""
+    x1 = X.levels[1]
+    idb = identity_box(x1)
+    rho = Box(braiding_span(x1, x1), (x1, x1), (x1, x1), name="braid")
+
+    def fn(asn):
+        m = asn[1][0]
+        return ((X.d(2, 2).table[m] * x1.size + X.d(2, 0).table[m],), (theta.table[m],))
+
+    return make_rule("commutor", ((idb, idb), (mub,)), ((rho,), (mub,)), fn)
+
+
+def fn_snake_rules(C):
+    """zig and zag built by `make_rule`, as they were before."""
+    x1 = C.base.levels[1]
+    ab = Box(paracyclic.normalized_pairing_span(x1, C.tau1), (x1, x1), (), name="pairing")
+    bb = Box(paracyclic.copairing_span(x1, C.tau1), (), (x1, x1), name="copairing")
+    idb = identity_box(x1)
+
+    def fn(asn):
+        return ((asn[0][0],), (asn[0][0],))
+
+    return (make_rule("zig", ((bb, idb), (idb, ab)), ((idb,), (idb,)), fn),
+            make_rule("zag", ((idb, bb), (ab, idb)), ((idb,), (idb,)), fn))
+
+
+def closed_form_rules_made(monkeypatch, module, run) -> dict:
+    """The closed-form rules that `module` makes while `run()` runs, by
+    name, each made again from the same patterns and carry so that its
+    tables are not built yet."""
+    made = {}
+
+    def recording(name, *args, **parts):
+        made[name] = args, parts
+        return diagrams.ClosedFormRule(name, *args, **parts)
+
+    monkeypatch.setattr(module, "ClosedFormRule", recording)
+    run()
+    return {name: diagrams.ClosedFormRule(name, *args, **parts) for name, (args, parts) in made.items()}
+
+
+def z3_swap():
+    """Z_3 at 3 with theta the swap (a, b) -> (b, a) of its level-2 pairs."""
+    X = catalog.nerve(catalog.cyclic_group_category(3), 3)
+    return X, FinMap(X.levels[2], X.levels[2], tuple(b * 3 + a for a in range(3) for b in range(3)))
+
+
+@pytest.mark.parametrize("structure", ["interval_l3_gamma", "path3_gamma", "z3"])
+def test_commutor_matches_the_assignment_level_rule(monkeypatch, request, structure):
+    if structure == "z3":
+        X, theta = z3_swap()
+    else:
+        G = request.getfixturevalue(structure)
+        X, theta = G.base, G.theta(2, 1)
+    mub = gammaset._mu_box(X)
+    rules = closed_form_rules_made(monkeypatch, gammaset, lambda: gammaset.gamma_rule(X, theta, mub))
+    assert_matches_table(rules["commutor"], fn_commutor_rule(X, theta, mub))
+    # the commutor's images depend on theta, so it builds its cell when made
+    assert "_tables" in vars(gammaset.gamma_rule(X, theta, mub))
+
+
+@pytest.mark.parametrize("fixture", ["pair_groupoid2", "twisted_z3_inversion"])
+def test_snakes_match_the_assignment_level_rules(monkeypatch, fixture):
+    C = paracyclic.frobenius_from_paracyclic(load_document(FIXTURES / f"{fixture}.json").paracyclic)
+    # tau is not the identity, so the pairing's element differs from the
+    # copairing's in some zig source element
+    assert C.tau1.table != tuple(range(len(C.tau1.table)))
+    rules = closed_form_rules_made(monkeypatch, paracyclic, lambda: paracyclic.frobenius_witnesses(C))
+    assert sorted(rules) == ["zag", "zig"]
+    zig, zag = fn_snake_rules(C)
+    assert_matches_table(rules["zig"], zig)
+    assert_matches_table(rules["zag"], zag)
+
+
 @pytest.mark.parametrize("category", [catalog.cyclic_group_category(5), catalog.pair_groupoid(3)],
                          ids=["Z5", "pair3"])
 def test_tensorator_of_mu_matches_the_assignment_level_rule(category):
@@ -770,7 +886,7 @@ def test_tensorator_image_that_does_not_chain_is_refused():
     start = evaluate(tensorator_rule(f, g).src)
     path = DiagramPath(start.diagram).rewrite(Crossed(f, g), 0, (0, 0))
     with pytest.raises(StructuralError, match="rule tensorator: rewrite produced an invalid assignment"):
-        path.carry(start.columns, len(start.assignments))
+        path.carry(start.columns, start.span.apex.size)
 
 
 # ---------------------------------------------------------------------------
@@ -781,13 +897,13 @@ def eager_discrepancy(p, q):
     """The discrepancy of `compare_paths` built as two dicts over the start
     apex, as it was before it was built only when read."""
     start = evaluate(p.start)
-    count = len(start.assignments)
+    count = start.span.apex.size
 
     def ends(path):
         return diagrams._members([c for row in path.carry(start.columns, count) for c in row], count)
 
-    q_back = dict(zip(ends(q), start.assignments))
-    return {a: q_back[e] for a, e in zip(start.assignments, ends(p))}
+    q_back = dict(zip(ends(q), assignments(start)))
+    return {a: q_back[e] for a, e in zip(assignments(start), ends(p))}
 
 
 def assert_matches_eager(p, q, ok):
@@ -882,13 +998,34 @@ def test_len_of_a_passing_discrepancy_builds_nothing():
     assert "_entries" in vars(pent.discrepancy)
 
 
-def test_evaluate_builds_assignments_only_when_read():
+def test_passing_equations_build_no_discrepancy_entries(monkeypatch, interval_l3_gamma):
+    made = []
+
+    class Recording(diagrams._Discrepancy):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(diagrams, "_Discrepancy", Recording)
+    X, theta = interval_l3_gamma.base, interval_l3_gamma.theta(2, 1)
+    assert gammaset.span_level_commutativity(X, theta).ok
+    C = paracyclic.frobenius_from_paracyclic(load_document(FIXTURES / "twisted_z3_inversion.json").paracyclic)
+    assert paracyclic.frobenius_witnesses(C).report.ok
+    assert acceptance.criterion_2_pentagon_triangle().ok
+    # symmetry, hexagon, the two snakes, and the acceptance gate's pentagon
+    # and triangle on five structures; none of them asked for a witness
+    assert len(made) == 4 + 5 * 2 and all(len(d) for d in made)
+    assert all("_entries" not in vars(d) for d in made)
+
+
+def test_evaluate_holds_only_box_columns():
     rng = random.Random(13)
     diagram = rand_diagram(rng)
     ev = evaluate(diagram)
-    assert "assignments" not in vars(ev) and "index" not in vars(ev)
-    assert ev.assignments == brute_force_evaluate(diagram)[0]
-    assert ev.index == {a: i for i, a in enumerate(ev.assignments)}
+    assert not hasattr(ev, "assignments") and not hasattr(ev, "index")
+    assert assignments(ev) == brute_force_evaluate(diagram)[0]
+    flat = [tuple(e for row in a for e in row) for a in assignments(ev)]
+    assert diagrams.member_index(ev) == {m: i for i, m in enumerate(flat)}
 
 
 def test_a_table_rule_checks_its_mapping_once(monkeypatch):

@@ -1,11 +1,13 @@
 """Pointed-cardinal morphisms, the interstice functor, Gamma structures,
 and the commutativity correspondence."""
 
+import pathlib
 import random
 
 import pytest
 
 from finspan import catalog
+from finspan.documents import load_document
 from finspan.gammaset import (
     GammaData,
     NotCommutativeError,
@@ -13,11 +15,13 @@ from finspan.gammaset import (
     check_gamma,
     check_phistar_relations,
     commutative_from_gamma,
+    _mu_box,
     crossing_map,
     cut,
     evaluate_gamma,
     gamma_cell,
     gamma_from_commutative,
+    gamma_rule,
     permutation_action,
     phistar_compose,
     phistar_d,
@@ -34,6 +38,8 @@ from finspan.paracyclic import LambdaMor, delta_action, lambda_compose, lambda_d
 from finspan.simplicial import T13, _triangulation_with_triangle, enumerate_triangulations, vertex_map
 from finspan.spans import FinMap, StructuralError
 from test_simplicial import differential_inputs, empty_structure, loop_glue, outcome
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestPhiStar:
@@ -261,6 +267,20 @@ class TestCommutativityCorrespondence:
         theta = FinMap(X.levels[2], X.levels[2], tuple(swapped))
         with pytest.raises(StructuralError):
             gamma_cell(X, theta)
+
+    @pytest.mark.parametrize("fixture, swap", [("interval_l2", (0, 3)), ("interval_l3", (1, 9))])
+    def test_commutor_refuses_an_incompatible_involution_when_made(self, fixture, swap):
+        """The golden `theta swap` mutations that `check --full-hexagon`
+        reports as a commutor error: theta with two entries swapped."""
+        G = load_document(FIXTURES / f"{fixture}.json").gamma
+        X, theta = G.base, list(G.theta(2, 1).table)
+        e, f = swap
+        theta[e], theta[f] = theta[f], theta[e]
+        theta = FinMap(X.levels[2], X.levels[2], tuple(theta))
+        with pytest.raises(StructuralError) as err:
+            gamma_rule(X, theta, _mu_box(X))
+        assert str(err.value) == "rule commutor: image assignment is not valid"
+        assert not span_level_commutativity(X, G.theta(2, 1)).failures
 
     def test_non_invertible_cell_rejected(self, interval_l3_gamma):
         G = interval_l3_gamma
