@@ -13,13 +13,15 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .gammaset import GammaData, PhiStarMor, phistar_d, phistar_d_top, phistar_s, phistar_theta
-from .paracyclic import ParacyclicData
 from .pseudomonoid import TwoTruncatedData, two_truncated_simplicial  # re-exported
 from .simplicial import TruncSimplicialSet, make_simplicial
 from .spans import FinMap, FinSet, StructuralError, identity_map
+
+if TYPE_CHECKING:  # loaded by the constructors that build them
+    from .gammaset import GammaData, PhiStarMor
+    from .paracyclic import ParacyclicData
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +220,8 @@ def groupoid_cyclic(C: SmallCategory, N: int, bisection: Optional[FinMap] = None
     """The paracyclic structure on a groupoid nerve; with a bisection, the
     last entry is twisted by it.  Cyclic exactly when the bisection is
     central (the default identity bisection is)."""
+    from .paracyclic import ParacyclicData
+
     if not C.is_groupoid():
         raise StructuralError("cyclic structure needs a groupoid")
     if bisection is not None:
@@ -341,6 +345,8 @@ def _monoid_nerve(M: PartialMonoid, N: int) -> tuple[TruncSimplicialSet, Callabl
 def interval_cyclic(L: int, N: int) -> ParacyclicData:
     """The cyclic structure on the interval nerve: rotate and complete the
     sum to L."""
+    from .paracyclic import ParacyclicData
+
     X, move = _monoid_nerve(interval_monoid(L), N)
     tau = [move(0, 0, lambda t: t)]
     tau += [move(n, n, lambda t: t[1:] + (L - sum(t),)) for n in range(1, N + 1)]
@@ -350,6 +356,8 @@ def interval_cyclic(L: int, N: int) -> ParacyclicData:
 def commutative_monoid_gamma(M: PartialMonoid, N: int) -> GammaData:
     """The transposition actions on the nerve of a commutative partial
     monoid: permutation of tuple components."""
+    from .gammaset import GammaData
+
     if not M.is_commutative():
         raise StructuralError("transposition actions need commutativity")
     X, move = _monoid_nerve(M, N)
@@ -426,6 +434,8 @@ def _twisted_nerve(C: SmallCategory, F: Endofunctor, N: int) -> tuple[TruncSimpl
 def twisted_cyclic_paracyclic(C: SmallCategory, F: Endofunctor, N: int) -> ParacyclicData:
     """The paracyclic translations on a twisted cyclic nerve; needs the
     twist to be an automorphism."""
+    from .paracyclic import ParacyclicData
+
     if not F.is_automorphism():
         raise StructuralError("paracyclic translations need an automorphism twist")
     X, move = _twisted_nerve(C, F, N)
@@ -472,6 +482,8 @@ def graph_partition_action(G: Graph, f: PhiStarMor, element: tuple[int, ...]) ->
 def graph_partition_gamma(G: Graph, N: int) -> GammaData:
     """Subgraph partitions as a functor on pointed cardinals, exposed via
     the derived simplicial structure and transposition actions."""
+    from .gammaset import GammaData, phistar_d, phistar_d_top, phistar_s, phistar_theta
+
     if N < 3:
         raise StructuralError("correspondence checks need N >= 3")
     tuples = [_partition_elements(G, n) for n in range(N + 1)]
@@ -556,5 +568,7 @@ def constant_point(N: int) -> TruncSimplicialSet:
 
 
 def constant_point_paracyclic(N: int) -> ParacyclicData:
+    from .paracyclic import ParacyclicData
+
     X = constant_point(N)
     return ParacyclicData(X, tuple(FinMap(FinSet(1), FinSet(1), (0,)) for _ in range(N + 1)))

@@ -2,6 +2,8 @@
 associator lifts, emit example fixtures, and run the acceptance suite.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 input error.
+`paracyclic`, `gammaset` and `acceptance` are imported where a command
+reads them, so a process that never does never loads them.
 """
 
 from __future__ import annotations
@@ -11,27 +13,11 @@ import sys
 import time
 
 from . import catalog
-from .acceptance import run_all
 from .documents import (
     DocumentError,
     StructureDocument,
     dumps_document,
     load_document,
-)
-from .gammaset import (
-    NotCommutativeError,
-    check_gamma,
-    commutative_from_gamma,
-    gamma_cell,
-    gamma_from_commutative,
-    span_level_commutativity,
-)
-from .paracyclic import (
-    NotFrobeniusError,
-    check_cyclic,
-    check_paracyclic,
-    frobenius_from_paracyclic,
-    paracyclic_from_frobenius,
 )
 from .pseudomonoid import ConstructionError, search_associator_lift, two_truncation
 from .reporting import CheckResult, Report
@@ -96,6 +82,8 @@ def cmd_check(args) -> int:
         if doc.paracyclic is None:
             report.add(CheckResult("paracyclic relations", None, detail="no paracyclic block"))
         else:
+            from .paracyclic import check_cyclic, check_paracyclic
+
             report.extend(check_paracyclic(doc.paracyclic))
             res = check_cyclic(doc.paracyclic)
             report.add(CheckResult(f"cyclicity verdict: {res.verdict}", True))
@@ -105,6 +93,8 @@ def cmd_check(args) -> int:
         if doc.gamma is None:
             report.add(CheckResult("transposition relations", None, detail="no gamma block"))
         else:
+            from .gammaset import check_gamma, span_level_commutativity
+
             report.extend(check_gamma(doc.gamma))
             if args.full_hexagon:
                 if not identities.ok:
@@ -125,6 +115,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    from .gammaset import (
+        NotCommutativeError,
+        commutative_from_gamma,
+        gamma_cell,
+        gamma_from_commutative,
+    )
+    from .paracyclic import NotFrobeniusError, frobenius_from_paracyclic, paracyclic_from_frobenius
+
     try:
         doc = load_document(args.path)
     except (DocumentError, OSError) as exc:
@@ -280,6 +278,8 @@ def cmd_example(args) -> int:
 
 
 def cmd_acceptance(args) -> int:
+    from .acceptance import run_all
+
     report, lines = run_all(seed=args.seed, verbose=args.verbose)
     print("\n".join(lines))
     print(f"acceptance: {len(report.results)} checks, "

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .gammaset import GammaData
-from .paracyclic import ParacyclicData
 from .simplicial import TruncSimplicialSet, make_simplicial
 from .spans import FinMap, FinSet, Span, StructuralError, UNIT, constant_map
+
+if TYPE_CHECKING:  # loaded only when a document carries the block
+    from .gammaset import GammaData
+    from .paracyclic import ParacyclicData
 
 SCHEMA_VERSION = 1
 
@@ -136,6 +138,8 @@ def _document_from_dict(data: dict) -> StructureDocument:
 
     paracyclic = None
     if "paracyclic" in data:
+        from .paracyclic import ParacyclicData
+
         taus = data["paracyclic"].get("tau")
         if not isinstance(taus, list) or len(taus) != N + 1:
             raise DocumentError("paracyclic block needs one tau table per level")
@@ -144,6 +148,8 @@ def _document_from_dict(data: dict) -> StructureDocument:
         ))
     gamma = None
     if "gamma" in data:
+        from .gammaset import GammaData
+
         thetas = data["gamma"].get("theta")
         if not isinstance(thetas, list) or len(thetas) != max(0, N - 1):
             raise DocumentError("gamma block needs theta tables for levels 2..N")

@@ -1,12 +1,16 @@
 """JSON documents and the command-line interface."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import pathlib
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finspan import catalog
 from finspan.cli import main
@@ -327,3 +331,94 @@ def test_make_fixtures_regenerates_the_shipped_fixtures(tmp_path, monkeypatch):
     assert written == sorted(p.name for p in FIXTURES.glob("*.json"))
     for name in written:
         assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract under mutated fixtures
+
+KEYS = ("schema_version", "truncation", "levels", "face", "degen", "paracyclic", "tau",
+        "gamma", "theta", "counit", "apex_size", "left", "right", "commutative", "theta2",
+        "size", "labels", "x")
+FUZZ_COMMANDS = [
+    ["check"],
+    ["check", "--subdivisions", "--full-hexagon"],
+    ["search-lift", "--budget", "2000"],
+    *(["derive", "--direction", d] for d in (
+        "frobenius-to-paracyclic", "paracyclic-to-frobenius",
+        "gamma-to-commutative", "commutative-to-gamma",
+    )),
+]
+
+
+def _positions(value, path=(), top=None):
+    """Each (path, value, top) inside a JSON value.  A path lists the keys
+    and indices from the root; `top` bounds an in-range nudge of an
+    integer: the largest entry of the table it sits in, if it does."""
+    yield path, value, top
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield from _positions(sub, path + (key,))
+    elif isinstance(value, list):
+        table_top = max(value) if value and set(map(type, value)) == {int} else None
+        for i, sub in enumerate(value):
+            yield from _positions(sub, path + (i,), table_top)
+
+
+def _nudges(value, top) -> list[int]:
+    """The +-1 nudges of an integer that stay at least 0 and at most `top`."""
+    top = value + 1 if top is None else top
+    return [v for v in (value - 1, value + 1) if 0 <= v <= top]
+
+
+def _replace(data, path, new):
+    if not path:
+        return new
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return data
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A shipped fixture with one mutation: a value replaced by one of
+    another type, a key renamed, or an integer nudged by one."""
+    data = json.loads(draw(st.sampled_from(sorted(FIXTURES.glob("*.json")))).read_text())
+    kind = draw(st.sampled_from(["type", "key", "nudge"]))
+    positions = list(_positions(data))
+    if kind == "key":
+        block = draw(st.sampled_from([v for _, v, _ in positions if isinstance(v, dict)]))
+        old = draw(st.sampled_from(sorted(block)))
+        new = draw(st.sampled_from([k for k in KEYS if k not in block]))
+        block[new] = block.pop(old)
+        return data
+    if kind == "nudge":
+        path, value, top = draw(st.sampled_from(
+            [(p, v, t) for p, v, t in positions if type(v) is int and _nudges(v, t)]
+        ))
+        return _replace(data, path, draw(st.sampled_from(_nudges(value, top))))
+    path, value, _ = draw(st.sampled_from(positions))
+    new = draw(st.sampled_from([v for v in ("x", None, 1.5, True, 7, [], {})
+                                if type(v) is not type(value)]))
+    return _replace(data, path, new)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(document=mutated_fixtures())
+def test_mutated_fixtures_keep_the_exit_code_contract(fuzz_path, document):
+    """No command lets an exception escape on a mutated fixture; it exits
+    0, 1 or 2, and exit 2 always comes with an `error: ` line."""
+    fuzz_path.write_text(json.dumps(document))
+    for command in FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], str(fuzz_path), *command[1:]])
+        assert code in (0, 1, 2), command
+        if code == 2:
+            assert any(l.startswith("error: ") for l in err.getvalue().splitlines()), command

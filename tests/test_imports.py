@@ -1,5 +1,7 @@
 """Every imported name in the package, the tests and the demos is used,
-and every module-level definition in the package is referenced.
+and every module-level definition in the package is referenced.  The
+package namespace keeps its names while loading each submodule only
+when something reads it.
 
 A name counts as used when its module references it, or when another
 scanned module reads it as an attribute of this module (`cli` reads
@@ -13,7 +15,17 @@ count.
 from __future__ import annotations
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
+
+import pytest
+
+import finspan
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = [ROOT / "src" / "finspan", ROOT / "tests", ROOT / "demos"]
@@ -67,6 +79,39 @@ def unused_imports() -> list[str]:
 
 def test_every_imported_name_is_used():
     assert unused_imports() == []
+
+
+def _module_level_names(tree: ast.Module) -> set[str]:
+    """The names a module's top-level statements define or assign."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def stale_exports() -> list[str]:
+    """Each name of the package's export table that its submodule does not
+    define at module level."""
+    return [
+        f"{module}.{name}"
+        for module, names in finspan._EXPORTS.items()
+        for name in sorted(set(names) - _module_level_names(
+            ast.parse((PACKAGE / f"{module}.py").read_text())
+        ))
+    ]
+
+
+def test_every_export_is_defined_where_the_table_says():
+    assert stale_exports() == []
+
+
+def test_the_scan_sees_module_level_names():
+    tree = ast.parse("import os\nX = 1\nY: int = 2\ndef f():\n    Z = 3\nclass C:\n    pass\n")
+    assert _module_level_names(tree) == {"X", "Y", "f", "C"}
 
 
 def test_the_scan_sees_an_unused_import():
@@ -125,3 +170,90 @@ def test_every_package_definition_is_referenced():
 def test_the_scan_sees_an_unreferenced_definition():
     tree = ast.parse("def used():\n    pass\n\ndef dead():\n    dead()\n\nused()\n")
     assert [node.name for node in _unreferenced(tree, _reads([tree]))] == ["dead"]
+
+
+# ---------------------------------------------------------------------------
+# the package namespace
+
+# `finspan.__all__` as it was when `__init__.py` imported every name eagerly
+EXPORTED = (
+    "CommutativityCell", "ConstructionError", "CounitData", "FinMap", "FinSet", "GammaData",
+    "GluingError", "LambdaMor", "NotCommutativeError", "NotFrobeniusError", "ParacyclicData",
+    "PhiStarMor", "ProductShape", "PseudomonoidData", "Span", "SpanCell", "StructuralError",
+    "Subdivision", "Triangulation", "TruncSimplicialSet", "TwoTruncatedData", "UNIT",
+    "braiding_cell", "braiding_span", "build_pseudomonoid", "check_2segal", "check_cyclic",
+    "check_gamma", "check_lambda_relations", "check_paracyclic", "check_simplicial_identities",
+    "check_subdivision_criterion", "check_unitality", "coherence_cell",
+    "commutative_from_gamma", "compose_spans", "cut", "degen_via_polygon", "diagrams",
+    "edge_map", "enumerate_subdivisions", "enumerate_triangulations", "evaluate",
+    "evaluate_gamma", "face_via_polygon", "frobenius_from_paracyclic", "frobenius_witnesses",
+    "gamma_from_commutative", "gammaset", "glue", "glue_columns", "hexagonator_cell",
+    "horizontal_compose", "identity_cell", "identity_map", "identity_span", "lambda_compose",
+    "lambda_factorize", "make_simplicial", "n_fold_multiplication", "paracyclic",
+    "paracyclic_from_frobenius", "phistar_compose", "phistar_factorize", "product_span",
+    "pseudomonoid", "pullback", "reporting", "search_associator_lift", "simplicial", "spans",
+    "spans_isomorphic", "syllepsis_cell", "taco_spaces", "tensorator_cell", "two_truncation",
+    "unglue", "verify_pentagon", "verify_triangle", "vertical_compose", "whisker",
+)
+
+
+def test_the_package_exports_the_same_names():
+    assert len(EXPORTED) == 81
+    assert finspan.__all__ == list(EXPORTED)
+
+
+def test_each_export_is_its_submodule_attribute():
+    for module, names in finspan._EXPORTS.items():
+        owner = importlib.import_module(f"finspan.{module}")
+        assert getattr(finspan, module) is owner
+        for name in names:
+            assert getattr(finspan, name) is getattr(owner, name), name
+
+
+def test_star_import_and_dir_see_every_export():
+    namespace = {}
+    exec("from finspan import *", namespace)
+    assert set(EXPORTED) <= set(namespace)
+    assert set(EXPORTED) <= set(dir(finspan))
+
+
+def test_an_unknown_name_raises_the_standard_error():
+    with pytest.raises(AttributeError) as error:
+        finspan.no_such_name
+    with pytest.raises(AttributeError) as standard:
+        types.ModuleType("finspan").no_such_name
+    assert str(error.value) == str(standard.value)
+
+
+# Run in a fresh interpreter, since this session has loaded every module.
+LOAD_GUARD = """
+import contextlib, io, json, sys
+import finspan
+from finspan import catalog, cli, documents, pseudomonoid
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(list(argv))
+    lazy = ("paracyclic", "gammaset", "acceptance")
+    return code, [m for m in lazy if f"finspan.{m}" in sys.modules]
+
+print(json.dumps([
+    run("check", "fixtures/chain_poset_nerve.json"),
+    run("search-lift", "fixtures/nolift_a2.json"),
+    run("check", "fixtures/nerve_z3.json"),
+    run("check", "fixtures/interval_l3.json"),
+]))
+"""
+
+
+def test_commands_load_only_the_modules_they_read():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LOAD_GUARD], cwd=ROOT, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        [0, []],
+        [1, []],
+        [0, ["paracyclic"]],
+        [0, ["paracyclic", "gammaset"]],
+    ]
