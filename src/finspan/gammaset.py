@@ -20,7 +20,7 @@ tower of transpositions triangle by triangle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .diagrams import (
     Box,
@@ -40,11 +40,19 @@ from .paracyclic import LambdaMor
 from .reporting import CheckResult, Report
 from .simplicial import (
     T13,
+    Relation,
+    Token,
     Triangulation,
     TruncSimplicialSet,
     _triangulation_with_triangle,
+    act,
     check_2segal,
+    check_on_morphisms,
+    check_relations,
+    degeneracy_relations,
+    face_relations,
     glue_columns,
+    structure_tables,
     vertex_map,
 )
 from .spans import (
@@ -133,20 +141,6 @@ def phistar_to_phi(f: PhiStarMor) -> tuple[int, ...]:
     return (0,) + tuple(f.table)
 
 
-Token = tuple[str, int, int]  # (kind, level, index), kinds "s" | "d" | "theta"
-
-
-def token_morphism(tok: Token) -> PhiStarMor:
-    kind, n, i = tok
-    if kind == "s":
-        return phistar_s(n, i)
-    if kind == "d":
-        return phistar_d(n, i)
-    if kind == "theta":
-        return phistar_theta(n, i)
-    raise StructuralError(f"unknown token kind {kind}")
-
-
 def phistar_factorize(f: PhiStarMor) -> tuple[Token, ...]:
     """A generator word for f, in application order (first entry acts
     first).  The permutation part is produced by bubble sorting the stable
@@ -189,98 +183,29 @@ def phistar_factorize(f: PhiStarMor) -> tuple[Token, ...]:
     return tuple(word + monotone_word(h, f.m))
 
 
-def phistar_recompose(n: int, word: tuple[Token, ...]) -> PhiStarMor:
+def phistar_recompose(n: int, word: Sequence[Token]) -> PhiStarMor:
+    """The pointed map from <n> whose action is `word`; ("d", m, m) is the
+    derived final face."""
     out = phistar_identity(n)
-    for tok in word:
-        out = phistar_compose(out, token_morphism(tok))
+    for kind, m, i in word:
+        if kind == "s":
+            gen = phistar_s(m, i)
+        elif kind == "theta":
+            gen = phistar_theta(m, i)
+        elif kind == "d":
+            gen = phistar_d_top(m) if i == m else phistar_d(m, i)
+        else:
+            raise StructuralError(f"unknown token kind {kind}")
+        out = phistar_compose(out, gen)
     return out
 
 
 def check_phistar_relations(n_max: int = 6) -> Report:
     """The generator relations of the pointed-cardinal category up to
-    n_max, as morphism equalities: simplicial part, Moore part, mixed
-    part, and the final-face identity."""
-    report = Report()
-
-    def eq(name, lhs, rhs):
-        ok = lhs == rhs
-        report.add(CheckResult(name, ok, witness=None if ok else (lhs.table, rhs.table)))
-
-    for n in range(n_max):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                eq(f"s_{i} s_{j} at <{n}>",
-                   phistar_compose(phistar_s(n, j), phistar_s(n + 1, i)),
-                   phistar_compose(phistar_s(n, i), phistar_s(n + 1, j + 1)))
-    for n in range(2, n_max + 1):
-        for j in range(n):
-            for i in range(j):
-                eq(f"d_{i} d_{j} at <{n}>",
-                   phistar_compose(phistar_d(n, j), phistar_d(n - 1, i)),
-                   phistar_compose(phistar_d(n, i), phistar_d(n - 1, j - 1)))
-    for n in range(0, n_max):
-        for j in range(n + 1):
-            for i in range(n + 1):
-                lhs = phistar_compose(phistar_s(n, j), phistar_d(n + 1, i))
-                if i < j:
-                    rhs = phistar_compose(phistar_d(n, i), phistar_s(n - 1, j - 1)) if n >= 1 else None
-                elif i in (j, j + 1):
-                    rhs = phistar_identity(n)
-                else:
-                    rhs = phistar_compose(phistar_d(n, i - 1), phistar_s(n - 1, j)) if n >= 1 else None
-                if rhs is not None:
-                    eq(f"d_{i} s_{j} at <{n}>", lhs, rhs)
-    for n in range(2, n_max + 1):
-        for i in range(1, n):
-            eq(f"theta_{i} involution at <{n}>",
-               phistar_compose(phistar_theta(n, i), phistar_theta(n, i)), phistar_identity(n))
-        for i in range(1, n - 1):
-            eq(f"braid at <{n}> index {i}",
-               phistar_compose(phistar_compose(phistar_theta(n, i), phistar_theta(n, i + 1)), phistar_theta(n, i)),
-               phistar_compose(phistar_compose(phistar_theta(n, i + 1), phistar_theta(n, i)), phistar_theta(n, i + 1)))
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                eq(f"commute theta_{i} theta_{j} at <{n}>",
-                   phistar_compose(phistar_theta(n, i), phistar_theta(n, j)),
-                   phistar_compose(phistar_theta(n, j), phistar_theta(n, i)))
-    for n in range(1, n_max):
-        for i in range(1, n + 1):
-            for j in range(n + 1):
-                lhs = phistar_compose(phistar_s(n, j), phistar_theta(n + 1, i))
-                if i < j:
-                    rhs = phistar_compose(phistar_theta(n, i), phistar_s(n, j))
-                elif i == j:
-                    rhs = phistar_s(n, i - 1)
-                elif i == j + 1:
-                    rhs = phistar_s(n, i)
-                else:
-                    rhs = phistar_compose(phistar_theta(n, i - 1), phistar_s(n, j))
-                eq(f"theta_{i} s_{j} at <{n}>", lhs, rhs)
-    for n in range(3, n_max + 1):
-        for i in range(1, n - 1):
-            for j in range(n):
-                lhs = phistar_compose(phistar_d(n, j), phistar_theta(n - 1, i))
-                if i < j - 1:
-                    rhs = phistar_compose(phistar_theta(n, i), phistar_d(n, j))
-                elif i == j - 1:
-                    rhs = phistar_compose(phistar_compose(phistar_theta(n, i), phistar_theta(n, i + 1)), phistar_d(n, i))
-                elif i == j:
-                    rhs = phistar_compose(phistar_compose(phistar_theta(n, i + 1), phistar_theta(n, i)), phistar_d(n, i + 1))
-                else:
-                    rhs = phistar_compose(phistar_theta(n, i + 1), phistar_d(n, j))
-                eq(f"theta_{i} d_{j} at <{n}>", lhs, rhs)
-    for n in range(2, n_max + 1):
-        for i in range(1, n):
-            eq(f"d_{i} theta_{i} absorption at <{n}>",
-               phistar_compose(phistar_theta(n, i), phistar_d(n, i)), phistar_d(n, i))
-    for n in range(1, n_max + 1):
-        word = phistar_identity(n)
-        for i in range(n - 1, 0, -1):
-            word = phistar_compose(word, phistar_theta(n, i))
-        eq(f"final face from transpositions at <{n}>",
-           phistar_compose(word, phistar_d(n, 0)), phistar_d_top(n))
-    eq("pointed collapse d_0^1 = d_1^1", phistar_d(1, 0), phistar_d_top(1))
-    return report
+    n_max, on its morphisms: the simplicial identities, with the derived
+    final face as d_n, and the relations of a Gamma structure."""
+    relations = face_relations(n_max) + degeneracy_relations(n_max + 1) + gamma_relations(n_max)
+    return check_on_morphisms(relations, phistar_recompose)
 
 
 # ---------------------------------------------------------------------------
@@ -331,97 +256,90 @@ class GammaData:
         return self.theta_tables[n][i - 1]
 
 
+def gamma_tables(G: GammaData) -> dict[Token, tuple[int, ...]]:
+    """The token tables of G: faces, degeneracies and transpositions."""
+    tables = structure_tables(G.base)
+    tables.update({("theta", n, i): t.table for n, row in enumerate(G.theta_tables) for i, t in enumerate(row, 1)})
+    return tables
+
+
 def evaluate_gamma(G: GammaData, f: PhiStarMor) -> FinMap:
     """The action X(f): X_n -> X_m via the generator word of f."""
     X = G.base
     if f.n > X.N or f.m > X.N:
         raise StructuralError("level outside the truncation")
-    out = identity_map(X.levels[f.n])
-    for kind, n, i in phistar_factorize(f):
-        if kind == "s":
-            out = out.then(X.s(n, i))
-        elif kind == "d":
-            out = out.then(X.d(n, i))
-        else:
-            out = out.then(G.theta(n, i))
-    return out
+    return FinMap(X.levels[f.n], X.levels[f.m], act(gamma_tables(G), phistar_factorize(f), X.levels[f.n].size))
+
+
+def gamma_relations(N: int) -> list[Relation]:
+    """The Moore, mixed and final-face relations within truncation N."""
+    relations = [(("d_0^1 = d_1^1 (pointed collapse)",), 1, (("d", 1, 0),), (("d", 1, 1),))]
+    for n in range(2, N + 1):
+        relations += [(("theta_{}^2 = id at level {}", i, n), n, (("theta", n, i), ("theta", n, i)), ())
+                      for i in range(1, n)]
+        relations += [(("braid theta_{} theta_{} at level {}", i, i + 1, n), n,
+                       (("theta", n, i), ("theta", n, i + 1), ("theta", n, i)),
+                       (("theta", n, i + 1), ("theta", n, i), ("theta", n, i + 1))) for i in range(1, n - 1)]
+        relations += [(("theta_{} theta_{} commute at level {}", i, j, n), n,
+                       (("theta", n, i), ("theta", n, j)), (("theta", n, j), ("theta", n, i)))
+                      for i in range(1, n) for j in range(i + 2, n)]
+    # mixed with degeneracies: theta_i s_j (level 1 gives the swap of the
+    # two degeneracies of an edge)
+    for n in range(1, N):
+        for i in range(1, n + 1):
+            for j in range(n + 1):
+                if i < j:
+                    rhs = (("theta", n, i), ("s", n, j))
+                elif i == j:
+                    rhs = (("s", n, i - 1),)
+                elif i == j + 1:
+                    rhs = (("s", n, i),)
+                else:
+                    rhs = (("theta", n, i - 1), ("s", n, j))
+                relations.append((("theta_{} s_{} at level {}", i, j, n), n, (("s", n, j), ("theta", n + 1, i)), rhs))
+    # mixed with faces: theta_i d_j for the generator faces j <= n-1
+    for n in range(3, N + 1):
+        for i in range(1, n - 1):
+            for j in range(n):
+                if i < j - 1:
+                    rhs = (("theta", n, i), ("d", n, j))
+                elif i == j - 1:
+                    rhs = (("theta", n, i), ("theta", n, i + 1), ("d", n, i))
+                elif i == j:
+                    rhs = (("theta", n, i + 1), ("theta", n, i), ("d", n, i + 1))
+                else:
+                    rhs = (("theta", n, i + 1), ("d", n, j))
+                relations.append((("theta_{} d_{} at level {}", i, j, n), n, (("d", n, j), ("theta", n - 1, i)), rhs))
+    # absorption d_i theta_i = d_i, and the final face from the transpositions
+    relations += [(("d_{} theta_{} = d_{} at level {}", i, i, i, n), n, (("theta", n, i), ("d", n, i)), (("d", n, i),))
+                  for n in range(2, N + 1) for i in range(1, n)]
+    relations += [(("final face identity at level {}", n), n,
+                   tuple(("theta", n, i) for i in range(n - 1, 0, -1)) + (("d", n, 0),), (("d", n, n),))
+                  for n in range(2, N + 1)]
+    return relations
 
 
 def check_gamma(G: GammaData) -> Report:
     """The Moore, mixed, and final-face relations within the truncation."""
-    X = G.base
-    report = Report()
-    report.equal("d_0^1 = d_1^1 (pointed collapse)", X.d(1, 0), X.d(1, 1))
-    for n in range(2, X.N + 1):
-        for i in range(1, n):
-            report.equal(f"theta_{i}^2 = id at level {n}",
-                         G.theta(n, i).then(G.theta(n, i)), identity_map(X.levels[n]))
-        for i in range(1, n - 1):
-            report.equal(f"braid theta_{i} theta_{i+1} at level {n}",
-                         G.theta(n, i).then(G.theta(n, i + 1)).then(G.theta(n, i)),
-                         G.theta(n, i + 1).then(G.theta(n, i)).then(G.theta(n, i + 1)))
-        for i in range(1, n):
-            for j in range(i + 2, n):
-                report.equal(f"theta_{i} theta_{j} commute at level {n}",
-                             G.theta(n, i).then(G.theta(n, j)),
-                             G.theta(n, j).then(G.theta(n, i)))
-    # mixed with degeneracies: theta_i s_j (level 1 gives the swap of the
-    # two degeneracies of an edge)
-    for n in range(1, X.N):
-        for i in range(1, n + 1):
-            for j in range(n + 1):
-                lhs = X.s(n, j).then(G.theta(n + 1, i))
-                if i < j:
-                    rhs = G.theta(n, i).then(X.s(n, j))
-                elif i == j:
-                    rhs = X.s(n, i - 1)
-                elif i == j + 1:
-                    rhs = X.s(n, i)
-                else:
-                    rhs = G.theta(n, i - 1).then(X.s(n, j))
-                report.equal(f"theta_{i} s_{j} at level {n}", lhs, rhs)
-    # mixed with faces: theta_i d_j for the generator faces j <= n-1
-    for n in range(3, X.N + 1):
-        for i in range(1, n - 1):
-            for j in range(n):
-                lhs = X.d(n, j).then(G.theta(n - 1, i))
-                if i < j - 1:
-                    rhs = G.theta(n, i).then(X.d(n, j))
-                elif i == j - 1:
-                    rhs = G.theta(n, i).then(G.theta(n, i + 1)).then(X.d(n, i))
-                elif i == j:
-                    rhs = G.theta(n, i + 1).then(G.theta(n, i)).then(X.d(n, i + 1))
-                else:
-                    rhs = G.theta(n, i + 1).then(X.d(n, j))
-                report.equal(f"theta_{i} d_{j} at level {n}", lhs, rhs)
-    # absorption d_i theta_i = d_i
-    for n in range(2, X.N + 1):
-        for i in range(1, n):
-            report.equal(f"d_{i} theta_{i} = d_{i} at level {n}",
-                         G.theta(n, i).then(X.d(n, i)), X.d(n, i))
-    # the final face from the transpositions
-    for n in range(2, X.N + 1):
-        pipeline = identity_map(X.levels[n])
-        for i in range(n - 1, 0, -1):
-            pipeline = pipeline.then(G.theta(n, i))
-        report.equal(f"final face identity at level {n}", pipeline.then(X.d(n, 0)), X.d(n, n))
-    return report
+    return check_relations(gamma_relations(G.base.N), gamma_tables(G), G.base.levels)
 
 
 def permutation_action(G: GammaData, n: int, perm: tuple[int, ...]) -> FinMap:
     """The action of an arbitrary permutation of {1..n} on X_n, generated
-    on demand from adjacent transpositions."""
+    on demand from adjacent transpositions: each swap of the bubble sort
+    acts before the ones found earlier."""
     line = list(perm)
-    out = identity_map(G.base.levels[n])
+    word = []
     changed = True
     while changed:
         changed = False
         for k in range(n - 1):
             if line[k] > line[k + 1]:
                 line[k], line[k + 1] = line[k + 1], line[k]
-                out = G.theta(n, k + 1).then(out)
+                word.append(("theta", n, k + 1))
                 changed = True
-    return out
+    level = G.base.levels[n]
+    return FinMap(level, level, act(gamma_tables(G), word[::-1], level.size))
 
 
 # ---------------------------------------------------------------------------

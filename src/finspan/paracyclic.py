@@ -17,6 +17,7 @@ components.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .diagrams import (
     Box,
@@ -29,11 +30,18 @@ from .diagrams import (
 )
 from .reporting import CheckResult, Report
 from .simplicial import (
+    Relation,
+    Token,
     Triangulation,
     TruncSimplicialSet,
     check_2segal,
+    check_on_morphisms,
+    check_relations,
+    degeneracy_relations,
+    face_relations,
     fan_triangulation,
     glue_columns,
+    structure_tables,
     vertex_map,
 )
 from .spans import (
@@ -131,74 +139,28 @@ def lambda_recompose(g: LambdaMor, a: int) -> LambdaMor:
     return lambda_compose(lambda_t(g.m, -a), g)
 
 
+def lambda_word(n: int, word: Sequence[Token]) -> LambdaMor:
+    """The morphism into [n] whose action on X_n is `word`.  The action is
+    contravariant, so each token's generator composes on the left."""
+    out = lambda_identity(n)
+    for kind, m, i in word:
+        gen = lambda_delta(m, i) if kind == "d" else lambda_sigma(m, i) if kind == "s" else lambda_t(m)
+        out = lambda_compose(gen, out)
+    return out
+
+
 def check_lambda_relations(n_max: int = 6) -> Report:
-    """The generator relations of the paracyclic category up to level n_max:
-    translation against cofaces/codegeneracies, the extra-codegeneracy
-    relations, and the cosimplicial identities."""
-    report = Report()
-
-    def eq(name, lhs, rhs):
-        ok = lhs == rhs
-        report.add(CheckResult(name, ok, witness=None if ok else (lhs.values, rhs.values)))
-
-    for n in range(1, n_max + 1):
-        for i in range(n + 1):
-            lhs = lambda_compose(lambda_delta(n, i), lambda_t(n))
-            rhs = (
-                lambda_compose(lambda_t(n - 1), lambda_delta(n, i + 1))
-                if i < n
-                else lambda_delta(n, 0)
-            )
-            eq(f"T delta_{i} at level {n}", lhs, rhs)
-    for n in range(n_max + 1):
-        for i in range(n + 1):
-            lhs = lambda_compose(lambda_sigma(n, i), lambda_t(n))
-            if i < n:
-                rhs = lambda_compose(lambda_t(n + 1), lambda_sigma(n, i + 1))
-            else:
-                rhs = lambda_compose(lambda_t(n + 1, 2), lambda_sigma(n, 0))
-            eq(f"T sigma_{i} at level {n}", lhs, rhs)
-    for n in range(n_max + 1):
-        extra = lambda_sigma(n, n + 1)
-        eq(f"extra codegeneracy = sigma_0 T at level {n}",
-           extra, lambda_compose(lambda_t(n + 1), lambda_sigma(n, 0)))
-        for i in range(n + 2):
-            lhs = lambda_compose(lambda_delta(n + 1, i), extra)
-            if i == 0:
-                rhs = lambda_t(n)
-            elif i == n + 1:
-                rhs = lambda_identity(n)
-            else:
-                rhs = lambda_compose(lambda_sigma(n - 1, n), lambda_delta(n, i))
-            eq(f"extra codegeneracy against delta_{i} at level {n}", lhs, rhs)
-        for i in range(n + 2):
-            lhs = lambda_compose(lambda_sigma(n + 1, i), extra)
-            rhs = lambda_compose(lambda_sigma(n + 1, n + 2), lambda_sigma(n, i))
-            eq(f"extra codegeneracy against sigma_{i} at level {n}", lhs, rhs)
-    for n in range(1, n_max):
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                lhs = lambda_compose(lambda_delta(n, i), lambda_delta(n + 1, j + 1))
-                rhs = lambda_compose(lambda_delta(n, j), lambda_delta(n + 1, i))
-                eq(f"delta delta ({i},{j}) at level {n}", lhs, rhs)
-        for j in range(n):
-            for i in range(j + 1):
-                lhs = lambda_compose(lambda_sigma(n, i), lambda_sigma(n - 1, j))
-                rhs = lambda_compose(lambda_sigma(n, j + 1), lambda_sigma(n - 1, i))
-                eq(f"sigma sigma ({i},{j}) at level {n}", lhs, rhs)
-    for n in range(1, n_max + 1):
-        for j in range(n):
-            for i in range(n + 1):
-                lhs = lambda_compose(lambda_delta(n, i), lambda_sigma(n - 1, j))
-                if i < j:
-                    rhs = lambda_compose(lambda_sigma(n - 2, j - 1), lambda_delta(n - 1, i)) if n >= 2 else None
-                elif i in (j, j + 1):
-                    rhs = lambda_identity(n - 1)
-                else:
-                    rhs = lambda_compose(lambda_sigma(n - 2, j), lambda_delta(n - 1, i - 1)) if n >= 2 else None
-                if rhs is not None:
-                    eq(f"sigma_{j} delta_{i} at level {n}", lhs, rhs)
-    return report
+    """The generator relations of the paracyclic category on its
+    morphisms: the cosimplicial identities, translation against cofaces
+    and codegeneracies, the extra-codegeneracy relations and the extra
+    codegeneracy as sigma_0 T, each up to level n_max.  A truncation
+    checks extra degeneracies against degeneracies one level below its
+    top, so that list is taken a level higher."""
+    N = n_max + 1
+    relations = face_relations(N) + degeneracy_relations(N) + translation_relations(N) + extra_relations(N + 1)
+    relations += [(("s_extra = s_0 tau at level {}", n), n, (("s", n, n + 1),), (("s", n, 0), ("t", n + 1, 0)))
+                  for n in range(N)]
+    return check_on_morphisms(relations, lambda_word)
 
 
 # ---------------------------------------------------------------------------
@@ -233,63 +195,61 @@ class ParacyclicData:
         return out
 
 
+def translation_relations(N: int) -> list[Relation]:
+    """tau against faces and degeneracies, and the exceptional rule
+    d_0 s_extra = tau, within truncation N."""
+    relations = [(("d_{} tau relation at level {}", i, n), n, (("t", n, 0), ("d", n, i)),
+                  (("d", n, i + 1), ("t", n - 1, 0)) if i < n else (("d", n, 0),))
+                 for n in range(1, N + 1) for i in range(n + 1)]
+    relations += [(("s_{} tau relation at level {}", i, n), n, (("t", n, 0), ("s", n, i)),
+                   (("s", n, i + 1), ("t", n + 1, 0)) if i < n else (("s", n, 0), ("t", n + 1, 0), ("t", n + 1, 0)))
+                  for n in range(N) for i in range(n + 1)]
+    relations += [(("exceptional rule d_0 s_extra = tau at level {}", n), n,
+                   (("s", n, n + 1), ("d", n + 1, 0)), (("t", n, 0),)) for n in range(N)]
+    return relations
+
+
+def extra_relations(N: int) -> list[Relation]:
+    """The extra-degeneracy forms of the relations, d_i s_{n+1} and
+    s_i s_{n+1}, within truncation N."""
+    relations = []
+    for n in range(N):
+        relations += [(("d_{} s_extra at level {}", i, n), n, (("s", n, n + 1), ("d", n + 1, i)),
+                       (("d", n, i), ("s", n - 1, n))) for i in range(1, n + 1)]
+        relations.append((("d_top s_extra = id at level {}", n), n, (("s", n, n + 1), ("d", n + 1, n + 1)), ()))
+    for n in range(N - 1):
+        relations += [(("s_{} s_extra at level {}", i, n), n, (("s", n, n + 1), ("s", n + 1, i)),
+                       (("s", n, i), ("s", n + 1, n + 2))) for i in range(n + 1)]
+        relations.append((("s_extra s_extra at level {}", n), n, (("s", n, n + 1), ("s", n + 1, n + 1)),
+                          (("s", n, n + 1), ("s", n + 1, n + 2))))
+    return relations
+
+
+def paracyclic_tables(P: ParacyclicData) -> dict[Token, tuple[int, ...]]:
+    """The token tables of P: faces, degeneracies, tau and the extra
+    degeneracies."""
+    tables = structure_tables(P.base)
+    tables.update({("t", n, 0): t.table for n, t in enumerate(P.tau)})
+    tables.update({("s", n, n + 1): P.extra_degeneracy(n).table for n in range(P.base.N)})
+    return tables
+
+
 def check_paracyclic(P: ParacyclicData) -> Report:
     """All translation relations and bijectivity, within the truncation."""
-    X, tau = P.base, P.tau
     report = Report()
-    for n, t in enumerate(tau):
+    for n, t in enumerate(P.tau):
         report.add(CheckResult(
             f"tau bijective at level {n}", t.is_bijective(),
             witness=None if t.is_bijective() else t.table,
         ))
     if not report.ok:
         return report
-    for n in range(1, X.N + 1):
-        for i in range(n + 1):
-            lhs = tau[n].then(X.d(n, i))
-            rhs = X.d(n, i + 1).then(tau[n - 1]) if i < n else X.d(n, 0)
-            report.equal(f"d_{i} tau relation at level {n}", lhs, rhs)
-    for n in range(X.N):
-        for i in range(n + 1):
-            lhs = tau[n].then(X.s(n, i))
-            if i < n:
-                rhs = X.s(n, i + 1).then(tau[n + 1])
-            else:
-                rhs = X.s(n, 0).then(tau[n + 1]).then(tau[n + 1])
-            report.equal(f"s_{i} tau relation at level {n}", lhs, rhs)
-    for n in range(X.N):
-        report.equal(
-            f"exceptional rule d_0 s_extra = tau at level {n}",
-            P.extra_degeneracy(n).then(X.d(n + 1, 0)),
-            tau[n],
-        )
-    return report
+    return report.extend(check_relations(translation_relations(P.base.N), paracyclic_tables(P), P.base.levels))
 
 
 def check_extra_degeneracy_relations(P: ParacyclicData) -> Report:
-    """The extra-degeneracy forms of the relations: d_i s_{n+1} and
-    s_i s_{n+1}, within the truncation."""
-    X = P.base
-    report = Report()
-    for n in range(X.N):
-        s_extra = P.extra_degeneracy(n)
-        if n >= 1:
-            for i in range(1, n + 1):
-                report.equal(f"d_{i} s_extra at level {n}",
-                             s_extra.then(X.d(n + 1, i)),
-                             X.d(n, i).then(P.extra_degeneracy(n - 1)))
-        report.equal(f"d_top s_extra = id at level {n}",
-                     s_extra.then(X.d(n + 1, n + 1)), identity_map(X.levels[n]))
-    for n in range(X.N - 1):
-        s_extra = P.extra_degeneracy(n)
-        for i in range(n + 1):
-            report.equal(f"s_{i} s_extra at level {n}",
-                         s_extra.then(X.s(n + 1, i)),
-                         X.s(n, i).then(P.extra_degeneracy(n + 1)))
-        report.equal(f"s_extra s_extra at level {n}",
-                     s_extra.then(X.s(n + 1, n + 1)),
-                     s_extra.then(P.extra_degeneracy(n + 1)))
-    return report
+    """The extra-degeneracy relations within the truncation."""
+    return check_relations(extra_relations(P.base.N), paracyclic_tables(P), P.base.levels)
 
 
 def evaluate(P: ParacyclicData, f: LambdaMor) -> FinMap:

@@ -42,7 +42,7 @@ class Report:
     def equal(self, name: str, lhs: FinMap, rhs: FinMap) -> "Report":
         """Add the check that two maps agree, witnessed on failure by the
         first element where they differ."""
-        witness = first_difference(lhs, rhs)
+        witness = first_difference(lhs.table, rhs.table)
         return self.add(CheckResult(name, witness is None, witness=witness))
 
     def extend(self, other: "Report") -> "Report":

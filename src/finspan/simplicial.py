@@ -89,63 +89,113 @@ def make_simplicial(levels, face, degen) -> TruncSimplicialSet:
     )
 
 
-def _composite(f: FinMap, g: FinMap) -> tuple[int, ...]:
-    """The table of f then g, composed by index lookups."""
-    return tuple(map(g.table.__getitem__, f.table))
+# A token (kind, n, i) names a structure map acting on X_n: ("d", n, i) is
+# d_i^n, ("s", n, i) is s_i^n with ("s", n, n+1) the extra degeneracy,
+# ("t", n, 0) is tau^n and ("theta", n, i) is theta_i^n.  A relation
+# (name, n, lhs, rhs) says that two words of tokens, read in application
+# order on X_n, act alike; the empty word is the identity.  Its name is a
+# `str.format` template followed by its fields, formatted only when read.
+Token = tuple[str, int, int]
+Relation = tuple[tuple, int, tuple[Token, ...], tuple[Token, ...]]
 
 
-def _table_difference(dom: FinSet, cod: FinSet, lhs: tuple[int, ...], rhs: tuple[int, ...]) -> Optional[int]:
-    """The first element where two tables dom -> cod differ, or None when
-    they are equal; the maps are built only on a mismatch."""
-    if lhs == rhs:
-        return None
-    return first_difference(FinMap(dom, cod, lhs), FinMap(dom, cod, rhs))
+def relation_name(relation: Relation) -> str:
+    template, *fields = relation[0]
+    return template.format(*fields)
 
 
-def _face_violations(X: TruncSimplicialSet) -> list:
-    """The failing face identities d_i d_j = d_{j-1} d_i, as (name, level,
-    witness), memoised in `X.memo`.  Vertex maps compose exactly when this
-    list is empty."""
+def face_relations(N: int) -> list[Relation]:
+    """d_i d_j = d_{j-1} d_i for i < j, on X_n for 2 <= n <= N."""
+    return [(("simplicial identity d_{} d_{} = d_{} d_{} at level {}", i, j, j - 1, i, n), n,
+             (("d", n, j), ("d", n - 1, i)), (("d", n, i), ("d", n - 1, j - 1)))
+            for n in range(2, N + 1) for j in range(n + 1) for i in range(j)]
+
+
+def degeneracy_relations(N: int) -> list[Relation]:
+    """s_i s_j = s_{j+1} s_i for i <= j on X_n with n <= N-2, then the mixed
+    identities d_i s_j on X_n with n < N."""
+    relations = [(("simplicial identity s_{} s_{} = s_{} s_{} at level {}", i, j, j + 1, i, n), n,
+                  (("s", n, j), ("s", n + 1, i)), (("s", n, i), ("s", n + 1, j + 1)))
+                 for n in range(N - 1) for j in range(n + 1) for i in range(j + 1)]
+    for n in range(N):
+        for j in range(n + 1):
+            for i in range(n + 2):
+                if i < j:
+                    rhs = (("d", n, i), ("s", n - 1, j - 1))
+                elif i in (j, j + 1):
+                    rhs = ()
+                else:
+                    rhs = (("d", n, i - 1), ("s", n - 1, j))
+                if n >= 1 or not rhs:
+                    relations.append((("simplicial identity d_{} s_{} mixed identity at level {}", i, j, n), n,
+                                      (("s", n, j), ("d", n + 1, i)), rhs))
+    return relations
+
+
+def structure_tables(X: TruncSimplicialSet) -> dict[Token, tuple[int, ...]]:
+    """The table of every face and degeneracy token of X."""
+    tables = {("d", n, i): d.table for n, row in enumerate(X.face) for i, d in enumerate(row)}
+    tables.update({("s", n, i): s.table for n, row in enumerate(X.degen) for i, s in enumerate(row)})
+    return tables
+
+
+def act(tables: dict[Token, tuple[int, ...]], word: Sequence[Token], size: int) -> tuple[int, ...]:
+    """The table of `word` on a level of `size` elements: its tokens act in
+    order, each through `tables[token]`, and the empty word is the identity."""
+    out = None
+    for token in word:
+        out = tables[token] if out is None else map(tables[token].__getitem__, out)
+    return tuple(range(size) if out is None else out)
+
+
+def relation_witnesses(relations: Sequence[Relation], tables: dict[Token, tuple[int, ...]],
+                       levels: Sequence[FinSet]) -> list[Optional[int]]:
+    """For each relation (name, n, lhs, rhs), the first element of X_n on
+    which its two words act differently, or None when they agree."""
+    return [first_difference(act(tables, lhs, levels[n].size), act(tables, rhs, levels[n].size))
+            for _, n, lhs, rhs in relations]
+
+
+def check_relations(relations: Sequence[Relation], tables: dict[Token, tuple[int, ...]],
+                    levels: Sequence[FinSet]) -> Report:
+    """One line per relation, named by it and witnessed on failure by the
+    first element where its words differ."""
+    return Report([CheckResult(relation_name(r), w is None, witness=w)
+                   for r, w in zip(relations, relation_witnesses(relations, tables, levels))])
+
+
+def check_on_morphisms(relations: Sequence[Relation], compose) -> Report:
+    """One line per relation, decided on the morphisms `compose(n, word)`
+    of its two words in an abstract category and witnessed on failure by
+    both of them."""
+    report = Report()
+    for relation in relations:
+        _, n, lhs, rhs = relation
+        a, b = compose(n, lhs), compose(n, rhs)
+        report.add(CheckResult(relation_name(relation), a == b, witness=None if a == b else (a, b)))
+    return report
+
+
+def _failures(relations: Sequence[Relation], X: TruncSimplicialSet) -> list[CheckResult]:
+    """A failing line for each relation that X breaks; the passing ones are
+    never named."""
+    witnesses = relation_witnesses(relations, structure_tables(X), X.levels)
+    return [CheckResult(relation_name(r), False, witness=w) for r, w in zip(relations, witnesses) if w is not None]
+
+
+def _face_violations(X: TruncSimplicialSet) -> list[CheckResult]:
+    """The failing face identities, memoised in `X.memo`.  Vertex maps
+    compose exactly when this list is empty."""
     if "face identities" not in X.memo:
-        violations = []
-        for n in range(2, X.N + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    lhs = _composite(X.d(n, j), X.d(n - 1, i))
-                    rhs = _composite(X.d(n, i), X.d(n - 1, j - 1))
-                    if (e := _table_difference(X.levels[n], X.levels[n - 2], lhs, rhs)) is not None:
-                        violations.append((f"d_{i} d_{j} = d_{j-1} d_{i}", n, e))
-        X.memo["face identities"] = violations
+        X.memo["face identities"] = _failures(face_relations(X.N), X)
     return X.memo["face identities"]
 
 
 def check_simplicial_identities(X: TruncSimplicialSet) -> Report:
     """Verify every simplicial identity within the truncation; failures name
     the identity, the indices, and a witnessing element."""
-    report = Report()
-    violations = list(_face_violations(X))
-    for n in range(X.N - 1):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                lhs = _composite(X.s(n, j), X.s(n + 1, i))
-                rhs = _composite(X.s(n, i), X.s(n + 1, j + 1))
-                if (e := _table_difference(X.levels[n], X.levels[n + 2], lhs, rhs)) is not None:
-                    violations.append((f"s_{i} s_{j} = s_{j+1} s_{i}", n, e))
-    for n in range(X.N):
-        for j in range(n + 1):
-            for i in range(n + 2):
-                lhs = _composite(X.s(n, j), X.d(n + 1, i))
-                if i < j:
-                    rhs = _composite(X.d(n, i), X.s(n - 1, j - 1)) if n >= 1 else None
-                elif i in (j, j + 1):
-                    rhs = tuple(range(X.levels[n].size))
-                else:
-                    rhs = _composite(X.d(n, i - 1), X.s(n - 1, j)) if n >= 1 else None
-                if rhs is not None and (e := _table_difference(X.levels[n], X.levels[n], lhs, rhs)) is not None:
-                    violations.append((f"d_{i} s_{j} mixed identity", n, e))
-    for name, n, e in violations:
-        report.add(CheckResult(f"simplicial identity {name} at level {n}", False, witness=e))
-    if not violations:
+    report = Report(_face_violations(X) + _failures(degeneracy_relations(X.N), X))
+    if report.ok:
         report.add(CheckResult("simplicial identities", True))
     return report
 

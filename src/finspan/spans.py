@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 
 class StructuralError(ValueError):
@@ -98,10 +98,12 @@ def constant_map(dom: FinSet, cod: FinSet, value: int = 0) -> FinMap:
     return FinMap(dom, cod, tuple([value] * dom.size))
 
 
-def first_difference(f: FinMap, g: FinMap) -> Optional[int]:
-    """The first element on which two maps with a common domain differ, or
+def first_difference(f: Sequence[int], g: Sequence[int]) -> Optional[int]:
+    """The first element on which two tables on a common domain differ, or
     None when they are equal."""
-    return next((e for e, (a, b) in enumerate(zip(f.table, g.table)) if a != b), None)
+    if f == g:
+        return None
+    return next(e for e, (a, b) in enumerate(zip(f, g)) if a != b)
 
 
 @dataclass(frozen=True)
