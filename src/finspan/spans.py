@@ -238,8 +238,8 @@ def pullback_square_witness(p: FinMap, q: FinMap, f: FinMap, g: FinMap):
     is a pullback, that is when (p, q) maps D bijectively onto the pullback
     of f against g.  Otherwise the witness is ("not injective", x, y) for
     the first two elements with equal images, ("not surjective", (a, b))
-    for the first pullback pair missed in the iteration order of the set
-    of pairs, or ("square does not commute",)."""
+    for the lexicographically first pullback pair missed, or ("square does
+    not commute",)."""
     images: dict[tuple[int, int], int] = {}
     for x in p.dom:
         key = (p.table[x], q.table[x])
@@ -247,8 +247,7 @@ def pullback_square_witness(p: FinMap, q: FinMap, f: FinMap, g: FinMap):
             return ("not injective", images[key], x)
         images[key] = x
     pairs = pullback_pairs(f, g)
-    # set order rather than index order keeps the reported witnesses stable
-    for pair in set(pairs):
+    for pair in pairs:
         if pair not in images:
             return ("not surjective", pair)
     if len(images) != len(pairs):

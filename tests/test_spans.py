@@ -2,13 +2,16 @@
 the monoidal coherence cells."""
 
 import itertools
+import json
 import math
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finspan.documents import document_from_dict
 from finspan.diagrams import (
     braiding_cell,
     hexagonator_cell,
@@ -36,10 +39,15 @@ from finspan.spans import (
     iterated_pullback,
     product_span,
     pullback,
+    pullback_pairs,
+    pullback_square_witness,
     spans_isomorphic,
     vertical_compose,
     whisker,
 )
+from finspan.simplicial import vertex_map
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def rand_span(rng, ns, nt, na):
@@ -86,6 +94,19 @@ class TestPullback:
         g = FinMap(FinSet(1), FinSet(3), (0,))
         with pytest.raises(StructuralError):
             pullback(f, g)
+
+    def test_square_witness_is_the_first_missed_pair(self):
+        # interval_l3 with s_0^0(0) set to 2: its higher unitality square
+        # misses several pullback pairs, (7, 0) first
+        data = json.loads((FIXTURES / "interval_l3.json").read_text())
+        data["degen"][0][0][0] = 2
+        X = document_from_dict(data).simplicial
+        p, q = X.s(2, 1), vertex_map(X, 2, (1,))
+        f, g = vertex_map(X, 3, (1, 2)), X.s(0, 0)
+        images = set(zip(p.table, q.table))
+        missed = [pair for pair in pullback_pairs(f, g) if pair not in images]
+        assert len(missed) > 1 and missed[0] == (7, 0)
+        assert pullback_square_witness(p, q, f, g) == ("not surjective", (7, 0))
 
 
 def brute_force_pullback(factors):
