@@ -409,16 +409,30 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "doc.json"
 
 
+# what each command prints with exit 1, given its stdout and stderr lines:
+# a failed check, a verdict other than a lift, or a refused derivation
+FAILURE_SHOWN = {
+    "check": lambda out, err: any(l.startswith("[FAIL]") for l in out),
+    "search-lift": lambda out, err: any(
+        l.startswith("verdict: ") and l != "verdict: lift exists" for l in out),
+    "derive": lambda out, err: any(
+        l.startswith(("not Frobenius:", "not commutative:", "cannot derive:", "[FAIL]")) for l in err),
+}
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(document=mutated_fixtures())
 def test_mutated_fixtures_keep_the_exit_code_contract(fuzz_path, document):
     """No command lets an exception escape on a mutated fixture; it exits
-    0, 1 or 2, and exit 2 always comes with an `error: ` line."""
+    0, 1 or 2, exit 1 always comes with the failure it reports, and exit 2
+    always comes with an `error: ` line."""
     fuzz_path.write_text(json.dumps(document))
     for command in FUZZ_COMMANDS:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command[0], str(fuzz_path), *command[1:]])
         assert code in (0, 1, 2), command
+        if code == 1:
+            assert FAILURE_SHOWN[command[0]](out.getvalue().splitlines(), err.getvalue().splitlines()), command
         if code == 2:
             assert any(l.startswith("error: ") for l in err.getvalue().splitlines()), command

@@ -85,6 +85,29 @@ class TestPhiStar:
     def test_relations_up_to_six(self):
         assert check_phistar_relations(6).ok
 
+    def test_relations_cover_every_relation_of_the_hand_written_check(self):
+        # each relation the earlier hand-written check made up to <6>, under
+        # the name of the structure check that states it; the final face at
+        # <1> is the pointed collapse, the same two words
+        names = {r.name for r in check_phistar_relations(6).results}
+        expected = {"d_0^1 = d_1^1 (pointed collapse)"}
+        expected |= {f"simplicial identity s_{i} s_{j} = s_{j + 1} s_{i} at level {n}"
+                     for n in range(6) for j in range(n + 1) for i in range(j + 1)}
+        expected |= {f"simplicial identity d_{i} d_{j} = d_{j - 1} d_{i} at level {n}"
+                     for n in range(2, 7) for j in range(n) for i in range(j)}
+        expected |= {f"simplicial identity d_{i} s_{j} mixed identity at level {n}"
+                     for n in range(6) for j in range(n + 1) for i in range(n + 1)}
+        expected |= {f"theta_{i}^2 = id at level {n}" for n in range(2, 7) for i in range(1, n)}
+        expected |= {f"braid theta_{i} theta_{i + 1} at level {n}" for n in range(2, 7) for i in range(1, n - 1)}
+        expected |= {f"theta_{i} theta_{j} commute at level {n}"
+                     for n in range(2, 7) for i in range(1, n) for j in range(i + 2, n)}
+        expected |= {f"theta_{i} s_{j} at level {n}" for n in range(1, 6) for i in range(1, n + 1) for j in range(n + 1)}
+        expected |= {f"theta_{i} d_{j} at level {n}" for n in range(3, 7) for i in range(1, n - 1) for j in range(n)}
+        expected |= {f"d_{i} theta_{i} = d_{i} at level {n}" for n in range(2, 7) for i in range(1, n)}
+        expected |= {f"final face identity at level {n}" for n in range(2, 7)}
+        assert len(expected) == 358
+        assert expected <= names
+
     def test_final_face_collapses_top(self):
         for n in range(1, 6):
             d = phistar_d_top(n)

@@ -90,6 +90,30 @@ class TestLambdaCategory:
     def test_relations_up_to_six(self):
         assert check_lambda_relations(6).ok
 
+    def test_relations_cover_every_relation_of_the_hand_written_check(self):
+        # each relation the earlier hand-written check made up to level 6,
+        # under the name of the structure check that states it; "level n"
+        # of a cosimplicial identity there is the simplicial level n + 1
+        # (faces) or n - 1 (degeneracies, mixed) here
+        names = {r.name for r in check_lambda_relations(6).results}
+        expected = {f"d_{i} tau relation at level {n}" for n in range(1, 7) for i in range(n + 1)}
+        expected |= {f"s_{i} tau relation at level {n}" for n in range(7) for i in range(n + 1)}
+        expected |= {f"s_extra = s_0 tau at level {n}" for n in range(7)}
+        expected |= {f"exceptional rule d_0 s_extra = tau at level {n}" for n in range(7)}
+        expected |= {f"d_top s_extra = id at level {n}" for n in range(7)}
+        expected |= {f"d_{i} s_extra at level {n}" for n in range(7) for i in range(1, n + 1)}
+        expected |= {f"s_{i} s_extra at level {n}" for n in range(7) for i in range(n + 1)}
+        expected |= {f"s_extra s_extra at level {n}" for n in range(7)}
+        expected |= {f"simplicial identity d_{i} d_{j + 1} = d_{j} d_{i} at level {n + 1}"
+                     for n in range(1, 6) for i in range(n + 1) for j in range(i, n + 1)}
+        expected |= {f"simplicial identity s_{i} s_{j} = s_{j + 1} s_{i} at level {n - 1}"
+                     for n in range(1, 6) for j in range(n) for i in range(j + 1)}
+        expected |= {f"simplicial identity d_{i} s_{j} mixed identity at level {n - 1}"
+                     for n in range(1, 7) for j in range(n) for i in range(n + 1)
+                     if n >= 2 or i in (j, j + 1)}
+        assert len(expected) == 334
+        assert expected <= names
+
     def test_invalid_values_rejected(self):
         with pytest.raises(StructuralError):
             LambdaMor(1, 1, (0, 3))
