@@ -20,7 +20,8 @@ tower of transpositions triangle by triangle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterator, Optional, Sequence
 
 from .diagrams import (
     Box,
@@ -183,20 +184,19 @@ def phistar_factorize(f: PhiStarMor) -> tuple[Token, ...]:
     return tuple(word + monotone_word(h, f.m))
 
 
+# ("d", n, n) is the derived final face
+_PHISTAR_GENERATORS = {
+    "s": phistar_s,
+    "theta": phistar_theta,
+    "d": lambda n, i: phistar_d_top(n) if i == n else phistar_d(n, i),
+}
+
+
 def phistar_recompose(n: int, word: Sequence[Token]) -> PhiStarMor:
-    """The pointed map from <n> whose action is `word`; ("d", m, m) is the
-    derived final face."""
+    """The pointed map from <n> whose action is `word`."""
     out = phistar_identity(n)
     for kind, m, i in word:
-        if kind == "s":
-            gen = phistar_s(m, i)
-        elif kind == "theta":
-            gen = phistar_theta(m, i)
-        elif kind == "d":
-            gen = phistar_d_top(m) if i == m else phistar_d(m, i)
-        else:
-            raise StructuralError(f"unknown token kind {kind}")
-        out = phistar_compose(out, gen)
+        out = phistar_compose(out, _PHISTAR_GENERATORS[kind](m, i))
     return out
 
 
@@ -204,7 +204,7 @@ def check_phistar_relations(n_max: int = 6) -> Report:
     """The generator relations of the pointed-cardinal category up to
     n_max, on its morphisms: the simplicial identities, with the derived
     final face as d_n, and the relations of a Gamma structure."""
-    relations = face_relations(n_max) + degeneracy_relations(n_max + 1) + gamma_relations(n_max)
+    relations = chain(face_relations(n_max), degeneracy_relations(n_max + 1), gamma_relations(n_max))
     return check_on_morphisms(relations, phistar_recompose)
 
 
@@ -271,18 +271,18 @@ def evaluate_gamma(G: GammaData, f: PhiStarMor) -> FinMap:
     return FinMap(X.levels[f.n], X.levels[f.m], act(gamma_tables(G), phistar_factorize(f), X.levels[f.n].size))
 
 
-def gamma_relations(N: int) -> list[Relation]:
+def gamma_relations(N: int) -> Iterator[Relation]:
     """The Moore, mixed and final-face relations within truncation N."""
-    relations = [(("d_0^1 = d_1^1 (pointed collapse)",), 1, (("d", 1, 0),), (("d", 1, 1),))]
+    yield ("d_0^1 = d_1^1 (pointed collapse)",), 1, (("d", 1, 0),), (("d", 1, 1),)
     for n in range(2, N + 1):
-        relations += [(("theta_{}^2 = id at level {}", i, n), n, (("theta", n, i), ("theta", n, i)), ())
-                      for i in range(1, n)]
-        relations += [(("braid theta_{} theta_{} at level {}", i, i + 1, n), n,
-                       (("theta", n, i), ("theta", n, i + 1), ("theta", n, i)),
-                       (("theta", n, i + 1), ("theta", n, i), ("theta", n, i + 1))) for i in range(1, n - 1)]
-        relations += [(("theta_{} theta_{} commute at level {}", i, j, n), n,
-                       (("theta", n, i), ("theta", n, j)), (("theta", n, j), ("theta", n, i)))
-                      for i in range(1, n) for j in range(i + 2, n)]
+        yield from ((("theta_{}^2 = id at level {}", i, n), n, (("theta", n, i), ("theta", n, i)), ())
+                    for i in range(1, n))
+        yield from ((("braid theta_{} theta_{} at level {}", i, i + 1, n), n,
+                     (("theta", n, i), ("theta", n, i + 1), ("theta", n, i)),
+                     (("theta", n, i + 1), ("theta", n, i), ("theta", n, i + 1))) for i in range(1, n - 1))
+        yield from ((("theta_{} theta_{} commute at level {}", i, j, n), n,
+                     (("theta", n, i), ("theta", n, j)), (("theta", n, j), ("theta", n, i)))
+                    for i in range(1, n) for j in range(i + 2, n))
     # mixed with degeneracies: theta_i s_j (level 1 gives the swap of the
     # two degeneracies of an edge)
     for n in range(1, N):
@@ -296,7 +296,7 @@ def gamma_relations(N: int) -> list[Relation]:
                     rhs = (("s", n, i),)
                 else:
                     rhs = (("theta", n, i - 1), ("s", n, j))
-                relations.append((("theta_{} s_{} at level {}", i, j, n), n, (("s", n, j), ("theta", n + 1, i)), rhs))
+                yield ("theta_{} s_{} at level {}", i, j, n), n, (("s", n, j), ("theta", n + 1, i)), rhs
     # mixed with faces: theta_i d_j for the generator faces j <= n-1
     for n in range(3, N + 1):
         for i in range(1, n - 1):
@@ -309,14 +309,13 @@ def gamma_relations(N: int) -> list[Relation]:
                     rhs = (("theta", n, i + 1), ("theta", n, i), ("d", n, i + 1))
                 else:
                     rhs = (("theta", n, i + 1), ("d", n, j))
-                relations.append((("theta_{} d_{} at level {}", i, j, n), n, (("d", n, j), ("theta", n - 1, i)), rhs))
+                yield ("theta_{} d_{} at level {}", i, j, n), n, (("d", n, j), ("theta", n - 1, i)), rhs
     # absorption d_i theta_i = d_i, and the final face from the transpositions
-    relations += [(("d_{} theta_{} = d_{} at level {}", i, i, i, n), n, (("theta", n, i), ("d", n, i)), (("d", n, i),))
-                  for n in range(2, N + 1) for i in range(1, n)]
-    relations += [(("final face identity at level {}", n), n,
-                   tuple(("theta", n, i) for i in range(n - 1, 0, -1)) + (("d", n, 0),), (("d", n, n),))
-                  for n in range(2, N + 1)]
-    return relations
+    yield from ((("d_{} theta_{} = d_{} at level {}", i, i, i, n), n, (("theta", n, i), ("d", n, i)), (("d", n, i),))
+                for n in range(2, N + 1) for i in range(1, n))
+    yield from ((("final face identity at level {}", n), n,
+                 tuple(("theta", n, i) for i in range(n - 1, 0, -1)) + (("d", n, 0),), (("d", n, n),))
+                for n in range(2, N + 1))
 
 
 def check_gamma(G: GammaData) -> Report:

@@ -17,7 +17,8 @@ components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 from .diagrams import (
     Box,
@@ -139,13 +140,15 @@ def lambda_recompose(g: LambdaMor, a: int) -> LambdaMor:
     return lambda_compose(lambda_t(g.m, -a), g)
 
 
+_LAMBDA_GENERATORS = {"d": lambda_delta, "s": lambda_sigma, "t": lambda n, i: lambda_t(n)}
+
+
 def lambda_word(n: int, word: Sequence[Token]) -> LambdaMor:
     """The morphism into [n] whose action on X_n is `word`.  The action is
     contravariant, so each token's generator composes on the left."""
     out = lambda_identity(n)
     for kind, m, i in word:
-        gen = lambda_delta(m, i) if kind == "d" else lambda_sigma(m, i) if kind == "s" else lambda_t(m)
-        out = lambda_compose(gen, out)
+        out = lambda_compose(_LAMBDA_GENERATORS[kind](m, i), out)
     return out
 
 
@@ -157,9 +160,10 @@ def check_lambda_relations(n_max: int = 6) -> Report:
     checks extra degeneracies against degeneracies one level below its
     top, so that list is taken a level higher."""
     N = n_max + 1
-    relations = face_relations(N) + degeneracy_relations(N) + translation_relations(N) + extra_relations(N + 1)
-    relations += [(("s_extra = s_0 tau at level {}", n), n, (("s", n, n + 1),), (("s", n, 0), ("t", n + 1, 0)))
-                  for n in range(N)]
+    extra_as_s0_tau = ((("s_extra = s_0 tau at level {}", n), n, (("s", n, n + 1),), (("s", n, 0), ("t", n + 1, 0)))
+                       for n in range(N))
+    relations = chain(face_relations(N), degeneracy_relations(N), translation_relations(N),
+                      extra_relations(N + 1), extra_as_s0_tau)
     return check_on_morphisms(relations, lambda_word)
 
 
@@ -195,34 +199,31 @@ class ParacyclicData:
         return out
 
 
-def translation_relations(N: int) -> list[Relation]:
+def translation_relations(N: int) -> Iterator[Relation]:
     """tau against faces and degeneracies, and the exceptional rule
     d_0 s_extra = tau, within truncation N."""
-    relations = [(("d_{} tau relation at level {}", i, n), n, (("t", n, 0), ("d", n, i)),
-                  (("d", n, i + 1), ("t", n - 1, 0)) if i < n else (("d", n, 0),))
-                 for n in range(1, N + 1) for i in range(n + 1)]
-    relations += [(("s_{} tau relation at level {}", i, n), n, (("t", n, 0), ("s", n, i)),
-                   (("s", n, i + 1), ("t", n + 1, 0)) if i < n else (("s", n, 0), ("t", n + 1, 0), ("t", n + 1, 0)))
-                  for n in range(N) for i in range(n + 1)]
-    relations += [(("exceptional rule d_0 s_extra = tau at level {}", n), n,
-                   (("s", n, n + 1), ("d", n + 1, 0)), (("t", n, 0),)) for n in range(N)]
-    return relations
+    yield from ((("d_{} tau relation at level {}", i, n), n, (("t", n, 0), ("d", n, i)),
+                 (("d", n, i + 1), ("t", n - 1, 0)) if i < n else (("d", n, 0),))
+                for n in range(1, N + 1) for i in range(n + 1))
+    yield from ((("s_{} tau relation at level {}", i, n), n, (("t", n, 0), ("s", n, i)),
+                 (("s", n, i + 1), ("t", n + 1, 0)) if i < n else (("s", n, 0), ("t", n + 1, 0), ("t", n + 1, 0)))
+                for n in range(N) for i in range(n + 1))
+    yield from ((("exceptional rule d_0 s_extra = tau at level {}", n), n,
+                 (("s", n, n + 1), ("d", n + 1, 0)), (("t", n, 0),)) for n in range(N))
 
 
-def extra_relations(N: int) -> list[Relation]:
+def extra_relations(N: int) -> Iterator[Relation]:
     """The extra-degeneracy forms of the relations, d_i s_{n+1} and
     s_i s_{n+1}, within truncation N."""
-    relations = []
     for n in range(N):
-        relations += [(("d_{} s_extra at level {}", i, n), n, (("s", n, n + 1), ("d", n + 1, i)),
-                       (("d", n, i), ("s", n - 1, n))) for i in range(1, n + 1)]
-        relations.append((("d_top s_extra = id at level {}", n), n, (("s", n, n + 1), ("d", n + 1, n + 1)), ()))
+        yield from ((("d_{} s_extra at level {}", i, n), n, (("s", n, n + 1), ("d", n + 1, i)),
+                     (("d", n, i), ("s", n - 1, n))) for i in range(1, n + 1))
+        yield (("d_top s_extra = id at level {}", n), n, (("s", n, n + 1), ("d", n + 1, n + 1)), ())
     for n in range(N - 1):
-        relations += [(("s_{} s_extra at level {}", i, n), n, (("s", n, n + 1), ("s", n + 1, i)),
-                       (("s", n, i), ("s", n + 1, n + 2))) for i in range(n + 1)]
-        relations.append((("s_extra s_extra at level {}", n), n, (("s", n, n + 1), ("s", n + 1, n + 1)),
-                          (("s", n, n + 1), ("s", n + 1, n + 2))))
-    return relations
+        yield from ((("s_{} s_extra at level {}", i, n), n, (("s", n, n + 1), ("s", n + 1, i)),
+                     (("s", n, i), ("s", n + 1, n + 2))) for i in range(n + 1))
+        yield (("s_extra s_extra at level {}", n), n, (("s", n, n + 1), ("s", n + 1, n + 1)),
+               (("s", n, n + 1), ("s", n + 1, n + 2)))
 
 
 def paracyclic_tables(P: ParacyclicData) -> dict[Token, tuple[int, ...]]:

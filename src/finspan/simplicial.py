@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .reporting import CheckResult, Report
 from .spans import (
@@ -95,28 +95,32 @@ def make_simplicial(levels, face, degen) -> TruncSimplicialSet:
 # (name, n, lhs, rhs) says that two words of tokens, read in application
 # order on X_n, act alike; the empty word is the identity.  Its name is a
 # `str.format` template followed by its fields, formatted only when read.
+# The relation lists are generators, so a check holds one relation at a
+# time: a structure check on a fresh structure then allocates about as
+# little as the composites it compares.
 Token = tuple[str, int, int]
 Relation = tuple[tuple, int, tuple[Token, ...], tuple[Token, ...]]
 
 
 def relation_name(relation: Relation) -> str:
+    """The report-line name of a relation."""
     template, *fields = relation[0]
     return template.format(*fields)
 
 
-def face_relations(N: int) -> list[Relation]:
+def face_relations(N: int) -> Iterator[Relation]:
     """d_i d_j = d_{j-1} d_i for i < j, on X_n for 2 <= n <= N."""
-    return [(("simplicial identity d_{} d_{} = d_{} d_{} at level {}", i, j, j - 1, i, n), n,
+    return ((("simplicial identity d_{} d_{} = d_{} d_{} at level {}", i, j, j - 1, i, n), n,
              (("d", n, j), ("d", n - 1, i)), (("d", n, i), ("d", n - 1, j - 1)))
-            for n in range(2, N + 1) for j in range(n + 1) for i in range(j)]
+            for n in range(2, N + 1) for j in range(n + 1) for i in range(j))
 
 
-def degeneracy_relations(N: int) -> list[Relation]:
+def degeneracy_relations(N: int) -> Iterator[Relation]:
     """s_i s_j = s_{j+1} s_i for i <= j on X_n with n <= N-2, then the mixed
     identities d_i s_j on X_n with n < N."""
-    relations = [(("simplicial identity s_{} s_{} = s_{} s_{} at level {}", i, j, j + 1, i, n), n,
-                  (("s", n, j), ("s", n + 1, i)), (("s", n, i), ("s", n + 1, j + 1)))
-                 for n in range(N - 1) for j in range(n + 1) for i in range(j + 1)]
+    yield from ((("simplicial identity s_{} s_{} = s_{} s_{} at level {}", i, j, j + 1, i, n), n,
+                 (("s", n, j), ("s", n + 1, i)), (("s", n, i), ("s", n + 1, j + 1)))
+                for n in range(N - 1) for j in range(n + 1) for i in range(j + 1))
     for n in range(N):
         for j in range(n + 1):
             for i in range(n + 2):
@@ -127,9 +131,8 @@ def degeneracy_relations(N: int) -> list[Relation]:
                 else:
                     rhs = (("d", n, i - 1), ("s", n - 1, j))
                 if n >= 1 or not rhs:
-                    relations.append((("simplicial identity d_{} s_{} mixed identity at level {}", i, j, n), n,
-                                      (("s", n, j), ("d", n + 1, i)), rhs))
-    return relations
+                    yield (("simplicial identity d_{} s_{} mixed identity at level {}", i, j, n), n,
+                           (("s", n, j), ("d", n + 1, i)), rhs)
 
 
 def structure_tables(X: TruncSimplicialSet) -> dict[Token, tuple[int, ...]]:
@@ -148,23 +151,24 @@ def act(tables: dict[Token, tuple[int, ...]], word: Sequence[Token], size: int) 
     return tuple(range(size) if out is None else out)
 
 
-def relation_witnesses(relations: Sequence[Relation], tables: dict[Token, tuple[int, ...]],
-                       levels: Sequence[FinSet]) -> list[Optional[int]]:
-    """For each relation (name, n, lhs, rhs), the first element of X_n on
+def relation_witnesses(relations: Iterable[Relation], tables: dict[Token, tuple[int, ...]],
+                       levels: Sequence[FinSet]) -> Iterator[tuple[Relation, Optional[int]]]:
+    """Each relation (name, n, lhs, rhs) with the first element of X_n on
     which its two words act differently, or None when they agree."""
-    return [first_difference(act(tables, lhs, levels[n].size), act(tables, rhs, levels[n].size))
-            for _, n, lhs, rhs in relations]
+    for relation in relations:
+        _, n, lhs, rhs = relation
+        yield relation, first_difference(act(tables, lhs, levels[n].size), act(tables, rhs, levels[n].size))
 
 
-def check_relations(relations: Sequence[Relation], tables: dict[Token, tuple[int, ...]],
+def check_relations(relations: Iterable[Relation], tables: dict[Token, tuple[int, ...]],
                     levels: Sequence[FinSet]) -> Report:
     """One line per relation, named by it and witnessed on failure by the
     first element where its words differ."""
     return Report([CheckResult(relation_name(r), w is None, witness=w)
-                   for r, w in zip(relations, relation_witnesses(relations, tables, levels))])
+                   for r, w in relation_witnesses(relations, tables, levels)])
 
 
-def check_on_morphisms(relations: Sequence[Relation], compose) -> Report:
+def check_on_morphisms(relations: Iterable[Relation], compose) -> Report:
     """One line per relation, decided on the morphisms `compose(n, word)`
     of its two words in an abstract category and witnessed on failure by
     both of them."""
@@ -176,11 +180,11 @@ def check_on_morphisms(relations: Sequence[Relation], compose) -> Report:
     return report
 
 
-def _failures(relations: Sequence[Relation], X: TruncSimplicialSet) -> list[CheckResult]:
+def _failures(relations: Iterable[Relation], X: TruncSimplicialSet) -> list[CheckResult]:
     """A failing line for each relation that X breaks; the passing ones are
     never named."""
-    witnesses = relation_witnesses(relations, structure_tables(X), X.levels)
-    return [CheckResult(relation_name(r), False, witness=w) for r, w in zip(relations, witnesses) if w is not None]
+    return [CheckResult(relation_name(r), False, witness=w)
+            for r, w in relation_witnesses(relations, structure_tables(X), X.levels) if w is not None]
 
 
 def _face_violations(X: TruncSimplicialSet) -> list[CheckResult]:

@@ -107,10 +107,10 @@ def failing_relations(S):
     """The [FAIL] lines of every relation check that applies to S, each
     with the relation it names, and the token tables of S."""
     X = S.base
-    relations = face_relations(X.N) + degeneracy_relations(X.N)
+    relations = [*face_relations(X.N), *degeneracy_relations(X.N)]
     reports = [check_simplicial_identities(X)]
     if isinstance(S, ParacyclicData):
-        relations += translation_relations(X.N) + extra_relations(X.N)
+        relations += [*translation_relations(X.N), *extra_relations(X.N)]
         reports += [check_paracyclic(S), check_extra_degeneracy_relations(S)]
         tables = paracyclic_tables(S)
     else:
