@@ -37,7 +37,7 @@ from .diagrams import (
     member_index,
     syllepsis_rule,
 )
-from .paracyclic import LambdaMor
+from .paracyclic import LambdaMor, check_on_morphisms
 from .reporting import CheckResult, Report
 from .simplicial import (
     T13,
@@ -48,7 +48,6 @@ from .simplicial import (
     _triangulation_with_triangle,
     act,
     check_2segal,
-    check_on_morphisms,
     check_relations,
     degeneracy_relations,
     face_relations,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .diagrams import (
     Box,
@@ -36,12 +36,12 @@ from .simplicial import (
     Triangulation,
     TruncSimplicialSet,
     check_2segal,
-    check_on_morphisms,
     check_relations,
     degeneracy_relations,
     face_relations,
     fan_triangulation,
     glue_columns,
+    relation_name,
     structure_tables,
     vertex_map,
 )
@@ -138,6 +138,18 @@ def lambda_factorize(f: LambdaMor) -> tuple[LambdaMor, int]:
 
 def lambda_recompose(g: LambdaMor, a: int) -> LambdaMor:
     return lambda_compose(lambda_t(g.m, -a), g)
+
+
+def check_on_morphisms(relations: Iterable[Relation], compose) -> Report:
+    """One line per relation, decided on the morphisms `compose(n, word)`
+    of its two words in an abstract category and witnessed on failure by
+    both of them."""
+    report = Report()
+    for relation in relations:
+        _, n, lhs, rhs = relation
+        a, b = compose(n, lhs), compose(n, rhs)
+        report.add(CheckResult(relation_name(relation), a == b, witness=None if a == b else (a, b)))
+    return report
 
 
 _LAMBDA_GENERATORS = {"d": lambda_delta, "s": lambda_sigma, "t": lambda n, i: lambda_t(n)}

@@ -168,18 +168,6 @@ def check_relations(relations: Iterable[Relation], tables: dict[Token, tuple[int
                    for r, w in relation_witnesses(relations, tables, levels)])
 
 
-def check_on_morphisms(relations: Iterable[Relation], compose) -> Report:
-    """One line per relation, decided on the morphisms `compose(n, word)`
-    of its two words in an abstract category and witnessed on failure by
-    both of them."""
-    report = Report()
-    for relation in relations:
-        _, n, lhs, rhs = relation
-        a, b = compose(n, lhs), compose(n, rhs)
-        report.add(CheckResult(relation_name(relation), a == b, witness=None if a == b else (a, b)))
-    return report
-
-
 def _failures(relations: Iterable[Relation], X: TruncSimplicialSet) -> list[CheckResult]:
     """A failing line for each relation that X breaks; the passing ones are
     never named."""
