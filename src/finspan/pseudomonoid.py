@@ -33,8 +33,6 @@ from .diagrams import (
     tensorator_rule,
 )
 from .simplicial import (
-    T02,
-    T13,
     Triangulation,
     TruncSimplicialSet,
     check_2segal,
@@ -568,16 +566,15 @@ def pseudomonoid_from_two_truncated(T: TwoTruncatedData, assoc: dict) -> Pseudom
 
 
 def canonical_segal_associator(X: TruncSimplicialSet) -> dict:
-    """The 2-Segal associator of X as a taco-pair map."""
-    w13 = segal_witness(X, T13)
-    w02 = segal_witness(X, T02)
-    if w13.inverse is None or w02.inverse is None:
+    """The 2-Segal associator of X as a taco-pair map, read off the faces of
+    X_3: the simplex with components (d_3, d_1) on the diagonal 02 goes to
+    its components (d_2, d_0) on the diagonal 13.  Both square
+    triangulation maps, the first two lines of `check_2segal`, must be
+    bijective."""
+    if not all(r.passed for r in check_2segal(X).results[:2]):
         raise ConstructionError("square triangulation maps are not bijective")
-    out = {}
-    for pair in w13.stack.elements:
-        psi = w13.inverse.table[w13.stack.index[pair]]
-        out[pair] = w02.stack.elements[w02.forward.table[psi]]
-    return out
+    d0, d1, d2, d3 = (f.table for f in X.face[3])
+    return dict(sorted(zip(zip(d3, d1), zip(d2, d0))))
 
 
 # ---------------------------------------------------------------------------

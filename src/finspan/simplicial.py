@@ -454,86 +454,85 @@ def _one_verdict(check):
 
 @_one_verdict
 def check_2segal(X: TruncSimplicialSet) -> Report:
-    """Decide bijectivity of every triangulation map for 3 <= n <= N.
-
-    At n = 3 each map is built as a `segal_witness`.  From n = 4 on, when
-    the face identities hold, a triangulation is decided from the memoised
-    codes of its two sub-polygons (`_stack_code`) and builds its stack only
-    when it fails, so every witness is the one its stack gives.  When the
-    face identities fail, vertex maps need not compose, and every
-    triangulation is built as a `segal_witness`, which raises `GluingError`
-    on a simplex whose components do not glue.
-    """
-    report = Report()
-    codes = {} if X.N >= 4 and not _face_violations(X) else None
-    for n in range(3, X.N + 1):
-        size = X.levels[n].size
-        for T in enumerate_triangulations(n):
-            if n == 3 or codes is None:
-                ok = segal_witness(X, T).inverse is not None
-            else:
-                table, _, counts = _stack_code(X, n, T.triangles, codes)
-                ok = sum(counts) == size and len(set(table)) == size
-            name = f"2-Segal map at n={n}, diagonals {T.diagonals}"
-            if ok:
-                report.add(CheckResult(name, True))
-            else:
-                witness = _bijectivity_witness(segal_witness(X, T).forward)
-                report.add(CheckResult(name, False, witness=witness))
+    """Decide bijectivity of every triangulation map for 3 <= n <= N."""
+    report = _segal_maps(X, ((f"2-Segal map at n={n}, diagonals {T.diagonals}", n, T.triangles)
+                             for n in range(3, X.N + 1) for T in enumerate_triangulations(n)))
     if X.N < 3:
         report.add(CheckResult("2-Segal maps", None, detail="truncation below 3"))
     return report
 
 
-def _stack_code(X: TruncSimplicialSet, n: int, triangles: tuple[tuple[int, int, int], ...],
+def check_subdivision_criterion(X: TruncSimplicialSet) -> Report:
+    """Bijectivity of the map for every polygon subdivision up to level N."""
+    return _segal_maps(X, ((f"subdivision map at n={n}, cells {S.cells}", n, S.cells)
+                           for n in range(3, X.N + 1) for S in enumerate_subdivisions(n)))
+
+
+def _segal_maps(X: TruncSimplicialSet, maps: Iterable[tuple[str, int, tuple[tuple[int, ...], ...]]]) -> Report:
+    """One line per `(name, n, cells)`, passing when the map from X_n to the
+    stack of the subdivision `cells` of the polygon 0..n is bijective: the
+    one decision behind `check_2segal` and `check_subdivision_criterion`.
+
+    When the face identities hold, each map is decided from the codes of
+    its sub-polygons (`_stack_code`), memoised for the call, and only a
+    failing map builds its stack, so every witness is the one its stack
+    gives.  When they fail, vertex maps need not compose, and every map is
+    built by `subdivision_map`, which raises `GluingError` on a simplex
+    whose components do not glue.
+    """
+    report = Report()
+    codes = None if _face_violations(X) else {}
+    for name, n, cells in maps:
+        if codes is not None:
+            table, _, counts = _stack_code(X, n, cells, codes)
+            size = X.levels[n].size
+            if sum(counts) == size and len(set(table)) == size:
+                report.add(CheckResult(name, True))
+                continue
+        witness = _bijectivity_witness(subdivision_map(X, n, cells)[1])
+        report.add(CheckResult(name, witness is None, witness=witness))
+    return report
+
+
+def _stack_code(X: TruncSimplicialSet, n: int, cells: tuple[tuple[int, ...], ...],
                 memo: dict) -> tuple[Sequence[int], int, list[int]]:
-    """Code the triangulation map of `triangles`, a triangulation of the
-    polygon 0..n with n >= 2, as `(codes, radix, counts)`, memoised in `memo`.
+    """Code the map of the subdivision `cells` of the polygon 0..n as
+    `(codes, radix, counts)`, memoised in `memo`.
 
     `codes[psi]` lies in range(radix), and two simplices have equal codes
     exactly when their stack tuples are equal.  `counts[e]` is the number
     of stack elements whose outer edge (0, n) is e, so `sum(counts)` is the
-    size of the stack.  Level 3 reads both from its `segal_witness`.  Above
-    it, the top triangle (0, m, n) splits the polygon into L on 0..m and R
-    on m..n (shifted down by m), and a simplex psi gets the code
-    `(code_L[vL psi] * |X_2| + t[psi]) * radix_R + code_R[vR psi]` for the
-    vertex maps vL, t and vR onto L, the top triangle and R; an edge side
-    drops its term.  Stacks glue along the top triangle's sides, so the
-    counts add `count_L[d_2 t] * count_R[d_0 t]` at `d_1 t` over t in X_2.
+    size of the stack.  The top cell, on k + 1 vertices, is the one holding
+    the edge (0, n); each of its sides (a, b) with b - a >= 2 bounds the
+    sub-polygon a..b, whose cells are coded shifted down by a.  A simplex
+    psi gets the code of its top-cell simplex t[psi] in X_k followed by its
+    sides' codes, in mixed radix: `(t[psi] * radix_1 + code_1[v_1 psi]) *
+    radix_2 + ...` for the vertex maps v_j onto the sub-polygons.  Stacks
+    glue along the top cell's sides, so the counts add, at the outer edge
+    of each t in X_k, the product of its sides' counts at t's sides.  A
+    single cell has no sub-polygon: its codes are X_n itself.
 
     The codes are exact only when the face identities hold, since psi's
-    component on a triangle of L is read through vL.
+    component on a cell of a sub-polygon is read through its vertex map.
     """
-    key = (n, triangles)
+    key = (n, cells)
     if key in memo:
         return memo[key]
-    d0, d1, d2 = (f.table for f in X.face[2])
+    top = next(c for c in cells if c[0] == 0 and c[-1] == n)
+    k = len(top) - 1
+    codes, radix = vertex_map(X, n, top).table, X.levels[k].size
+    weights = [1] * X.levels[k].size
+    for j, (a, b) in enumerate(zip(top, top[1:])):
+        if b - a < 2:
+            continue
+        side, side_radix, side_counts = _stack_code(
+            X, b - a, tuple(tuple(v - a for v in c) for c in cells if a <= c[0] and c[-1] <= b), memo)
+        codes = [c * side_radix + side[v] for c, v in zip(codes, vertex_map(X, n, range(a, b + 1)).table)]
+        radix *= side_radix
+        weights = [w * side_counts[e] for w, e in zip(weights, vertex_map(X, k, (j, j + 1)).table)]
     counts = [0] * X.levels[1].size
-    if n == 3:
-        w = segal_witness(X, Triangulation(3, triangles))
-        top = next(k for k, t in enumerate(triangles) if t[0] == 0 and t[2] == 3)
-        for e in w.stack.elements:
-            counts[d1[e[top]]] += 1
-        memo[key] = (w.forward.table, len(w.stack.elements), counts)
-        return memo[key]
-    m = next(t[1] for t in triangles if t[0] == 0 and t[2] == n)
-    size2 = X.levels[2].size
-    codes, radix = vertex_map(X, n, (0, m, n)).table, size2
-    left_counts = right_counts = (1,) * X.levels[1].size
-    if m > 1:
-        left, left_radix, left_counts = _stack_code(
-            X, m, tuple(t for t in triangles if t[2] <= m), memo)
-        vL = vertex_map(X, n, tuple(range(m + 1))).table
-        codes = [left[a] * size2 + b for a, b in zip(vL, codes)]
-        radix *= left_radix
-    if m < n - 1:
-        right, right_radix, right_counts = _stack_code(
-            X, n - m, tuple(tuple(v - m for v in t) for t in triangles if t[0] >= m), memo)
-        vR = vertex_map(X, n, tuple(range(m, n + 1))).table
-        codes = [a * right_radix + right[b] for a, b in zip(codes, vR)]
-        radix *= right_radix
-    for t in X.levels[2]:
-        counts[d1[t]] += left_counts[d2[t]] * right_counts[d0[t]]
+    for e, w in zip(vertex_map(X, k, (0, k)).table, weights):
+        counts[e] += w
     memo[key] = (codes, radix, counts)
     return memo[key]
 
@@ -549,20 +548,6 @@ def _bijectivity_witness(f: FinMap):
         if v not in seen:
             return ("not surjective", v)
     return None
-
-
-def check_subdivision_criterion(X: TruncSimplicialSet) -> Report:
-    """Bijectivity of the map for every polygon subdivision up to level N."""
-    report = Report()
-    for n in range(3, X.N + 1):
-        for S in enumerate_subdivisions(n):
-            _, fwd = subdivision_map(X, n, S.cells)
-            name = f"subdivision map at n={n}, cells {S.cells}"
-            if fwd.is_bijective():
-                report.add(CheckResult(name, True))
-            else:
-                report.add(CheckResult(name, False, witness=_bijectivity_witness(fwd)))
-    return report
 
 
 @_one_verdict

@@ -11,6 +11,7 @@ from collections.abc import Mapping
 import pytest
 
 from finspan import catalog, pseudomonoid
+from finspan.acceptance import catalog_non_two_segal
 from finspan.catalog import no_lift_canonical_associator, no_lift_family
 from finspan.diagrams import evaluate, first_moved
 from finspan.documents import load_document
@@ -37,8 +38,10 @@ from finspan.pseudomonoid import (
     verify_pentagon,
     verify_triangle,
 )
+from finspan.simplicial import T02, T13, GluingError, segal_witness
 from finspan.spans import FinMap, FinSet, StructuralError, spans_isomorphic
 from test_diagrams import assignments
+from test_simplicial import doubled_top_simplex, mutated_face, random_complex_nerve
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -196,8 +199,6 @@ class TestBuild:
             PseudomonoidData(P.carrier, P.unit, P.mult, P.assoc, P.lunit, P.runit, evaluated=(ev,) * 4)
 
     def test_rejects_non_two_segal(self):
-        from finspan.acceptance import catalog_non_two_segal
-
         with pytest.raises(ConstructionError):
             build_pseudomonoid(catalog_non_two_segal())
 
@@ -229,6 +230,64 @@ class TestEquations:
             T = two_truncation(X)
             disc = pentagon_flip_discrepancy(T, canonical_segal_associator(X))
             assert all(k == v for k, v in disc.items())
+
+
+# ---------------------------------------------------------------------------
+# the associator read off the faces against the square stacks
+
+
+def stack_built_associator(X):
+    """`canonical_segal_associator` as the two square triangulations'
+    stacks built it: each stack element of T13 goes to the stack element of
+    T02 of the same simplex."""
+    w13 = segal_witness(X, T13)
+    w02 = segal_witness(X, T02)
+    if w13.inverse is None or w02.inverse is None:
+        raise ConstructionError("square triangulation maps are not bijective")
+    out = {}
+    for pair in w13.stack.elements:
+        psi = w13.inverse.table[w13.stack.index[pair]]
+        out[pair] = w02.stack.elements[w02.forward.table[psi]]
+    return out
+
+
+def associator_outcome(associator, X):
+    """The associator's items in order, or the `ConstructionError` it raises."""
+    try:
+        return list(associator(X).items())
+    except ConstructionError as exc:
+        return ("ConstructionError", str(exc))
+
+
+class TestCanonicalAssociator:
+    def test_matches_the_stack_built_associator(self):
+        inputs = [random_complex_nerve(random.Random(seed), 4) for seed in range(100)] + [
+            catalog.nerve(catalog.cyclic_group_category(3), 3),
+            catalog.nerve(catalog.pair_groupoid(3), 4),
+            catalog.partial_monoid_nerve(catalog.interval_monoid(3), 4),
+            catalog.building(3, 4),
+            catalog.constant_point(3),
+            catalog_non_two_segal(),
+            doubled_top_simplex(catalog.nerve(catalog.cyclic_group_category(3), 3)),
+        ]
+        raised = 0
+        for X in inputs:
+            expected = associator_outcome(stack_built_associator, X)
+            assert associator_outcome(canonical_segal_associator, X) == expected
+            raised += isinstance(expected, tuple)
+        assert 0 < raised < len(inputs)
+
+    def test_below_level_three_raises_a_construction_error(self):
+        with pytest.raises(ConstructionError, match="square triangulation maps are not bijective"):
+            canonical_segal_associator(catalog.constant_point(2))
+
+    def test_broken_face_identities_raise_as_check_2segal_does(self):
+        # only a level-4 face moved, so the square stacks still glue; the
+        # associator presupposes a simplicial set and refuses it
+        X = mutated_face(catalog.nerve(catalog.cyclic_group_category(2), 4), 4, 2, 0)
+        assert stack_built_associator(X)
+        with pytest.raises(GluingError, match="components of element 0 at level 4"):
+            canonical_segal_associator(X)
 
 
 class TestTacoSpaces:
@@ -472,7 +531,7 @@ class TestNFold:
         """The square-triangulation composite is the evaluated two-layer
         multiplication diagram, up to invertible cell."""
         from finspan.diagrams import evaluate, identity_box
-        from finspan.pseudomonoid import T13, assoc_src_rows, mult_box, mult_span
+        from finspan.pseudomonoid import assoc_src_rows, mult_box, mult_span
 
         X = nerve_z2
         mu = mult_span(X.levels[1], X.levels[2], X.d(2, 0), X.d(2, 1), X.d(2, 2))

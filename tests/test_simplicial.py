@@ -15,6 +15,7 @@ from finspan.pseudomonoid import ConstructionError, build_pseudomonoid, verify_p
 from finspan.reporting import CheckResult
 from finspan.simplicial import (
     GluingError,
+    PolygonStack,
     SegalWitness,
     Triangulation,
     _bijectivity_witness,
@@ -375,18 +376,24 @@ def doubled_top_simplex(X):
     return make_simplicial(levels, face, degen)
 
 
+def stack_path_line(X, name, n, cells):
+    """A Segal map's line as its stack and per-simplex map give it."""
+    _, fwd = subdivision_map(X, n, cells)
+    if fwd.is_bijective():
+        return f"[pass] {name}"
+    return f"[FAIL] {name} witness={_bijectivity_witness(fwd)!r}"
+
+
 def stack_path_lines(X):
     """The 2-Segal lines as every triangulation's stack and map give them."""
-    lines = []
-    for n in range(3, X.N + 1):
-        for T in enumerate_triangulations(n):
-            _, fwd = subdivision_map(X, n, T.triangles)
-            name = f"2-Segal map at n={n}, diagonals {T.diagonals}"
-            if fwd.is_bijective():
-                lines.append(f"[pass] {name}")
-            else:
-                lines.append(f"[FAIL] {name} witness={_bijectivity_witness(fwd)!r}")
-    return lines
+    return [stack_path_line(X, f"2-Segal map at n={n}, diagonals {T.diagonals}", n, T.triangles)
+            for n in range(3, X.N + 1) for T in enumerate_triangulations(n)]
+
+
+def subdivision_stack_path_lines(X):
+    """The subdivision lines as every subdivision's stack and map give them."""
+    return [stack_path_line(X, f"subdivision map at n={n}, cells {S.cells}", n, S.cells)
+            for n in range(3, X.N + 1) for S in enumerate_subdivisions(n)]
 
 
 @pytest.fixture(scope="module")
@@ -415,8 +422,17 @@ class TestCodedSegalMaps:
         # both ways of failing are decided from codes above n = 3
         assert kinds == {"not injective", "not surjective"}
 
+    def test_subdivision_lines_match_the_stack_path(self, complex_nerves, doubled):
+        # the stack path takes about 30 ms a nerve, so every fourth one is compared
+        kinds = set()
+        for X in complex_nerves[::4] + doubled + [catalog_non_two_segal()]:
+            rep = check_subdivision_criterion(X)
+            assert rep.lines() == subdivision_stack_path_lines(X)
+            kinds.update(r.witness[0] for r in rep.failures)
+        assert kinds == {"not injective", "not surjective"}
+
     def test_agrees_with_the_subdivision_criterion(self, complex_nerves, doubled):
-        inputs = complex_nerves[:20] + doubled + [catalog_non_two_segal()]
+        inputs = complex_nerves + doubled + [catalog_non_two_segal()]
         verdicts = [check_2segal(X).ok for X in inputs]
         assert not all(verdicts) and any(verdicts)
         assert verdicts == [check_subdivision_criterion(X).ok for X in inputs]
@@ -425,19 +441,19 @@ class TestCodedSegalMaps:
         X = random_complex_nerve(random.Random(0), 5)
         assert not check_2segal(X).ok
         memo = {}
-        for n in range(3, X.N + 1):
-            for T in enumerate_triangulations(n):
-                codes, radix, counts = _stack_code(X, n, T.triangles, memo)
-                stack, fwd = subdivision_map(X, n, T.triangles)
+        for n in range(2, X.N + 1):
+            for S in enumerate_subdivisions(n):
+                codes, radix, counts = _stack_code(X, n, S.cells, memo)
+                stack, fwd = subdivision_map(X, n, S.cells)
                 assert sum(counts) == len(stack.elements)
                 assert all(0 <= c < radix for c in codes)
-                assert len(set(codes)) == len(set(fwd.table))
+                # equal codes exactly where the map gives equal stack elements
+                assert len(set(codes)) == len(set(fwd.table)) == len(set(zip(codes, fwd.table)))
 
-    def test_a_passing_check_builds_stacks_only_at_level_three(self):
+    def test_a_passing_check_builds_no_stack(self):
         X = catalog.nerve(catalog.cyclic_group_category(2), 5)
-        assert check_2segal(X).ok
-        witnesses = [v for v in X.memo.values() if isinstance(v, SegalWitness)]
-        assert witnesses and {w.triangulation.n for w in witnesses} == {3}
+        assert check_2segal(X).ok and check_subdivision_criterion(X).ok
+        assert not [v for v in X.memo.values() if isinstance(v, (SegalWitness, PolygonStack))]
 
 
 class TestComplexNervePseudomonoids:
