@@ -2,8 +2,10 @@
 associator lifts, emit example fixtures, and run the acceptance suite.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 input error.
-`paracyclic`, `gammaset` and `acceptance` are imported where a command
-reads them, so a process that never does never loads them.
+`catalog`, `pseudomonoid` (and through it `diagrams`), `paracyclic`,
+`gammaset` and `acceptance` are imported where a command reads them, so
+a process that never does never loads them: `check` on a document with
+no paracyclic or gamma block loads none of them.
 """
 
 from __future__ import annotations
@@ -12,14 +14,12 @@ import argparse
 import sys
 import time
 
-from . import catalog
 from .documents import (
     DocumentError,
     StructureDocument,
     dumps_document,
     load_document,
 )
-from .pseudomonoid import ConstructionError, search_associator_lift, two_truncation
 from .reporting import CheckResult, Report
 from .simplicial import (
     GluingError,
@@ -97,6 +97,8 @@ def cmd_check(args) -> int:
 
             report.extend(check_gamma(doc.gamma))
             if args.full_hexagon:
+                from .pseudomonoid import ConstructionError
+
                 if not identities.ok:
                     report.add(CheckResult("span-level equations", None,
                                            detail="simplicial identities fail"))
@@ -122,6 +124,7 @@ def cmd_derive(args) -> int:
         gamma_from_commutative,
     )
     from .paracyclic import NotFrobeniusError, frobenius_from_paracyclic, paracyclic_from_frobenius
+    from .pseudomonoid import ConstructionError
 
     try:
         doc = load_document(args.path)
@@ -169,6 +172,8 @@ def cmd_derive(args) -> int:
 
 
 def cmd_search_lift(args) -> int:
+    from .pseudomonoid import search_associator_lift, two_truncation
+
     if args.budget < 1:
         return _fail(f"--budget must be at least 1, got {args.budget}")
     try:
@@ -193,43 +198,44 @@ def cmd_search_lift(args) -> int:
     return 0 if res.status == "lift exists" else 1
 
 
+# each example builds its document from the `catalog` module it is handed
 EXAMPLES = {
-    "nerve-z2": lambda args: StructureDocument(
+    "nerve-z2": lambda catalog, args: StructureDocument(
         catalog.nerve(catalog.cyclic_group_category(2), args.n_levels)
     ),
-    "nerve-z3": lambda args: StructureDocument(
+    "nerve-z3": lambda catalog, args: StructureDocument(
         catalog.nerve(catalog.cyclic_group_category(3), args.n_levels)
     ),
-    "nerve-zk": lambda args: StructureDocument(
+    "nerve-zk": lambda catalog, args: StructureDocument(
         catalog.nerve(catalog.cyclic_group_category(args.k), args.n_levels)
     ),
-    "chain-poset": lambda args: StructureDocument(
+    "chain-poset": lambda catalog, args: StructureDocument(
         catalog.nerve(catalog.chain_poset_category(args.k), args.n_levels)
     ),
-    "building": lambda args: StructureDocument(
+    "building": lambda catalog, args: StructureDocument(
         catalog.building(args.k, args.n_levels)
     ),
-    "pair-groupoid": lambda args: _with_para(
+    "pair-groupoid": lambda catalog, args: _with_para(
         catalog.groupoid_cyclic(catalog.pair_groupoid(args.k), args.n_levels)
     ),
-    "groupoid-zk": lambda args: _with_para(
+    "groupoid-zk": lambda catalog, args: _with_para(
         catalog.groupoid_cyclic(catalog.cyclic_group_category(args.k), args.n_levels)
     ),
-    "pair-groupoid-bisection": lambda args: _with_para(_swap_bisection(args)),
-    "interval": lambda args: _interval_doc(args),
-    "twisted-zk-id": lambda args: _with_para(
+    "pair-groupoid-bisection": lambda catalog, args: _with_para(_swap_bisection(catalog, args)),
+    "interval": lambda catalog, args: _interval_doc(catalog, args),
+    "twisted-zk-id": lambda catalog, args: _with_para(
         catalog.twisted_cyclic_paracyclic(
             catalog.cyclic_group_category(args.k),
             catalog.identity_endofunctor(catalog.cyclic_group_category(args.k)),
             args.n_levels,
         )
     ),
-    "twisted-z3-inversion": lambda args: _with_para(_twisted_inversion(args)),
-    "graph-path": lambda args: _with_gamma(
+    "twisted-z3-inversion": lambda catalog, args: _with_para(_twisted_inversion(catalog, args)),
+    "graph-path": lambda catalog, args: _with_gamma(
         catalog.graph_partition_gamma(catalog.path_graph(args.k), args.n_levels)
     ),
-    "nolift": lambda args: _no_lift_doc(args),
-    "point": lambda args: StructureDocument(catalog.constant_point(args.n_levels)),
+    "nolift": lambda catalog, args: _no_lift_doc(catalog, args),
+    "point": lambda catalog, args: StructureDocument(catalog.constant_point(args.n_levels)),
 }
 
 
@@ -241,13 +247,13 @@ def _with_gamma(G):
     return StructureDocument(G.base, gamma=G)
 
 
-def _swap_bisection(args):
+def _swap_bisection(catalog, args):
     C = catalog.pair_groupoid(2)
     omega = FinMap(C.objects, C.morphisms, (1, 2))
     return catalog.groupoid_cyclic(C, args.n_levels, bisection=omega)
 
 
-def _twisted_inversion(args):
+def _twisted_inversion(catalog, args):
     G3 = catalog.cyclic_group_category(3)
     F = catalog.Endofunctor(
         FinMap(G3.objects, G3.objects, (0,)),
@@ -256,13 +262,13 @@ def _twisted_inversion(args):
     return catalog.twisted_cyclic_paracyclic(G3, F, args.n_levels)
 
 
-def _interval_doc(args):
+def _interval_doc(catalog, args):
     P = catalog.interval_cyclic(args.L, args.n_levels)
     G = catalog.commutative_monoid_gamma(catalog.interval_monoid(args.L), args.n_levels)
     return StructureDocument(P.base, paracyclic=P, gamma=G)
 
 
-def _no_lift_doc(args):
+def _no_lift_doc(catalog, args):
     T = catalog.no_lift_family(args.a_size)
     return StructureDocument(catalog.two_truncated_simplicial(T))
 
@@ -270,8 +276,10 @@ def _no_lift_doc(args):
 def cmd_example(args) -> int:
     if args.name not in EXAMPLES:
         return _fail(f"unknown example {args.name}; know {', '.join(sorted(EXAMPLES))}")
+    from . import catalog
+
     try:
-        doc = EXAMPLES[args.name](args)
+        doc = EXAMPLES[args.name](catalog, args)
     except StructuralError as exc:
         return _fail(str(exc))
     return _emit(dumps_document(doc), args.output)
