@@ -115,31 +115,21 @@ def cyclic_group_category(k: int) -> SmallCategory:
 
 def chain_poset_category(k: int) -> SmallCategory:
     """The poset 0 <= 1 <= ... <= k-1 as a category; morphisms are pairs."""
-    objects = FinSet(k)
-    pairs = [(a, b) for a in range(k) for b in range(a, k)]
-    index = {p: i for i, p in enumerate(pairs)}
-    morphisms = FinSet(len(pairs), labels=tuple(f"{a}<={b}" for a, b in pairs))
-    table = []
-    for (a, b) in pairs:
-        row = []
-        for (c, d) in pairs:
-            row.append(index[(a, d)] if b == c else -1)
-        table.append(tuple(row))
-    return SmallCategory(
-        objects, morphisms,
-        FinMap(morphisms, objects, tuple(a for a, _ in pairs)),
-        FinMap(morphisms, objects, tuple(b for _, b in pairs)),
-        FinMap(objects, morphisms, tuple(index[(a, a)] for a in range(k))),
-        tuple(table),
-    )
+    return _pair_category(k, [(a, b) for a in range(k) for b in range(a, k)], "<=")
 
 
 def pair_groupoid(k: int) -> SmallCategory:
     """The groupoid with k objects and exactly one morphism between any two."""
+    return _pair_category(k, [(a, b) for a in range(k) for b in range(k)], "->")
+
+
+def _pair_category(k: int, pairs: list[tuple[int, int]], arrow: str) -> SmallCategory:
+    """The category on objects 0..k-1 with one morphism a -> b for each
+    pair (a, b) in `pairs`, labelled `a{arrow}b`; (a, b) then (b, d) is
+    (a, d)."""
     objects = FinSet(k)
-    pairs = [(a, b) for a in range(k) for b in range(k)]
     index = {p: i for i, p in enumerate(pairs)}
-    morphisms = FinSet(len(pairs), labels=tuple(f"{a}->{b}" for a, b in pairs))
+    morphisms = FinSet(len(pairs), labels=tuple(f"{a}{arrow}{b}" for a, b in pairs))
     table = []
     for (a, b) in pairs:
         row = []

@@ -40,8 +40,8 @@ class TruncSimplicialSet:
     `degen[n]` holds (s_0^n, ..., s_n^n) for 0 <= n < N (degen[N] is empty).
 
     `memo` holds data derived from the tables (vertex maps, polygon stacks,
-    Segal witnesses, the face identities and the 2-Segal and unitality
-    verdicts).  It is left out of `==` and `hash`, so two equal
+    Segal witnesses, sub-polygon codes, the face identities and the 2-Segal
+    and unitality verdicts).  It is left out of `==` and `hash`, so two equal
     structures never share an entry, and it dies with its structure.
     """
 
@@ -198,7 +198,8 @@ def check_simplicial_identities(X: TruncSimplicialSet) -> Report:
 
 @dataclass(frozen=True)
 class Triangulation:
-    """A triangulation of the (n+1)-gon on vertices 0..n."""
+    """A triangulation of the (n+1)-gon on vertices 0..n: a subdivision
+    whose cells are all triangles."""
 
     n: int
     triangles: tuple[tuple[int, int, int], ...]
@@ -206,33 +207,13 @@ class Triangulation:
     def __post_init__(self):
         if self.n < 2:
             raise StructuralError("polygon needs at least 3 vertices")
-        if len(self.triangles) != self.n - 1:
-            raise StructuralError("a triangulation has n-1 triangles")
-        if list(self.triangles) != sorted(tuple(sorted(t)) for t in self.triangles):
-            raise StructuralError("triangles must be sorted triples in sorted order")
-        edge_count: dict[tuple[int, int], int] = {}
-        for t in self.triangles:
-            if not all(0 <= v <= self.n for v in t):
-                raise StructuralError("triangle vertex out of range")
-            for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-                edge_count[e] = edge_count.get(e, 0) + 1
-        boundary = boundary_edges(self.n)
-        for e in boundary:
-            if edge_count.get(e, 0) != 1:
-                raise StructuralError(f"boundary edge {e} not covered exactly once")
-        for e, c in edge_count.items():
-            if e not in boundary and c != 2:
-                raise StructuralError(f"diagonal {e} not shared by two triangles")
+        if any(len(t) != 3 for t in self.triangles):
+            raise StructuralError("cells of a triangulation must be triangles")
+        Subdivision(self.n, self.triangles)
 
     @property
     def diagonals(self) -> tuple[tuple[int, int], ...]:
-        boundary = boundary_edges(self.n)
-        seen = set()
-        for t in self.triangles:
-            for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-                if e not in boundary:
-                    seen.add(e)
-        return tuple(sorted(seen))
+        return diagonals(self.n, self.triangles)
 
 
 @dataclass(frozen=True)
@@ -252,20 +233,18 @@ class Subdivision:
         for c in self.cells:
             if not all(0 <= v <= self.n for v in c):
                 raise StructuralError("cell vertex out of range")
-            cycle = list(c) + [c[0]]
-            for a, b in zip(cycle, cycle[1:]):
-                e = (min(a, b), max(a, b))
+            for e in _sides(c):
                 edge_count[e] = edge_count.get(e, 0) + 1
         boundary = set(boundary_edges(self.n))
         for e in boundary:
             if edge_count.get(e, 0) != 1:
                 raise StructuralError(f"boundary edge {e} not covered exactly once")
-        diagonals = [e for e in edge_count if e not in boundary]
-        for e in diagonals:
+        inner = [e for e in edge_count if e not in boundary]
+        for e in inner:
             if edge_count[e] != 2:
                 raise StructuralError(f"diagonal {e} not shared by two cells")
-        for (a, b) in diagonals:
-            for (c, d) in diagonals:
+        for (a, b) in inner:
+            for (c, d) in inner:
                 if a < c < b < d:
                     raise StructuralError(f"diagonals {(a, b)} and {(c, d)} cross")
 
@@ -274,32 +253,22 @@ def boundary_edges(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, i + 1) for i in range(n)) + ((0, n),)
 
 
+def _sides(c: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The sides of the sorted cell `c`, each as a sorted pair."""
+    return (*zip(c, c[1:]), (c[0], c[-1]))
+
+
+def diagonals(n: int, cells: Iterable[tuple[int, ...]]) -> tuple[tuple[int, int], ...]:
+    """The diagonals of the subdivision `cells` of the polygon 0..n, sorted.
+    A diagonal (a, b) is the side (c[0], c[-1]) of exactly one cell c, the
+    one with all its vertices in a..b; the top cell's is the edge (0, n)."""
+    return tuple(sorted((c[0], c[-1]) for c in cells if c[-1] - c[0] < n))
+
+
 # the two triangulations of the square, named by the faces d_i of a
 # 3-simplex they consist of: diagonal 02 (d_1, d_3) and diagonal 13 (d_0, d_2)
 T13 = Triangulation(3, ((0, 1, 2), (0, 2, 3)))
 T02 = Triangulation(3, ((0, 1, 3), (1, 2, 3)))
-
-
-def _triangulations_of(vertices: tuple[int, ...]):
-    if len(vertices) == 2:
-        yield ()
-        return
-    v0, vk = vertices[0], vertices[-1]
-    for m in range(1, len(vertices) - 1):
-        for left in _triangulations_of(vertices[: m + 1]):
-            for right in _triangulations_of(vertices[m:]):
-                yield left + ((v0, vertices[m], vk),) + right
-
-
-def enumerate_triangulations(n: int) -> tuple[Triangulation, ...]:
-    """All triangulations of the (n+1)-gon, Catalan(n-1) of them, in a
-    deterministic order."""
-    if n < 2:
-        raise StructuralError("polygon needs at least 3 vertices")
-    out = []
-    for tris in _triangulations_of(tuple(range(n + 1))):
-        out.append(Triangulation(n, tuple(sorted(tuple(sorted(t)) for t in tris))))
-    return tuple(out)
 
 
 def fan_triangulation(vertices: Sequence[int], anchor: int = 0) -> tuple[tuple[int, int, int], ...]:
@@ -310,30 +279,46 @@ def fan_triangulation(vertices: Sequence[int], anchor: int = 0) -> tuple[tuple[i
     return tuple(tuple(sorted((a, rest[i], rest[i + 1]))) for i in range(len(rest) - 1))
 
 
-def _subdivisions_of(vertices: tuple[int, ...]):
+def _subdivisions_of(vertices: tuple[int, ...], triangles: bool):
+    """Every subdivision of the polygon on the consecutive `vertices`, as a
+    tuple of cells whose first is the top cell, the one holding the edge
+    from the first vertex to the last; only triangulations when
+    `triangles`.  Top cells run by size, then lexicographically, and each
+    gap between consecutive top-cell vertices is subdivided on its own, the
+    leftmost gap varying slowest."""
     if len(vertices) == 2:
         yield ()
         return
     v0, vk = vertices[0], vertices[-1]
     interior = vertices[1:-1]
-    for size in range(1, len(interior) + 1):
+    for size in range(1, 2 if triangles else len(interior) + 1):
         for subset in itertools.combinations(interior, size):
             cell = (v0,) + subset + (vk,)
-            # each gap between consecutive cell vertices is subdivided on its own
             parts = [()]
             for a, b in zip(cell, cell[1:]):
-                gap = tuple(_subdivisions_of(vertices[vertices.index(a) : vertices.index(b) + 1]))
+                gap = tuple(_subdivisions_of(vertices[a - v0 : b - v0 + 1], triangles))
                 parts = [done + more for done in parts for more in gap]
             for part in parts:
                 yield (cell,) + part
 
 
+def _polygon_cells(n: int, triangles: bool) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The sorted cells of every subdivision of the polygon 0..n, or of
+    every triangulation when `triangles`, in enumeration order."""
+    return (tuple(sorted(cells)) for cells in _subdivisions_of(tuple(range(n + 1)), triangles))
+
+
+def enumerate_triangulations(n: int) -> tuple[Triangulation, ...]:
+    """All triangulations of the (n+1)-gon, Catalan(n-1) of them, in a
+    deterministic order."""
+    if n < 2:
+        raise StructuralError("polygon needs at least 3 vertices")
+    return tuple(Triangulation(n, cells) for cells in _polygon_cells(n, True))
+
+
 def enumerate_subdivisions(n: int) -> tuple[Subdivision, ...]:
     """All polygon subdivisions of the (n+1)-gon (little Schroeder count)."""
-    out = []
-    for cells in _subdivisions_of(tuple(range(n + 1))):
-        out.append(Subdivision(n, tuple(sorted(tuple(sorted(c)) for c in cells))))
-    return tuple(out)
+    return tuple(Subdivision(n, cells) for cells in _polygon_cells(n, False))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +379,7 @@ def polygon_stack(X: TruncSimplicialSet, n: int, cells: tuple[tuple[int, ...], .
     # two cells can share only a side, so a cell is keyed by its sides
     factors = []
     for c in cells:
-        sides = tuple((i, i + 1) for i in range(len(c) - 1)) + ((0, len(c) - 1),)
+        sides = _sides(range(len(c)))
         columns = [vertex_map(X, len(c) - 1, side).table for side in sides]
         factors.append((tuple((c[i], c[j]) for i, j in sides), tuple(zip(*columns))))
     elements = iterated_pullback(factors)
@@ -455,8 +440,8 @@ def _one_verdict(check):
 @_one_verdict
 def check_2segal(X: TruncSimplicialSet) -> Report:
     """Decide bijectivity of every triangulation map for 3 <= n <= N."""
-    report = _segal_maps(X, ((f"2-Segal map at n={n}, diagonals {T.diagonals}", n, T.triangles)
-                             for n in range(3, X.N + 1) for T in enumerate_triangulations(n)))
+    report = _segal_maps(X, ((f"2-Segal map at n={n}, diagonals {diagonals(n, cells)}", n, cells)
+                             for n in range(3, X.N + 1) for cells in _polygon_cells(n, True)))
     if X.N < 3:
         report.add(CheckResult("2-Segal maps", None, detail="truncation below 3"))
     return report
@@ -464,8 +449,8 @@ def check_2segal(X: TruncSimplicialSet) -> Report:
 
 def check_subdivision_criterion(X: TruncSimplicialSet) -> Report:
     """Bijectivity of the map for every polygon subdivision up to level N."""
-    return _segal_maps(X, ((f"subdivision map at n={n}, cells {S.cells}", n, S.cells)
-                           for n in range(3, X.N + 1) for S in enumerate_subdivisions(n)))
+    return _segal_maps(X, ((f"subdivision map at n={n}, cells {cells}", n, cells)
+                           for n in range(3, X.N + 1) for cells in _polygon_cells(n, False)))
 
 
 def _segal_maps(X: TruncSimplicialSet, maps: Iterable[tuple[str, int, tuple[tuple[int, ...], ...]]]) -> Report:
@@ -474,14 +459,14 @@ def _segal_maps(X: TruncSimplicialSet, maps: Iterable[tuple[str, int, tuple[tupl
     one decision behind `check_2segal` and `check_subdivision_criterion`.
 
     When the face identities hold, each map is decided from the codes of
-    its sub-polygons (`_stack_code`), memoised for the call, and only a
-    failing map builds its stack, so every witness is the one its stack
-    gives.  When they fail, vertex maps need not compose, and every map is
+    its sub-polygons (`_stack_code`), memoised in `X.memo` for every later
+    check, and only a failing map builds its stack, so every witness is
+    the one its stack gives.  When they fail, vertex maps need not compose, and every map is
     built by `subdivision_map`, which raises `GluingError` on a simplex
     whose components do not glue.
     """
     report = Report()
-    codes = None if _face_violations(X) else {}
+    codes = None if _face_violations(X) else X.memo.setdefault("stack codes", {})
     for name, n, cells in maps:
         if codes is not None:
             table, _, counts = _stack_code(X, n, cells, codes)

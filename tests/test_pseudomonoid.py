@@ -6,6 +6,7 @@ import itertools
 import math
 import pathlib
 import random
+import re
 from collections.abc import Mapping
 
 import pytest
@@ -38,7 +39,7 @@ from finspan.pseudomonoid import (
     verify_pentagon,
     verify_triangle,
 )
-from finspan.simplicial import T02, T13, GluingError, segal_witness
+from finspan.simplicial import T02, T13, GluingError, degeneracy_relations, relation_name, segal_witness
 from finspan.spans import FinMap, FinSet, StructuralError, spans_isomorphic
 from test_diagrams import assignments
 from test_simplicial import doubled_top_simplex, mutated_face, random_complex_nerve
@@ -288,6 +289,79 @@ class TestCanonicalAssociator:
         assert stack_built_associator(X)
         with pytest.raises(GluingError, match="components of element 0 at level 4"):
             canonical_segal_associator(X)
+
+
+def hand_written_failures(fields):
+    """The names of the truncated identities that the data `fields` break,
+    each written out as a composite of its maps."""
+    (d0_1, d1_1), (d0_2, d1_2, d2_2), s0_0, (s0_1, s1_1) = fields["d1"], fields["d2"], fields["s0"], fields["s1"]
+
+    def identity(f):
+        return f.table == tuple(range(f.dom.size))
+
+    name = "simplicial identity {} at level {}".format
+    holds = {
+        name("s_0 s_0 = s_1 s_0", 0): s0_0.then(s0_1).table == s0_0.then(s1_1).table,
+        name("d_0 s_0 mixed identity", 0): identity(s0_0.then(d0_1)),
+        name("d_1 s_0 mixed identity", 0): identity(s0_0.then(d1_1)),
+        name("d_0 s_0 mixed identity", 1): identity(s0_1.then(d0_2)),
+        name("d_1 s_0 mixed identity", 1): identity(s0_1.then(d1_2)),
+        name("d_2 s_0 mixed identity", 1): s0_1.then(d2_2).table == d1_1.then(s0_0).table,
+        name("d_0 s_1 mixed identity", 1): s1_1.then(d0_2).table == d0_1.then(s0_0).table,
+        name("d_1 s_1 mixed identity", 1): identity(s1_1.then(d1_2)),
+        name("d_2 s_1 mixed identity", 1): identity(s1_1.then(d2_2)),
+    }
+    return {n for n, ok in holds.items() if not ok}
+
+
+def with_every_face_triple(T):
+    """The fields of T with one more 2-simplex for each triple (d0, d1, d2)
+    of 1-simplices, so that a degeneracy can be moved to a 2-simplex that
+    breaks any one of its identities."""
+    triples = list(itertools.product(T.x1, repeat=3))
+    x2 = FinSet(T.x2.size + len(triples))
+    return {
+        "x0": T.x0, "x1": T.x1, "x2": x2, "d1": T.d1,
+        "d2": tuple(FinMap(x2, T.x1, d.table + tuple(t[i] for t in triples)) for i, d in enumerate(T.d2)),
+        "s0": T.s0, "s1": tuple(FinMap(T.x1, x2, s.table) for s in T.s1),
+    }
+
+
+def single_entry_mutations(fields):
+    """Copies of `fields` in which one entry of one map takes another value."""
+    for key in ("d1", "d2", "s0", "s1"):
+        maps = fields[key] if key != "s0" else (fields[key],)
+        for i, f in enumerate(maps):
+            for e in f.dom:
+                for v in f.cod:
+                    if v != f.table[e]:
+                        moved = maps[:i] + (FinMap(f.dom, f.cod, f.table[:e] + (v,) + f.table[e + 1:]),) + maps[i + 1:]
+                        yield dict(fields, **{key: moved if key != "s0" else moved[0]})
+
+
+class TestTruncatedIdentities:
+    def test_each_identity_is_decided_and_named(self):
+        fields = with_every_face_triple(two_truncation(catalog.nerve(catalog.chain_poset_category(2), 3)))
+        assert not hand_written_failures(fields)
+        TwoTruncatedData(**fields)
+        order = [relation_name(r) for r in degeneracy_relations(2)]
+        named, alone = set(), set()
+        for mutated in single_entry_mutations(fields):
+            broken = hand_written_failures(mutated)
+            if not broken:
+                TwoTruncatedData(**mutated)
+                continue
+            first = min(broken, key=order.index)
+            with pytest.raises(StructuralError, match=f"^{re.escape(f'truncated identity fails: {first}')}$"):
+                TwoTruncatedData(**mutated)
+            named.add(first)
+            if len(broken) == 1:
+                alone.add(first)
+        assert named == set(order)
+        # d_0 s_0 = id and d_1 s_0 = id on X_0 each make s_0 injective, and
+        # then the level-1 identities and s_0 s_0 = s_1 s_0 force the other,
+        # so neither fails alone
+        assert set(order) - alone == {order[1], order[2]}
 
 
 class TestTacoSpaces:

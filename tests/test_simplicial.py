@@ -17,6 +17,7 @@ from finspan.simplicial import (
     GluingError,
     PolygonStack,
     SegalWitness,
+    Subdivision,
     Triangulation,
     _bijectivity_witness,
     _stack_code,
@@ -296,7 +297,7 @@ class TestMemo:
         def decided_again(*args):
             raise AssertionError("the verdict was decided again")
 
-        monkeypatch.setattr(simplicial, "enumerate_triangulations", decided_again)
+        monkeypatch.setattr(simplicial, "_polygon_cells", decided_again)
         monkeypatch.setattr(simplicial, "pullback_square_witness", decided_again)
         build_pseudomonoid(X)
         for check, report in first.items():
@@ -454,6 +455,128 @@ class TestCodedSegalMaps:
         X = catalog.nerve(catalog.cyclic_group_category(2), 5)
         assert check_2segal(X).ok and check_subdivision_criterion(X).ok
         assert not [v for v in X.memo.values() if isinstance(v, (SegalWitness, PolygonStack))]
+
+
+def fan_cells(n):
+    """The fan from vertex 0, cells (0, i, i+1), and the fan into vertex n,
+    cells (i, i+1, n), of the polygon 0..n."""
+    return tuple((0, i, i + 1) for i in range(1, n)), tuple((i, i + 1, n) for i in range(n - 1))
+
+
+class TestPathSpaceCriterion:
+    """X is 2-Segal exactly when both of its path spaces are 1-Segal, that
+    is, when the maps of both fans are bijective at every level
+    (Dyckerhoff-Kapranov, Higher Segal Spaces, Thm 6.3.2).  Once the face
+    identities hold and the lower levels pass, every triangulation of the
+    polygon 0..n has a diagonal at vertex 0 or at vertex n, and its map is
+    bijective when the map of the fan with that diagonal is; these inputs
+    pin that the two fans decide each level on its own.  The fans' maps are
+    built on the stack path, apart from the codes."""
+
+    def test_the_fans_decide_each_level(self, complex_nerves):
+        inputs = (
+            complex_nerves
+            + [random_complex_nerve(random.Random(seed), 4) for seed in range(100)]
+            + [doubled_top_simplex(random_complex_nerve(random.Random(seed), 4)) for seed in range(40)]
+            + [catalog_non_two_segal(), catalog.building(3, 5), catalog.nerve(catalog.pair_groupoid(3), 5)]
+        )
+        levels = {True: 0, False: 0}
+        for X in inputs:
+            rep = check_2segal(X)
+            for n in range(3, X.N + 1):
+                lines = [r.passed for r in rep.results if r.name.startswith(f"2-Segal map at n={n},")]
+                fans = [subdivision_map(X, n, cells)[1].is_bijective() for cells in fan_cells(n)]
+                assert len(lines) == len(enumerate_triangulations(n))
+                assert all(fans) == all(lines)
+                levels[all(lines)] += 1
+        assert levels[True] > 200 and levels[False] > 200
+
+
+def reference_triangulations_of(vertices):
+    """A recursion for triangulations alone: the top triangle (v0, m, vk)
+    with m outermost, each left triangulation before each right one."""
+    if len(vertices) == 2:
+        yield ()
+        return
+    v0, vk = vertices[0], vertices[-1]
+    for m in range(1, len(vertices) - 1):
+        for left in reference_triangulations_of(vertices[: m + 1]):
+            for right in reference_triangulations_of(vertices[m:]):
+                yield left + ((v0, vertices[m], vk),) + right
+
+
+def reference_subdivisions_of(vertices):
+    """A recursion for subdivisions: top cells by size, then
+    lexicographically, each gap between consecutive top-cell vertices
+    subdivided on its own."""
+    if len(vertices) == 2:
+        yield ()
+        return
+    v0, vk = vertices[0], vertices[-1]
+    interior = vertices[1:-1]
+    for size in range(1, len(interior) + 1):
+        for subset in itertools.combinations(interior, size):
+            cell = (v0,) + subset + (vk,)
+            parts = [()]
+            for a, b in zip(cell, cell[1:]):
+                gap = tuple(reference_subdivisions_of(vertices[vertices.index(a) : vertices.index(b) + 1]))
+                parts = [done + more for done in parts for more in gap]
+            for part in parts:
+                yield (cell,) + part
+
+
+def sorted_cells(cells):
+    return tuple(sorted(tuple(sorted(c)) for c in cells))
+
+
+class TestPolygonEnumeration:
+    def test_every_generated_cell_tuple_is_valid(self):
+        for n in range(2, 8):
+            for cells in simplicial._polygon_cells(n, False):
+                assert Subdivision(n, cells).cells == cells
+            for cells in simplicial._polygon_cells(n, True):
+                assert Triangulation(n, cells).triangles == cells
+
+    def test_triangulation_order(self):
+        for n in range(2, 9):
+            expected = [sorted_cells(tris) for tris in reference_triangulations_of(tuple(range(n + 1)))]
+            assert list(simplicial._polygon_cells(n, True)) == expected
+            assert [T.triangles for T in enumerate_triangulations(n)] == expected
+
+    def test_subdivision_order(self):
+        for n in range(2, 8):
+            expected = [sorted_cells(cells) for cells in reference_subdivisions_of(tuple(range(n + 1)))]
+            assert list(simplicial._polygon_cells(n, False)) == expected
+            assert [S.cells for S in enumerate_subdivisions(n)] == expected
+
+    def test_the_checks_construct_no_polygon_object(self, monkeypatch):
+        def constructed(self):
+            raise AssertionError(f"{type(self).__name__} constructed")
+
+        monkeypatch.setattr(Triangulation, "__post_init__", constructed)
+        monkeypatch.setattr(Subdivision, "__post_init__", constructed)
+        X = catalog.nerve(catalog.cyclic_group_category(2), 5)
+        assert check_2segal(X).ok and check_subdivision_criterion(X).ok
+        # a failing map builds its stack for the witness, and still no polygon object
+        Y = catalog_non_two_segal()
+        assert not check_2segal(Y).ok and not check_subdivision_criterion(Y).ok
+
+    def test_each_map_is_coded_once_across_both_checks(self, monkeypatch):
+        X = catalog.nerve(catalog.cyclic_group_category(2), 6)
+        coded = []
+        stack_code = simplicial._stack_code
+
+        def recording(X, n, cells, memo):
+            if (n, cells) not in memo:
+                coded.append((n, cells))
+            return stack_code(X, n, cells, memo)
+
+        monkeypatch.setattr(simplicial, "_stack_code", recording)
+        assert check_2segal(X).ok
+        triangulations = {(n, cells) for n in range(3, X.N + 1) for cells in simplicial._polygon_cells(n, True)}
+        assert triangulations <= set(coded)
+        assert check_subdivision_criterion(X).ok
+        assert len(coded) == len(set(coded))
 
 
 class TestComplexNervePseudomonoids:
