@@ -35,14 +35,16 @@ from .diagrams import (
 from .simplicial import (
     Triangulation,
     TruncSimplicialSet,
-    _failures,
     check_2segal,
     check_unitality,
     degeneracy_relations,
     edge_map,
     make_simplicial,
     polygon_stack,
+    relation_name,
+    relation_witnesses,
     segal_witness,
+    structure_tables,
 )
 from .spans import (
     FinMap,
@@ -256,9 +258,10 @@ class TwoTruncatedData:
     s1: tuple[FinMap, FinMap]
 
     def __post_init__(self):
-        failures = _failures(degeneracy_relations(2), two_truncated_simplicial(self))
-        if failures:
-            raise StructuralError(f"truncated identity fails: {failures[0].name}")
+        X = two_truncated_simplicial(self)
+        for relation, witness in relation_witnesses(degeneracy_relations(2), structure_tables(X), X.levels):
+            if witness is not None:
+                raise StructuralError(f"truncated identity fails: {relation_name(relation)}")
 
 
 def two_truncation(X: TruncSimplicialSet) -> TwoTruncatedData:

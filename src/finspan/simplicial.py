@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import cache, cached_property, wraps
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .reporting import CheckResult, Report
@@ -40,8 +40,8 @@ class TruncSimplicialSet:
     `degen[n]` holds (s_0^n, ..., s_n^n) for 0 <= n < N (degen[N] is empty).
 
     `memo` holds data derived from the tables (vertex maps, polygon stacks,
-    Segal witnesses, sub-polygon codes, the face identities and the 2-Segal
-    and unitality verdicts).  It is left out of `==` and `hash`, so two equal
+    Segal witnesses, the face identities and the 2-Segal and unitality
+    verdicts).  It is left out of `==` and `hash`, so two equal
     structures never share an entry, and it dies with its structure.
     """
 
@@ -459,14 +459,14 @@ def _segal_maps(X: TruncSimplicialSet, maps: Iterable[tuple[str, int, tuple[tupl
     one decision behind `check_2segal` and `check_subdivision_criterion`.
 
     When the face identities hold, each map is decided from the codes of
-    its sub-polygons (`_stack_code`), memoised in `X.memo` for every later
-    check, and only a failing map builds its stack, so every witness is
-    the one its stack gives.  When they fail, vertex maps need not compose, and every map is
+    its sub-polygons (`_stack_code`), memoised for the call, and only a
+    failing map builds its stack, so every witness is the one its stack
+    gives.  When they fail, vertex maps need not compose, and every map is
     built by `subdivision_map`, which raises `GluingError` on a simplex
     whose components do not glue.
     """
     report = Report()
-    codes = None if _face_violations(X) else X.memo.setdefault("stack codes", {})
+    codes = None if _face_violations(X) else {}
     for name, n, cells in maps:
         if codes is not None:
             table, _, counts = _stack_code(X, n, cells, codes)
@@ -622,23 +622,27 @@ def _triangulation_with_triangle(n: int, tri: tuple[int, int, int]) -> Triangula
     return Triangulation(n, tuple(sorted(set(tuple(sorted(t)) for t in tris))))
 
 
+@cache
+def _face_recipe(n: int, i: int) -> tuple[Triangulation, Triangulation, tuple[int, ...]]:
+    """The triangulation T of the (n+1)-gon that `face_via_polygon` cuts
+    along at vertex i, the triangulation of the n-gon left when the
+    triangle at vertex i is deleted and the vertices after i move down by
+    one, and, for each of its triangles, the position in T it came from."""
+    tri = _triangle_at_vertex(n, i)
+    T = _triangulation_with_triangle(n, tri)
+    kept = {tuple(v - (v > i) for v in t): k for k, t in enumerate(T.triangles) if t != tri}
+    T_new = Triangulation(n - 1, tuple(sorted(kept)))
+    return T, T_new, tuple(kept[t] for t in T_new.triangles)
+
+
 def face_via_polygon(X: TruncSimplicialSet, n: int, i: int, psi: int) -> int:
     """d_i by the polygon recipe: decompose along a triangulation containing
     the triangle at vertex i, delete that component, relabel, and glue."""
     if n < 3:
         return X.d(n, i).table[psi]
-    tri = _triangle_at_vertex(n, i)
-    T = _triangulation_with_triangle(n, tri)
-    comps = dict(zip(T.triangles, unglue(X, T, psi)))
-    del comps[tri]
-    relabel = {v: v - (1 if v > i else 0) for v in range(n + 1) if v != i}
-    new_tris = sorted(tuple(sorted(relabel[v] for v in t)) for t in comps)
-    new_parts = tuple(
-        comps[t]
-        for t in sorted(comps, key=lambda t: tuple(sorted(relabel[v] for v in t)))
-    )
-    T_new = Triangulation(n - 1, tuple(new_tris))
-    return glue(X, T_new, new_parts)
+    T, T_new, kept = _face_recipe(n, i)
+    parts = unglue(X, T, psi)
+    return glue(X, T_new, tuple(parts[k] for k in kept))
 
 
 def degen_via_polygon(X: TruncSimplicialSet, n: int, i: int, psi: int) -> int:

@@ -561,23 +561,6 @@ class TestPolygonEnumeration:
         Y = catalog_non_two_segal()
         assert not check_2segal(Y).ok and not check_subdivision_criterion(Y).ok
 
-    def test_each_map_is_coded_once_across_both_checks(self, monkeypatch):
-        X = catalog.nerve(catalog.cyclic_group_category(2), 6)
-        coded = []
-        stack_code = simplicial._stack_code
-
-        def recording(X, n, cells, memo):
-            if (n, cells) not in memo:
-                coded.append((n, cells))
-            return stack_code(X, n, cells, memo)
-
-        monkeypatch.setattr(simplicial, "_stack_code", recording)
-        assert check_2segal(X).ok
-        triangulations = {(n, cells) for n in range(3, X.N + 1) for cells in simplicial._polygon_cells(n, True)}
-        assert triangulations <= set(coded)
-        assert check_subdivision_criterion(X).ok
-        assert len(coded) == len(set(coded))
-
 
 class TestComplexNervePseudomonoids:
     def test_two_segal_unital_nerves_give_coherent_pseudomonoids(self):
