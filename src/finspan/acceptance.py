@@ -31,7 +31,6 @@ from .catalog import (
     path_graph,
     twisted_cyclic_paracyclic,
 )
-from .diagrams import first_moved
 from .gammaset import (
     GammaData,
     check_gamma,
@@ -76,7 +75,7 @@ from .simplicial import (
     make_simplicial,
     unglue,
 )
-from .spans import FinMap, FinSet, Span, spans_isomorphic
+from .spans import FinMap, FinSet, Span, first_difference, spans_isomorphic
 
 
 def segal_fixtures() -> dict:
@@ -112,6 +111,20 @@ def gamma_fixtures() -> dict:
     }
 
 
+def _first_failure(rep: Report, name: str) -> CheckResult:
+    """The first failing line of `rep`, or one passing line `name` for all
+    of it."""
+    failures = rep.failures
+    return failures[0] if failures else CheckResult(name)
+
+
+def _time_budget(name: str, t0: float, limit: float) -> CheckResult:
+    """The time since `t0` against `limit` seconds, witnessed on failure by
+    the elapsed seconds."""
+    elapsed = time.perf_counter() - t0
+    return CheckResult(name, elapsed if elapsed >= limit else None, detail=f"{elapsed:.1f}s")
+
+
 def criterion_1_two_segal_suite() -> Report:
     report = Report()
     t0 = time.perf_counter()
@@ -120,25 +133,16 @@ def criterion_1_two_segal_suite() -> Report:
         seg = check_2segal(X)
         uni = check_unitality(X)
         for label, rep in (("identities", ids), ("2-Segal", seg), ("unitality", uni)):
-            if rep.ok:
-                report.add(CheckResult(f"{name}: {label}", True))
-            else:
-                report.add(rep.failures[0])
-    elapsed = time.perf_counter() - t0
-    report.add(CheckResult("2-Segal suite under 60 s", elapsed < 60, detail=f"{elapsed:.1f}s"))
-    return report
+            report.add(_first_failure(rep, f"{name}: {label}"))
+    return report.add(_time_budget("2-Segal suite under 60 s", t0, 60))
 
 
 def criterion_2_pentagon_triangle() -> Report:
     report = Report()
     for name, X in segal_fixtures().items():
         P = build_pseudomonoid(X)
-        pent = verify_pentagon(P)
-        tri = verify_triangle(P)
-        report.add(CheckResult(f"{name}: pentagon", pent.ok,
-                               witness=None if pent.ok else first_moved(pent.discrepancy)))
-        report.add(CheckResult(f"{name}: triangle", tri.ok,
-                               witness=None if tri.ok else first_moved(tri.discrepancy)))
+        report.add(CheckResult(f"{name}: pentagon", verify_pentagon(P).witness))
+        report.add(CheckResult(f"{name}: triangle", verify_triangle(P).witness))
     return report
 
 
@@ -149,8 +153,7 @@ def criterion_3_no_lift() -> Report:
     for a, want in expected.items():
         res = search_associator_lift(no_lift_family(a))
         report.add(CheckResult(
-            f"lift search |A|={a}", res.status == want,
-            witness=None if res.status == want else res.status,
+            f"lift search |A|={a}", None if res.status == want else res.status,
             detail=f"{res.candidates_tried}/{res.candidates_total} candidates",
         ))
     T = no_lift_family(2)
@@ -162,13 +165,9 @@ def criterion_3_no_lift() -> Report:
         (a0, middle, a1): (a1, middle, a0),
         (a1, middle, a0): (a0, middle, a1),
     }
-    report.add(CheckResult(
-        "canonical-associator pentagon discrepancy is the label swap",
-        moved == want, witness=None if moved == want else moved,
-    ))
-    elapsed = time.perf_counter() - t0
-    report.add(CheckResult("no-lift suite under 5 min", elapsed < 300, detail=f"{elapsed:.1f}s"))
-    return report
+    report.add(CheckResult("canonical-associator pentagon discrepancy is the label swap",
+                           None if moved == want else moved))
+    return report.add(_time_budget("no-lift suite under 5 min", t0, 300))
 
 
 def criterion_4_frobenius_roundtrip() -> Report:
@@ -180,20 +179,13 @@ def criterion_4_frobenius_roundtrip() -> Report:
             continue
         C = frobenius_from_paracyclic(P)
         P2 = paracyclic_from_frobenius(P.base, C.counit)
-        exact = all(a.table == b.table for a, b in zip(P.tau, P2.tau))
-        report.add(CheckResult(
-            f"{name}: counit then paracyclic reproduces tau", exact,
-            witness=None if exact else next(
-                (n, a.table, b.table) for n, (a, b) in enumerate(zip(P.tau, P2.tau))
-                if a.table != b.table
-            ),
-        ))
+        report.add(CheckResult(f"{name}: counit then paracyclic reproduces tau", next(
+            ((n, a.table, b.table) for n, (a, b) in enumerate(zip(P.tau, P2.tau)) if a.table != b.table),
+            None,
+        )))
         C2 = frobenius_from_paracyclic(P2)
-        back = C2.s1_0.table == C.s1_0.table
-        report.add(CheckResult(
-            f"{name}: paracyclic then counit reproduces s_1^0", back,
-            witness=None if back else (C.s1_0.table, C2.s1_0.table),
-        ))
+        report.add(CheckResult(f"{name}: paracyclic then counit reproduces s_1^0",
+                               None if C2.s1_0.table == C.s1_0.table else (C.s1_0.table, C2.s1_0.table)))
     return report
 
 
@@ -213,14 +205,10 @@ def criterion_5_cyclicity() -> Report:
     }
     for name, (P, want) in expectations.items():
         res = check_cyclic(P)
-        report.add(CheckResult(f"{name}: verdict {want}", res.verdict == want,
-                               witness=None if res.verdict == want else res.verdict))
+        report.add(CheckResult(f"{name}: verdict {want}", None if res.verdict == want else res.verdict))
     for name, P in paracyclic_fixtures().items():
-        res = check_cyclic(P)
-        report.add(CheckResult(
-            f"{name}: two-condition criterion agrees with all levels", res.agree,
-            witness=None if res.agree else (res.two_condition, res.all_levels),
-        ))
+        report.add(CheckResult(f"{name}: two-condition criterion agrees with all levels",
+                               check_cyclic(P).disagreement))
     return report
 
 
@@ -231,19 +219,16 @@ def criterion_6_gamma_roundtrip() -> Report:
         if not rep.ok:
             report.add(rep.failures[0])
             continue
-        report.add(CheckResult(f"{name}: transposition relations", True))
+        report.add(CheckResult(f"{name}: transposition relations"))
         cell, crep = commutative_from_gamma(G, full_span_level=True)
-        if crep.ok:
-            report.add(CheckResult(f"{name}: reduced and span-level symmetry/hexagon", True))
-        else:
-            report.add(crep.failures[0])
+        report.add(_first_failure(crep, f"{name}: reduced and span-level symmetry/hexagon"))
         G2 = gamma_from_commutative(G.base, cell.gamma)
-        exact = all(
-            a.table == b.table
-            for ra, rb in zip(G.theta_tables, G2.theta_tables)
-            for a, b in zip(ra, rb)
-        )
-        report.add(CheckResult(f"{name}: rebuilt transpositions equal the originals", exact))
+        report.add(CheckResult(f"{name}: rebuilt transpositions equal the originals", next(
+            ((n, i, e) for n, (ra, rb) in enumerate(zip(G.theta_tables, G2.theta_tables))
+             for i, (a, b) in enumerate(zip(ra, rb))
+             if (e := first_difference(a.table, b.table)) is not None),
+            None,
+        )))
     return report
 
 
@@ -265,8 +250,7 @@ def criterion_7_morphism_calculi(seed: int = 0) -> Report:
                 g, a = lambda_factorize(f)
                 if lambda_recompose(g, a) != f:
                     bad = f
-    report.add(CheckResult("200 random factorizations per size class recompose",
-                           bad is None, witness=bad))
+    report.add(CheckResult("200 random factorizations per size class recompose", bad))
 
     P = interval_cyclic(2, 4)
     bad = None
@@ -276,15 +260,11 @@ def criterion_7_morphism_calculi(seed: int = 0) -> Report:
         g = _random_lambda(rng, n, k)
         if evaluate(P, lambda_compose(f, g)).table != evaluate(P, g).then(evaluate(P, f)).table:
             bad = (f, g)
-    report.add(CheckResult("200 random composable pairs evaluate functorially",
-                           bad is None, witness=bad))
-
-    lam = check_lambda_relations(6)
-    report.add(CheckResult("paracyclic generator relations up to level 6", lam.ok,
-                           witness=None if lam.ok else lam.failures[0].name))
-    phi = check_phistar_relations(6)
-    report.add(CheckResult("pointed-cardinal generator relations up to level 6", phi.ok,
-                           witness=None if phi.ok else phi.failures[0].name))
+    report.add(CheckResult("200 random composable pairs evaluate functorially", bad))
+    report.add(CheckResult("paracyclic generator relations up to level 6",
+                           next((r.name for r in check_lambda_relations(6).failures), None)))
+    report.add(CheckResult("pointed-cardinal generator relations up to level 6",
+                           next((r.name for r in check_phistar_relations(6).failures), None)))
 
     def random_monotone(m, n):
         return LambdaMor(m, n, tuple(sorted(rng.randrange(0, n + 1) for _ in range(m + 1))))
@@ -296,14 +276,13 @@ def criterion_7_morphism_calculi(seed: int = 0) -> Report:
         g = random_monotone(n, k)
         if cut(lambda_compose(f, g)) != phistar_compose(cut(g), cut(f)):
             bad = (f, g)
-    report.add(CheckResult("interstice functor is functorial on 200 random pairs",
-                           bad is None, witness=bad))
-    gen_ok = all(
-        cut(lambda_delta(n, i)) == phistar_d(n, i) for n in range(1, 7) for i in range(n)
-    ) and all(
-        cut(lambda_sigma(n, i)) == phistar_s(n, i) for n in range(6) for i in range(n + 1)
+    report.add(CheckResult("interstice functor is functorial on 200 random pairs", bad))
+    generators = itertools.chain(
+        ((lambda_delta(n, i), phistar_d(n, i)) for n in range(1, 7) for i in range(n)),
+        ((lambda_sigma(n, i), phistar_s(n, i)) for n in range(6) for i in range(n + 1)),
     )
-    report.add(CheckResult("interstices of cofaces and codegeneracies are the generators", gen_ok))
+    report.add(CheckResult("interstices of cofaces and codegeneracies are the generators",
+                           next((f for f, g in generators if cut(f) != g), None)))
     return report
 
 
@@ -341,8 +320,7 @@ def criterion_8_oracles(seed: int = 0) -> Report:
             bad = (f, g)
         if cell is not None and not cell.is_invertible():
             bad = (f, g)
-    report.add(CheckResult("span isomorphism agrees with brute force on 500 spans",
-                           bad is None, witness=bad))
+    report.add(CheckResult("span isomorphism agrees with brute force on 500 spans", bad))
 
     for name, X in segal_fixtures().items():
         bad = None
@@ -351,8 +329,7 @@ def criterion_8_oracles(seed: int = 0) -> Report:
                 for psi in X.levels[n]:
                     if glue(X, T, unglue(X, T, psi)) != psi:
                         bad = (n, T.diagonals, psi)
-        report.add(CheckResult(f"{name}: glue/unglue is the identity on X_3 and X_4",
-                               bad is None, witness=bad))
+        report.add(CheckResult(f"{name}: glue/unglue is the identity on X_3 and X_4", bad))
     return report
 
 
@@ -369,83 +346,58 @@ def _swap_entries(m: FinMap, i: int, j: int) -> FinMap:
 
 
 def criterion_9_mutation_sensitivity() -> Report:
-    report = Report()
-
+    """Each checker on a mutated input, as (line, the checker's report,
+    whether the line names the first failure) read by `_detected`."""
     X = nerve(cyclic_group_category(2), 4)
     face = [list(fs) for fs in X.face]
-    face[2] = list(face[2])
     face[2][1] = _mutate_map(face[2][1], 0, (face[2][1].table[0] + 1) % X.levels[1].size)
-    Xm = make_simplicial(X.levels, face, X.degen)
-    rep = check_simplicial_identities(Xm)
-    report.add(CheckResult(
-        "simplicial checker detects a corrupted d_1^2 entry",
-        (not rep.ok) and rep.failures[0].witness is not None,
-        witness=None if not rep.ok else "mutation passed silently",
-        detail=rep.failures[0].name if not rep.ok else "",
-    ))
-
-    Xd = catalog_non_two_segal()
-    rep = check_2segal(Xd)
-    report.add(CheckResult(
-        "2-Segal checker detects the doubled-simplex fixture",
-        (not rep.ok) and rep.failures[0].witness is not None,
-        witness=None if not rep.ok else "mutation passed silently",
-    ))
-
     degen = [list(ss) for ss in X.degen]
-    degen[1] = list(degen[1])
     degen[1][1] = _mutate_map(degen[1][1], 0, (degen[1][1].table[0] + 1) % X.levels[2].size)
-    Xm = make_simplicial(X.levels, X.face, degen)
-    rep = check_unitality(Xm)
-    report.add(CheckResult(
-        "unitality checker detects a corrupted s_1^1 entry",
-        (not rep.ok) and rep.failures[0].witness is not None,
-        witness=None if not rep.ok else "mutation passed silently",
-    ))
 
     P = interval_cyclic(2, 4)
     tau = list(P.tau)
     tau[2] = _swap_entries(tau[2], 0, 1)
-    rep = check_paracyclic(ParacyclicData(P.base, tuple(tau)))
-    report.add(CheckResult(
-        "paracyclic checker detects a mutated tau^2",
-        (not rep.ok) and rep.failures[0].witness is not None,
-        witness=None if not rep.ok else "mutation passed silently",
-        detail=rep.failures[0].name if not rep.ok else "",
-    ))
 
     G = commutative_monoid_gamma(interval_monoid(3), 4)
     tables = [list(row) for row in G.theta_tables]
-    tables[3] = list(tables[3])
     tables[3][0] = _swap_entries(tables[3][0], 0, 1)
-    rep = check_gamma(GammaData(G.base, tuple(tuple(r) for r in tables)))
-    report.add(CheckResult(
-        "transposition checker detects a mutated theta_1^3",
-        (not rep.ok) and rep.failures[0].witness is not None,
-        witness=None if not rep.ok else "mutation passed silently",
-        detail=rep.failures[0].name if not rep.ok else "",
-    ))
 
     T = no_lift_family(2)
     canon = no_lift_canonical_associator(T)
-    pent = verify_pentagon(pseudomonoid_from_two_truncated(T, canon))
-    report.add(CheckResult(
-        "pentagon checker rejects the canonical associator on the doubled family",
-        (not pent.ok) and first_moved(pent.discrepancy) is not None,
-        witness=None if not pent.ok else "mutation passed silently",
-    ))
-
     mutated = dict(canon)
     d0, d1, d2 = T.d2
     fiber = [p for p in canon if (d2.table[p[0]], d0.table[p[0]], d0.table[p[1]]) == (1, 0, 1)]
     mutated[fiber[0]], mutated[fiber[1]] = canon[fiber[1]], canon[fiber[0]]
-    tri = verify_triangle(pseudomonoid_from_two_truncated(T, mutated))
-    report.add(CheckResult(
-        "triangle checker detects a unit-fiber associator swap",
-        (not tri.ok) and first_moved(tri.discrepancy) is not None,
-        witness=None if not tri.ok else "mutation passed silently",
-    ))
-    return report
+
+    def equation(result) -> Report:
+        """An equation's verdict as a report of one line."""
+        return Report([CheckResult("equation", result.witness)])
+
+    table = (
+        ("simplicial checker detects a corrupted d_1^2 entry",
+         check_simplicial_identities(make_simplicial(X.levels, face, X.degen)), True),
+        ("2-Segal checker detects the doubled-simplex fixture", check_2segal(catalog_non_two_segal()), False),
+        ("unitality checker detects a corrupted s_1^1 entry",
+         check_unitality(make_simplicial(X.levels, X.face, degen)), False),
+        ("paracyclic checker detects a mutated tau^2",
+         check_paracyclic(ParacyclicData(P.base, tuple(tau))), True),
+        ("transposition checker detects a mutated theta_1^3",
+         check_gamma(GammaData(G.base, tuple(tuple(r) for r in tables))), True),
+        ("pentagon checker rejects the canonical associator on the doubled family",
+         equation(verify_pentagon(pseudomonoid_from_two_truncated(T, canon))), False),
+        ("triangle checker detects a unit-fiber associator swap",
+         equation(verify_triangle(pseudomonoid_from_two_truncated(T, mutated))), False),
+    )
+    return Report([_detected(*row) for row in table])
+
+
+def _detected(name: str, rep: Report, named: bool) -> CheckResult:
+    """The line `name` for a checker's report `rep` on a mutated input: it
+    passes when `rep` fails, and its detail names `rep`'s first failing
+    line when `named`."""
+    failures = rep.failures
+    return CheckResult(name, None if failures else "mutation passed silently",
+                       detail=failures[0].name if named and failures else "")
 
 
 def catalog_non_two_segal():

@@ -67,31 +67,27 @@ def cmd_check(args) -> int:
 
     if not identities.ok:
         # downstream checkers presuppose a simplicial set
-        report.add(CheckResult("2-Segal maps", None, detail="simplicial identities fail"))
+        report.add(CheckResult.skip("2-Segal maps", "simplicial identities fail"))
     else:
         if run_segal:
-            if X.N >= 3:
-                report.extend(check_2segal(X))
-            else:
-                report.add(CheckResult("2-Segal maps", None, detail="truncation below 3"))
+            report.extend(check_2segal(X))
         if run_unital:
             report.extend(check_unitality(X))
         if args.subdivisions:
             report.extend(check_subdivision_criterion(X))
     if args.paracyclic or (not explicit and doc.paracyclic is not None):
         if doc.paracyclic is None:
-            report.add(CheckResult("paracyclic relations", None, detail="no paracyclic block"))
+            report.add(CheckResult.skip("paracyclic relations", "no paracyclic block"))
         else:
             from .paracyclic import check_cyclic, check_paracyclic
 
             report.extend(check_paracyclic(doc.paracyclic))
             res = check_cyclic(doc.paracyclic)
-            report.add(CheckResult(f"cyclicity verdict: {res.verdict}", True))
-            report.add(CheckResult("cyclicity criteria agree", res.agree,
-                                   witness=None if res.agree else (res.two_condition, res.all_levels)))
+            report.add(CheckResult(f"cyclicity verdict: {res.verdict}"))
+            report.add(CheckResult("cyclicity criteria agree", res.disagreement))
     if args.gamma or ((args.full_hexagon or not explicit) and doc.gamma is not None):
         if doc.gamma is None:
-            report.add(CheckResult("transposition relations", None, detail="no gamma block"))
+            report.add(CheckResult.skip("transposition relations", "no gamma block"))
         else:
             from .gammaset import check_gamma, span_level_commutativity
 
@@ -100,13 +96,12 @@ def cmd_check(args) -> int:
                 from .pseudomonoid import ConstructionError
 
                 if not identities.ok:
-                    report.add(CheckResult("span-level equations", None,
-                                           detail="simplicial identities fail"))
+                    report.add(CheckResult.skip("span-level equations", "simplicial identities fail"))
                 else:
                     try:
                         report.extend(span_level_commutativity(X, doc.gamma.theta(2, 1)))
                     except (StructuralError, ConstructionError) as exc:
-                        report.add(CheckResult("span-level equations", False, witness=str(exc)))
+                        report.add(CheckResult("span-level equations", str(exc)))
     for line in report.lines():
         print(line)
     print(f"checked in {time.perf_counter() - t0:.2f}s: "

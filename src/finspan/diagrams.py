@@ -533,6 +533,14 @@ def first_moved(discrepancy: Mapping[Assignment, Assignment]) -> Optional[tuple[
     return next(((k, v) for k, v in discrepancy.items() if k != v), None)
 
 
+def equation_witness(equal: bool,
+                     discrepancy: Mapping[Assignment, Assignment]) -> Optional[tuple[Assignment, Assignment]]:
+    """The witness of a `compare_paths` verdict: None for equal paths, else
+    the first pair the discrepancy moves.  An equal verdict reads no entry,
+    so its discrepancy is never built."""
+    return None if equal else first_moved(discrepancy)
+
+
 # ---------------------------------------------------------------------------
 # the canonical coherence cells of the span bicategory
 

@@ -30,8 +30,8 @@ from .diagrams import (
     RewriteRule,
     braiding_rule,
     compare_paths,
+    equation_witness,
     evaluate,
-    first_moved,
     identity_box,
     hexagonator_rule,
     member_index,
@@ -463,8 +463,7 @@ def span_level_commutativity(X: TruncSimplicialSet, theta: FinMap) -> Report:
         .insert_identity_row(0)
         .rewrite(v_inv, 0, (0, 0))
     )
-    ok, disc = compare_paths(lhs, rhs)
-    report.add(CheckResult("span-level symmetry equation", ok, witness=None if ok else first_moved(disc)))
+    report.add(CheckResult("span-level symmetry equation", equation_witness(*compare_paths(lhs, rhs))))
 
     slide = braiding_rule(idb, mub)
     hexr = hexagonator_rule(x1, x1, x1)
@@ -487,8 +486,7 @@ def span_level_commutativity(X: TruncSimplicialSet, theta: FinMap) -> Report:
         .rewrite(hexr, 0, (0, 0))
         .delete_identity_row(1)
     )
-    ok, disc = compare_paths(lhs, rhs)
-    report.add(CheckResult("span-level hexagon equation", ok, witness=None if ok else first_moved(disc)))
+    report.add(CheckResult("span-level hexagon equation", equation_witness(*compare_paths(lhs, rhs))))
     return report
 
 

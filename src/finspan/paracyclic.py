@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .diagrams import (
     Box,
     ClosedFormRule,
     DiagramPath,
     compare_paths,
-    first_moved,
+    equation_witness,
     identity_box,
     tensorator_rule,
 )
@@ -148,7 +148,7 @@ def check_on_morphisms(relations: Iterable[Relation], compose) -> Report:
     for relation in relations:
         _, n, lhs, rhs = relation
         a, b = compose(n, lhs), compose(n, rhs)
-        report.add(CheckResult(relation_name(relation), a == b, witness=None if a == b else (a, b)))
+        report.add(CheckResult(relation_name(relation), None if a == b else (a, b)))
     return report
 
 
@@ -251,10 +251,7 @@ def check_paracyclic(P: ParacyclicData) -> Report:
     """All translation relations and bijectivity, within the truncation."""
     report = Report()
     for n, t in enumerate(P.tau):
-        report.add(CheckResult(
-            f"tau bijective at level {n}", t.is_bijective(),
-            witness=None if t.is_bijective() else t.table,
-        ))
+        report.add(CheckResult(f"tau bijective at level {n}", None if t.is_bijective() else t.table))
     if not report.ok:
         return report
     return report.extend(check_relations(translation_relations(P.base.N), paracyclic_tables(P), P.base.levels))
@@ -316,9 +313,18 @@ def counit_span(X: TruncSimplicialSet, s1_0: FinMap) -> Span:
     return Span(X.levels[1], UNIT, X.levels[0], s1_0, constant_map(X.levels[0], UNIT))
 
 
-def pairing_apex_pairs(X: TruncSimplicialSet, eps: Span) -> tuple[tuple[int, int], ...]:
-    """Apex pairs (m, e) of the induced pairing eps ∘ mu."""
-    return pullback_pairs(X.d(2, 1), eps.left)
+def pairing_graph(X: TruncSimplicialSet, eps: Span) -> tuple[dict[int, int], Optional[int]]:
+    """The induced pairing eps ∘ mu read as a graph, walking its apex pairs
+    (m, e) in order: each carrier element x = d_2 m to the simplex m over
+    it, and the first x found over a second m (None when no fiber has two),
+    where the walk stops.  The pairing is the graph of x -> d_0 m."""
+    chosen: dict[int, int] = {}
+    d2 = X.d(2, 2).table
+    for m, _ in pullback_pairs(X.d(2, 1), eps.left):
+        if d2[m] in chosen:
+            return chosen, d2[m]
+        chosen[d2[m]] = m
+    return chosen, None
 
 
 def frobenius_from_paracyclic(P: ParacyclicData) -> CounitData:
@@ -336,16 +342,12 @@ def frobenius_from_paracyclic(P: ParacyclicData) -> CounitData:
     if pullback_square_witness(P.extra_degeneracy(1), X.d(1, 1), X.d(2, 1), s1_0) is not None:
         raise NotFrobeniusError("extra-degeneracy unitality square is not a pullback")
 
-    alpha = pairing_apex_pairs(X, eps)
-    seen = {}
-    for m, e in alpha:
-        x = X.d(2, 2).table[m]
-        if x in seen:
-            raise NotFrobeniusError(f"pairing fiber over {x} is not a singleton")
-        seen[x] = X.d(2, 0).table[m]
-    if len(seen) != X.levels[1].size:
+    chosen, repeated = pairing_graph(X, eps)
+    if repeated is not None:
+        raise NotFrobeniusError(f"pairing fiber over {repeated} is not a singleton")
+    if len(chosen) != X.levels[1].size:
         raise NotFrobeniusError("pairing does not cover the carrier")
-    if any(seen[x] != tau1.table[x] for x in X.levels[1]):
+    if any(X.d(2, 0).table[chosen[x]] != tau1.table[x] for x in X.levels[1]):
         raise NotFrobeniusError("pairing is not the graph of tau")
     return CounitData(X, eps, s1_0, tau1)
 
@@ -398,19 +400,13 @@ def paracyclic_from_frobenius(X: TruncSimplicialSet, eps: Span) -> ParacyclicDat
         raise StructuralError("need truncation level at least 3")
 
     # biexactness: the pairing must be the graph of a bijection
-    alpha = pairing_apex_pairs(X, eps)
-    graph: dict[int, int] = {}
-    chosen: dict[int, int] = {}
-    for m, e in alpha:
-        x = X.d(2, 2).table[m]
-        if x in graph:
-            raise NotFrobeniusError(f"pairing fiber over carrier element {x} has size > 1")
-        graph[x] = X.d(2, 0).table[m]
-        chosen[x] = m
-    if len(graph) != X.levels[1].size:
-        missing = next(x for x in X.levels[1] if x not in graph)
+    chosen, repeated = pairing_graph(X, eps)
+    if repeated is not None:
+        raise NotFrobeniusError(f"pairing fiber over carrier element {repeated} has size > 1")
+    if len(chosen) != X.levels[1].size:
+        missing = next(x for x in X.levels[1] if x not in chosen)
         raise NotFrobeniusError(f"pairing fiber over carrier element {missing} is empty")
-    tau1 = FinMap(X.levels[1], X.levels[1], tuple(graph[x] for x in X.levels[1]))
+    tau1 = FinMap(X.levels[1], X.levels[1], tuple(X.d(2, 0).table[chosen[x]] for x in X.levels[1]))
     if not tau1.is_bijective():
         raise NotFrobeniusError("pairing is not the graph of a bijection")
 
@@ -505,15 +501,13 @@ def frobenius_witnesses(C: CounitData) -> FrobeniusWitnesses:
     start1 = ((idb, bb, idb), (ab, idb, idb), (ab,))
     lhs1 = DiagramPath(start1).rewrite(zag_rule, 0, (0, 0))
     rhs1 = DiagramPath(start1).rewrite(c_alpha, 1, (0, 0)).rewrite(zig_rule, 0, (1, 1))
-    ok1, disc1 = compare_paths(lhs1, rhs1)
-    report.add(CheckResult("pairing snake coherence", ok1, witness=None if ok1 else first_moved(disc1)))
+    report.add(CheckResult("pairing snake coherence", equation_witness(*compare_paths(lhs1, rhs1))))
 
     c_beta = tensorator_rule(bb, bb)
     start2 = ((bb,), (idb, idb, bb), (idb, ab, idb))
     lhs2 = DiagramPath(start2).rewrite(zag_rule, 1, (1, 1))
     rhs2 = DiagramPath(start2).rewrite(c_beta, 0, (0, 0)).rewrite(zig_rule, 1, (0, 0))
-    ok2, disc2 = compare_paths(lhs2, rhs2)
-    report.add(CheckResult("copairing snake coherence", ok2, witness=None if ok2 else first_moved(disc2)))
+    report.add(CheckResult("copairing snake coherence", equation_witness(*compare_paths(lhs2, rhs2))))
 
     return FrobeniusWitnesses(beta, zig_rule.cell, zag_rule.cell, report)
 
@@ -531,6 +525,12 @@ class CyclicityResult:
     @property
     def agree(self) -> bool:
         return self.all_levels == self.two_condition
+
+    @property
+    def disagreement(self) -> Optional[tuple[bool, bool]]:
+        """The witness that the two criteria disagree: (two_condition,
+        all_levels), or None when they agree."""
+        return None if self.agree else (self.two_condition, self.all_levels)
 
 
 def check_cyclic(P: ParacyclicData) -> CyclicityResult:

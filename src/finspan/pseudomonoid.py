@@ -26,6 +26,7 @@ from .diagrams import (
     RewriteRule,
     _rule_cell,
     compare_paths,
+    equation_witness,
     evaluate,
     identity_box,
     member_index,
@@ -200,6 +201,10 @@ class EquationResult:
     def __bool__(self) -> bool:
         return self.ok
 
+    @property
+    def witness(self):
+        return equation_witness(self.ok, self.discrepancy)
+
 
 def _pentagon_paths(P: PseudomonoidData) -> tuple[DiagramPath, DiagramPath]:
     mu, _, idb = P.boxes()
@@ -355,7 +360,9 @@ def _fan_stack(T: TwoTruncatedData) -> tuple[tuple, ...]:
 
 def _flip(triangles, quad, assoc, element):
     """One square flip: replace the (q0 q1 q2),(q0 q2 q3) components through
-    the associator, producing components for (q0 q1 q3),(q1 q2 q3)."""
+    the associator, producing components for (q0 q1 q3),(q1 q2 q3).  The
+    walks use `_walk_steps`, this bookkeeping precomputed as index steps;
+    this form, by triangle names, is their reference."""
     q0, q1, q2, q3 = quad
     comps = dict(zip(triangles, element))
     pair = (comps.pop((q0, q1, q2)), comps.pop((q0, q2, q3)))
@@ -364,24 +371,6 @@ def _flip(triangles, quad, assoc, element):
     comps[(q1, q2, q3)] = zb
     new_triangles = tuple(sorted(comps))
     return new_triangles, tuple(comps[t] for t in new_triangles)
-
-
-def pentagon_flip_discrepancy(T: TwoTruncatedData, assoc: dict) -> dict:
-    """Walk both sides of the pentagon cycle and compose one against the
-    other: the result maps the fan-triangulation stack to itself and is the
-    identity exactly when the pentagon equation holds."""
-    start = _fan_stack(T)
-
-    def walk(flips, element):
-        triangles = PENTAGON_TRIANGULATIONS["a"]
-        for _, _, quad in flips:
-            triangles, element = _flip(triangles, quad, assoc, element)
-        return element
-
-    lhs = {e: walk(PENTAGON_LHS_FLIPS, e) for e in start}
-    rhs = {e: walk(PENTAGON_RHS_FLIPS, e) for e in start}
-    rhs_back = {v: k for k, v in rhs.items()}
-    return {e: rhs_back[lhs[e]] for e in start}
 
 
 def _walk_steps(flips) -> tuple:
@@ -416,6 +405,24 @@ def _walk(steps, assoc, element):
         components = element + image
         element = tuple(components[s] for s in src)
     return element, None
+
+
+def pentagon_flip_discrepancy(T: TwoTruncatedData, assoc: dict) -> dict:
+    """Walk both sides of the pentagon cycle and compose one against the
+    other: the result maps the fan-triangulation stack to itself and is the
+    identity exactly when the pentagon equation holds.  Raises KeyError on
+    the first taco pair `assoc` lacks."""
+    start = _fan_stack(T)
+
+    def walk(steps, element):
+        end, missing = _walk(steps, assoc, element)
+        if missing is not None:
+            raise KeyError(missing)
+        return end
+
+    lhs = {e: walk(_LHS_STEPS, e) for e in start}
+    rhs_back = {walk(_RHS_STEPS, e): e for e in start}
+    return {e: rhs_back[lhs[e]] for e in start}
 
 
 def _settle(starts, assoc, fiber_of):

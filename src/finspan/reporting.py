@@ -10,23 +10,37 @@ from .spans import FinMap, first_difference
 
 @dataclass
 class CheckResult:
-    """One verdict.  `passed` is None for skipped checks; every failure
-    carries a concrete witness."""
+    """One verdict, decided by its witness: the line fails exactly when it
+    carries one (any value but None) and passes when it carries none.
+    `skip` builds the only lines whose `passed` is None.  A bool witness is
+    refused, since it can only be a pass/fail flag."""
 
     name: str
-    passed: Optional[bool]
     witness: Any = None
     detail: str = ""
+    skipped: bool = field(default=False, init=False)
+
+    def __post_init__(self):
+        if isinstance(self.witness, bool):
+            raise TypeError(f"{self.name}: a witness is a failing element, not a pass/fail flag")
+
+    @classmethod
+    def skip(cls, name: str, detail: str) -> "CheckResult":
+        result = cls(name, detail=detail)
+        result.skipped = True
+        return result
+
+    @property
+    def passed(self) -> Optional[bool]:
+        return None if self.skipped else self.witness is None
 
     @property
     def status(self) -> str:
-        if self.passed is None:
-            return "skipped"
-        return "pass" if self.passed else "FAIL"
+        return "skipped" if self.skipped else "pass" if self.witness is None else "FAIL"
 
     def line(self) -> str:
         extra = f" ({self.detail})" if self.detail else ""
-        if self.passed is False and self.witness is not None:
+        if self.witness is not None:
             extra += f" witness={self.witness!r}"
         return f"[{self.status}] {self.name}{extra}"
 
@@ -42,8 +56,7 @@ class Report:
     def equal(self, name: str, lhs: FinMap, rhs: FinMap) -> "Report":
         """Add the check that two maps agree, witnessed on failure by the
         first element where they differ."""
-        witness = first_difference(lhs.table, rhs.table)
-        return self.add(CheckResult(name, witness is None, witness=witness))
+        return self.add(CheckResult(name, first_difference(lhs.table, rhs.table)))
 
     def extend(self, other: "Report") -> "Report":
         self.results.extend(other.results)
@@ -51,11 +64,11 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return all(r.passed is not False for r in self.results)
+        return all(r.witness is None for r in self.results)
 
     @property
     def failures(self) -> list[CheckResult]:
-        return [r for r in self.results if r.passed is False]
+        return [r for r in self.results if r.witness is not None]
 
     def lines(self) -> list[str]:
         return [r.line() for r in self.results]

@@ -164,14 +164,13 @@ def check_relations(relations: Iterable[Relation], tables: dict[Token, tuple[int
                     levels: Sequence[FinSet]) -> Report:
     """One line per relation, named by it and witnessed on failure by the
     first element where its words differ."""
-    return Report([CheckResult(relation_name(r), w is None, witness=w)
-                   for r, w in relation_witnesses(relations, tables, levels)])
+    return Report([CheckResult(relation_name(r), w) for r, w in relation_witnesses(relations, tables, levels)])
 
 
 def _failures(relations: Iterable[Relation], X: TruncSimplicialSet) -> list[CheckResult]:
     """A failing line for each relation that X breaks; the passing ones are
     never named."""
-    return [CheckResult(relation_name(r), False, witness=w)
+    return [CheckResult(relation_name(r), w)
             for r, w in relation_witnesses(relations, structure_tables(X), X.levels) if w is not None]
 
 
@@ -188,7 +187,7 @@ def check_simplicial_identities(X: TruncSimplicialSet) -> Report:
     the identity, the indices, and a witnessing element."""
     report = Report(_face_violations(X) + _failures(degeneracy_relations(X.N), X))
     if report.ok:
-        report.add(CheckResult("simplicial identities", True))
+        report.add(CheckResult("simplicial identities"))
     return report
 
 
@@ -443,7 +442,7 @@ def check_2segal(X: TruncSimplicialSet) -> Report:
     report = _segal_maps(X, ((f"2-Segal map at n={n}, diagonals {diagonals(n, cells)}", n, cells)
                              for n in range(3, X.N + 1) for cells in _polygon_cells(n, True)))
     if X.N < 3:
-        report.add(CheckResult("2-Segal maps", None, detail="truncation below 3"))
+        report.add(CheckResult.skip("2-Segal maps", "truncation below 3"))
     return report
 
 
@@ -472,10 +471,9 @@ def _segal_maps(X: TruncSimplicialSet, maps: Iterable[tuple[str, int, tuple[tupl
             table, _, counts = _stack_code(X, n, cells, codes)
             size = X.levels[n].size
             if sum(counts) == size and len(set(table)) == size:
-                report.add(CheckResult(name, True))
+                report.add(CheckResult(name))
                 continue
-        witness = _bijectivity_witness(subdivision_map(X, n, cells)[1])
-        report.add(CheckResult(name, witness is None, witness=witness))
+        report.add(CheckResult(name, _bijectivity_witness(subdivision_map(X, n, cells)[1])))
     return report
 
 
@@ -550,10 +548,9 @@ def check_unitality(X: TruncSimplicialSet) -> Report:
         squares.append(("higher unitality square d02/s1", X.s(2, 1),
                         vertex_map(X, 2, (1,)), vertex_map(X, 3, (1, 2))))
     for name, into_first, into_second, against_s0 in squares:
-        witness = pullback_square_witness(into_first, into_second, against_s0, X.s(0, 0))
-        report.add(CheckResult(name, witness is None, witness=witness))
+        report.add(CheckResult(name, pullback_square_witness(into_first, into_second, against_s0, X.s(0, 0))))
     if X.N < 3:
-        report.add(CheckResult("higher unitality square d02/s1", None, detail="truncation below 3"))
+        report.add(CheckResult.skip("higher unitality square d02/s1", "truncation below 3"))
     return report
 
 

@@ -94,17 +94,27 @@ def _candidates(T):
         yield {src: dst for k, perm in zip(keys, perms) for src, dst in zip(left[k], perm)}
 
 
+def _side(flips, assoc, element):
+    """One side of the pentagon cycle from a fan element, flip by flip."""
+    triangles = PENTAGON_TRIANGULATIONS["a"]
+    for _, _, quad in flips:
+        triangles, element = _flip(triangles, quad, assoc, element)
+    return element
+
+
 def _closes(assoc, start):
     """Both sides of the pentagon cycle agree on every fan element.  Each side
     is a bijection of stacks, so this holds exactly when the flip
     discrepancy is the identity; it stops at the first disagreement."""
-    def side(flips, element):
-        triangles = PENTAGON_TRIANGULATIONS["a"]
-        for _, _, quad in flips:
-            triangles, element = _flip(triangles, quad, assoc, element)
-        return element
+    return all(_side(PENTAGON_LHS_FLIPS, assoc, e) == _side(PENTAGON_RHS_FLIPS, assoc, e) for e in start)
 
-    return all(side(PENTAGON_LHS_FLIPS, e) == side(PENTAGON_RHS_FLIPS, e) for e in start)
+
+def flip_discrepancy(assoc, start):
+    """The pentagon flip discrepancy walked flip by flip: the left side
+    from every start element, then the right side inverted."""
+    lhs = {e: _side(PENTAGON_LHS_FLIPS, assoc, e) for e in start}
+    rhs_back = {_side(PENTAGON_RHS_FLIPS, assoc, e): e for e in start}
+    return {e: rhs_back[lhs[e]] for e in start}
 
 
 def brute_force_lift(T, limit=None):
@@ -225,6 +235,30 @@ class TestEquations:
             assert flip_ok == diagram_ok == _closes(assoc, start)
             count += 1
         assert count == 16
+
+    def test_the_step_walk_is_the_flip_walk(self):
+        """Every candidate of the doubled family and of seeded random
+        2-truncations gets the same discrepancy, entry order included, and
+        an associator missing a taco pair raises on the same pair."""
+        inputs = [no_lift_family(2)] + [random_two_truncated(random.Random(seed)) for seed in range(300)]
+        walked = 0
+        for T in inputs:
+            left, right = taco_fibers(T)
+            if {k: len(v) for k, v in left.items()} != {k: len(v) for k, v in right.items()}:
+                continue
+            start = brute_force_fan_stack(T)
+            for assoc in itertools.islice(_candidates(T), 12):
+                expected = list(flip_discrepancy(assoc, start).items())
+                assert list(pentagon_flip_discrepancy(T, assoc).items()) == expected
+                walked += 1
+            for pair in sorted(assoc)[:3]:
+                partial = {p: v for p, v in assoc.items() if p != pair}
+                with pytest.raises(KeyError) as expected:
+                    flip_discrepancy(partial, start)
+                with pytest.raises(KeyError) as raised:
+                    pentagon_flip_discrepancy(T, partial)
+                assert raised.value.args == expected.value.args
+        assert walked > 100
 
     def test_k4_cycle_identity_on_catalog(self, nerve_z2, nerve_z3, interval_l2):
         for X in (nerve_z2, nerve_z3, interval_l2):

@@ -304,7 +304,7 @@ class TestMemo:
             again = check(X)
             assert again == report and again is not report and again.results is not report.results
             # adding to a returned report leaves the memo alone
-            report.add(CheckResult("extra", False))
+            report.add(CheckResult("extra", witness="added"))
             assert check(X) == again and check(X).ok
 
     def test_vertex_map_is_memoised(self, nerve_z2):
@@ -490,6 +490,138 @@ class TestPathSpaceCriterion:
                 assert all(fans) == all(lines)
                 levels[all(lines)] += 1
         assert levels[True] > 200 and levels[False] > 200
+
+
+# ---------------------------------------------------------------------------
+# every failing line's witness re-derived from vertex-map components
+
+
+def lexicographic_stack(X, n, cells):
+    """The stack of the subdivision `cells` of the polygon 0..n, generated
+    in lexicographic order by a hash join: each cell's simplices are grouped
+    by their values on the edges that earlier cells fixed, so only
+    compatible ones are visited."""
+    fixed_edges = set()
+    plans = []
+    for c in cells:
+        k = len(c) - 1
+        tables = {(c[a], c[b]): vertex_map(X, k, (a, b)).table
+                  for a, b in itertools.combinations(range(k + 1), 2)}
+        old = [e for e in tables if e in fixed_edges]
+        new = [e for e in tables if e not in fixed_edges]
+        fixed_edges.update(tables)
+        by_old = {}
+        for psi in X.levels[k]:
+            key = tuple(tables[e][psi] for e in old)
+            by_old.setdefault(key, []).append((psi, [tables[e][psi] for e in new]))
+        plans.append((old, new, by_old))
+
+    def grow(j, values):
+        if j == len(plans):
+            yield ()
+            return
+        old, new, by_old = plans[j]
+        for psi, new_values in by_old.get(tuple(values[e] for e in old), ()):
+            for rest in grow(j + 1, {**values, **dict(zip(new, new_values))}):
+                yield (psi,) + rest
+
+    return grow(0, {})
+
+
+def first_failure(images, targets, by_index):
+    """The failure a map with these images (one per domain element, in
+    order) onto the sorted `targets` must be named by: its first collision,
+    else the first target it misses (by index into `targets` when
+    `by_index`), else an image outside the targets."""
+    seen = {}
+    for x, image in enumerate(images):
+        if image in seen:
+            return ("not injective", seen[image], x)
+        seen[image] = x
+    for i, target in enumerate(targets):
+        if target not in seen:
+            return ("not surjective", i if by_index else target)
+        del seen[target]
+    return ("square does not commute",) if seen else None
+
+
+def recheck_segal_lines(X, rep, polygons):
+    """Assert that each failing line of `rep`, one line per `(n, cells)` of
+    `polygons` in order, names the failure of the map from X_n to the stack
+    of `cells`; return the failures' kinds."""
+    assert len(rep.results) == len(polygons)
+    kinds = []
+    for r, (n, cells) in zip(rep.results, polygons):
+        if r.passed:
+            continue
+        images = list(zip(*(vertex_map(X, n, c).table for c in cells)))
+        assert r.witness == first_failure(images, lexicographic_stack(X, n, cells), True), r.line()
+        kinds.append(r.witness[0])
+    return kinds
+
+
+# each square as (n, i, v, e): s_i from X_n into X_{n+1}, the vertex v of
+# X_n, and the edge e of X_{n+1} pulled back against s_0
+UNITALITY_SQUARES = {
+    "unitality square d0/s1": (1, 1, (1,), (1, 2)),
+    "unitality square d1/s0": (1, 0, (0,), (0, 1)),
+    "higher unitality square d02/s1": (2, 1, (1,), (1, 2)),
+}
+
+
+def mutated_degeneracy(X, n, i, e):
+    """X with entry e of the degeneracy s_i^n moved to the next element."""
+    degen = [list(ss) for ss in X.degen]
+    s = degen[n][i]
+    table = list(s.table)
+    table[e] = (table[e] + 1) % s.cod.size
+    degen[n][i] = FinMap(s.dom, s.cod, tuple(table))
+    return make_simplicial(X.levels, X.face, degen)
+
+
+class TestWitnessRecheck:
+    """Each failing Segal or unitality line names the failure that its map,
+    rebuilt here from vertex-map components, shows: the first collision, the
+    first missed stack element, or the first missed pullback pair."""
+
+    def test_the_stack_oracle_is_the_filtered_product(self, doubled):
+        for X in [doubled[1], catalog_non_two_segal(), random_complex_nerve(random.Random(0), 4)]:
+            for n in range(2, X.N + 1):
+                for S in enumerate_subdivisions(n):
+                    stack = tuple(lexicographic_stack(X, n, S.cells))
+                    assert stack == brute_force_polygon_stack(X, n, S.cells)
+
+    def test_2segal_witnesses(self, complex_nerves, doubled):
+        kinds = set()
+        for X in complex_nerves + doubled + [catalog_non_two_segal()]:
+            polygons = [(n, T.triangles) for n in range(3, X.N + 1) for T in enumerate_triangulations(n)]
+            kinds.update(recheck_segal_lines(X, check_2segal(X), polygons))
+        assert kinds == {"not injective", "not surjective"}
+
+    def test_subdivision_witnesses(self, complex_nerves, doubled):
+        # the check takes about 8 ms a nerve, so every fourth one is rechecked
+        kinds = set()
+        for X in complex_nerves[::4] + doubled + [catalog_non_two_segal()]:
+            polygons = [(n, S.cells) for n in range(3, X.N + 1) for S in enumerate_subdivisions(n)]
+            kinds.update(recheck_segal_lines(X, check_subdivision_criterion(X), polygons))
+        assert kinds == {"not injective", "not surjective"}
+
+    def test_unitality_witnesses(self, complex_nerves, doubled):
+        Z2 = catalog.nerve(catalog.cyclic_group_category(2), 4)
+        mutated = [mutated_degeneracy(Z2, n, i, e)
+                   for n in range(3) for i in range(n + 1) for e in range(min(3, Z2.levels[n].size))]
+        kinds = []
+        for X in complex_nerves + doubled + [catalog_non_two_segal()] + mutated:
+            for r in check_unitality(X).results:
+                if not r.passed:
+                    n, i, v, e = UNITALITY_SQUARES[r.name]
+                    s, vertex = X.s(n, i).table, vertex_map(X, n, v).table
+                    edge, s0 = vertex_map(X, n + 1, e).table, X.s(0, 0).table
+                    images = [(s[x], vertex[x]) for x in X.levels[n]]
+                    pairs = [(a, b) for a in X.levels[n + 1] for b in X.levels[0] if edge[a] == s0[b]]
+                    assert r.witness == first_failure(images, pairs, False), r.line()
+                    kinds.append(r.witness[0])
+        assert set(kinds) == {"not injective", "not surjective"} and len(kinds) > 10
 
 
 def reference_triangulations_of(vertices):
