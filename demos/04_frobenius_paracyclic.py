@@ -16,7 +16,6 @@ from finspan.paracyclic import (
     LambdaMor,
     paracyclic_from_frobenius,
 )
-from finspan.spans import FinMap
 
 print("== the paracyclic operator category ==")
 f = LambdaMor(2, 2, (-1, 1, 2))
@@ -51,11 +50,6 @@ print("snake coherences hold:", w.report.ok)
 
 print()
 print("== a paracyclic-only example: twisting by inversion ==")
-G3 = catalog.cyclic_group_category(3)
-inversion = catalog.Endofunctor(
-    FinMap(G3.objects, G3.objects, (0,)),
-    FinMap(G3.morphisms, G3.morphisms, (0, 2, 1)),
-)
-Q = catalog.twisted_cyclic_paracyclic(G3, inversion, 4)
+Q = catalog.twisted_cyclic_paracyclic(catalog.cyclic_group_category(3), catalog.inversion_twist(3), 4)
 print("relations hold:", check_paracyclic(Q).ok)
 print("verdict:", check_cyclic(Q).verdict)

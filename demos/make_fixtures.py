@@ -10,71 +10,33 @@ import pathlib
 import sys
 
 from finspan import catalog
-from finspan.documents import StructureDocument, save_document
-from finspan.spans import FinMap
+from finspan.documents import save_document
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+# each fixture, with the example it holds and that example's sizes
+FIXTURES = {
+    "nerve_z2": ("groupoid-zk", {"k": 2}),
+    "nerve_z3": ("groupoid-zk", {"k": 3}),
+    "chain_poset_nerve": ("chain-poset", {"k": 3}),
+    "building_chain3": ("building", {"k": 3}),
+    "pair_groupoid2": ("pair-groupoid", {"k": 2}),
+    "pair_groupoid2_bisection": ("pair-groupoid-bisection", {}),
+    "interval_l2": ("interval", {"L": 2}),
+    "interval_l3": ("interval", {"L": 3}),
+    "twisted_z2_identity": ("twisted-zk-id", {"k": 2}),
+    "twisted_z3_inversion": ("twisted-z3-inversion", {}),
+    "graph_path3": ("graph-path", {"k": 3}),
+    **{f"nolift_a{a}": ("nolift", {"a_size": a}) for a in range(4)},
+    "point": ("point", {}),
+}
 
 
 def main() -> int:
     OUT.mkdir(exist_ok=True)
-    docs = {}
-
-    docs["nerve_z2"] = StructureDocument(
-        catalog.nerve(catalog.cyclic_group_category(2), 4),
-        paracyclic=catalog.groupoid_cyclic(catalog.cyclic_group_category(2), 4),
-    )
-    docs["nerve_z3"] = StructureDocument(
-        catalog.nerve(catalog.cyclic_group_category(3), 4),
-        paracyclic=catalog.groupoid_cyclic(catalog.cyclic_group_category(3), 4),
-    )
-    docs["chain_poset_nerve"] = StructureDocument(
-        catalog.nerve(catalog.chain_poset_category(3), 4)
-    )
-    docs["building_chain3"] = StructureDocument(catalog.building(3, 4))
-
-    pairs = catalog.pair_groupoid(2)
-    docs["pair_groupoid2"] = StructureDocument(
-        pairs_nerve := catalog.groupoid_cyclic(pairs, 4).base,
-        paracyclic=catalog.groupoid_cyclic(pairs, 4),
-    )
-    omega = FinMap(pairs.objects, pairs.morphisms, (1, 2))
-    docs["pair_groupoid2_bisection"] = StructureDocument(
-        pairs_nerve, paracyclic=catalog.groupoid_cyclic(pairs, 4, bisection=omega)
-    )
-
-    for L in (2, 3):
-        P = catalog.interval_cyclic(L, 4)
-        G = catalog.commutative_monoid_gamma(catalog.interval_monoid(L), 4)
-        docs[f"interval_l{L}"] = StructureDocument(P.base, paracyclic=P, gamma=G)
-
-    g2 = catalog.cyclic_group_category(2)
-    docs["twisted_z2_identity"] = StructureDocument(
-        catalog.twisted_cyclic_nerve(g2, catalog.identity_endofunctor(g2), 4),
-        paracyclic=catalog.twisted_cyclic_paracyclic(g2, catalog.identity_endofunctor(g2), 4),
-    )
-    g3 = catalog.cyclic_group_category(3)
-    inversion = catalog.Endofunctor(
-        FinMap(g3.objects, g3.objects, (0,)),
-        FinMap(g3.morphisms, g3.morphisms, (0, 2, 1)),
-    )
-    docs["twisted_z3_inversion"] = StructureDocument(
-        catalog.twisted_cyclic_nerve(g3, inversion, 4),
-        paracyclic=catalog.twisted_cyclic_paracyclic(g3, inversion, 4),
-    )
-
-    G = catalog.graph_partition_gamma(catalog.path_graph(3), 4)
-    docs["graph_path3"] = StructureDocument(G.base, gamma=G)
-
-    for a in range(4):
-        docs[f"nolift_a{a}"] = StructureDocument(
-            catalog.two_truncated_simplicial(catalog.no_lift_family(a))
-        )
-    docs["point"] = StructureDocument(catalog.constant_point(4))
-
-    for name, doc in docs.items():
+    for name, (example, sizes) in FIXTURES.items():
         path = OUT / f"{name}.json"
-        save_document(doc, path)
+        save_document(catalog.example(example, n_levels=4, **sizes), path)
         print(f"wrote {path}")
     return 0
 

@@ -14,7 +14,6 @@ import time
 
 from . import catalog
 from .catalog import (
-    Endofunctor,
     building,
     chain_poset_category,
     commutative_monoid_gamma,
@@ -89,13 +88,11 @@ def segal_fixtures() -> dict:
 
 
 def paracyclic_fixtures() -> dict:
-    C2 = pair_groupoid(2)
-    omega = FinMap(C2.objects, C2.morphisms, (1, 2))  # the swap bisection
     G2 = cyclic_group_category(2)
     return {
         "groupoid Z2": catalog.groupoid_cyclic(cyclic_group_category(2), 4),
-        "pair groupoid on 2 objects": catalog.groupoid_cyclic(C2, 4),
-        "pair groupoid with swap bisection": catalog.groupoid_cyclic(C2, 4, bisection=omega),
+        "pair groupoid on 2 objects": catalog.groupoid_cyclic(pair_groupoid(2), 4),
+        "pair groupoid with swap bisection": catalog.swap_bisection_cyclic(4),
         "interval L=2": interval_cyclic(2, 4),
         "interval L=3": interval_cyclic(3, 4),
         "twisted cyclic nerve of Z2, identity twist": twisted_cyclic_paracyclic(
@@ -191,16 +188,12 @@ def criterion_4_frobenius_roundtrip() -> Report:
 
 def criterion_5_cyclicity() -> Report:
     report = Report()
-    G3 = cyclic_group_category(3)
-    inversion = Endofunctor(
-        FinMap(G3.objects, G3.objects, (0,)),
-        FinMap(G3.morphisms, G3.morphisms, (0, 2, 1)),
-    )
     expectations = {
         "groupoid Z2": (catalog.groupoid_cyclic(cyclic_group_category(2), 4), "cyclic"),
         "interval L=3": (interval_cyclic(3, 4), "cyclic"),
         "twisted cyclic nerve, inversion on Z3": (
-            twisted_cyclic_paracyclic(G3, inversion, 4), "paracyclic-only",
+            twisted_cyclic_paracyclic(cyclic_group_category(3), catalog.inversion_twist(3), 4),
+            "paracyclic-only",
         ),
     }
     for name, (P, want) in expectations.items():

@@ -5,7 +5,9 @@ with the paracyclic translations or the transposition actions that the
 family carries.  Composable tuples are enumerated lexicographically in
 morphism indices, so documents and witnesses are reproducible.  Every
 family lists its simplices as tuples and states each structure map as a
-rule on tuples; `_tuple_structure` tabulates the rules.
+rule on tuples; `_tuple_structure` tabulates the rules.  `EXAMPLES`
+names the documents that `finspan example` emits and the shipped
+fixtures hold.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .simplicial import TruncSimplicialSet, make_simplicial
 from .spans import FinMap, FinSet, StructuralError, identity_map
 
 if TYPE_CHECKING:  # loaded by the constructors that build them
+    from .documents import StructureDocument
     from .gammaset import GammaData, PhiStarMor
     from .paracyclic import ParacyclicData
 
@@ -562,3 +565,60 @@ def constant_point_paracyclic(N: int) -> ParacyclicData:
 
     X = constant_point(N)
     return ParacyclicData(X, tuple(FinMap(FinSet(1), FinSet(1), (0,)) for _ in range(N + 1)))
+
+
+# ---------------------------------------------------------------------------
+# named examples
+
+
+def swap_bisection_cyclic(N: int) -> ParacyclicData:
+    """The pair groupoid on two objects with its last entry twisted by the
+    swap bisection (0 to 0->1, 1 to 1->0): paracyclic but not cyclic."""
+    C = pair_groupoid(2)
+    return groupoid_cyclic(C, N, bisection=FinMap(C.objects, C.morphisms, (1, 2)))
+
+
+def inversion_twist(k: int) -> Endofunctor:
+    """Inversion g -> -g on the cyclic group of order k."""
+    C = cyclic_group_category(k)
+    return Endofunctor(
+        identity_map(C.objects), FinMap(C.morphisms, C.morphisms, tuple(-g % k for g in C.morphisms))
+    )
+
+
+def _document(X=None, paracyclic=None, gamma=None) -> StructureDocument:
+    """The document of `X`, or of the base of the blocks it carries."""
+    from .documents import StructureDocument
+
+    base = (paracyclic or gamma).base if X is None else X
+    return StructureDocument(base, paracyclic=paracyclic, gamma=gamma)
+
+
+# each example's document, from the truncation N and the sizes k, L and a
+EXAMPLES: dict[str, Callable[[int, int, int, int], StructureDocument]] = {
+    "nerve-z2": lambda N, k, L, a: _document(nerve(cyclic_group_category(2), N)),
+    "nerve-z3": lambda N, k, L, a: _document(nerve(cyclic_group_category(3), N)),
+    "nerve-zk": lambda N, k, L, a: _document(nerve(cyclic_group_category(k), N)),
+    "chain-poset": lambda N, k, L, a: _document(nerve(chain_poset_category(k), N)),
+    "building": lambda N, k, L, a: _document(building(k, N)),
+    "pair-groupoid": lambda N, k, L, a: _document(paracyclic=groupoid_cyclic(pair_groupoid(k), N)),
+    "groupoid-zk": lambda N, k, L, a: _document(paracyclic=groupoid_cyclic(cyclic_group_category(k), N)),
+    "pair-groupoid-bisection": lambda N, k, L, a: _document(paracyclic=swap_bisection_cyclic(N)),
+    "interval": lambda N, k, L, a: _document(
+        paracyclic=interval_cyclic(L, N), gamma=commutative_monoid_gamma(interval_monoid(L), N)
+    ),
+    "twisted-zk-id": lambda N, k, L, a: _document(paracyclic=twisted_cyclic_paracyclic(
+        cyclic_group_category(k), identity_endofunctor(cyclic_group_category(k)), N
+    )),
+    "twisted-z3-inversion": lambda N, k, L, a: _document(
+        paracyclic=twisted_cyclic_paracyclic(cyclic_group_category(3), inversion_twist(3), N)
+    ),
+    "graph-path": lambda N, k, L, a: _document(gamma=graph_partition_gamma(path_graph(k), N)),
+    "nolift": lambda N, k, L, a: _document(two_truncated_simplicial(no_lift_family(a))),
+    "point": lambda N, k, L, a: _document(constant_point(N)),
+}
+
+
+def example(name: str, n_levels: int = 4, k: int = 2, L: int = 2, a_size: int = 1) -> StructureDocument:
+    """The document of the example `name`; the defaults are `finspan example`'s."""
+    return EXAMPLES[name](n_levels, k, L, a_size)

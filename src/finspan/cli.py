@@ -28,7 +28,7 @@ from .simplicial import (
     check_subdivision_criterion,
     check_unitality,
 )
-from .spans import FinMap, StructuralError
+from .spans import StructuralError
 
 
 def _fail(message: str, code: int = 2) -> int:
@@ -193,88 +193,13 @@ def cmd_search_lift(args) -> int:
     return 0 if res.status == "lift exists" else 1
 
 
-# each example builds its document from the `catalog` module it is handed
-EXAMPLES = {
-    "nerve-z2": lambda catalog, args: StructureDocument(
-        catalog.nerve(catalog.cyclic_group_category(2), args.n_levels)
-    ),
-    "nerve-z3": lambda catalog, args: StructureDocument(
-        catalog.nerve(catalog.cyclic_group_category(3), args.n_levels)
-    ),
-    "nerve-zk": lambda catalog, args: StructureDocument(
-        catalog.nerve(catalog.cyclic_group_category(args.k), args.n_levels)
-    ),
-    "chain-poset": lambda catalog, args: StructureDocument(
-        catalog.nerve(catalog.chain_poset_category(args.k), args.n_levels)
-    ),
-    "building": lambda catalog, args: StructureDocument(
-        catalog.building(args.k, args.n_levels)
-    ),
-    "pair-groupoid": lambda catalog, args: _with_para(
-        catalog.groupoid_cyclic(catalog.pair_groupoid(args.k), args.n_levels)
-    ),
-    "groupoid-zk": lambda catalog, args: _with_para(
-        catalog.groupoid_cyclic(catalog.cyclic_group_category(args.k), args.n_levels)
-    ),
-    "pair-groupoid-bisection": lambda catalog, args: _with_para(_swap_bisection(catalog, args)),
-    "interval": lambda catalog, args: _interval_doc(catalog, args),
-    "twisted-zk-id": lambda catalog, args: _with_para(
-        catalog.twisted_cyclic_paracyclic(
-            catalog.cyclic_group_category(args.k),
-            catalog.identity_endofunctor(catalog.cyclic_group_category(args.k)),
-            args.n_levels,
-        )
-    ),
-    "twisted-z3-inversion": lambda catalog, args: _with_para(_twisted_inversion(catalog, args)),
-    "graph-path": lambda catalog, args: _with_gamma(
-        catalog.graph_partition_gamma(catalog.path_graph(args.k), args.n_levels)
-    ),
-    "nolift": lambda catalog, args: _no_lift_doc(catalog, args),
-    "point": lambda catalog, args: StructureDocument(catalog.constant_point(args.n_levels)),
-}
-
-
-def _with_para(P):
-    return StructureDocument(P.base, paracyclic=P)
-
-
-def _with_gamma(G):
-    return StructureDocument(G.base, gamma=G)
-
-
-def _swap_bisection(catalog, args):
-    C = catalog.pair_groupoid(2)
-    omega = FinMap(C.objects, C.morphisms, (1, 2))
-    return catalog.groupoid_cyclic(C, args.n_levels, bisection=omega)
-
-
-def _twisted_inversion(catalog, args):
-    G3 = catalog.cyclic_group_category(3)
-    F = catalog.Endofunctor(
-        FinMap(G3.objects, G3.objects, (0,)),
-        FinMap(G3.morphisms, G3.morphisms, (0, 2, 1)),
-    )
-    return catalog.twisted_cyclic_paracyclic(G3, F, args.n_levels)
-
-
-def _interval_doc(catalog, args):
-    P = catalog.interval_cyclic(args.L, args.n_levels)
-    G = catalog.commutative_monoid_gamma(catalog.interval_monoid(args.L), args.n_levels)
-    return StructureDocument(P.base, paracyclic=P, gamma=G)
-
-
-def _no_lift_doc(catalog, args):
-    T = catalog.no_lift_family(args.a_size)
-    return StructureDocument(catalog.two_truncated_simplicial(T))
-
-
 def cmd_example(args) -> int:
-    if args.name not in EXAMPLES:
-        return _fail(f"unknown example {args.name}; know {', '.join(sorted(EXAMPLES))}")
     from . import catalog
 
+    if args.name not in catalog.EXAMPLES:
+        return _fail(f"unknown example {args.name}; know {', '.join(sorted(catalog.EXAMPLES))}")
     try:
-        doc = EXAMPLES[args.name](catalog, args)
+        doc = catalog.example(args.name, args.n_levels, args.k, args.L, args.a_size)
     except StructuralError as exc:
         return _fail(str(exc))
     return _emit(dumps_document(doc), args.output)

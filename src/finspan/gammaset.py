@@ -28,6 +28,7 @@ from .diagrams import (
     ClosedFormRule,
     DiagramPath,
     RewriteRule,
+    _braid_box,
     braiding_rule,
     compare_paths,
     equation_witness,
@@ -59,7 +60,6 @@ from .spans import (
     FinMap,
     SpanCell,
     StructuralError,
-    braiding_span,
     identity_map,
 )
 
@@ -141,6 +141,23 @@ def phistar_to_phi(f: PhiStarMor) -> tuple[int, ...]:
     return (0,) + tuple(f.table)
 
 
+def _bubble_swaps(values: Sequence[int]) -> list[int]:
+    """The slots of the adjacent swaps that bubble sorting `values` makes,
+    in the order it makes them; the swap at slot k (from 1) exchanges the
+    k-th and (k+1)-th entries."""
+    line = list(values)
+    slots = []
+    changed = True
+    while changed:
+        changed = False
+        for k in range(1, len(line)):
+            if line[k - 1] > line[k]:
+                line[k - 1], line[k] = line[k], line[k - 1]
+                slots.append(k)
+                changed = True
+    return slots
+
+
 def phistar_factorize(f: PhiStarMor) -> tuple[Token, ...]:
     """A generator word for f, in application order (first entry acts
     first).  The permutation part is produced by bubble sorting the stable
@@ -152,17 +169,9 @@ def phistar_factorize(f: PhiStarMor) -> tuple[Token, ...]:
     position = [0] * (n + 1)
     for j, k in enumerate(order):
         position[k] = j
-    word: list[Token] = []
-    line = list(position)  # one-line form of the permutation rho'
-    # bubble sort; each swap at slot k is the transposition theta_k
-    changed = True
-    while changed:
-        changed = False
-        for k in range(1, n):
-            if line[k] > line[k + 1]:
-                line[k], line[k + 1] = line[k + 1], line[k]
-                word.append(("theta", n, k))
-                changed = True
+    # position[1:] is the one-line form of the permutation rho'; each
+    # swap at slot k is the transposition theta_k
+    word: list[Token] = [("theta", n, k) for k in _bubble_swaps(position[1:])]
     h = [p[k] for k in order]  # monotone with h[0] = 0
 
     def monotone_word(values: list[int], target: int) -> list[Token]:
@@ -326,18 +335,9 @@ def permutation_action(G: GammaData, n: int, perm: tuple[int, ...]) -> FinMap:
     """The action of an arbitrary permutation of {1..n} on X_n, generated
     on demand from adjacent transpositions: each swap of the bubble sort
     acts before the ones found earlier."""
-    line = list(perm)
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for k in range(n - 1):
-            if line[k] > line[k + 1]:
-                line[k], line[k + 1] = line[k + 1], line[k]
-                word.append(("theta", n, k + 1))
-                changed = True
+    word = [("theta", n, k) for k in reversed(_bubble_swaps(perm))]
     level = G.base.levels[n]
-    return FinMap(level, level, act(gamma_tables(G), word[::-1], level.size))
+    return FinMap(level, level, act(gamma_tables(G), word, level.size))
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +361,7 @@ def _mu_box(X: TruncSimplicialSet) -> Box:
 
 
 def _braided_mult_rows(X: TruncSimplicialSet, mub: Box):
-    x1 = X.levels[1]
-    rho = Box(braiding_span(x1, x1), (x1, x1), (x1, x1), name="braid")
-    return ((rho,), (mub,))
+    return ((_braid_box((X.levels[1],), (X.levels[1],)),), (mub,))
 
 
 def _commutor_images(X: TruncSimplicialSet, theta: FinMap, m) -> tuple[tuple[int, ...], tuple[int, ...]]:

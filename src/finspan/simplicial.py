@@ -398,19 +398,13 @@ class SegalWitness:
 
 def subdivision_map(X: TruncSimplicialSet, n: int, cells: tuple[tuple[int, ...], ...]) -> tuple[PolygonStack, FinMap]:
     stack = polygon_stack(X, n, cells)
-    idx = stack.index
-    tables = [vertex_map(X, n, c).table for c in cells]
-    table = []
-    for psi in X.levels[n]:
-        comp = tuple(t[psi] for t in tables)
-        if comp not in idx:
-            raise GluingError(
-                f"components of element {psi} at level {n} violate the shared-edge "
-                "constraints; the simplicial identities do not hold"
-            )
-        table.append(idx[comp])
-    fwd = FinMap(X.levels[n], FinSet(len(stack.elements)), tuple(table))
-    return stack, fwd
+    table = tuple(map(stack.index.get, zip(*(vertex_map(X, n, c).table for c in cells))))
+    if None in table:
+        raise GluingError(
+            f"components of element {table.index(None)} at level {n} violate the shared-edge "
+            "constraints; the simplicial identities do not hold"
+        )
+    return stack, FinMap(X.levels[n], FinSet(len(stack.elements)), table)
 
 
 def segal_witness(X: TruncSimplicialSet, T: Triangulation) -> SegalWitness:

@@ -17,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 
@@ -27,10 +27,12 @@ class StructuralError(ValueError):
 
 @dataclass(frozen=True)
 class FinSet:
-    """A finite set with elements 0..size-1 and optional display labels."""
+    """A finite set with elements 0..size-1 and optional display labels.
+    Labels only name elements for display: sets of one size are equal
+    whatever their labels."""
 
     size: int
-    labels: Optional[tuple[str, ...]] = None
+    labels: Optional[tuple[str, ...]] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.size < 0:
@@ -474,13 +476,7 @@ def coherence_cell(f: Span, shape_from: ProductShape, shape_to: ProductShape) ->
 
 def braiding_span(x: FinSet, y: FinSet) -> Span:
     """The braiding X×Y -> Y×X: identity left leg, component swap right leg."""
-    apex = product_finset(x, y)
-    swap = FinMap(
-        apex,
-        product_finset(y, x),
-        tuple(b * x.size + a for a in x for b in y),
-    )
-    return Span(apex, swap.cod, apex, identity_map(apex), swap)
+    return block_braiding_span((x,), (y,))
 
 
 def block_braiding_span(first: tuple[FinSet, ...], second: tuple[FinSet, ...]) -> Span:
