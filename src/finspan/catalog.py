@@ -104,6 +104,8 @@ class SmallCategory:
 
 def cyclic_group_category(k: int) -> SmallCategory:
     """The cyclic group of order k as a one-object groupoid."""
+    if k < 1:
+        raise StructuralError(f"cyclic group needs order k >= 1, got k={k}")
     objects = FinSet(1)
     morphisms = FinSet(k, labels=tuple(f"g{v}" for v in range(k)))
     table = tuple(tuple((f + g) % k for g in range(k)) for f in range(k))

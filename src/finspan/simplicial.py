@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cache, cached_property, wraps
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .reporting import CheckResult, Report
 from .spans import (
@@ -329,12 +329,17 @@ def vertex_map(X: TruncSimplicialSet, n: int, keep: Sequence[int]) -> FinMap:
     memoised in `X.memo`."""
     key = (n, tuple(keep))
     if key not in X.memo:
-        cur = identity_map(X.levels[n])
-        level = n
-        for v in sorted(set(range(n + 1)) - set(keep), reverse=True):
-            cur = cur.then(X.d(level, v))
-            level -= 1
-        X.memo[key] = cur
+        dropped = [v for v in range(n + 1) if v not in key[1]]
+        if not dropped:
+            X.memo[key] = identity_map(X.levels[n])
+        else:
+            # d_v for the highest dropped vertex v, then the vertex map of
+            # X_{n-1} keeping the rest: one composition, the same table as
+            # composing the faces one at a time
+            v = dropped[-1]
+            face = X.d(n, v)
+            X.memo[key] = face if len(dropped) == 1 else face.then(
+                vertex_map(X, n - 1, tuple(u - (u > v) for u in key[1])))
     return X.memo[key]
 
 
@@ -451,67 +456,115 @@ def _segal_maps(X: TruncSimplicialSet, maps: Iterable[tuple[str, int, tuple[tupl
     stack of the subdivision `cells` of the polygon 0..n is bijective: the
     one decision behind `check_2segal` and `check_subdivision_criterion`.
 
-    When the face identities hold, each map is decided from the codes of
-    its sub-polygons (`_stack_code`), memoised for the call, and only a
-    failing map builds its stack, so every witness is the one its stack
-    gives.  When they fail, vertex maps need not compose, and every map is
-    built by `subdivision_map`, which raises `GluingError` on a simplex
-    whose components do not glue.
+    When the face identities hold, a map passes when it is a composite of
+    bijections (`_composed_verdicts`); only when it is not is it decided
+    from the codes of its sub-polygons (`_stack_code`), memoised for the
+    call.  Only a failing map builds its stack, so every witness is the one
+    its stack gives.  When they fail, vertex maps need not compose, and
+    every map is built by `subdivision_map`, which raises `GluingError` on a
+    simplex whose components do not glue.
     """
     report = Report()
-    codes = None if _face_violations(X) else {}
+    composed = None if _face_violations(X) else _composed_verdicts(X)
+    codes: dict = {}
     for name, n, cells in maps:
-        if codes is not None:
-            table, _, counts = _stack_code(X, n, cells, codes)
-            size = X.levels[n].size
-            if sum(counts) == size and len(set(table)) == size:
-                report.add(CheckResult(name))
-                continue
-        report.add(CheckResult(name, _bijectivity_witness(subdivision_map(X, n, cells)[1])))
+        if composed is not None and (composed(cells) or _bijective(X, n, _stack_code(X, n, cells, codes))):
+            report.add(CheckResult(name))
+        else:
+            report.add(CheckResult(name, _bijectivity_witness(subdivision_map(X, n, cells)[1])))
     return report
+
+
+def _composed_verdicts(X: TruncSimplicialSet) -> Callable[[tuple[tuple[int, ...], ...]], bool]:
+    """`composed(cells)`: whether the map of the subdivision `cells` of a
+    polygon is a composite of bijections, which makes it a bijection.  The
+    face identities must hold.
+
+    The top cell C of a subdivision of the polygon 0..n, on k + 1 vertices,
+    holds the edge (0, n), and each of its sides (a, b) with b - a >= 2
+    bounds a side polygon a..b.  The coarse map of C is X_n -> X_k x_{X_1}
+    prod X_{b-a}, which sends a simplex to its top-cell simplex and its
+    side-polygon simplices.  The subdivision's map is C's coarse map
+    followed by each side polygon's own map, which keeps the side's outer
+    edge, and so on down: every cell c is the top cell of the side polygon
+    c[0]..c[-1].  So the map is a composite of bijections when the coarse
+    map of each cell, shifted down to start at 0, is bijective.  Each
+    coarse map is coded once, with its side polygons coded as single
+    cells, and memoised for the life of `composed`; a cell on consecutive
+    vertices has no side polygon, and its coarse map is the identity.  A
+    subdivision made of its top cell and single-cell side polygons is its
+    top cell's coarse map, so that coded pass decides it.
+    """
+    cell_codes: dict = {}
+    coarse: dict[tuple[int, ...], bool] = {}
+
+    def cell_code(a: int, b: int):
+        return _stack_code(X, b - a, (tuple(range(b - a + 1)),), cell_codes)
+
+    def coarse_passes(top: tuple[int, ...]) -> bool:
+        if top not in coarse:
+            m = top[-1]
+            coarse[top] = len(top) == m + 1 or _bijective(X, m, _code(X, m, top, cell_code))
+        return coarse[top]
+
+    return lambda cells: all(coarse_passes(tuple(v - c[0] for v in c)) for c in cells)
+
+
+def _bijective(X: TruncSimplicialSet, n: int, coding: tuple[Sequence[int], int, list[int]]) -> bool:
+    """Whether a coded map from X_n is bijective: its stack has |X_n|
+    elements and its codes are distinct."""
+    codes, _, counts = coding
+    size = X.levels[n].size
+    return sum(counts) == size and len(set(codes)) == size
 
 
 def _stack_code(X: TruncSimplicialSet, n: int, cells: tuple[tuple[int, ...], ...],
                 memo: dict) -> tuple[Sequence[int], int, list[int]]:
-    """Code the map of the subdivision `cells` of the polygon 0..n as
-    `(codes, radix, counts)`, memoised in `memo`.
+    """Code the map of the subdivision `cells` of the polygon 0..n with
+    `_code`, each side polygon coded by its own cells, memoised in `memo`."""
+    key = (n, cells)
+    if key not in memo:
+        top = next(c for c in cells if c[0] == 0 and c[-1] == n)
+        memo[key] = _code(X, n, top, lambda a, b: _stack_code(
+            X, b - a, tuple(tuple(v - a for v in c) for c in cells if a <= c[0] and c[-1] <= b), memo))
+    return memo[key]
+
+
+def _code(X: TruncSimplicialSet, n: int, top: tuple[int, ...],
+          side_code: Callable[[int, int], tuple[Sequence[int], int, list[int]]]
+          ) -> tuple[Sequence[int], int, list[int]]:
+    """Code the map from X_n of a subdivision of the polygon 0..n whose top
+    cell `top`, on k + 1 vertices, holds the edge (0, n), as `(codes, radix,
+    counts)`.  `side_code(a, b)` gives the coding of the side polygon a..b,
+    shifted down by a, for each side (a, b) of `top` with b - a >= 2.
 
     `codes[psi]` lies in range(radix), and two simplices have equal codes
     exactly when their stack tuples are equal.  `counts[e]` is the number
     of stack elements whose outer edge (0, n) is e, so `sum(counts)` is the
-    size of the stack.  The top cell, on k + 1 vertices, is the one holding
-    the edge (0, n); each of its sides (a, b) with b - a >= 2 bounds the
-    sub-polygon a..b, whose cells are coded shifted down by a.  A simplex
-    psi gets the code of its top-cell simplex t[psi] in X_k followed by its
+    size of the stack.  A simplex psi gets the code of its top-cell simplex t[psi] in X_k followed by its
     sides' codes, in mixed radix: `(t[psi] * radix_1 + code_1[v_1 psi]) *
-    radix_2 + ...` for the vertex maps v_j onto the sub-polygons.  Stacks
+    radix_2 + ...` for the vertex maps v_j onto the side polygons.  Stacks
     glue along the top cell's sides, so the counts add, at the outer edge
     of each t in X_k, the product of its sides' counts at t's sides.  A
-    single cell has no sub-polygon: its codes are X_n itself.
+    single cell has no side polygon: its codes are X_n itself.
 
     The codes are exact only when the face identities hold, since psi's
-    component on a cell of a sub-polygon is read through its vertex map.
+    component on a cell of a side polygon is read through its vertex map.
     """
-    key = (n, cells)
-    if key in memo:
-        return memo[key]
-    top = next(c for c in cells if c[0] == 0 and c[-1] == n)
     k = len(top) - 1
     codes, radix = vertex_map(X, n, top).table, X.levels[k].size
     weights = [1] * X.levels[k].size
     for j, (a, b) in enumerate(zip(top, top[1:])):
         if b - a < 2:
             continue
-        side, side_radix, side_counts = _stack_code(
-            X, b - a, tuple(tuple(v - a for v in c) for c in cells if a <= c[0] and c[-1] <= b), memo)
+        side, side_radix, side_counts = side_code(a, b)
         codes = [c * side_radix + side[v] for c, v in zip(codes, vertex_map(X, n, range(a, b + 1)).table)]
         radix *= side_radix
         weights = [w * side_counts[e] for w, e in zip(weights, vertex_map(X, k, (j, j + 1)).table)]
     counts = [0] * X.levels[1].size
     for e, w in zip(vertex_map(X, k, (0, k)).table, weights):
         counts[e] += w
-    memo[key] = (codes, radix, counts)
-    return memo[key]
+    return codes, radix, counts
 
 
 def _bijectivity_witness(f: FinMap):

@@ -74,7 +74,7 @@ class FinMap:
         """Pipeline composition: first self, then g."""
         if g.dom.size != self.cod.size:
             raise StructuralError("composition boundary mismatch")
-        return FinMap(self.dom, g.cod, tuple(g.table[v] for v in self.table))
+        return FinMap(self.dom, g.cod, tuple(map(g.table.__getitem__, self.table)))
 
     def after(self, g: "FinMap") -> "FinMap":
         """Classical composition self∘g."""

@@ -32,6 +32,11 @@ class TestCategories:
         X = catalog.nerve(catalog.cyclic_group_category(1), 4)
         assert [l.size for l in X.levels] == [1, 1, 1, 1, 1]
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cyclic_group_needs_an_element(self, k):
+        with pytest.raises(StructuralError, match=f"got k={k}$"):
+            catalog.cyclic_group_category(k)
+
     def test_all_nerves_simplicial_and_segal(self):
         for C in (
             catalog.cyclic_group_category(2),

@@ -29,6 +29,15 @@ def test_example_writes_the_catalog_document(name, tmp_path):
     assert out.read_text() == dumps_document(catalog.example(name))
 
 
+@pytest.mark.parametrize("name", ["nerve-zk", "groupoid-zk", "twisted-zk-id"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_a_cyclic_example_refuses_an_empty_group(name, k, capsys):
+    assert main(["example", name, "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cyclic group needs order k >= 1, got k={k}\n"
+
+
 def test_the_two_hand_built_inputs():
     C = catalog.pair_groupoid(2)
     swap = catalog.groupoid_cyclic(C, 4, bisection=FinMap(C.objects, C.morphisms, (1, 2)))

@@ -5,7 +5,7 @@ when something reads it.
 
 A name counts as used when its module references it, or when another
 scanned module reads it as an attribute of this module (`cli` reads
-`catalog.two_truncated_simplicial`).  The package's `__init__.py` only
+`catalog.example`).  The package's `__init__.py` only
 re-exports, so its imports are exempt.  A definition counts as
 referenced when code outside its own body names it, in the package, the
 tests, the demos or the benchmark; the `__init__.py` re-export does not

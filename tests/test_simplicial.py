@@ -20,6 +20,8 @@ from finspan.simplicial import (
     Subdivision,
     Triangulation,
     _bijectivity_witness,
+    _composed_verdicts,
+    _polygon_cells,
     _stack_code,
     check_2segal,
     check_simplicial_identities,
@@ -455,6 +457,52 @@ class TestCodedSegalMaps:
         X = catalog.nerve(catalog.cyclic_group_category(2), 5)
         assert check_2segal(X).ok and check_subdivision_criterion(X).ok
         assert not [v for v in X.memo.values() if isinstance(v, (SegalWitness, PolygonStack))]
+
+
+class TestComposedSegalMaps:
+    """A map passes without its own codes when it is a composite of
+    bijections: the coarse map of each of its cells, coded once per top
+    cell."""
+
+    def test_a_composed_pass_has_bijective_codes(self, complex_nerves, doubled):
+        composed_passes = composed_fails = 0
+        for X in complex_nerves + doubled + [catalog_non_two_segal()]:
+            composed, memo = _composed_verdicts(X), {}
+            for n in range(3, X.N + 1):
+                # the subdivisions include the triangulations
+                for cells in _polygon_cells(n, False):
+                    if composed(cells):
+                        codes, _, counts = _stack_code(X, n, cells, memo)
+                        assert len(set(codes)) == sum(counts) == X.levels[n].size
+                        composed_passes += 1
+                    else:
+                        composed_fails += 1
+        assert composed_passes and composed_fails
+
+    def test_a_map_that_is_its_own_coarse_map_is_decided_by_codes(self):
+        X = doubled_top_simplex(catalog.nerve(catalog.cyclic_group_category(2), 3))
+        # each square triangulation is its top triangle and one single-cell side
+        assert not any(map(_composed_verdicts(X), _polygon_cells(3, True)))
+        rep = check_2segal(X)
+        assert rep.lines() == stack_path_lines(X) and len(rep.failures) == len(rep.results) == 2
+
+    def test_a_passing_check_codes_each_top_cell_once(self, monkeypatch):
+        X = catalog.nerve(catalog.cyclic_group_category(2), 7)
+        coded = []
+        code = simplicial._code
+
+        def recording_code(X, n, top, side_code):
+            # a cell on consecutive vertices is X_n itself, with nothing to compose
+            if len(top) < n + 1:
+                coded.append((n, top))
+            return code(X, n, top, side_code)
+
+        monkeypatch.setattr(simplicial, "_code", recording_code)
+        assert check_2segal(X).ok
+        # n - 1 coded passes at level n, one per top triangle, and no stack code
+        assert sorted(coded) == [(n, (0, i, n)) for n in range(3, X.N + 1) for i in range(1, n)]
+        assert all(isinstance(v, FinMap) or all(isinstance(r, CheckResult) for r in v)
+                   for v in X.memo.values())
 
 
 def fan_cells(n):
