@@ -503,6 +503,8 @@ def graph_partition_gamma(G: Graph, N: int) -> GammaData:
 def no_lift_family(a_size: int) -> TwoTruncatedData:
     """The 2-truncated family with carrier {0, 1} whose sum-to-zero
     2-simplices are labeled by an arbitrary set of size a_size."""
+    if a_size < 0:
+        raise StructuralError(f"no-lift family needs a label set of size a >= 0, got a={a_size}")
     x0 = FinSet(1)
     x1 = FinSet(2)
     base = [(0, 0), (1, 0), (0, 1)]

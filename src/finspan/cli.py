@@ -215,63 +215,72 @@ def cmd_acceptance(args) -> int:
     return 0 if report.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _commands() -> dict:
+    """Each command's help line, function and arguments, in the order
+    `finspan -h` lists them.  Built per call, so that each function is the
+    module attribute of the moment, a wrapped or patched one included."""
+    return {
+        "check": ("run checkers on a structure document", cmd_check, [
+            (("path",), {}),
+            (("--2segal",), {"dest": "segal2", "action": "store_true"}),
+            (("--unitality",), {"action": "store_true"}),
+            (("--subdivisions",), {"action": "store_true"}),
+            (("--paracyclic",), {"action": "store_true"}),
+            (("--gamma",), {"action": "store_true"}),
+            (("--full-hexagon",), {"action": "store_true"}),
+        ]),
+        "derive": ("derive one structure from another", cmd_derive, [
+            (("path",), {}),
+            (("--direction",), {"required": True, "choices": [
+                "frobenius-to-paracyclic", "paracyclic-to-frobenius",
+                "gamma-to-commutative", "commutative-to-gamma"]}),
+            (("-o", "--output"), {}),
+        ]),
+        "search-lift": ("pruned exhaustive associator lift search", cmd_search_lift, [
+            (("path",), {}),
+            (("--budget",), {"type": int, "default": 1_000_000,
+                             "help": "most search nodes (taco pairs assigned) to explore"}),
+            (("-v", "--verbose"), {"action": "store_true"}),
+        ]),
+        "example": ("emit a catalog example as a document", cmd_example, [
+            (("name",), {}),
+            (("--n-levels",), {"type": int, "default": 4, "help": "truncation level (default 4)"}),
+            (("--k",), {"type": int, "default": 2}),
+            (("--L",), {"type": int, "default": 2}),
+            (("--a-size",), {"type": int, "default": 1}),
+            (("-o", "--output"), {}),
+        ]),
+        "acceptance": ("run the full acceptance suite", cmd_acceptance, [
+            (("--seed",), {"type": int, "default": 0}),
+            (("-v", "--verbose"), {"action": "store_true"}),
+        ]),
+    }
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The `finspan` parser.  When `argv` starts with a command, only that
+    command's sub-parser is built, and the usage line still lists every
+    command, so help, errors and exit codes read as with all of them."""
     parser = argparse.ArgumentParser(
         prog="finspan",
         description="span-bicategory structure checks on finite simplicial data",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="run checkers on a structure document")
-    p.add_argument("path")
-    p.add_argument("--2segal", dest="segal2", action="store_true")
-    p.add_argument("--unitality", action="store_true")
-    p.add_argument("--subdivisions", action="store_true")
-    p.add_argument("--paracyclic", action="store_true")
-    p.add_argument("--gamma", action="store_true")
-    p.add_argument("--full-hexagon", dest="full_hexagon", action="store_true")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("derive", help="derive one structure from another")
-    p.add_argument("path")
-    p.add_argument(
-        "--direction",
-        required=True,
-        choices=[
-            "frobenius-to-paracyclic",
-            "paracyclic-to-frobenius",
-            "gamma-to-commutative",
-            "commutative-to-gamma",
-        ],
-    )
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_derive)
-
-    p = sub.add_parser("search-lift", help="pruned exhaustive associator lift search")
-    p.add_argument("path")
-    p.add_argument("--budget", type=int, default=1_000_000,
-                   help="most search nodes (fiber bijections assigned) to explore")
-    p.add_argument("-v", "--verbose", action="store_true")
-    p.set_defaults(fn=cmd_search_lift)
-
-    p = sub.add_parser("example", help="emit a catalog example as a document")
-    p.add_argument("name")
-    p.add_argument("--n-levels", type=int, default=4, help="truncation level (default 4)")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--L", type=int, default=2)
-    p.add_argument("--a-size", type=int, default=1)
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=cmd_example)
-
-    p = sub.add_parser("acceptance", help="run the full acceptance suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-v", "--verbose", action="store_true")
-    p.set_defaults(fn=cmd_acceptance)
+    commands = _commands()
+    names = [argv[0]] if argv and argv[0] in commands else list(commands)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(commands) + "}" if len(names) == 1 else None)
+    for name in names:
+        summary, fn, arguments = commands[name]
+        p = sub.add_parser(name, help=summary)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     return args.fn(args)
 
 

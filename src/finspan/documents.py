@@ -91,10 +91,14 @@ def _parse_table(entry, dom: FinSet, cod: FinSet, what: str) -> FinMap:
         raise DocumentError(f"{what}: table must be a list, not {type(entry).__name__}")
     if len(entry) != dom.size:
         raise DocumentError(f"{what}: table length {len(entry)} differs from domain {dom.size}")
-    # `type` is exact, so a bool is refused although it is an int
-    if entry and not (set(map(type, entry)) <= {int} and 0 <= min(entry) and max(entry) < cod.size):
-        raise DocumentError(f"{what}: entry not an integer index below {cod.size}")
-    return FinMap(dom, cod, tuple(entry))
+    # `type` is exact, so a bool is refused although it is an int; FinMap
+    # checks the range
+    try:
+        if set(map(type, entry)) <= {int}:
+            return FinMap(dom, cod, tuple(entry))
+    except StructuralError:
+        pass
+    raise DocumentError(f"{what}: entry not an integer index below {cod.size}")
 
 
 def document_from_dict(data: dict) -> StructureDocument:

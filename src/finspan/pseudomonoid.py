@@ -13,10 +13,10 @@ of the five square flips inside the pentagon, which only needs X_2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from .diagrams import (
@@ -376,7 +376,7 @@ def _flip(triangles, quad, assoc, element):
 def _walk_steps(flips) -> tuple:
     """One side of the pentagon cycle as index steps on fan elements: step
     (i, j, src) looks up the taco pair of components i and j and builds the
-    next element from `src`, indices into the old components followed by
+    next element with `src`, a getter of the old components followed by
     the pair's two images.  The same bookkeeping as `_flip`, done once."""
     triangles = PENTAGON_TRIANGULATIONS["a"]
     steps = []
@@ -386,7 +386,7 @@ def _walk_steps(flips) -> tuple:
         pos[(q0, q1, q3)] = len(triangles)
         pos[(q1, q2, q3)] = len(triangles) + 1
         triangles = tuple(sorted(pos))
-        steps.append((i, j, tuple(pos[t] for t in triangles)))
+        steps.append((i, j, itemgetter(*(pos[t] for t in triangles))))
     return tuple(steps)
 
 
@@ -402,8 +402,7 @@ def _walk(steps, assoc, element):
         image = assoc.get(pair)
         if image is None:
             return None, pair
-        components = element + image
-        element = tuple(components[s] for s in src)
+        element = src(element + image)
     return element, None
 
 
@@ -425,10 +424,10 @@ def pentagon_flip_discrepancy(T: TwoTruncatedData, assoc: dict) -> dict:
     return {e: rhs_back[lhs[e]] for e in start}
 
 
-def _settle(starts, assoc, fiber_of):
+def _settle(starts, assoc, position):
     """Walk both sides from each start element.  None when some element's
     walks both end and differ; otherwise the elements still undecided, keyed
-    by the open fiber that must be assigned before they can be."""
+    by the position of the later-assigned of the pairs their walks lack."""
     waiting: dict[int, list] = {}
     for e in starts:
         lhs, lhs_missing = _walk(_LHS_STEPS, assoc, e)
@@ -437,8 +436,8 @@ def _settle(starts, assoc, fiber_of):
             if lhs != rhs:
                 return None
         else:
-            fiber = max(fiber_of[p] for p in (lhs_missing, rhs_missing) if p is not None)
-            waiting.setdefault(fiber, []).append(e)
+            later = max(position.get(lhs_missing, -1), position.get(rhs_missing, -1))
+            waiting.setdefault(later, []).append(e)
     return waiting
 
 
@@ -449,7 +448,7 @@ class LiftSearchResult:
     candidates_tried: int = 0
     candidates_total: int = 0
     detail: str = ""
-    nodes: int = 0  # fiber bijections assigned by the search
+    nodes: int = 0  # taco pairs assigned by the search, one per node
 
 
 def search_associator_lift(T: TwoTruncatedData, budget: int = 1_000_000) -> LiftSearchResult:
@@ -458,13 +457,13 @@ def search_associator_lift(T: TwoTruncatedData, budget: int = 1_000_000) -> Lift
 
     Candidates are ordered by fiber key, then by bijection per fiber in
     lexicographic order.  The search is depth first: singleton fibers are
-    fixed up front, and each node assigns the next fiber one bijection.
-    After each node the start elements of the fan stack that were waiting
-    on that fiber are walked along both sides of the pentagon cycle.  A
-    walk that ends never changes as the associator grows, so when both
-    walks end and differ no candidate below the node closes the pentagon:
-    the node is pruned and all its candidates count as tried.
-    `candidates_tried` and the witness are therefore those of trying every
+    fixed up front, and each node gives the next left pair an unused right
+    pair of its fiber, in order.  After each node the start elements of the
+    fan stack that were waiting on that pair are walked along both sides of
+    the pentagon cycle.  A walk that ends never changes as the associator
+    grows, so when both walks end and differ no candidate below the node
+    closes the pentagon: the node is pruned and all its candidates count as
+    tried, so `candidates_tried` and the witness are those of trying every
     candidate in order.  `budget` bounds the nodes explored."""
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -478,43 +477,51 @@ def search_associator_lift(T: TwoTruncatedData, budget: int = 1_000_000) -> Lift
     keys = sorted(left)
     assoc = {left[k][0]: right[k][0] for k in keys if len(left[k]) == 1}
     open_keys = [k for k in keys if len(left[k]) > 1]
-    fiber_of = {p: i for i, k in enumerate(open_keys) for p in left[k]}
     sizes = [math.factorial(len(left[k])) for k in open_keys]
     total = math.prod(sizes)
+    # the open pairs in assignment order, each with its right fiber and the
+    # candidates below a node that assigns the m-th of its fiber's s pairs:
+    # (s - m)! times the later fibers' bijections
+    order = [p for k in open_keys for p in left[k]]
+    fibers = [right[k] for k in open_keys for _ in left[k]]
+    below = [math.factorial(len(left[k]) - m) * math.prod(sizes[i + 1:])
+             for i, k in enumerate(open_keys) for m in range(1, len(left[k]) + 1)]
+    position = {p: n for n, p in enumerate(order)}
 
-    waiting = _settle(_fan_stack(T), assoc, fiber_of)
+    waiting = _settle(_fan_stack(T), assoc, position)
     if waiting is None:
         return LiftSearchResult("no lift", candidates_tried=total, candidates_total=total)
     tried = nodes = 0
-    found = not open_keys
-    # one frame per assigned fiber: its bijections still to try, and the
-    # start elements waiting before it was assigned
-    stack = [(itertools.permutations(right[open_keys[0]]), waiting)] if open_keys else []
+    found = not order
+    used = set()
+    # one frame per assigned pair: its values still to try, last first, and
+    # the start elements waiting before it was assigned
+    stack = [(fibers[0][::-1], waiting)] if order else []
     while stack:
-        i = len(stack) - 1
-        perms, waiting = stack[-1]
-        perm = next(perms, None)
-        if perm is None:
+        d = len(stack) - 1
+        values, waiting = stack[-1]
+        used.discard(assoc.get(order[d]))
+        if not values:
             stack.pop()
-            for p in left[open_keys[i]]:
-                del assoc[p]
+            del assoc[order[d]]
             continue
         if nodes == budget:
             return LiftSearchResult("budget exceeded", candidates_tried=tried, candidates_total=total,
                                     nodes=nodes, detail=f"search stopped at its budget of {budget} nodes")
         nodes += 1
-        assoc.update(zip(left[open_keys[i]], perm))
-        settled = _settle(waiting.get(i, ()), assoc, fiber_of)
+        assoc[order[d]] = value = values.pop()
+        settled = _settle(waiting.get(d, ()), assoc, position)
         if settled is None:
-            tried += math.prod(sizes[i + 1:])
+            tried += below[d]
             continue
-        if i + 1 == len(open_keys):
+        if d + 1 == len(order):
             found = True
             break
-        child = {j: starts for j, starts in waiting.items() if j > i}
+        used.add(value)
+        child = {j: starts for j, starts in waiting.items() if j > d}
         for j, starts in settled.items():
             child[j] = child.get(j, []) + starts
-        stack.append((itertools.permutations(right[open_keys[i + 1]]), child))
+        stack.append(([v for v in reversed(fibers[d + 1]) if v not in used], child))
     if not found:
         return LiftSearchResult("no lift", candidates_tried=tried, candidates_total=total, nodes=nodes)
 

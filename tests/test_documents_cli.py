@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finspan import catalog
-from finspan.cli import main
+from finspan import catalog, cli
+from finspan.cli import build_parser, main
 from finspan.documents import (
     DocumentError,
     StructureDocument,
@@ -54,6 +54,14 @@ class TestDocuments:
         data["face"][0][0][0] = 77
         with pytest.raises(DocumentError):
             document_from_dict(data)
+
+    @pytest.mark.parametrize("entry", [-1, 1], ids=["negative", "out-of-range"])
+    def test_table_entry_outside_the_codomain_is_named(self, nerve_z2, entry):
+        data = document_to_dict(StructureDocument(nerve_z2))
+        data["face"][0][0][0] = entry
+        with pytest.raises(DocumentError) as raised:
+            document_from_dict(data)
+        assert str(raised.value) == "face d_0^1: entry not an integer index below 1"
 
     def test_truncation_mismatch_rejected(self, nerve_z2):
         data = document_to_dict(StructureDocument(nerve_z2))
@@ -282,7 +290,7 @@ class TestCli:
         assert capsys.readouterr().out == "verdict: no lift\ncandidates: 1296 tried of 1296\n"
         assert main(["search-lift", path, "-v"]) == 1
         assert capsys.readouterr().out == (
-            "verdict: no lift\ncandidates: 1296 tried of 1296\nnodes: 24\n"
+            "verdict: no lift\ncandidates: 1296 tried of 1296\nnodes: 43\n"
         )
 
     def test_example_emission(self, tmp_path):
@@ -303,6 +311,12 @@ class TestCli:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
+    def test_example_nolift_below_zero(self, capsys):
+        assert main(["example", "nolift", "--a-size", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no-lift family needs a label set of size a >= 0, got a=-1\n"
+
     def test_full_hexagon_flag(self, capsys):
         assert main(["check", str(FIXTURES / "interval_l2.json"),
                      "--gamma", "--full-hexagon"]) == 0
@@ -318,6 +332,73 @@ class TestCli:
         assert re.sub(r"in [0-9.]+s:", "in Ts:", lines[-1]) == (
             "checked in Ts: 68 passed, 0 failed, 0 skipped"
         )
+
+
+# per command: argv that parse, then argv that miss a required argument
+# or are refused; each command also gets every PARSER_ODD case after its
+# positional arguments
+PARSER_CASES = {
+    "check": [["p"], ["p", "--2segal", "--unitality", "--subdivisions", "--paracyclic",
+                      "--gamma", "--full-hexagon"], [], ["p", "q"]],
+    "derive": [["p", "--direction", "gamma-to-commutative", "-o", "out"], ["p"],
+               ["p", "--direction"]],
+    "search-lift": [["p"], ["p", "--budget", "5", "-v"], [], ["p", "--budget"]],
+    "example": [["nolift", "--a-size", "2", "--k", "3", "--L", "4", "--n-levels", "5"],
+                [], ["nolift", "--k", "x"]],
+    "acceptance": [[], ["--seed", "3", "-v"], ["--seed", "q"], ["extra"]],
+}
+PARSER_POSITIONAL = {"check": ["p"], "derive": ["p"], "search-lift": ["p"], "example": ["nolift"],
+                     "acceptance": []}
+PARSER_ODD = [["--direction", "sideways"], ["--budget", "x"], ["--bogus"], ["-h"]]
+
+
+class TestParser:
+    """A parser built for one command reads its argv as the parser of all
+    five does: the same namespace, or the same exit code and output."""
+
+    @staticmethod
+    def parse(parser, argv):
+        """The namespace as a dict, or the exit code; and stdout and stderr."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                result = exc.code
+        return result, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        [command] + rest for command, cases in PARSER_CASES.items()
+        for rest in cases + [PARSER_POSITIONAL[command] + odd for odd in PARSER_ODD]
+    ], ids=" ".join)
+    def test_one_command_parser_reads_as_the_full_parser(self, argv):
+        full = self.parse(build_parser(), argv)
+        assert self.parse(build_parser(argv), argv) == full
+        assert isinstance(full[0], dict) or full[0] in (0, 2)
+
+    def test_every_command_has_cases_that_parse_and_cases_that_fail(self):
+        assert list(PARSER_CASES) == list(PARSER_POSITIONAL) == list(cli._commands())
+        for command, cases in PARSER_CASES.items():
+            results = [self.parse(build_parser(), [command] + rest)[0] for rest in cases]
+            assert isinstance(results[0], dict) and results[-1] == 2, command
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"]], ids=["none", "help", "unknown"])
+    def test_without_a_command_every_command_is_listed(self, capsys, argv, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["finspan"] + argv)
+        with pytest.raises(SystemExit) as raised:
+            main()
+        captured = capsys.readouterr()
+        assert raised.value.code == (0 if argv == ["-h"] else 2)
+        listing = "{" + ",".join(PARSER_CASES) + "}"
+        assert listing in captured.out + captured.err
+        if argv == ["-h"]:
+            assert all(f"\n    {c} " in captured.out for c in PARSER_CASES)
+
+    def test_main_runs_the_module_attribute(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "cmd_search_lift", lambda args: calls.append(args.path) or 7)
+        assert main(["search-lift", "p"]) == 7
+        assert calls == ["p"]
 
 
 def test_make_fixtures_regenerates_the_shipped_fixtures(tmp_path, monkeypatch):

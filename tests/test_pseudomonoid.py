@@ -595,12 +595,20 @@ class TestPrunedSearch:
                 late_lifts += res.status == "lift exists" and res.candidates_tried > 1
         assert compared > 750 and late_lifts >= 3
 
-    @pytest.mark.parametrize("a,nodes", [(4, 96), (5, 480)])
+    @pytest.mark.parametrize("a,nodes", [(4, 119), (5, 324)])
     def test_large_label_sets_are_decided(self, a, nodes):
         res = search_associator_lift(no_lift_family(a))
         assert res.status == "no lift"
         assert res.candidates_tried == res.candidates_total == math.factorial(a) ** 4
         assert res.nodes == nodes
+
+    def test_one_pair_per_node_keeps_the_heavy_inputs_small(self):
+        """Seed 35 took 290,880 nodes and no-lift |A|=6 2,880 when a node
+        assigned a whole fiber bijection."""
+        for T, bound in [(random_two_truncated(random.Random(35)), 50_000), (no_lift_family(6), 2_880)]:
+            res = search_associator_lift(T)
+            assert res.status == "no lift" and res.candidates_tried == res.candidates_total
+            assert res.nodes < bound
 
     def test_budget_bounds_nodes(self):
         T = no_lift_family(3)
