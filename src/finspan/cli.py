@@ -145,13 +145,11 @@ def cmd_derive(args) -> int:
                 print(report, file=sys.stderr)
                 return 1
             out = StructureDocument(X, commutative=cell.theta)
-        elif args.direction == "commutative-to-gamma":
+        else:  # commutative-to-gamma; the parser refuses any other direction
             if doc.commutative is None:
                 return _fail("document has no commutative block")
             G = gamma_from_commutative(X, gamma_cell(X, doc.commutative))
             out = StructureDocument(X, gamma=G)
-        else:
-            return _fail(f"unknown direction {args.direction}")
     except NotFrobeniusError as exc:
         print(f"not Frobenius: {exc}", file=sys.stderr)
         return 1

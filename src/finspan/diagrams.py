@@ -235,8 +235,7 @@ class RewriteRule:
     between the evaluated unpadded patterns; padding changes neither the
     spans nor the order of their apexes.  `carry` maps a batch of elements
     through `mapping`.  The structural rules, the commutor and the snakes
-    are `ClosedFormRule`s: their `carry` relabels columns directly, and
-    `mapping` and `cell` are built from it the first time either is read.
+    are `ClosedFormRule`s, each made by its function from a column map.
     The associator and unitors are the only table rules; a table rule is
     built from a cell by `rule_from_cell`.  A table rule's images are
     checked once, as a whole (`images_chain`), the first time a rewrite
@@ -552,13 +551,13 @@ def _ids(objs: tuple[FinSet, ...]) -> tuple[Box, ...]:
 class ClosedFormRule(RewriteRule):
     """A rule whose element map is a relabelling of box columns.
 
-    Its `carry(columns, count)`, computed column by column, is a subclass's
-    method or the `carry` part given to the constructor; `mapping` and
-    `cell` are built from it, over the evaluated padded patterns, the first
-    time either is read.  `parts` are the rule's own attributes."""
+    The constructor's `carry(columns, count)` computes the images column by
+    column; `mapping` and `cell` are built from it, over the evaluated
+    padded patterns, the first time either is read.  `inverse`, when given,
+    returns the inverse rule; without it `inverse()` inverts the tables."""
 
-    def __init__(self, name: str, src: Diagram, tgt: Diagram, **parts):
-        for attr, value in (("name", name), ("src", src), ("tgt", tgt), *parts.items()):
+    def __init__(self, name: str, src: Diagram, tgt: Diagram, carry: Callable, inverse: Optional[Callable] = None):
+        for attr, value in zip(("name", "src", "tgt", "carry", "_inverse"), (name, src, tgt, carry, inverse)):
             object.__setattr__(self, attr, value)
 
     @cached_property
@@ -578,120 +577,89 @@ class ClosedFormRule(RewriteRule):
     def cell(self) -> SpanCell:
         return self._tables[1]
 
+    def inverse(self) -> RewriteRule:
+        return self._inverse() if self._inverse else super().inverse()
 
-class _TensoratorRule(ClosedFormRule):
+
+def tensorator_rule(f: Box, g: Box) -> RewriteRule:
     """The slide move c_{f,g}: (id⊗g)∘(f⊗id) => (f⊗id)∘(id⊗g)."""
+    src = ((f,) + _ids(g.in_objs), _ids(f.out_objs) + (g,))
+    tgt = (_ids(f.in_objs) + (g,), (f,) + _ids(g.out_objs))
 
-    def __init__(self, f: Box, g: Box):
-        src = ((f,) + _ids(g.in_objs), _ids(f.out_objs) + (g,))
-        tgt = (_ids(f.in_objs) + (g,), (f,) + _ids(g.out_objs))
-        super().__init__("tensorator", src, tgt, f=f, g=g)
-
-    def carry(self, columns, count: int) -> tuple[tuple[int, ...], ...]:
+    def carry(columns, count: int) -> tuple[tuple[int, ...], ...]:
         # the src pattern's columns run f, the identities, g; the tgt's run
         # f's in wires, g, f, g's out wires
         ef, eg = columns[0], columns[-1]
         return (
-            tuple(tuple(map(t.__getitem__, ef)) for t in self.f.in_wires) + (eg, ef)
-            + tuple(tuple(map(t.__getitem__, eg)) for t in self.g.out_wires)
+            tuple(tuple(map(t.__getitem__, ef)) for t in f.in_wires) + (eg, ef)
+            + tuple(tuple(map(t.__getitem__, eg)) for t in g.out_wires)
         )
+
+    return ClosedFormRule("tensorator", src, tgt, carry)
 
 
 def _braid_box(first: tuple[FinSet, ...], second: tuple[FinSet, ...]) -> Box:
     return Box(block_braiding_span(first, second), first + second, second + first, name="braid")
 
 
-class _BraidingRule(ClosedFormRule):
+def braiding_rule(f: Box, g: Box) -> RewriteRule:
     """The move rho_{f,g}: rho∘(f⊗g) => (g⊗f)∘rho."""
+    src = ((f, g), (_braid_box(f.out_objs, g.out_objs),))
+    tgt = ((_braid_box(f.in_objs, g.in_objs),), (g, f))
 
-    def __init__(self, f: Box, g: Box):
-        src = ((f, g), (_braid_box(f.out_objs, g.out_objs),))
-        tgt = ((_braid_box(f.in_objs, g.in_objs),), (g, f))
-        super().__init__("braiding", src, tgt, f=f, g=g)
-
-    def carry(self, columns, count: int) -> tuple[tuple[int, ...], ...]:
+    def carry(columns, count: int) -> tuple[tuple[int, ...], ...]:
         # the new braid's element is its source index: f's in wires, then g's
         ef, eg = columns[0], columns[1]
-        fl, gl, size = self.f.span.left.table, self.g.span.left.table, self.g.span.src.size
+        fl, gl, size = f.span.left.table, g.span.left.table, g.span.src.size
         return (tuple(fl[a] * size + gl[b] for a, b in zip(ef, eg)), eg, ef)
 
+    return ClosedFormRule("braiding", src, tgt, carry)
 
-class _SyllepsisRule(ClosedFormRule):
+
+def syllepsis_rule(x: FinSet, y: FinSet) -> RewriteRule:
     """v_{X,Y}: rho_{Y,X}∘rho_{X,Y} => id, whose identity side is padded to
-    a second identity row."""
+    a second identity row, with the closed-form inverse v_{X,Y}^-1."""
+    ids = (identity_box(x), identity_box(y))
+    src = ((_braid_box((x,), (y,)),), (_braid_box((y,), (x,)),))
+    tgt = (ids, ids)
 
-    def __init__(self, x: FinSet, y: FinSet):
-        ids = (identity_box(x), identity_box(y))
-        src = ((_braid_box((x,), (y,)),), (_braid_box((y,), (x,)),))
-        super().__init__("syllepsis", src, (ids, ids), x=x, y=y)
-
-    def carry(self, columns, count: int) -> tuple[tuple[int, ...], ...]:
+    def split(columns, count: int) -> tuple[tuple[int, ...], ...]:
         # the first braid's element p is the pair (p // |Y|, p % |Y|), read
         # by both identity rows
-        size = self.y.size
+        size = y.size
         a = tuple(p // size for p in columns[0])
         b = tuple(p % size for p in columns[0])
         return (a, b, a, b)
 
-    def inverse(self) -> RewriteRule:
-        return _SyllepsisInverseRule(self)
-
-
-class _SyllepsisInverseRule(ClosedFormRule):
-    """v_{X,Y}^-1: id => rho_{Y,X}∘rho_{X,Y}."""
-
-    def __init__(self, v: _SyllepsisRule):
-        super().__init__(v.name + "^-1", v.tgt, v.src, x=v.x, y=v.y)
-
-    def carry(self, columns, count: int) -> tuple[tuple[int, ...], ...]:
+    def join(columns, count: int) -> tuple[tuple[int, ...], ...]:
         # the pair (a, b) of the first identity row is a * |Y| + b in X×Y
         # and b * |X| + a in Y×X
         a, b = columns[0], columns[1]
-        ys, xs = self.y.size, self.x.size
+        ys, xs = y.size, x.size
         return (tuple(i * ys + j for i, j in zip(a, b)), tuple(j * xs + i for i, j in zip(a, b)))
 
+    return ClosedFormRule("syllepsis", src, tgt, split,
+                          inverse=lambda: ClosedFormRule("syllepsis^-1", tgt, src, join))
 
-class _HexagonatorRule(ClosedFormRule):
+
+def hexagonator_rule(x: FinSet, y: FinSet, z: FinSet) -> RewriteRule:
     """R_{X|YZ}: crossing X over Y then over Z equals crossing X over Y⊗Z;
     the single crossing is padded to an identity row on Y, Z, X."""
+    src = ((_braid_box((x,), (y,)), identity_box(z)),
+           (identity_box(y), _braid_box((x,), (z,))))
+    tgt = ((_braid_box((x,), (y, z)),), _ids((y, z, x)))
 
-    def __init__(self, x: FinSet, y: FinSet, z: FinSet):
-        src = (
-            (_braid_box((x,), (y,)), identity_box(z)),
-            (identity_box(y), _braid_box((x,), (z,))),
-        )
-        tgt = ((_braid_box((x,), (y, z)),), _ids((y, z, x)))
-        super().__init__("hexagonator", src, tgt, y=y, z=z)
-
-    def carry(self, columns, count: int) -> tuple[tuple[int, ...], ...]:
+    def carry(columns, count: int) -> tuple[tuple[int, ...], ...]:
         # the pair p in X×Y and c in Z make p * |Z| + c in X×Y×Z, whose out
         # wires y, z, x the padding row reads
         p, c = columns[0], columns[1]
-        ys, zs = self.y.size, self.z.size
+        ys, zs = y.size, z.size
         return (
             tuple(i * zs + k for i, k in zip(p, c)),
             tuple(i % ys for i in p), c, tuple(i // ys for i in p),
         )
 
-
-def tensorator_rule(f: Box, g: Box) -> RewriteRule:
-    """The slide move c_{f,g}: (id⊗g)∘(f⊗id) => (f⊗id)∘(id⊗g)."""
-    return _TensoratorRule(f, g)
-
-
-def braiding_rule(f: Box, g: Box) -> RewriteRule:
-    """The move rho_{f,g}: rho∘(f⊗g) => (g⊗f)∘rho."""
-    return _BraidingRule(f, g)
-
-
-def syllepsis_rule(x: FinSet, y: FinSet) -> RewriteRule:
-    """v_{X,Y}: rho_{Y,X}∘rho_{X,Y} => id."""
-    return _SyllepsisRule(x, y)
-
-
-def hexagonator_rule(x: FinSet, y: FinSet, z: FinSet) -> RewriteRule:
-    """R_{X|YZ}: crossing X over Y then over Z equals crossing X over Y⊗Z."""
-    return _HexagonatorRule(x, y, z)
+    return ClosedFormRule("hexagonator", src, tgt, carry)
 
 
 def tensorator_cell(f: Span, g: Span) -> SpanCell:

@@ -385,10 +385,8 @@ def gamma_rule(X: TruncSimplicialSet, theta: FinMap, mub: Box) -> RewriteRule:
 
 def gamma_cell(X: TruncSimplicialSet, theta: FinMap) -> SpanCell:
     """The public form of the cell: multiplication span => braided composite."""
-    from .pseudomonoid import mult_span
-
-    mu = mult_span(X.levels[1], X.levels[2], X.d(2, 0), X.d(2, 1), X.d(2, 2))
-    ev = evaluate(_braided_mult_rows(X, _mu_box(X)))
+    mub = _mu_box(X)
+    ev = evaluate(_braided_mult_rows(X, mub))
     index = member_index(ev)
     table = []
     for m, image in enumerate(zip(*_commutor_images(X, theta, range(X.levels[2].size)))):
@@ -397,7 +395,7 @@ def gamma_cell(X: TruncSimplicialSet, theta: FinMap) -> SpanCell:
                 f"candidate involution is not compatible with the span legs at {m}"
             )
         table.append(index[image])
-    return SpanCell(mu, ev.span, FinMap(X.levels[2], ev.span.apex, tuple(table)))
+    return SpanCell(mub.span, ev.span, FinMap(X.levels[2], ev.span.apex, tuple(table)))
 
 
 def theta_from_gamma_cell(X: TruncSimplicialSet, gamma: SpanCell) -> FinMap:

@@ -76,10 +76,6 @@ class FinMap:
             raise StructuralError("composition boundary mismatch")
         return FinMap(self.dom, g.cod, tuple(map(g.table.__getitem__, self.table)))
 
-    def after(self, g: "FinMap") -> "FinMap":
-        """Classical composition self∘g."""
-        return g.then(self)
-
     def is_bijective(self) -> bool:
         return self.dom.size == self.cod.size and len(set(self.table)) == self.dom.size
 

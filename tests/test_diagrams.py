@@ -875,16 +875,18 @@ def test_tensorator_image_that_does_not_chain_is_refused():
     g = rand_box(rng, (x,), (x,), 3)
     assert any(a != b for a, b in zip(*f.in_wires))
 
-    class Crossed(diagrams._TensoratorRule):
-        def carry(self, columns, count):
-            image = super().carry(columns, count)
-            return (image[1], image[0]) + image[2:]
+    rule = tensorator_rule(f, g)
+
+    def crossed(columns, count):
+        image = rule.carry(columns, count)
+        return (image[1], image[0]) + image[2:]
 
     with pytest.raises(StructuralError, match="rule tensorator: image assignment is not valid"):
-        Crossed(f, g).cell
+        diagrams.ClosedFormRule(rule.name, rule.src, rule.tgt, crossed).cell
     # a rewrite checks each image to chain, with no table to look it up in
-    start = evaluate(tensorator_rule(f, g).src)
-    path = DiagramPath(start.diagram).rewrite(Crossed(f, g), 0, (0, 0))
+    start = evaluate(rule.src)
+    crossed_rule = diagrams.ClosedFormRule(rule.name, rule.src, rule.tgt, crossed)
+    path = DiagramPath(start.diagram).rewrite(crossed_rule, 0, (0, 0))
     with pytest.raises(StructuralError, match="rule tensorator: rewrite produced an invalid assignment"):
         path.carry(start.columns, start.span.apex.size)
 

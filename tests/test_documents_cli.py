@@ -161,25 +161,31 @@ class TestCli:
         bad.write_text("{")
         assert main(["check", str(bad)]) == 2
 
-    @pytest.mark.parametrize("mutate", [
-        lambda d: d["paracyclic"].update(tau=[0] * len(d["levels"])),
-        lambda d: d.update(paracyclic=3),
-        lambda d: d.update(counit={"left": [0, 0, 0], "right": "point"}),
-        lambda d: d.update(counit={"apex_size": -1, "left": [], "right": "point"}),
-        lambda d: d.update(counit={"apex_size": True, "left": [0], "right": "point"}),
-        lambda d: d["face"][1][0].__setitem__(0, True),
-        lambda d: d["levels"].__setitem__(0, {"size": 1, "labels": "a"}),
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d["paracyclic"].update(tau=[0] * len(d["levels"])), ""),
+        (lambda d: d.update(paracyclic=3), ""),
+        (lambda d: d.update(counit={"left": [0, 0, 0], "right": "point"}), ""),
+        (lambda d: d.update(counit={"apex_size": -1, "left": [], "right": "point"}), ""),
+        (lambda d: d.update(counit={"apex_size": True, "left": [0], "right": "point"}), ""),
+        (lambda d: d["face"][1][0].__setitem__(0, True), ""),
+        (lambda d: d["levels"].__setitem__(0, {"size": 1, "labels": "a"}), ""),
+        (lambda d: d["face"][1].pop(), "need 3 face maps at level 2"),
+        (lambda d: d["degen"][1].pop(), "need 2 degeneracy maps at level 1"),
+        (lambda d: d["gamma"]["theta"][1].pop(), "need 2 transpositions at level 3"),
+        (lambda d: d.update(counit={"apex_size": 1, "left": [0], "right": "line"}),
+         "counit right leg must be the point"),
     ], ids=["tau-entries-ints", "paracyclic-not-object", "counit-without-apex-size",
             "negative-apex-size", "boolean-apex-size", "boolean-face-index",
-            "string-labels"])
-    def test_check_rejects_malformed_blocks(self, tmp_path, capsys, mutate):
+            "string-labels", "missing-face", "missing-degeneracy", "missing-theta",
+            "counit-right-leg-not-point"])
+    def test_check_rejects_malformed_blocks(self, tmp_path, capsys, mutate, message):
         data = json.loads((FIXTURES / "interval_l2.json").read_text())
         mutate(data)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert main(["check", str(bad)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith("error: " + message)
         assert "Traceback" not in captured.err + captured.out
 
     @pytest.mark.parametrize("argv", [
@@ -207,10 +213,23 @@ class TestCli:
         assert len(captured.err.splitlines()) == 1
         assert not out.parent.exists()
 
-    def test_check_skips_absent_blocks(self, capsys):
-        assert main(["check", str(FIXTURES / "chain_poset_nerve.json"), "--gamma"]) == 0
+    @pytest.mark.parametrize("block", ["gamma", "paracyclic"])
+    def test_check_skips_absent_blocks(self, capsys, block):
+        assert main(["check", str(FIXTURES / "chain_poset_nerve.json"), f"--{block}"]) == 0
         out = capsys.readouterr().out
-        assert "skipped" in out and "no gamma block" in out
+        assert "skipped" in out and f"no {block} block" in out
+
+    def test_frobenius_to_paracyclic_below_truncation_3_is_bad_input(self, tmp_path, capsys):
+        assert main(["example", "nolift", "-o", str(tmp_path / "nolift.json")]) == 0
+        data = json.loads((tmp_path / "nolift.json").read_text())
+        data["counit"] = {"apex_size": 1, "left": [0], "right": "point"}
+        doc = tmp_path / "counit.json"
+        doc.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["derive", str(doc), "--direction", "frobenius-to-paracyclic"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need truncation level at least 3\n"
 
     def test_derive_round_trip_bytes(self, tmp_path, capsys):
         src = FIXTURES / "interval_l3.json"

@@ -1,7 +1,7 @@
 """Every imported name in the package, the tests and the demos is used,
-and every module-level definition in the package is referenced.  The
-package namespace keeps its names while loading each submodule only
-when something reads it.
+every module-level definition in the package is referenced, and every
+method of the package is read.  The package namespace keeps its names
+while loading each submodule only when something reads it.
 
 A name counts as used when its module references it, or when another
 scanned module reads it as an attribute of this module (`cli` reads
@@ -9,7 +9,8 @@ scanned module reads it as an attribute of this module (`cli` reads
 re-exports, so its imports are exempt.  A definition counts as
 referenced when code outside its own body names it, in the package, the
 tests, the demos or the benchmark; the `__init__.py` re-export does not
-count.
+count.  A method counts as read when its name is read anywhere in those
+files, as a name, an attribute or a dotted part of a string constant.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -170,6 +172,69 @@ def test_every_package_definition_is_referenced():
 def test_the_scan_sees_an_unreferenced_definition():
     tree = ast.parse("def used():\n    pass\n\ndef dead():\n    dead()\n\nused()\n")
     assert [node.name for node in _unreferenced(tree, _reads([tree]))] == ["dead"]
+
+
+def _read_names(trees) -> set[str]:
+    """Each name read in `trees`: bare, as an attribute, or as a dotted part
+    of a string constant that is a dotted name, since the benchmark's tracer
+    names the functions it wraps by string."""
+    out = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                out.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if all(part.isidentifier() for part in node.value.split(".")):
+                    out.update(node.value.split("."))
+    return out
+
+
+def _definitions(tree: ast.Module):
+    """Each module-level def and class of `tree`, and each method of its
+    classes, as (qualified name, node); dunders, which the interpreter
+    calls, are left out."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for node in tree.body:
+        if isinstance(node, functions + (ast.ClassDef,)):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{sub.name}", sub) for sub in node.body if isinstance(sub, functions)]
+    return [(name, node) for name, node in found if not re.fullmatch("__.*__", node.name)]
+
+
+def unread_definitions() -> list[str]:
+    """The package's definitions and methods whose name nothing reads in the
+    package, the tests, the demos or the benchmark."""
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for folder in SCANNED + [ROOT / "perfbench"]
+        for path in sorted(folder.glob("*.py"))
+    }
+    read = _read_names(trees.values())
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for name, node in _definitions(tree)
+        if node.name not in read
+    ]
+
+
+def test_every_package_definition_and_method_is_read():
+    assert unread_definitions() == []
+
+
+def test_the_scan_sees_an_unread_method():
+    tree = ast.parse(
+        "class C:\n    def __init__(self):\n        self.used()\n"
+        "    def used(self):\n        pass\n    def named(self):\n        pass\n"
+        "    def dead(self):\n        pass\n\nTRACED = ['C.named']\n"
+    )
+    read = _read_names([tree])
+    assert [name for name, node in _definitions(tree) if node.name not in read] == ["C.dead"]
 
 
 # ---------------------------------------------------------------------------
