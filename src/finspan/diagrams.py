@@ -2,10 +2,11 @@
 
 A diagram is a stack of rows; each row is a tuple of boxes placed side by
 side, and each box is a span together with a declared splitting of its
-boundaries into wires.  Evaluating a diagram yields the composite span
-(products within a row, pullback composition between rows) with its apex
-enumerated canonically, so that differently bracketed readings of one
-diagram literally coincide.
+boundaries into wires.  Evaluating a diagram enumerates the apex of its
+composite span (products within a row, pullback composition between rows)
+canonically, so that differently bracketed readings of one diagram
+literally coincide.  An identity box is joined as no factor, and the span
+itself is built only when it is read.
 
 Equation checking works by rewriting: a rule replaces a sub-pattern of
 consecutive rows by another pattern and transports apex elements through
@@ -41,7 +42,8 @@ from .spans import (
     StructuralError,
     block_braiding_span,
     identity_span,
-    iterated_pullback,
+    pullback_columns,
+    sort_columns,
 )
 
 
@@ -69,6 +71,12 @@ class Box:
     def out_table(self) -> tuple[tuple[int, ...], ...]:
         """The out-wire values of each apex element."""
         return tuple(zip(*self.out_wires)) if self.out_objs else ((),) * self.span.apex.size
+
+    @cached_property
+    def is_identity(self) -> bool:
+        """One wire in and out on one object, both legs identity tables."""
+        return (len(self.in_objs) == 1 and self.in_objs == self.out_objs
+                and self.span.left.table == self.span.right.table == tuple(range(self.in_objs[0].size)))
 
     @cached_property
     def in_wires(self) -> tuple[tuple[int, ...], ...]:
@@ -171,18 +179,26 @@ def _members(columns, count: int):
 
 @dataclass(frozen=True)
 class EvaluatedDiagram:
-    """A diagram's composite span; `columns` holds its apex elements as one
-    element column per box, grouped by row, in canonical order."""
+    """A diagram's `count` apex elements as one element column per box,
+    grouped by row, in canonical order; the span is built when first read."""
 
     diagram: Diagram
-    span: Span
     columns: Columns
+    count: int
+
+    @cached_property
+    def span(self) -> Span:
+        first, last, count = self.diagram[0], self.diagram[-1], self.count
+        src, tgt, apex = FinSet(_wire_size(row_in_objs(first))), FinSet(_wire_size(row_out_objs(last))), FinSet(count)
+        left = _leg_column(((b.span.src.size, b.span.left.table) for b in first), self.columns[0], count)
+        right = _leg_column(((b.span.tgt.size, b.span.right.table) for b in last), self.columns[-1], count)
+        return Span(src, tgt, apex, FinMap(apex, src, left), FinMap(apex, tgt, right))
 
 
 def member_index(ev: EvaluatedDiagram) -> dict[tuple[int, ...], int]:
     """Each apex element of an evaluated diagram, as the flat tuple of its
     box elements listed row-major, to its place in apex order."""
-    members = _members([c for row in ev.columns for c in row], ev.span.apex.size)
+    members = _members([c for row in ev.columns for c in row], ev.count)
     return {m: j for j, m in enumerate(members)}
 
 
@@ -194,28 +210,32 @@ def evaluate(diagram: Diagram) -> EvaluatedDiagram:
         if row_out_objs(upper) != row_in_objs(lower):
             raise StructuralError("row boundaries do not chain")
 
-    # one factor per box, keyed by the wire coordinates (row interface,
-    # wire) of its in and out wires; each row's tuples are zipped from its
-    # boxes' element columns, and an empty row reads () in every tuple
-    factors, cuts = [], [0]
+    # wires are keyed by the top coordinate (row interface, wire) of their
+    # chain of identity boxes; each other box is a factor, and an identity's
+    # column is read off the first factor reading its key, or one over its set
+    keyof, readers, factors, sources, elided = {}, {}, [], [], []
     for r, row in enumerate(diagram):
         ins, outs = _box_wire_offsets(row)
         for j, b in enumerate(row):
-            keys = tuple((r, w) for w in range(ins[j], ins[j + 1])) + tuple(
+            keys = tuple(keyof.get((r, w), (r, w)) for w in range(ins[j], ins[j + 1])) + tuple(
                 (r + 1, w) for w in range(outs[j], outs[j + 1]))
+            if b.is_identity:
+                keyof[keys[1]] = keys[0]
+                elided.append((len(sources), keys[0], b.in_objs[0]))
+                sources.append(None)
+                continue
+            for k, t in zip(keys, b.in_wires + b.out_wires):
+                readers.setdefault(k, (len(factors), t))
+            sources.append((len(factors), None))
             factors.append((keys, tuple(i + o for i, o in zip(b.in_table, b.out_table))))
-        cuts.append(cuts[-1] + len(row))
-    flat = iterated_pullback(factors)
-    columns = tuple(zip(*flat)) if flat else ((),) * cuts[-1]
-    box_columns = tuple(columns[a:b] for a, b in zip(cuts, cuts[1:]))
-    src = FinSet(_wire_size(row_in_objs(diagram[0])))
-    tgt = FinSet(_wire_size(row_out_objs(diagram[-1])))
-    apex = FinSet(len(flat))
-    firsts = ((b.span.src.size, b.span.left.table) for b in diagram[0])
-    lasts = ((b.span.tgt.size, b.span.right.table) for b in diagram[-1])
-    left = FinMap(apex, src, _leg_column(firsts, box_columns[0], len(flat)))
-    right = FinMap(apex, tgt, _leg_column(lasts, box_columns[-1], len(flat)))
-    return EvaluatedDiagram(diagram, Span(src, tgt, apex, left, right), box_columns)
+    for i, k, x in elided:
+        if k not in readers:
+            readers[k] = (len(factors), None)
+            factors.append(((k,), tuple((v,) for v in x)))
+        sources[i] = readers[k]
+    columns, count = pullback_columns(factors)
+    flat = _wire_values(sources, columns)
+    return EvaluatedDiagram(diagram, _by_row(diagram, tuple(sort_columns(flat) if elided else flat)), count)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +321,7 @@ def _padded_members(ev: EvaluatedDiagram, depth: int) -> list[tuple[int, ...]]:
     if pad:
         last = ev.columns[-1]
         columns += [tuple(map(t.__getitem__, last[c])) for c, t in _out_wires(ev.diagram[-1])] * pad
-    return list(_members(columns, ev.span.apex.size))
+    return list(_members(columns, ev.count))
 
 
 def _padded_rule(name: str, ev_src: EvaluatedDiagram, ev_tgt: EvaluatedDiagram, cell: SpanCell) -> RewriteRule:
@@ -434,7 +454,7 @@ def insert_identity_row(diagram: Diagram, at: int) -> tuple[Diagram, Step]:
 
 
 def delete_identity_row(diagram: Diagram, at: int) -> tuple[Diagram, Step]:
-    if any(b.name != "id" for b in diagram[at]):
+    if not all(b.is_identity for b in diagram[at]):
         raise StructuralError("row is not all identities")
     if len(diagram) == 1:
         raise StructuralError("empty diagram")
@@ -488,7 +508,7 @@ def compare_paths(p: DiagramPath, q: DiagramPath) -> tuple[bool, Mapping[Assignm
     if p.diagram != q.diagram:
         raise StructuralError("paths end at different diagrams")
     start = evaluate(p.start)
-    count = start.span.apex.size
+    count = start.count
     q_end = [c for row in q.carry(start.columns, count) for c in row]
     p_end = [c for row in p.carry(start.columns, count) for c in row]
     discrepancy = _Discrepancy(start.columns, count, p_end, q_end)
@@ -563,7 +583,7 @@ class ClosedFormRule(RewriteRule):
     @cached_property
     def _tables(self) -> tuple[dict[tuple[int, ...], tuple[int, ...]], SpanCell]:
         ev_src, ev_tgt = evaluate(self.src), evaluate(self.tgt)
-        count = ev_src.span.apex.size
+        count = ev_src.count
         sources = [c for row in ev_src.columns for c in row]
         images = list(_members(self.carry(sources, count), count))
         cell = _rule_cell(self.name, ev_src, ev_tgt, images)

@@ -114,6 +114,19 @@ def document_from_dict(data: dict) -> StructureDocument:
         raise DocumentError(str(exc)) from exc
 
 
+def _block(data: dict, name: str, *needs: str) -> Optional[dict]:
+    """The `name` block, or None when absent: a JSON object with every key in `needs`."""
+    if name not in data:
+        return None
+    block = data[name]
+    if not isinstance(block, dict):
+        raise DocumentError(f"{name} block must be a JSON object, not {type(block).__name__}")
+    for key in needs:
+        if key not in block:
+            raise DocumentError(f"{name} block needs {key}")
+    return block
+
+
 def _document_from_dict(data: dict) -> StructureDocument:
     N = data["truncation"]
     levels = [_parse_level(l) for l in data["levels"]]
@@ -141,20 +154,20 @@ def _document_from_dict(data: dict) -> StructureDocument:
     X = make_simplicial(levels, face, degen)
 
     paracyclic = None
-    if "paracyclic" in data:
+    if (block := _block(data, "paracyclic")) is not None:
         from .paracyclic import ParacyclicData
 
-        taus = data["paracyclic"].get("tau")
+        taus = block.get("tau")
         if not isinstance(taus, list) or len(taus) != N + 1:
             raise DocumentError("paracyclic block needs one tau table per level")
         paracyclic = ParacyclicData(X, tuple(
             _parse_table(taus[n], levels[n], levels[n], f"tau^{n}") for n in range(N + 1)
         ))
     gamma = None
-    if "gamma" in data:
+    if (block := _block(data, "gamma")) is not None:
         from .gammaset import GammaData
 
-        thetas = data["gamma"].get("theta")
+        thetas = block.get("theta")
         if not isinstance(thetas, list) or len(thetas) != max(0, N - 1):
             raise DocumentError("gamma block needs theta tables for levels 2..N")
         tables: list[tuple[FinMap, ...]] = [(), ()]
@@ -168,8 +181,7 @@ def _document_from_dict(data: dict) -> StructureDocument:
             ))
         gamma = GammaData(X, tuple(tables))
     counit = None
-    if "counit" in data:
-        block = data["counit"]
+    if (block := _block(data, "counit", "apex_size", "left")) is not None:
         if block.get("right") != "point":
             raise DocumentError("counit right leg must be the point")
         if not _is_index(block["apex_size"]):
@@ -178,10 +190,8 @@ def _document_from_dict(data: dict) -> StructureDocument:
         left = _parse_table(block["left"], apex, levels[1], "counit left leg")
         counit = Span(levels[1], UNIT, apex, left, constant_map(apex, UNIT))
     commutative = None
-    if "commutative" in data:
-        commutative = _parse_table(
-            data["commutative"]["theta2"], levels[2], levels[2], "commutative theta2"
-        )
+    if (block := _block(data, "commutative", "theta2")) is not None:
+        commutative = _parse_table(block["theta2"], levels[2], levels[2], "commutative theta2")
     return StructureDocument(X, paracyclic, gamma, counit, commutative)
 
 

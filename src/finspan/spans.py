@@ -159,13 +159,14 @@ def identity_cell(f: Span) -> SpanCell:
 # pullbacks and composition
 
 
-def iterated_pullback(factors) -> tuple[tuple[int, ...], ...]:
-    """The iterated pullback of finite sets that share named keys.
+def pullback_columns(factors) -> tuple[list[tuple[int, ...]], int]:
+    """The iterated pullback of finite sets that share named keys, as one
+    element column per factor together with the number of elements.
 
     Each factor is `(keys, values)` with distinct keys, where `values[e]` is
-    element e's tuple of values on `keys`.  Returns the tuples with one
-    element per factor that agree on every shared key, in lexicographic
-    order.
+    element e's tuple of values on `keys`.  The elements are the tuples
+    with one element per factor that agree on every shared key, listed in
+    lexicographic order: `columns[i][k]` is factor i's element in the k-th.
 
     Factors are joined in connected order: factor 0 first, then always the
     first remaining factor that reads a key already bound, or the next
@@ -173,13 +174,10 @@ def iterated_pullback(factors) -> tuple[tuple[int, ...], ...]:
     its fiber over the keys already bound, so no product is built and then
     filtered.  A key's value is carried only while a later factor in the
     join order still reads it, and tuples carrying equal values share one
-    extension, built once.  The tuples are kept as one element column per
-    factor: each join step lists the parent of every extended tuple and
-    re-indexes the earlier columns through it.  The result is sorted only
-    when the join order differs from the given one.
+    extension, built once.  Each join step lists the parent of every
+    extended tuple and re-indexes the earlier columns through it.  The
+    columns are sorted only when the join order differs from the given one.
     """
-    if not factors:
-        return ((),)
     order, seen, rest = [], set(), list(range(len(factors)))
     while rest:
         i = next((i for i in rest if not seen.isdisjoint(factors[i][0])), rest[0])
@@ -189,7 +187,7 @@ def iterated_pullback(factors) -> tuple[tuple[int, ...], ...]:
     last = {k: j for j, i in enumerate(order) for k in factors[i][0]}
     live: tuple = ()
     partial: list[tuple] = [()]
-    columns: list[list[int]] = []
+    columns: list[tuple[int, ...]] = []
     for j, i in enumerate(order):
         keys, values = factors[i]
         pos = {k: p for p, k in enumerate(live)}
@@ -216,11 +214,22 @@ def iterated_pullback(factors) -> tuple[tuple[int, ...], ...]:
             parents += [a] * len(ext[0])
             column += ext[0]
             grown += ext[1]
-        columns = [list(map(col.__getitem__, parents)) for col in columns]
-        columns.append(column)
+        columns = [tuple(map(col.__getitem__, parents)) for col in columns]
+        columns.append(tuple(column))
         partial = grown
-    tuples = zip(*(columns[order.index(i)] for i in range(len(order))))
-    return tuple(tuples) if order == sorted(order) else tuple(sorted(tuples))
+    columns = [columns[order.index(i)] for i in range(len(order))]
+    return columns if order == sorted(order) else sort_columns(columns), len(partial)
+
+
+def sort_columns(columns) -> list[tuple[int, ...]]:
+    """Equal-length element columns with their rows in lexicographic order."""
+    return list(zip(*sorted(zip(*columns)))) or [()] * len(columns)
+
+
+def iterated_pullback(factors) -> tuple[tuple[int, ...], ...]:
+    """The elements of `pullback_columns` as tuples, one entry per factor."""
+    columns, count = pullback_columns(factors)
+    return tuple(zip(*columns)) if columns else ((),) * count
 
 
 def pullback_pairs(f: FinMap, g: FinMap) -> tuple[tuple[int, int], ...]:

@@ -38,6 +38,8 @@ from finspan.spans import (
     compose_spans,
     decode_tuple,
     encode_tuple,
+    identity_map,
+    identity_span,
     product_span,
 )
 
@@ -1071,3 +1073,181 @@ def test_a_corrupted_entry_that_no_element_reaches_is_refused():
     path = DiagramPath(start).rewrite(bad, 1, (0,))
     with pytest.raises(StructuralError, match="rule bad: rewrite produced an invalid assignment"):
         compare_paths(path, DiagramPath(start))
+
+
+# ---------------------------------------------------------------------------
+# identity boxes: decided from the legs, joined as no factor
+
+
+def _near_identities(rng, x):
+    """One-wire boxes on x, all named "id", that are not identities: an
+    empty apex, random legs on one more element than x, and for |x| > 1 a
+    cyclic shift as both legs."""
+    boxes = [Box(rand_span(rng, x.size, x.size, n), (x,), (x,), name="id") for n in (0, x.size + 1)]
+    if x.size > 1:
+        shift = FinMap(x, x, tuple(range(1, x.size)) + (0,))
+        boxes.append(Box(Span(x, x, x, shift, shift), (x,), (x,), name="id"))
+    return boxes
+
+
+def _one_wire_box(rng, x):
+    """Mostly an identity, under either name; sometimes a near-identity,
+    rarely the one with an empty apex, which empties the whole diagram."""
+    roll = rng.random()
+    if roll < 0.6:
+        return identity_box(x)
+    if roll < 0.75:
+        return Box(identity_span(x), (x,), (x,), name="wire")
+    near = _near_identities(rng, x)
+    return near[0] if roll > 0.98 else rng.choice(near[1:])
+
+
+def rand_identity_heavy_diagram(rng):
+    """Three to five rows in which most one-wire boxes are identities, so
+    that identity chains run across several rows and some wires are read
+    only by identities.  A row on no wires may have no boxes at all."""
+    wires = tuple(FinSet(rng.randint(1, 3)) for _ in range(rng.randint(0, 3)))
+    diagram = []
+    for _ in range(rng.randint(3, 5)):
+        row, i = [], 0
+        while i < len(wires):
+            if rng.random() < 0.7:
+                b = _one_wire_box(rng, wires[i])
+                i += 1
+            else:
+                n = rng.randint(1, len(wires) - i)
+                ins, i = wires[i:i + n], i + n
+                outs = tuple(FinSet(rng.randint(1, 3)) for _ in range(rng.randint(0, 2)))
+                b = rand_box(rng, ins, outs, rng.randint(1, 2 * math.prod(o.size for o in ins + outs)))
+            row.append(b)
+        if rng.random() < (0.1 if wires else 0.5):
+            row.insert(rng.randint(0, len(row)), rand_box(rng, (), (FinSet(rng.randint(1, 2)),), rng.randint(1, 2)))
+        diagram.append(tuple(row))
+        wires = row_out_objs(row)
+    return tuple(diagram)
+
+
+def _row_products(diagram):
+    """How many row combinations `brute_force_evaluate` walks through."""
+    return math.prod(math.prod(b.span.apex.size for b in row) for row in diagram)
+
+
+# the brute force is exponential in the rows, so a diagram with more than
+# 4,096 row combinations is left out for time
+IDENTITY_HEAVY = [d for d in map(rand_identity_heavy_diagram, map(random.Random, range(5000, 5400)))
+                  if _row_products(d) <= 4096][:80]
+
+
+def _longest_identity_chain(diagram) -> int:
+    """The most identity boxes in a row that one wire runs through."""
+    best, run = 0, [0] * len(row_in_objs(diagram[0]))
+    for row in diagram:
+        chained, w = [], 0
+        for b in row:
+            chained += [run[w] + 1] if b.is_identity else [0] * len(b.out_objs)
+            w += len(b.in_objs)
+        best, run = max([best, *chained]), chained
+    return best
+
+
+def test_identity_heavy_seeds_cover_the_shapes():
+    assert len(IDENTITY_HEAVY) == 80
+    assert any(_longest_identity_chain(d) >= 3 for d in IDENTITY_HEAVY)
+    assert any(all(b.is_identity for row in d for b in row) and any(d) for d in IDENTITY_HEAVY)
+    assert any(() in d for d in IDENTITY_HEAVY)
+    assert any(not b.is_identity and b.name == "id" for d in IDENTITY_HEAVY for row in d for b in row)
+    assert any(b.is_identity and b.name != "id" for d in IDENTITY_HEAVY for row in d for b in row)
+
+
+@pytest.mark.parametrize("k", range(80))
+def test_evaluate_matches_full_row_product_on_identity_heavy_diagrams(k):
+    assert_matches_brute_force(IDENTITY_HEAVY[k])
+
+
+def test_evaluate_matches_full_row_product_on_identity_shapes():
+    rng = random.Random(17)
+    x, y = FinSet(2), FinSet(3)
+    ix, iy = identity_box(x), identity_box(y)
+    eta = rand_box(rng, (), (x,), 2)
+    cap = rand_box(rng, (x,), (), 3)
+    f = rand_box(rng, (x, y), (y, x), 7)
+    g = rand_box(rng, (y, x), (x,), 5)
+    # identity rows, an identity chain across three rows, all identities
+    assert_matches_brute_force(((f,), (iy, ix), (iy, ix), (iy, ix), (g,)))
+    assert_matches_brute_force(((ix, iy), (ix, iy), (ix, iy)))
+    assert_matches_brute_force(((ix,),))
+    # wires that only identities read, around an eta and a cap
+    assert_matches_brute_force(((eta, ix), (ix, ix), (cap, ix)))
+    assert_matches_brute_force(((ix,), (cap,), (), (eta,), (ix,)))
+    assert_matches_brute_force(((), (eta,), (ix,), (ix,), (cap,), ()))
+    # near-identities, which are joined as factors
+    for near in _near_identities(rng, x):
+        assert not near.is_identity
+        assert_matches_brute_force(((ix,), (near,), (ix,)))
+        assert_matches_brute_force(((near, iy), (ix, iy), (cap, iy)))
+
+
+def test_identity_is_decided_from_the_legs():
+    x = FinSet(2)
+    swap = FinMap(x, x, (1, 0))
+    named_id = Box(Span(x, x, x, identity_map(x), swap), (x,), (x,), name="id")
+    renamed = Box(identity_span(x), (x,), (x,), name="wire")
+    one = FinSet(1)
+    assert identity_box(x).is_identity and renamed.is_identity
+    assert not named_id.is_identity
+    assert not Box(Span(one, one, FinSet(0), FinMap(FinSet(0), one, ()), FinMap(FinSet(0), one, ())),
+                   (one,), (one,), name="id").is_identity
+    assert not Box(identity_span(FinSet(6)), (x, FinSet(3)), (x, FinSet(3)), name="id").is_identity
+    y = FinSet(3)
+    inclusion = Box(Span(x, y, x, identity_map(x), FinMap(x, y, (0, 1))), (x,), (y,), name="id")
+    assert not inclusion.is_identity
+    assert_matches_brute_force(((identity_box(x),), (inclusion,), (identity_box(y),)))
+
+
+def test_delete_identity_row_refuses_a_row_named_id_that_is_not_the_identity():
+    x = FinSet(2)
+    f = box_from_span(rand_span(random.Random(18), 2, 2, 3), "f")
+    named_id = Box(Span(x, x, x, identity_map(x), FinMap(x, x, (1, 0))), (x,), (x,), name="id")
+    with pytest.raises(StructuralError, match="row is not all identities"):
+        DiagramPath(((f,), (named_id,))).delete_identity_row(1)
+    renamed = Box(identity_span(x), (x,), (x,), name="wire")
+    path = DiagramPath(((f,), (renamed,))).delete_identity_row(1).insert_identity_row(1)
+    assert path.diagram == ((f,), (identity_box(x),))
+    assert compare_paths(path, DiagramPath(((f,), (renamed,))).delete_identity_row(1)
+                         .insert_identity_row(1))[0]
+    assert evaluate(path.diagram).span == evaluate(((f,), (renamed,))).span
+
+
+def test_the_pentagon_start_joins_only_its_multiplications(monkeypatch):
+    P = pseudomonoid.build_pseudomonoid(catalog.nerve(catalog.cyclic_group_category(8), 3))
+    mu, _, idb = P.boxes()
+    join, factors = diagrams.pullback_columns, []
+
+    def counting(fs):
+        factors.append(len(fs))
+        return join(fs)
+
+    monkeypatch.setattr(diagrams, "pullback_columns", counting)
+    ev = evaluate(((mu, idb, idb), (mu, idb), (mu,)))
+    # three multiplications; the three identity boxes make no factor
+    assert factors == [3]
+    assert ev.count == 8 ** 4
+
+
+def test_passing_equations_never_build_their_start_span(monkeypatch):
+    P = pseudomonoid.build_pseudomonoid(catalog.nerve(catalog.cyclic_group_category(8), 3))
+    made = []
+
+    def recording(diagram):
+        ev = evaluate(diagram)
+        made.append(ev)
+        return ev
+
+    for module in (diagrams, pseudomonoid, gammaset):
+        monkeypatch.setattr(module, "evaluate", recording)
+    assert pseudomonoid.verify_pentagon(P).ok
+    assert pseudomonoid.verify_triangle(P).ok
+    mu, eta, idb = P.boxes()
+    assert [ev.diagram for ev in made] == [((mu, idb, idb), (mu, idb), (mu,)),
+                                           ((idb, eta, idb), (mu, idb), (mu,))]
+    assert all("span" not in vars(ev) for ev in made)

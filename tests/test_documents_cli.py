@@ -188,6 +188,25 @@ class TestCli:
         assert captured.err.startswith("error: " + message)
         assert "Traceback" not in captured.err + captured.out
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d.update(paracyclic=3), "paracyclic block must be a JSON object, not int"),
+        (lambda d: d.update(gamma=[[0]]), "gamma block must be a JSON object, not list"),
+        (lambda d: d.update(counit="point"), "counit block must be a JSON object, not str"),
+        (lambda d: d.update(commutative=None), "commutative block must be a JSON object, not NoneType"),
+        (lambda d: d.update(counit={"left": [0, 0, 0], "right": "point"}), "counit block needs apex_size"),
+        (lambda d: d.update(commutative={"theta": [0]}), "commutative block needs theta2"),
+    ], ids=["paracyclic-int", "gamma-list", "counit-string", "commutative-null",
+            "counit-without-apex-size", "commutative-without-theta2"])
+    def test_check_names_the_malformed_block(self, tmp_path, capsys, mutate, message):
+        data = json.loads((FIXTURES / "interval_l2.json").read_text())
+        mutate(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["check", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["check"], ["derive", "--direction", "commutative-to-gamma"], ["search-lift"],
     ], ids=["check", "derive", "search-lift"])
