@@ -39,8 +39,8 @@ class TruncSimplicialSet:
     `face[n]` holds (d_0^n, ..., d_n^n) for 1 <= n <= N (face[0] is empty);
     `degen[n]` holds (s_0^n, ..., s_n^n) for 0 <= n < N (degen[N] is empty).
 
-    `memo` holds data derived from the tables (vertex maps, polygon stacks,
-    Segal witnesses, the face identities and the 2-Segal and unitality
+    `memo` holds data derived from the tables (vertex maps, Segal witnesses
+    with their stacks, the face identities and the 2-Segal and unitality
     verdicts).  It is left out of `==` and `hash`, so two equal
     structures never share an entry, and it dies with its structure.
     """
@@ -204,8 +204,6 @@ class Triangulation:
     triangles: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise StructuralError("polygon needs at least 3 vertices")
         if any(len(t) != 3 for t in self.triangles):
             raise StructuralError("cells of a triangulation must be triangles")
         Subdivision(self.n, self.triangles)
@@ -224,6 +222,7 @@ class Subdivision:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _check_polygon(self.n)
         if any(len(c) < 3 for c in self.cells):
             raise StructuralError("cells must be polygons")
         if list(self.cells) != sorted(tuple(sorted(c)) for c in self.cells):
@@ -246,6 +245,12 @@ class Subdivision:
             for (c, d) in inner:
                 if a < c < b < d:
                     raise StructuralError(f"diagonals {(a, b)} and {(c, d)} cross")
+
+
+def _check_polygon(n: int) -> None:
+    """Refuse a polygon 0..n with fewer than 3 vertices."""
+    if n < 2:
+        raise StructuralError("polygon needs at least 3 vertices")
 
 
 def boundary_edges(n: int) -> tuple[tuple[int, int], ...]:
@@ -304,14 +309,13 @@ def _subdivisions_of(vertices: tuple[int, ...], triangles: bool):
 def _polygon_cells(n: int, triangles: bool) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The sorted cells of every subdivision of the polygon 0..n, or of
     every triangulation when `triangles`, in enumeration order."""
+    _check_polygon(n)
     return (tuple(sorted(cells)) for cells in _subdivisions_of(tuple(range(n + 1)), triangles))
 
 
 def enumerate_triangulations(n: int) -> tuple[Triangulation, ...]:
     """All triangulations of the (n+1)-gon, Catalan(n-1) of them, in a
     deterministic order."""
-    if n < 2:
-        raise StructuralError("polygon needs at least 3 vertices")
     return tuple(Triangulation(n, cells) for cells in _polygon_cells(n, True))
 
 
@@ -376,26 +380,21 @@ class PolygonStack:
 
 
 def polygon_stack(X: TruncSimplicialSet, n: int, cells: tuple[tuple[int, ...], ...]) -> PolygonStack:
-    """The iterated pullback for `cells`, memoised in `X.memo`."""
-    key = (n, cells)
-    if key in X.memo:
-        return X.memo[key]
+    """The iterated pullback for `cells`.  Nothing is memoised: the only
+    stacks a structure keeps are those its Segal witnesses hold."""
     # two cells can share only a side, so a cell is keyed by its sides
     factors = []
     for c in cells:
         sides = _sides(range(len(c)))
         columns = [vertex_map(X, len(c) - 1, side).table for side in sides]
         factors.append((tuple((c[i], c[j]) for i, j in sides), tuple(zip(*columns))))
-    elements = iterated_pullback(factors)
-    X.memo[key] = PolygonStack(X, n, cells, elements)
-    return X.memo[key]
+    return PolygonStack(X, n, cells, iterated_pullback(factors))
 
 
 @dataclass(frozen=True)
 class SegalWitness:
     """A triangulation map together with its inverse when bijective."""
 
-    triangulation: Triangulation
     stack: PolygonStack
     forward: FinMap
     inverse: Optional[FinMap]
@@ -417,7 +416,7 @@ def segal_witness(X: TruncSimplicialSet, T: Triangulation) -> SegalWitness:
     if T not in X.memo:
         stack, fwd = subdivision_map(X, T.n, T.triangles)
         inverse = fwd.inverse() if fwd.is_bijective() else None
-        X.memo[T] = SegalWitness(T, stack, fwd, inverse)
+        X.memo[T] = SegalWitness(stack, fwd, inverse)
     return X.memo[T]
 
 
@@ -457,18 +456,16 @@ def _segal_maps(X: TruncSimplicialSet, maps: Iterable[tuple[str, int, tuple[tupl
     one decision behind `check_2segal` and `check_subdivision_criterion`.
 
     When the face identities hold, a map passes when it is a composite of
-    bijections (`_composed_verdicts`); only when it is not is it decided
-    from the codes of its sub-polygons (`_stack_code`), memoised for the
-    call.  Only a failing map builds its stack, so every witness is the one
-    its stack gives.  When they fail, vertex maps need not compose, and
-    every map is built by `subdivision_map`, which raises `GluingError` on a
+    bijections (`_composed_verdicts`).  Every other map is decided by its
+    stack (`subdivision_map`), which also gives its witness, and the stack
+    is dropped with the line.  When the face identities fail, vertex maps
+    need not compose, and `subdivision_map` raises `GluingError` on a
     simplex whose components do not glue.
     """
     report = Report()
     composed = None if _face_violations(X) else _composed_verdicts(X)
-    codes: dict = {}
     for name, n, cells in maps:
-        if composed is not None and (composed(cells) or _bijective(X, n, _stack_code(X, n, cells, codes))):
+        if composed is not None and composed(cells):
             report.add(CheckResult(name))
         else:
             report.add(CheckResult(name, _bijectivity_witness(subdivision_map(X, n, cells)[1])))
@@ -480,91 +477,55 @@ def _composed_verdicts(X: TruncSimplicialSet) -> Callable[[tuple[tuple[int, ...]
     polygon is a composite of bijections, which makes it a bijection.  The
     face identities must hold.
 
-    The top cell C of a subdivision of the polygon 0..n, on k + 1 vertices,
-    holds the edge (0, n), and each of its sides (a, b) with b - a >= 2
-    bounds a side polygon a..b.  The coarse map of C is X_n -> X_k x_{X_1}
-    prod X_{b-a}, which sends a simplex to its top-cell simplex and its
-    side-polygon simplices.  The subdivision's map is C's coarse map
-    followed by each side polygon's own map, which keeps the side's outer
-    edge, and so on down: every cell c is the top cell of the side polygon
-    c[0]..c[-1].  So the map is a composite of bijections when the coarse
-    map of each cell, shifted down to start at 0, is bijective.  Each
-    coarse map is coded once, with its side polygons coded as single
-    cells, and memoised for the life of `composed`; a cell on consecutive
-    vertices has no side polygon, and its coarse map is the identity.  A
-    subdivision made of its top cell and single-cell side polygons is its
-    top cell's coarse map, so that coded pass decides it.
+    The subdivision's map is its top cell's coarse map followed by each
+    side polygon's own map, which keeps the side's outer edge, and so on
+    down: every cell c is the top cell of the side polygon c[0]..c[-1].  So
+    the map is a composite of bijections when the coarse map of each cell,
+    shifted down to start at 0, is bijective (`_coarse_bijective`).  Each
+    verdict is memoised for the life of `composed`; a cell on consecutive
+    vertices has no side polygon, and its coarse map is the identity.
     """
-    cell_codes: dict = {}
     coarse: dict[tuple[int, ...], bool] = {}
-
-    def cell_code(a: int, b: int):
-        return _stack_code(X, b - a, (tuple(range(b - a + 1)),), cell_codes)
 
     def coarse_passes(top: tuple[int, ...]) -> bool:
         if top not in coarse:
-            m = top[-1]
-            coarse[top] = len(top) == m + 1 or _bijective(X, m, _code(X, m, top, cell_code))
+            coarse[top] = len(top) == top[-1] + 1 or _coarse_bijective(X, top)
         return coarse[top]
 
     return lambda cells: all(coarse_passes(tuple(v - c[0] for v in c)) for c in cells)
 
 
-def _bijective(X: TruncSimplicialSet, n: int, coding: tuple[Sequence[int], int, list[int]]) -> bool:
-    """Whether a coded map from X_n is bijective: its stack has |X_n|
-    elements and its codes are distinct."""
-    codes, _, counts = coding
-    size = X.levels[n].size
-    return sum(counts) == size and len(set(codes)) == size
+def _coarse_bijective(X: TruncSimplicialSet, top: tuple[int, ...]) -> bool:
+    """Whether the coarse map of the cell `top` of the polygon 0..n, with
+    n = top[-1], is bijective.  `top`, on k + 1 vertices, holds the edge
+    (0, n), and each of its sides (a, b) with b - a >= 2 bounds a side
+    polygon a..b; the coarse map X_n -> X_k x_{X_1} prod X_{b-a} sends a
+    simplex to its top-cell simplex and its side-polygon simplices.
 
-
-def _stack_code(X: TruncSimplicialSet, n: int, cells: tuple[tuple[int, ...], ...],
-                memo: dict) -> tuple[Sequence[int], int, list[int]]:
-    """Code the map of the subdivision `cells` of the polygon 0..n with
-    `_code`, each side polygon coded by its own cells, memoised in `memo`."""
-    key = (n, cells)
-    if key not in memo:
-        top = next(c for c in cells if c[0] == 0 and c[-1] == n)
-        memo[key] = _code(X, n, top, lambda a, b: _stack_code(
-            X, b - a, tuple(tuple(v - a for v in c) for c in cells if a <= c[0] and c[-1] <= b), memo))
-    return memo[key]
-
-
-def _code(X: TruncSimplicialSet, n: int, top: tuple[int, ...],
-          side_code: Callable[[int, int], tuple[Sequence[int], int, list[int]]]
-          ) -> tuple[Sequence[int], int, list[int]]:
-    """Code the map from X_n of a subdivision of the polygon 0..n whose top
-    cell `top`, on k + 1 vertices, holds the edge (0, n), as `(codes, radix,
-    counts)`.  `side_code(a, b)` gives the coding of the side polygon a..b,
-    shifted down by a, for each side (a, b) of `top` with b - a >= 2.
-
-    `codes[psi]` lies in range(radix), and two simplices have equal codes
-    exactly when their stack tuples are equal.  `counts[e]` is the number
-    of stack elements whose outer edge (0, n) is e, so `sum(counts)` is the
-    size of the stack.  A simplex psi gets the code of its top-cell simplex t[psi] in X_k followed by its
-    sides' codes, in mixed radix: `(t[psi] * radix_1 + code_1[v_1 psi]) *
-    radix_2 + ...` for the vertex maps v_j onto the side polygons.  Stacks
-    glue along the top cell's sides, so the counts add, at the outer edge
-    of each t in X_k, the product of its sides' counts at t's sides.  A
-    single cell has no side polygon: its codes are X_n itself.
-
-    The codes are exact only when the face identities hold, since psi's
-    component on a cell of a side polygon is read through its vertex map.
+    A simplex psi is coded by its top-cell simplex t[psi] followed by its
+    side simplices in mixed radix, `(t[psi] * |X_{b1-a1}| + v_1[psi]) *
+    |X_{b2-a2}| + ...` for the vertex maps v_j onto the side polygons, so
+    the map is injective exactly when the codes are distinct.  The stack
+    has, over each t in X_k, the product over those sides of the number of
+    simplices of X_{b-a} whose outer edge is t's side, so the map is
+    bijective exactly when that sum is |X_n| as well.  Both are exact only
+    when the face identities hold, since psi's components are read through
+    vertex maps.
     """
-    k = len(top) - 1
-    codes, radix = vertex_map(X, n, top).table, X.levels[k].size
+    n, k = top[-1], len(top) - 1
+    codes = vertex_map(X, n, top).table
     weights = [1] * X.levels[k].size
     for j, (a, b) in enumerate(zip(top, top[1:])):
         if b - a < 2:
             continue
-        side, side_radix, side_counts = side_code(a, b)
-        codes = [c * side_radix + side[v] for c, v in zip(codes, vertex_map(X, n, range(a, b + 1)).table)]
-        radix *= side_radix
-        weights = [w * side_counts[e] for w, e in zip(weights, vertex_map(X, k, (j, j + 1)).table)]
-    counts = [0] * X.levels[1].size
-    for e, w in zip(vertex_map(X, k, (0, k)).table, weights):
-        counts[e] += w
-    return codes, radix, counts
+        radix = X.levels[b - a].size
+        codes = [c * radix + v for c, v in zip(codes, vertex_map(X, n, range(a, b + 1)).table)]
+        outer = [0] * X.levels[1].size
+        for e in vertex_map(X, b - a, (0, b - a)).table:
+            outer[e] += 1
+        weights = [w * outer[e] for w, e in zip(weights, vertex_map(X, k, (j, j + 1)).table)]
+    size = X.levels[n].size
+    return sum(weights) == size and len(set(codes)) == size
 
 
 def _bijectivity_witness(f: FinMap):

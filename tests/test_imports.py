@@ -9,8 +9,10 @@ scanned module reads it as an attribute of this module (`cli` reads
 re-exports, so its imports are exempt.  A definition counts as
 referenced when code outside its own body names it, in the package, the
 tests, the demos or the benchmark; the `__init__.py` re-export does not
-count.  A method counts as read when its name is read anywhere in those
-files, as a name, an attribute or a dotted part of a string constant.
+count.  A method or an annotated class field counts as read when its name
+is read anywhere in those files, as a name, an attribute or a dotted part
+of a string constant; an `InitVar` field, which only `__post_init__`
+receives, is exempt.
 """
 
 from __future__ import annotations
@@ -191,23 +193,37 @@ def _read_names(trees) -> set[str]:
     return out
 
 
-def _definitions(tree: ast.Module):
-    """Each module-level def and class of `tree`, and each method of its
-    classes, as (qualified name, node); dunders, which the interpreter
-    calls, are left out."""
+def _definitions(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """Each module-level def and class of `tree`, and each method and
+    annotated field of its classes but the `InitVar` fields, as (qualified
+    name, name, line); dunders, which the interpreter calls, are left out."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     found = []
     for node in tree.body:
         if isinstance(node, functions + (ast.ClassDef,)):
-            found.append((node.name, node))
+            found.append((node.name, node.name, node.lineno))
         if isinstance(node, ast.ClassDef):
-            found += [(f"{node.name}.{sub.name}", sub) for sub in node.body if isinstance(sub, functions)]
-    return [(name, node) for name, node in found if not re.fullmatch("__.*__", node.name)]
+            for sub in node.body:
+                if isinstance(sub, functions):
+                    name = sub.name
+                elif (isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)
+                      and "InitVar" not in ast.unparse(sub.annotation)):
+                    name = sub.target.id
+                else:
+                    continue
+                found.append((f"{node.name}.{name}", name, sub.lineno))
+    return [d for d in found if not re.fullmatch("__.*__", d[1])]
+
+
+def _unread(tree: ast.Module, read: set[str]) -> list[tuple[str, int]]:
+    """Each definition of `tree` whose name is not in `read`, as (qualified
+    name, line)."""
+    return [(qualified, line) for qualified, name, line in _definitions(tree) if name not in read]
 
 
 def unread_definitions() -> list[str]:
-    """The package's definitions and methods whose name nothing reads in the
-    package, the tests, the demos or the benchmark."""
+    """The package's definitions, methods and class fields whose name
+    nothing reads in the package, the tests, the demos or the benchmark."""
     trees = {
         path: ast.parse(path.read_text(), filename=str(path))
         for folder in SCANNED + [ROOT / "perfbench"]
@@ -215,11 +231,10 @@ def unread_definitions() -> list[str]:
     }
     read = _read_names(trees.values())
     return [
-        f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+        f"{path.relative_to(ROOT)}:{line}: {name}"
         for path, tree in trees.items()
         if path.parent == PACKAGE
-        for name, node in _definitions(tree)
-        if node.name not in read
+        for name, line in _unread(tree, read)
     ]
 
 
@@ -233,8 +248,16 @@ def test_the_scan_sees_an_unread_method():
         "    def used(self):\n        pass\n    def named(self):\n        pass\n"
         "    def dead(self):\n        pass\n\nTRACED = ['C.named']\n"
     )
-    read = _read_names([tree])
-    assert [name for name, node in _definitions(tree) if node.name not in read] == ["C.dead"]
+    assert [name for name, _ in _unread(tree, _read_names([tree]))] == ["C.dead"]
+
+
+def test_the_scan_sees_a_dead_field():
+    tree = ast.parse(
+        "from dataclasses import InitVar, dataclass\n\n@dataclass\nclass C:\n"
+        "    used: int\n    dead: int\n    given: InitVar[int]\n    RATE = 2\n\n"
+        "    def __post_init__(self, given):\n        print(self.used)\n\nC(1, 2, 3)\n"
+    )
+    assert [name for name, _ in _unread(tree, _read_names([tree]))] == ["C.dead"]
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from finspan.simplicial import (
     Subdivision,
     Triangulation,
     _bijectivity_witness,
+    _coarse_bijective,
     _composed_verdicts,
     _polygon_cells,
-    _stack_code,
     check_2segal,
     check_simplicial_identities,
     check_subdivision_criterion,
@@ -84,6 +84,19 @@ class TestTriangulations:
 
         with pytest.raises(StructuralError):
             Triangulation(3, ((0, 1, 2), (1, 2, 3)))
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    @pytest.mark.parametrize("make", [
+        enumerate_triangulations,
+        enumerate_subdivisions,
+        lambda n: Triangulation(n, ()),
+        lambda n: Subdivision(n, ()),
+    ], ids=["enumerate_triangulations", "enumerate_subdivisions", "Triangulation", "Subdivision"])
+    def test_a_polygon_below_three_vertices_is_refused(self, make, n):
+        from finspan.spans import StructuralError
+
+        with pytest.raises(StructuralError, match="polygon needs at least 3 vertices"):
+            make(n)
 
 
 class TestSegalMaps:
@@ -237,6 +250,22 @@ class TestGluing:
             for T in enumerate_triangulations(n):
                 for psi in X.levels[n]:
                     assert glue(X, T, unglue(X, T, psi)) == psi
+
+    def test_a_second_glue_along_t_builds_no_stack(self, monkeypatch):
+        X = catalog.nerve(catalog.cyclic_group_category(3), 4)
+        T = Triangulation(4, ((0, 1, 2), (0, 2, 3), (0, 3, 4)))
+        columns = [vertex_map(X, 4, t).table for t in T.triangles]
+        first = glue_columns(X, T, columns)
+        built = []
+        stack = simplicial.polygon_stack
+
+        def recording_stack(*args):
+            built.append(args)
+            return stack(*args)
+
+        monkeypatch.setattr(simplicial, "polygon_stack", recording_stack)
+        assert glue_columns(X, T, columns) == first == tuple(X.levels[4])
+        assert built == []
 
     def test_incompatible_parts_rejected(self, nerve_z2):
         from finspan.simplicial import GluingError
@@ -417,12 +446,11 @@ class TestCodedSegalMaps:
     def test_lines_match_the_stack_path(self, complex_nerves, doubled):
         kinds = set()
         for X in complex_nerves + doubled + [catalog_non_two_segal()]:
-            # the stack path runs first, so the check finds its stacks memoised
             expected = stack_path_lines(X)
             rep = check_2segal(X)
             assert rep.lines() == expected
             kinds.update(r.witness[0] for r in rep.failures if "n=3" not in r.name)
-        # both ways of failing are decided from codes above n = 3
+        # both ways of failing occur above n = 3
         assert kinds == {"not injective", "not surjective"}
 
     def test_subdivision_lines_match_the_stack_path(self, complex_nerves, doubled):
@@ -440,46 +468,53 @@ class TestCodedSegalMaps:
         assert not all(verdicts) and any(verdicts)
         assert verdicts == [check_subdivision_criterion(X).ok for X in inputs]
 
-    def test_counts_size_every_stack(self):
-        X = random_complex_nerve(random.Random(0), 5)
-        assert not check_2segal(X).ok
-        memo = {}
-        for n in range(2, X.N + 1):
-            for S in enumerate_subdivisions(n):
-                codes, radix, counts = _stack_code(X, n, S.cells, memo)
-                stack, fwd = subdivision_map(X, n, S.cells)
-                assert sum(counts) == len(stack.elements)
-                assert all(0 <= c < radix for c in codes)
-                # equal codes exactly where the map gives equal stack elements
-                assert len(set(codes)) == len(set(fwd.table)) == len(set(zip(codes, fwd.table)))
+    def test_counts_size_every_stack(self, doubled):
+        # a top cell with single-cell side polygons is a subdivision whose
+        # map is the top cell's coarse map, so its stack decides the coarse map
+        kinds = set()
+        for X in [random_complex_nerve(random.Random(0), 5), doubled[1], catalog_non_two_segal()]:
+            for n in range(2, X.N + 1):
+                for size in range(1, n):
+                    for inner in itertools.combinations(range(1, n), size):
+                        top = (0, *inner, n)
+                        sides = tuple(tuple(range(a, b + 1)) for a, b in zip(top, top[1:]) if b - a >= 2)
+                        witness = _bijectivity_witness(subdivision_map(X, n, tuple(sorted((top,) + sides)))[1])
+                        assert _coarse_bijective(X, top) == (witness is None)
+                        kinds.add(witness and witness[0])
+        assert kinds == {None, "not injective", "not surjective"}
 
     def test_a_passing_check_builds_no_stack(self):
         X = catalog.nerve(catalog.cyclic_group_category(2), 5)
         assert check_2segal(X).ok and check_subdivision_criterion(X).ok
         assert not [v for v in X.memo.values() if isinstance(v, (SegalWitness, PolygonStack))]
 
+    def test_a_failing_check_keeps_no_stack(self):
+        X = doubled_top_simplex(catalog.nerve(catalog.cyclic_group_category(2), 6))
+        assert not check_subdivision_criterion(X).ok
+        assert not [v for v in X.memo.values() if isinstance(v, (SegalWitness, PolygonStack))]
+
 
 class TestComposedSegalMaps:
-    """A map passes without its own codes when it is a composite of
+    """A map passes without its own stack when it is a composite of
     bijections: the coarse map of each of its cells, coded once per top
     cell."""
 
-    def test_a_composed_pass_has_bijective_codes(self, complex_nerves, doubled):
+    def test_a_composed_pass_is_bijective_on_its_stack(self, complex_nerves, doubled):
+        # the stack path takes about 30 ms a nerve, so every eighth one is compared
         composed_passes = composed_fails = 0
-        for X in complex_nerves + doubled + [catalog_non_two_segal()]:
-            composed, memo = _composed_verdicts(X), {}
+        for X in complex_nerves[::8] + doubled + [catalog_non_two_segal()]:
+            composed = _composed_verdicts(X)
             for n in range(3, X.N + 1):
                 # the subdivisions include the triangulations
                 for cells in _polygon_cells(n, False):
                     if composed(cells):
-                        codes, _, counts = _stack_code(X, n, cells, memo)
-                        assert len(set(codes)) == sum(counts) == X.levels[n].size
+                        assert subdivision_map(X, n, cells)[1].is_bijective()
                         composed_passes += 1
                     else:
                         composed_fails += 1
         assert composed_passes and composed_fails
 
-    def test_a_map_that_is_its_own_coarse_map_is_decided_by_codes(self):
+    def test_a_map_that_is_its_own_coarse_map_is_decided_by_its_stack(self):
         X = doubled_top_simplex(catalog.nerve(catalog.cyclic_group_category(2), 3))
         # each square triangulation is its top triangle and one single-cell side
         assert not any(map(_composed_verdicts(X), _polygon_cells(3, True)))
@@ -489,17 +524,16 @@ class TestComposedSegalMaps:
     def test_a_passing_check_codes_each_top_cell_once(self, monkeypatch):
         X = catalog.nerve(catalog.cyclic_group_category(2), 7)
         coded = []
-        code = simplicial._code
+        coarse_bijective = simplicial._coarse_bijective
 
-        def recording_code(X, n, top, side_code):
-            # a cell on consecutive vertices is X_n itself, with nothing to compose
-            if len(top) < n + 1:
-                coded.append((n, top))
-            return code(X, n, top, side_code)
+        def recording_coarse_bijective(X, top):
+            coded.append((top[-1], top))
+            return coarse_bijective(X, top)
 
-        monkeypatch.setattr(simplicial, "_code", recording_code)
+        monkeypatch.setattr(simplicial, "_coarse_bijective", recording_coarse_bijective)
         assert check_2segal(X).ok
-        # n - 1 coded passes at level n, one per top triangle, and no stack code
+        # n - 1 coded passes at level n, one per top triangle; a cell on
+        # consecutive vertices is X_n itself, with nothing to compose
         assert sorted(coded) == [(n, (0, i, n)) for n in range(3, X.N + 1) for i in range(1, n)]
         assert all(isinstance(v, FinMap) or all(isinstance(r, CheckResult) for r in v)
                    for v in X.memo.values())
