@@ -5,8 +5,9 @@ side, and each box is a span together with a declared splitting of its
 boundaries into wires.  Evaluating a diagram enumerates the apex of its
 composite span (products within a row, pullback composition between rows)
 canonically, so that differently bracketed readings of one diagram
-literally coincide.  An identity box is joined as no factor, and the span
-itself is built only when it is read.
+literally coincide.  An identity box is joined as no factor; the elements
+are kept in the join's order, and the canonical order and the span are
+built only when they are read.
 
 Equation checking works by rewriting: a rule replaces a sub-pattern of
 consecutive rows by another pattern and transports apex elements through
@@ -20,10 +21,11 @@ zig and zag snakes carry elements in closed form, and the associator and
 unitors are table rules built once from patterns their owners have
 already evaluated.  Steps map whole element columns and check each fact
 once: a table rule's images when a step first uses it, a closed-form
-rule's images in each step.  Two paths agree when their end columns are
-equal and distinct, and the discrepancy between them is built only when
-read; it alone lists elements as nested assignments, one apex element per
-box grouped by row.
+rule's images in each step.  The paths carry the start's elements in join
+order, since the verdict does not depend on their order.  Two paths agree
+when their end columns are equal and distinct, and the discrepancy between
+them is built, in canonical order, only when read; it alone lists elements
+as nested assignments, one apex element per box grouped by row.
 """
 
 from __future__ import annotations
@@ -180,11 +182,21 @@ def _members(columns, count: int):
 @dataclass(frozen=True)
 class EvaluatedDiagram:
     """A diagram's `count` apex elements as one element column per box,
-    grouped by row, in canonical order; the span is built when first read."""
+    grouped by row.  `joined` lists them in the join's order, which is the
+    canonical one unless an identity box was left out of the join
+    (`elided`).  `columns`, the canonical order, is built when first read,
+    and sorted only for an elided box; so is the span, from `columns`."""
 
     diagram: Diagram
-    columns: Columns
+    joined: Columns
     count: int
+    elided: bool
+
+    @cached_property
+    def columns(self) -> Columns:
+        if not self.elided:
+            return self.joined
+        return _by_row(self.diagram, tuple(sort_columns([c for row in self.joined for c in row])))
 
     @cached_property
     def span(self) -> Span:
@@ -203,7 +215,8 @@ def member_index(ev: EvaluatedDiagram) -> dict[tuple[int, ...], int]:
 
 
 def evaluate(diagram: Diagram) -> EvaluatedDiagram:
-    """The composite span of a diagram with canonically ordered apex."""
+    """The composite span of a diagram with canonically ordered apex, its
+    elements held in join order until the canonical order is read."""
     if not diagram:
         raise StructuralError("empty diagram")
     for upper, lower in zip(diagram, diagram[1:]):
@@ -234,8 +247,7 @@ def evaluate(diagram: Diagram) -> EvaluatedDiagram:
             factors.append(((k,), tuple((v,) for v in x)))
         sources[i] = readers[k]
     columns, count = pullback_columns(factors)
-    flat = _wire_values(sources, columns)
-    return EvaluatedDiagram(diagram, _by_row(diagram, tuple(sort_columns(flat) if elided else flat)), count)
+    return EvaluatedDiagram(diagram, _by_row(diagram, tuple(_wire_values(sources, columns))), count, bool(elided))
 
 
 # ---------------------------------------------------------------------------
@@ -495,13 +507,16 @@ class DiagramPath:
 def compare_paths(p: DiagramPath, q: DiagramPath) -> tuple[bool, Mapping[Assignment, Assignment]]:
     """Decide whether two paths from a common start define the same 2-cell.
 
-    Both paths carry the start diagram's evaluated box columns, q first.
+    Both paths carry the start diagram's evaluated box columns in join
+    order (`EvaluatedDiagram.joined`), q first, so the start's canonical
+    order is never built: the verdict does not depend on element order.
     The cells are equal when the two end columns are equal and q's end
     elements are distinct; otherwise their end elements are matched as
     flat tuples of box elements.  Returns (equal, discrepancy) where the
     discrepancy composes q backwards after p, an automorphism-style map on
     the start apex (identity iff equal), keyed by start assignment in apex
-    order.  It is built the first time it is read, except for its size.
+    order.  It is built, and put in that order, the first time it is read,
+    except for its size.
     """
     if p.start != q.start:
         raise StructuralError("paths start at different diagrams")
@@ -509,9 +524,9 @@ def compare_paths(p: DiagramPath, q: DiagramPath) -> tuple[bool, Mapping[Assignm
         raise StructuralError("paths end at different diagrams")
     start = evaluate(p.start)
     count = start.count
-    q_end = [c for row in q.carry(start.columns, count) for c in row]
-    p_end = [c for row in p.carry(start.columns, count) for c in row]
-    discrepancy = _Discrepancy(start.columns, count, p_end, q_end)
+    q_end = [c for row in q.carry(start.joined, count) for c in row]
+    p_end = [c for row in p.carry(start.joined, count) for c in row]
+    discrepancy = _Discrepancy(start.joined, count, p_end, q_end)
     if p_end == q_end and len(set(_members(q_end, count))) == count:
         return True, discrepancy
     return all(k == v for k, v in discrepancy.items()), discrepancy
@@ -521,7 +536,8 @@ class _Discrepancy(Mapping):
     """The discrepancy of `compare_paths`: each start assignment, in apex
     order, to the start assignment whose q end element is its p end
     element.  The dict, and the start assignments it is keyed by, are built
-    from the start's box columns the first time an entry is read."""
+    from the start's box columns, given in any order with both paths' end
+    columns in the same order, the first time an entry is read."""
 
     def __init__(self, start: Columns, count: int, p_end: list, q_end: list):
         self._start, self._count, self._p_end, self._q_end = start, count, p_end, q_end
@@ -529,9 +545,13 @@ class _Discrepancy(Mapping):
     @cached_property
     def _entries(self) -> dict[Assignment, Assignment]:
         count = self._count
-        assignments = tuple(zip(*(tuple(zip(*row)) if row else ((),) * count for row in self._start)))
-        q_back = dict(zip(_members(self._q_end, count), assignments))
-        return {a: q_back[e] for a, e in zip(assignments, _members(self._p_end, count))}
+        assignments = zip(*(tuple(zip(*row)) if row else ((),) * count for row in self._start))
+        # start assignments are distinct, and their order as nested tuples
+        # is the apex order, so sorting the triples puts the start in apex
+        # order; when two q end elements are equal, the later one wins
+        ends = sorted(zip(assignments, _members(self._q_end, count), _members(self._p_end, count)))
+        q_back = {q: a for a, q, _ in ends}
+        return {a: q_back[p] for a, _, p in ends}
 
     def __len__(self) -> int:
         return self._count

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Sequence
 
 
@@ -174,7 +175,8 @@ def pullback_columns(factors) -> tuple[list[tuple[int, ...]], int]:
     its fiber over the keys already bound, so no product is built and then
     filtered.  A key's value is carried only while a later factor in the
     join order still reads it, and tuples carrying equal values share one
-    extension, built once.  Each join step lists the parent of every
+    extension, built once.  The key values a step reads are picked by
+    selectors made once per step.  Each join step lists the parent of every
     extended tuple and re-indexes the earlier columns through it.  The
     columns are sorted only when the join order differs from the given one.
     """
@@ -196,11 +198,12 @@ def pullback_columns(factors) -> tuple[list[tuple[int, ...]], int]:
         kept = [p for p, k in enumerate(live) if last[k] > j]
         fresh = [q for q, k in enumerate(keys) if k not in pos and last[k] > j]
         live = tuple(live[p] for p in kept) + tuple(keys[q] for q in fresh)
+        bound_of, fresh_of, kept_of, look_of = map(_picker, (bound, fresh, kept, look))
         fibers: dict[tuple, tuple[list[int], list[tuple]]] = {}
         for e, vals in enumerate(values):
-            es, news = fibers.setdefault(tuple(vals[q] for q in bound), ([], []))
+            es, news = fibers.setdefault(bound_of(vals), ([], []))
             es.append(e)
-            news.append(tuple(vals[q] for q in fresh))
+            news.append(fresh_of(vals))
         extensions: dict[tuple, tuple[list[int], list[tuple]]] = {}
         parents: list[int] = []
         column: list[int] = []
@@ -208,8 +211,8 @@ def pullback_columns(factors) -> tuple[list[tuple[int, ...]], int]:
         for a, carried in enumerate(partial):
             ext = extensions.get(carried)
             if ext is None:
-                old = tuple(carried[p] for p in kept)
-                es, news = fibers.get(tuple(carried[p] for p in look), ((), ()))
+                old = kept_of(carried)
+                es, news = fibers.get(look_of(carried), ((), ()))
                 ext = extensions[carried] = (es, [old + new for new in news])
             parents += [a] * len(ext[0])
             column += ext[0]
@@ -219,6 +222,18 @@ def pullback_columns(factors) -> tuple[list[tuple[int, ...]], int]:
         partial = grown
     columns = [columns[order.index(i)] for i in range(len(order))]
     return columns if order == sorted(order) else sort_columns(columns), len(partial)
+
+
+def _picker(indices: Sequence[int]):
+    """The function taking a tuple to the tuple of its entries at
+    `indices`.  `itemgetter` of a single index returns the bare entry, so
+    one index and none are written out."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        i = indices[0]
+        return lambda v: (v[i],)
+    return lambda v: ()
 
 
 def sort_columns(columns) -> list[tuple[int, ...]]:

@@ -953,6 +953,42 @@ def test_discrepancy_matches_the_eager_construction_on_passing_equations(monkeyp
     assert_matches_eager(*commutor_symmetry_paths((2, 3, 0, 1)), True)
 
 
+def shuffled_associator(rng, T):
+    """The canonical associator of T with its images shuffled within each
+    taco fiber."""
+    canon = catalog.no_lift_canonical_associator(T)
+    assoc = dict(canon)
+    for pairs in pseudomonoid.taco_fibers(T)[0].values():
+        images = [canon[p] for p in pairs]
+        rng.shuffle(images)
+        assoc.update(zip(pairs, images))
+    return assoc
+
+
+def test_equations_carried_in_join_order_match_the_sorted_start(monkeypatch):
+    # compare_paths carries the start in join order; the reference carries
+    # its canonical columns, sorted
+    pairs = _record_equations(monkeypatch)
+    verdicts, reordered = [], 0
+    for a in (1, 2, 3):
+        T = catalog.no_lift_family(a)
+        for seed in range(12):
+            P = pseudomonoid.pseudomonoid_from_two_truncated(T, shuffled_associator(random.Random(seed), T))
+            for verify in (pseudomonoid.verify_pentagon, pseudomonoid.verify_triangle):
+                result = verify(P)
+                lhs, rhs = pairs[-1]
+                eager = eager_discrepancy(lhs, rhs)
+                ok = all(k == v for k, v in eager.items())
+                assert result.ok is ok
+                assert result.witness == (None if ok else first_moved(eager))
+                assert list(result.discrepancy.items()) == list(eager.items())
+                start = evaluate(lhs.start)
+                reordered += start.joined != start.columns
+                verdicts.append(ok)
+    assert len(verdicts) == 72 and True in verdicts and False in verdicts
+    assert reordered
+
+
 def test_discrepancy_matches_the_eager_construction_on_failing_equations(monkeypatch):
     # the canonical associator of the no-lift family fails the pentagon, and
     # a unit-fiber swap of it fails the triangle
@@ -1251,3 +1287,22 @@ def test_passing_equations_never_build_their_start_span(monkeypatch):
     assert [ev.diagram for ev in made] == [((mu, idb, idb), (mu, idb), (mu,)),
                                            ((idb, eta, idb), (mu, idb), (mu,))]
     assert all("span" not in vars(ev) for ev in made)
+
+
+def test_passing_equations_never_build_their_start_columns(monkeypatch):
+    # both starts leave identity boxes out of the join, so their canonical
+    # order would be a sort of the join's columns
+    P = pseudomonoid.build_pseudomonoid(catalog.nerve(catalog.cyclic_group_category(8), 3))
+    made = []
+
+    def recording(diagram):
+        ev = evaluate(diagram)
+        made.append(ev)
+        return ev
+
+    for module in (diagrams, pseudomonoid, gammaset):
+        monkeypatch.setattr(module, "evaluate", recording)
+    assert pseudomonoid.verify_pentagon(P).ok
+    assert pseudomonoid.verify_triangle(P).ok
+    assert len(made) == 2 and all(ev.elided for ev in made)
+    assert all("columns" not in vars(ev) for ev in made)

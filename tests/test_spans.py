@@ -152,6 +152,28 @@ def _joined_out_of_order(factors):
     return False
 
 
+def _selection_sizes(factors):
+    """For each join step of `pullback_columns`, the number of keys each of
+    its selections picks: `bound`, the factor's keys already carried;
+    `fresh`, its new keys that a later factor reads; `kept`, the carried
+    keys that a later factor still reads."""
+    order, seen, rest = [], set(), list(range(len(factors)))
+    while rest:
+        i = next((i for i in rest if seen & set(factors[i][0])), rest[0])
+        rest.remove(i)
+        order.append(i)
+        seen.update(factors[i][0])
+    last = {k: j for j, i in enumerate(order) for k in factors[i][0]}
+    live = []
+    for j, i in enumerate(order):
+        keys = factors[i][0]
+        bound = [k for k in keys if k in live]
+        kept = [k for k in live if last[k] > j]
+        fresh = [k for k in keys if k not in live and last[k] > j]
+        live = kept + fresh
+        yield {"bound": len(bound), "fresh": len(fresh), "kept": len(kept)}
+
+
 class TestIteratedPullback:
     @pytest.mark.parametrize("seed", range(200))
     def test_matches_filtered_full_product(self, seed):
@@ -170,10 +192,15 @@ class TestIteratedPullback:
             shapes.add(("empty", any(not values for _, values in factors)))
             shapes.add(("repeated values", any(len(set(values)) < len(values) for _, values in factors)))
             shapes.add(("joined out of order", _joined_out_of_order(factors)))
+            # a selection of one key is the case `itemgetter` alone gets wrong
+            for sizes in _selection_sizes(factors):
+                for selection, n in sizes.items():
+                    shapes.add((f"{selection} picks {('none', 'one', 'several')[min(n, 2)]}", True))
         assert {name for name, seen in shapes if seen} == {
             "shared by two", "shared by three", "skips a factor", "no keys", "empty", "repeated values",
             "joined out of order",
-        }
+        } | {f"{selection} picks {n}"
+             for selection in ("bound", "fresh", "kept") for n in ("none", "one", "several")}
 
     def test_key_read_by_the_first_and_third_factor_only(self):
         factors = [(("k",), [(0,), (1,), (1,)]), ((), [(), ()]), (("k",), [(1,), (0,)])]
