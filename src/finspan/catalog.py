@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from .pseudomonoid import TwoTruncatedData, two_truncated_simplicial  # re-exported
 from .simplicial import TruncSimplicialSet, make_simplicial
-from .spans import FinMap, FinSet, StructuralError, identity_map
+from .spans import FinMap, FinSet, StructuralError, gather, identity_map
 
 if TYPE_CHECKING:  # loaded by the constructors that build them
     from .documents import StructureDocument
@@ -158,7 +158,7 @@ def _tuple_structure(levels, tuples, face, degen) -> tuple[TruncSimplicialSet, C
     index = [{t: i for i, t in enumerate(ts)} for ts in tuples]
 
     def move(n, m, rule):
-        return FinMap(levels[n], levels[m], tuple(map(index[m].__getitem__, map(rule, tuples[n]))))
+        return FinMap(levels[n], levels[m], gather(index[m], [*map(rule, tuples[n])]))
 
     N = len(tuples) - 1
     X = make_simplicial(
@@ -297,6 +297,8 @@ class PartialMonoid:
 
 def interval_monoid(L: int) -> PartialMonoid:
     """Addition on {0..L}, undefined for sums larger than L."""
+    if L < 0:
+        raise StructuralError(f"interval monoid needs L >= 0, got L={L}")
     elements = FinSet(L + 1, labels=tuple(str(v) for v in range(L + 1)))
     product = tuple(
         tuple(x + y if x + y <= L else -1 for y in range(L + 1)) for x in range(L + 1)
@@ -325,10 +327,14 @@ def partial_monoid_nerve(M: PartialMonoid, N: int) -> TruncSimplicialSet:
     return _monoid_nerve(M, N)[0]
 
 
-def _monoid_nerve(M: PartialMonoid, N: int) -> tuple[TruncSimplicialSet, Callable]:
-    """`partial_monoid_nerve` with its `move`."""
+def _check_monoid_level(N: int) -> None:
     if N < 3:
         raise StructuralError("correspondence checks need N >= 3")
+
+
+def _monoid_nerve(M: PartialMonoid, N: int) -> tuple[TruncSimplicialSet, Callable]:
+    """`partial_monoid_nerve` with its `move`."""
+    _check_monoid_level(N)
     tuples = _monoid_levels(M, N)
     levels = [FinSet(len(ts)) for ts in tuples]
     unit = M.unit
@@ -342,6 +348,7 @@ def interval_cyclic(L: int, N: int) -> ParacyclicData:
     sum to L."""
     from .paracyclic import ParacyclicData
 
+    _check_monoid_level(N)  # before the monoid's (L+1)^2 table is built
     X, move = _monoid_nerve(interval_monoid(L), N)
     tau = [move(0, 0, lambda t: t)]
     tau += [move(n, n, lambda t: t[1:] + (L - sum(t),)) for n in range(1, N + 1)]

@@ -114,6 +114,7 @@ def cmd_check(args) -> int:
 def cmd_derive(args) -> int:
     from .gammaset import (
         NotCommutativeError,
+        braided_mult,
         commutative_from_gamma,
         gamma_cell,
         gamma_from_commutative,
@@ -148,7 +149,8 @@ def cmd_derive(args) -> int:
         else:  # commutative-to-gamma; the parser refuses any other direction
             if doc.commutative is None:
                 return _fail("document has no commutative block")
-            G = gamma_from_commutative(X, gamma_cell(X, doc.commutative))
+            braided = braided_mult(X)
+            G = gamma_from_commutative(X, gamma_cell(X, doc.commutative, braided), braided)
             out = StructureDocument(X, gamma=G)
     except NotFrobeniusError as exc:
         print(f"not Frobenius: {exc}", file=sys.stderr)

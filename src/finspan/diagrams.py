@@ -43,6 +43,7 @@ from .spans import (
     SpanCell,
     StructuralError,
     block_braiding_span,
+    gather,
     identity_span,
     pullback_columns,
     sort_columns,
@@ -153,7 +154,7 @@ def _identity_free(wires) -> tuple[WireReader, ...]:
 
 def _wire_values(wires, row) -> list[tuple[int, ...]]:
     """Each wire's values in a batch, read from the box columns of its row."""
-    return [row[c] if t is None else tuple(map(t.__getitem__, row[c])) for c, t in wires]
+    return [row[c] if t is None else gather(t, row[c]) for c, t in wires]
 
 
 def _leg_column(legs, columns, count: int) -> tuple[int, ...]:
@@ -332,7 +333,7 @@ def _padded_members(ev: EvaluatedDiagram, depth: int) -> list[tuple[int, ...]]:
     pad = depth - len(ev.diagram)
     if pad:
         last = ev.columns[-1]
-        columns += [tuple(map(t.__getitem__, last[c])) for c, t in _out_wires(ev.diagram[-1])] * pad
+        columns += [gather(t, last[c]) for c, t in _out_wires(ev.diagram[-1])] * pad
     return list(_members(columns, ev.count))
 
 
@@ -340,7 +341,7 @@ def _padded_rule(name: str, ev_src: EvaluatedDiagram, ev_tgt: EvaluatedDiagram, 
     """The rule carrying `cell` between two evaluated unpadded patterns."""
     depth = max(len(ev_src.diagram), len(ev_tgt.diagram))
     images = _padded_members(ev_tgt, depth)
-    mapping = dict(zip(_padded_members(ev_src, depth), map(images.__getitem__, cell.map.table)))
+    mapping = dict(zip(_padded_members(ev_src, depth), gather(images, cell.map.table)))
     return RewriteRule(name, _pad_rows(ev_src.diagram, depth), _pad_rows(ev_tgt.diagram, depth), mapping, cell)
 
 
@@ -459,7 +460,7 @@ def insert_identity_row(diagram: Diagram, at: int) -> tuple[Diagram, Step]:
     wires = _in_wires(diagram[0]) if at == 0 else _out_wires(diagram[at - 1])
 
     def step(columns: Columns, count: int) -> Columns:
-        inserted = tuple(tuple(map(t.__getitem__, columns[source][c])) for c, t in wires)
+        inserted = tuple(gather(t, columns[source][c]) for c, t in wires)
         return columns[:at] + (inserted,) + columns[at:]
 
     return diagram[:at] + (row,) + diagram[at:], step
@@ -594,15 +595,20 @@ class ClosedFormRule(RewriteRule):
     The constructor's `carry(columns, count)` computes the images column by
     column; `mapping` and `cell` are built from it, over the evaluated
     padded patterns, the first time either is read.  `inverse`, when given,
-    returns the inverse rule; without it `inverse()` inverts the tables."""
+    returns the inverse rule; without it `inverse()` inverts the tables.
+    `tgt_ev`, when given, is the tgt pattern's evaluation, made by the
+    caller for its own use."""
 
-    def __init__(self, name: str, src: Diagram, tgt: Diagram, carry: Callable, inverse: Optional[Callable] = None):
-        for attr, value in zip(("name", "src", "tgt", "carry", "_inverse"), (name, src, tgt, carry, inverse)):
+    def __init__(self, name: str, src: Diagram, tgt: Diagram, carry: Callable, inverse: Optional[Callable] = None,
+                 tgt_ev: Optional[EvaluatedDiagram] = None):
+        for attr, value in zip(("name", "src", "tgt", "carry", "_inverse", "_tgt_ev"),
+                               (name, src, tgt, carry, inverse, tgt_ev)):
             object.__setattr__(self, attr, value)
 
     @cached_property
     def _tables(self) -> tuple[dict[tuple[int, ...], tuple[int, ...]], SpanCell]:
-        ev_src, ev_tgt = evaluate(self.src), evaluate(self.tgt)
+        ev_src = evaluate(self.src)
+        ev_tgt = evaluate(self.tgt) if self._tgt_ev is None else self._tgt_ev
         count = ev_src.count
         sources = [c for row in ev_src.columns for c in row]
         images = list(_members(self.carry(sources, count), count))
@@ -631,8 +637,8 @@ def tensorator_rule(f: Box, g: Box) -> RewriteRule:
         # f's in wires, g, f, g's out wires
         ef, eg = columns[0], columns[-1]
         return (
-            tuple(tuple(map(t.__getitem__, ef)) for t in f.in_wires) + (eg, ef)
-            + tuple(tuple(map(t.__getitem__, eg)) for t in g.out_wires)
+            tuple(gather(t, ef) for t in f.in_wires) + (eg, ef)
+            + tuple(gather(t, eg) for t in g.out_wires)
         )
 
     return ClosedFormRule("tensorator", src, tgt, carry)

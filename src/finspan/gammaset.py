@@ -27,6 +27,7 @@ from .diagrams import (
     Box,
     ClosedFormRule,
     DiagramPath,
+    EvaluatedDiagram,
     RewriteRule,
     _braid_box,
     braiding_rule,
@@ -60,6 +61,7 @@ from .spans import (
     FinMap,
     SpanCell,
     StructuralError,
+    gather,
     identity_map,
 )
 
@@ -364,29 +366,36 @@ def _braided_mult_rows(X: TruncSimplicialSet, mub: Box):
     return ((_braid_box((X.levels[1],), (X.levels[1],)),), (mub,))
 
 
+def braided_mult(X: TruncSimplicialSet) -> EvaluatedDiagram:
+    """The evaluated braided composite mu∘rho.  The functions below take it
+    as `braided`, so that one evaluation serves a whole conversion."""
+    return evaluate(_braided_mult_rows(X, _mu_box(X)))
+
+
 def _commutor_images(X: TruncSimplicialSet, theta: FinMap, m) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The image of each level-2 element in the column `m` under mu =>
     mu∘rho, as the braided composite's two box columns: the braid element
     d_2(m)·|X_1| + d_0(m) and theta(m)."""
     d0, d2, size = X.d(2, 0).table, X.d(2, 2).table, X.levels[1].size
-    return tuple(d2[e] * size + d0[e] for e in m), tuple(map(theta.table.__getitem__, m))
+    return tuple(d2[e] * size + d0[e] for e in m), gather(theta.table, m)
 
 
-def gamma_rule(X: TruncSimplicialSet, theta: FinMap, mub: Box) -> RewriteRule:
+def gamma_rule(X: TruncSimplicialSet, theta: FinMap, mub: Box,
+               braided: Optional[EvaluatedDiagram] = None) -> RewriteRule:
     """The rewrite rule mu => mu∘rho carried by a level-2 involution.  Its
     images depend on theta, so its cell is built here: an involution that
     is not compatible with the span legs is refused at once."""
     idb = identity_box(X.levels[1])
     rule = ClosedFormRule("commutor", ((idb, idb), (mub,)), _braided_mult_rows(X, mub),
-                          carry=lambda columns, count: _commutor_images(X, theta, columns[2]))
+                          carry=lambda columns, count: _commutor_images(X, theta, columns[2]),
+                          tgt_ev=braided)
     rule.cell
     return rule
 
 
-def gamma_cell(X: TruncSimplicialSet, theta: FinMap) -> SpanCell:
+def gamma_cell(X: TruncSimplicialSet, theta: FinMap, braided: Optional[EvaluatedDiagram] = None) -> SpanCell:
     """The public form of the cell: multiplication span => braided composite."""
-    mub = _mu_box(X)
-    ev = evaluate(_braided_mult_rows(X, mub))
+    ev = braided_mult(X) if braided is None else braided
     index = member_index(ev)
     table = []
     for m, image in enumerate(zip(*_commutor_images(X, theta, range(X.levels[2].size)))):
@@ -395,11 +404,13 @@ def gamma_cell(X: TruncSimplicialSet, theta: FinMap) -> SpanCell:
                 f"candidate involution is not compatible with the span legs at {m}"
             )
         table.append(index[image])
+    mub = ev.diagram[-1][0]
     return SpanCell(mub.span, ev.span, FinMap(X.levels[2], ev.span.apex, tuple(table)))
 
 
-def theta_from_gamma_cell(X: TruncSimplicialSet, gamma: SpanCell) -> FinMap:
-    ev = evaluate(_braided_mult_rows(X, _mu_box(X)))
+def theta_from_gamma_cell(X: TruncSimplicialSet, gamma: SpanCell,
+                          braided: Optional[EvaluatedDiagram] = None) -> FinMap:
+    ev = braided_mult(X) if braided is None else braided
     if gamma.target != ev.span:
         raise StructuralError("cell target is not the braided multiplication")
     mu_column = ev.columns[1][0]
@@ -409,7 +420,7 @@ def theta_from_gamma_cell(X: TruncSimplicialSet, gamma: SpanCell) -> FinMap:
 
 def crossing_map(X: TruncSimplicialSet, theta: FinMap) -> FinMap:
     """The auxiliary level-3 map c with d_1 c = theta d_2 and d_3 c = d_0."""
-    columns = (X.d(3, 0).table, tuple(map(theta.table.__getitem__, X.d(3, 2).table)))
+    columns = (X.d(3, 0).table, gather(theta.table, X.d(3, 2).table))
     return FinMap(X.levels[3], X.levels[3], glue_columns(X, T13, columns))
 
 
@@ -428,11 +439,12 @@ def theta_via_triangulation(
         raise StructuralError("triangulation misses the required triangle")
     pos = T.triangles.index(tri)
     columns = [vertex_map(X, n, t).table for t in T.triangles]
-    columns[pos] = tuple(map(theta.table.__getitem__, columns[pos]))
+    columns[pos] = gather(theta.table, columns[pos])
     return FinMap(X.levels[n], X.levels[n], glue_columns(X, T, columns))
 
 
-def span_level_commutativity(X: TruncSimplicialSet, theta: FinMap) -> Report:
+def span_level_commutativity(X: TruncSimplicialSet, theta: FinMap,
+                             braided: Optional[EvaluatedDiagram] = None) -> Report:
     """The symmetry and hexagon equations as genuine span-level rewrite
     paths, using the braiding, syllepsis, slide, and hexagonator cells."""
     from .pseudomonoid import build_pseudomonoid
@@ -442,7 +454,7 @@ def span_level_commutativity(X: TruncSimplicialSet, theta: FinMap) -> Report:
     P = build_pseudomonoid(X)
     mub, _, idb = P.boxes()
     a_rule = P.assoc_rule
-    g_rule = gamma_rule(X, theta, mub)
+    g_rule = gamma_rule(X, theta, mub, braided)
     v_inv = syllepsis_rule(x1, x1).inverse()
 
     start = ((mub,),)
@@ -521,25 +533,30 @@ def commutative_from_gamma(G: GammaData, full_span_level: bool = False) -> tuple
         if lhs.table != rhs.table:
             raise NotCommutativeError(f"transposition is not a span cell: {name}")
     report = reduced_commutativity(X, G)
+    braided = braided_mult(X)
     if full_span_level:
-        report.extend(span_level_commutativity(X, theta))
-    return CommutativityCell(gamma_cell(X, theta), theta), report
+        report.extend(span_level_commutativity(X, theta, braided))
+    return CommutativityCell(gamma_cell(X, theta, braided), theta), report
 
 
-def gamma_from_commutative(X: TruncSimplicialSet, gamma: SpanCell) -> GammaData:
+def gamma_from_commutative(X: TruncSimplicialSet, gamma: SpanCell,
+                           braided: Optional[EvaluatedDiagram] = None) -> GammaData:
     """Rebuild all transposition actions from a commutativity cell.
 
     The cell must be invertible and satisfy the span-level symmetry and
     hexagon equations (checked first); the higher transpositions are then
     constructed triangle by triangle and the full relation set is verified.
+    `braided` is `braided_mult(X)`, evaluated here when not given.
     """
     segal = check_2segal(X)
     if not segal.ok:
         raise NotCommutativeError(f"base is not 2-Segal: {segal.failures[0].name}")
     if not gamma.map.is_bijective():
         raise NotCommutativeError("cell is not invertible")
-    theta = theta_from_gamma_cell(X, gamma)
-    span_report = span_level_commutativity(X, theta)
+    if braided is None:
+        braided = braided_mult(X)
+    theta = theta_from_gamma_cell(X, gamma, braided)
+    span_report = span_level_commutativity(X, theta, braided)
     if not span_report.ok:
         raise NotCommutativeError(
             f"not commutative: {span_report.failures[0].name}, "

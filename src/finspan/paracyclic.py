@@ -53,6 +53,7 @@ from .spans import (
     StructuralError,
     UNIT,
     constant_map,
+    gather,
     identity_map,
     pullback_pairs,
     pullback_square_witness,
@@ -370,7 +371,7 @@ def _glued_tower(X: TruncSimplicialSet, s1_0: FinMap, s2_1: FinMap) -> tuple[dic
         base_tris = fan_triangulation(list(range(n + 1)), anchor=0)
         new_tris = tuple(sorted(set(base_tris) | {(0, n, n + 1)}))
         columns = {t: vertex_map(X, n, t).table for t in base_tris}
-        columns[(0, n, n + 1)] = tuple(map(s2_1.table.__getitem__, vertex_map(X, n, (0, n)).table))
+        columns[(0, n, n + 1)] = gather(s2_1.table, vertex_map(X, n, (0, n)).table)
         glued = glue_columns(X, Triangulation(n + 1, new_tris), [columns[t] for t in new_tris])
         extra[n] = FinMap(X.levels[n], X.levels[n + 1], glued)
     tau = [extra[n].then(X.d(n + 1, 0)) for n in range(X.N)]
@@ -378,7 +379,7 @@ def _glued_tower(X: TruncSimplicialSet, s1_0: FinMap, s2_1: FinMap) -> tuple[dic
     N = X.N
     fan = Triangulation(N, tuple(sorted(fan_triangulation(list(range(N + 1)), anchor=0))))
     columns = [vertex_map(X, N, (1, i + 1, i + 2)).table for i in range(1, N - 1)]
-    columns.append(tuple(map(tau[2].table.__getitem__, vertex_map(X, N, (0, 1, N)).table)))
+    columns.append(gather(tau[2].table, vertex_map(X, N, (0, 1, N)).table))
     tau.append(FinMap(X.levels[N], X.levels[N], glue_columns(X, fan, columns)))
     return extra, tau
 

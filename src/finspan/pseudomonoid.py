@@ -56,6 +56,7 @@ from .spans import (
     UNIT,
     constant_map,
     encode_tuple,
+    gather,
     identity_span,
     pullback_pairs,
 )
@@ -556,7 +557,7 @@ def pseudomonoid_from_two_truncated(T: TwoTruncatedData, assoc: dict) -> Pseudom
         if inv.keys() != members.keys():
             raise ConstructionError(f"{side} unitality square is not a pullback")
         return SpanCell(ev.span, identity_span(T.x1), FinMap(
-            ev.span.apex, T.x1, tuple(map(inv.__getitem__, members))
+            ev.span.apex, T.x1, gather(inv, list(members))
         ))
 
     lunit_src = evaluate(lunit_src_rows(etab, mub, idb))

@@ -22,6 +22,7 @@ from .spans import (
     FinSet,
     StructuralError,
     first_difference,
+    gather,
     identity_map,
     iterated_pullback,
     pullback_square_witness,
@@ -147,8 +148,8 @@ def act(tables: dict[Token, tuple[int, ...]], word: Sequence[Token], size: int) 
     order, each through `tables[token]`, and the empty word is the identity."""
     out = None
     for token in word:
-        out = tables[token] if out is None else map(tables[token].__getitem__, out)
-    return tuple(range(size) if out is None else out)
+        out = tables[token] if out is None else gather(tables[token], out)
+    return tuple(range(size)) if out is None else out
 
 
 def relation_witnesses(relations: Iterable[Relation], tables: dict[Token, tuple[int, ...]],
@@ -586,7 +587,7 @@ def glue_columns(X: TruncSimplicialSet, T: Triangulation, columns: Sequence[Sequ
         raise GluingError("triangulation map is not bijective; cannot glue")
     idx = w.stack.index
     try:
-        return tuple(map(w.inverse.table.__getitem__, map(idx.__getitem__, keys)))
+        return gather(w.inverse.table, gather(idx, keys))
     except KeyError:
         key = next(k for k in keys if k not in idx)
         raise GluingError(f"incompatible parts {key} for diagonals {T.diagonals}") from None

@@ -75,7 +75,7 @@ class FinMap:
         """Pipeline composition: first self, then g."""
         if g.dom.size != self.cod.size:
             raise StructuralError("composition boundary mismatch")
-        return FinMap(self.dom, g.cod, tuple(map(g.table.__getitem__, self.table)))
+        return FinMap(self.dom, g.cod, gather(g.table, self.table))
 
     def is_bijective(self) -> bool:
         return self.dom.size == self.cod.size and len(set(self.table)) == self.dom.size
@@ -87,6 +87,13 @@ class FinMap:
         for i, v in enumerate(self.table):
             inv[v] = i
         return FinMap(self.cod, self.dom, tuple(inv))
+
+
+def gather(table, indices: Sequence) -> tuple:
+    """The entries `table[i]` for each i in `indices`, as a tuple: the one
+    kernel through which tables compose.  It raises what `table[i]`
+    raises on a missing index or key."""
+    return _picker(indices)(table)
 
 
 def identity_map(x: FinSet) -> FinMap:
@@ -217,15 +224,16 @@ def pullback_columns(factors) -> tuple[list[tuple[int, ...]], int]:
             parents += [a] * len(ext[0])
             column += ext[0]
             grown += ext[1]
-        columns = [tuple(map(col.__getitem__, parents)) for col in columns]
+        reindex = _picker(parents)
+        columns = [reindex(col) for col in columns]
         columns.append(tuple(column))
         partial = grown
     columns = [columns[order.index(i)] for i in range(len(order))]
     return columns if order == sorted(order) else sort_columns(columns), len(partial)
 
 
-def _picker(indices: Sequence[int]):
-    """The function taking a tuple to the tuple of its entries at
+def _picker(indices: Sequence):
+    """The function taking a table to the tuple of its entries at
     `indices`.  `itemgetter` of a single index returns the bare entry, so
     one index and none are written out."""
     if len(indices) > 1:

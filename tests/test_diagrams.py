@@ -27,7 +27,8 @@ from finspan.diagrams import (
     syllepsis_rule,
     tensorator_rule,
 )
-from finspan.documents import load_document
+from finspan.cli import main
+from finspan.documents import StructureDocument, dumps_document, load_document
 from finspan.spans import (
     FinMap,
     FinSet,
@@ -501,6 +502,27 @@ class TestMemo:
         _, evaluated = _record_evaluations(monkeypatch)
         assert gammaset.span_level_commutativity(X, theta).ok
         assert len(evaluated) == 5 + 2 + 2
+
+    def test_each_conversion_evaluates_the_braided_pattern_once(self, monkeypatch, interval_l3_gamma, tmp_path):
+        # the commutor rule's tgt is the braided pattern; the cell and its
+        # theta are read from the same evaluation, so each conversion makes
+        # nine: before they shared it, ten, and eleven through the CLI
+        G = interval_l3_gamma
+        X = G.base
+        braided = gammaset._braided_mult_rows(X, gammaset._mu_box(X))
+        _, evaluated = _record_evaluations(monkeypatch)
+        cell, report = gammaset.commutative_from_gamma(G, full_span_level=True)
+        assert report.ok
+        assert evaluated.count(braided) == 1 and len(evaluated) == 9
+        evaluated.clear()
+        gammaset.gamma_from_commutative(X, cell.gamma)
+        assert evaluated.count(braided) == 1 and len(evaluated) == 9
+        commutative = tmp_path / "commutative.json"
+        commutative.write_text(dumps_document(StructureDocument(X, commutative=cell.theta)))
+        evaluated.clear()
+        assert main(["derive", str(commutative), "--direction", "commutative-to-gamma",
+                     "-o", str(tmp_path / "gamma.json")]) == 0
+        assert evaluated.count(braided) == 1 and len(evaluated) == 9
 
     def test_commutativity_evaluates_no_structural_pattern(self, monkeypatch, interval_l3_gamma):
         X, theta = interval_l3_gamma.base, interval_l3_gamma.theta(2, 1)

@@ -38,6 +38,26 @@ def test_a_cyclic_example_refuses_an_empty_group(name, k, capsys):
     assert captured.err == f"error: cyclic group needs order k >= 1, got k={k}\n"
 
 
+@pytest.mark.parametrize("L", ["-1", "-5"])
+def test_the_interval_example_refuses_a_negative_length(L, capsys):
+    assert main(["example", "interval", "--L", L]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: interval monoid needs L >= 0, got L={L}\n"
+
+
+@pytest.mark.parametrize("n", ["2", "1", "0"])
+def test_the_interval_example_refuses_a_low_truncation_before_building(n, capsys, monkeypatch):
+    def refused(L):
+        raise AssertionError(f"interval monoid built for L={L}")
+
+    monkeypatch.setattr(catalog, "interval_monoid", refused)
+    assert main(["example", "interval", "--L", "100000", "--n-levels", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: correspondence checks need N >= 3\n"
+
+
 def test_the_two_hand_built_inputs():
     C = catalog.pair_groupoid(2)
     swap = catalog.groupoid_cyclic(C, 4, bisection=FinMap(C.objects, C.morphisms, (1, 2)))

@@ -260,6 +260,38 @@ def test_the_scan_sees_a_dead_field():
     assert [name for name, _ in _unread(tree, _read_names([tree]))] == ["C.dead"]
 
 
+def _item_maps(tree: ast.Module) -> list[int]:
+    """The line of each `tuple(map(<expr>.__getitem__, …))` in `tree`: a
+    table composed one slot call at a time, where `spans.gather` makes one
+    `itemgetter` call."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "tuple"
+        and len(node.args) == 1 and isinstance(inner := node.args[0], ast.Call)
+        and isinstance(inner.func, ast.Name) and inner.func.id == "map" and inner.args
+        and isinstance(inner.args[0], ast.Attribute) and inner.args[0].attr == "__getitem__"
+    ]
+
+
+def test_every_table_composition_goes_through_gather():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _item_maps(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_the_scan_sees_a_table_composed_by_map():
+    tree = ast.parse(
+        "a = tuple(map(t.__getitem__, idx))\n"
+        "b = tuple(map(f(x).table.__getitem__, idx))\n"
+        "c = list(map(d.__getitem__, zip(p, q)))\n"
+        "e = tuple(map(str, idx))\n"
+    )
+    assert _item_maps(tree) == [1, 2]
+
+
 # ---------------------------------------------------------------------------
 # the package namespace
 

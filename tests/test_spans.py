@@ -32,6 +32,7 @@ from finspan.spans import (
     compose_spans,
     decode_tuple,
     encode_tuple,
+    gather,
     horizontal_compose,
     identity_cell,
     identity_map,
@@ -212,6 +213,40 @@ class TestIteratedPullback:
         assert iterated_pullback([]) == ((),)
         assert iterated_pullback([((), [(), ()]), (("k",), [])]) == ()
         assert iterated_pullback([((), [(), ()]), ((), [()])]) == ((0, 0), (1, 0))
+
+
+class TestGather:
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 64])
+    @pytest.mark.parametrize("kind", [tuple, list, range])
+    def test_it_reads_each_entry_in_order(self, kind, count):
+        rng = random.Random(count)
+        size = rng.randrange(1, 40)
+        table = range(size) if kind is range else kind(rng.randrange(100) for _ in range(size))
+        for indices in ([rng.randrange(size) for _ in range(count)],
+                        tuple(rng.randrange(-size, size) for _ in range(count))):
+            got = gather(table, indices)
+            assert type(got) is tuple and got == tuple(table[i] for i in indices)
+
+    @given(st.lists(st.integers(-5, 5), max_size=8), st.lists(st.integers(-9, 9), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_it_raises_what_indexing_raises(self, table, indices):
+        for t in (table, tuple(table), dict(enumerate(table))):
+            try:
+                expected = tuple(t[i] for i in indices)
+            except (IndexError, KeyError) as exc:
+                with pytest.raises(type(exc)) as raised:
+                    gather(t, indices)
+                assert raised.value.args == exc.args
+            else:
+                assert gather(t, indices) == expected
+
+    def test_a_missing_key_raises_key_error(self):
+        index = {(0, 1): 5, (1, 0): 6}
+        assert gather(index, [(1, 0), (0, 1)]) == (6, 5)
+        for keys in ([(2, 2)], [(0, 1), (2, 2)]):
+            with pytest.raises(KeyError) as raised:
+                gather(index, keys)
+            assert raised.value.args == ((2, 2),)
 
 
 class TestComposition:
