@@ -190,8 +190,7 @@ def nerve(C: SmallCategory, N: int) -> TruncSimplicialSet:
 
 def _nerve(C: SmallCategory, N: int) -> tuple[TruncSimplicialSet, Callable]:
     """`nerve` with its `move`; level 0 lists the objects as 1-tuples."""
-    if N < 3:
-        raise StructuralError("correspondence checks need N >= 3")
+    _require_correspondence_level(N)
     src, tgt, ident = C.src.table, C.tgt.table, C.identity.table
     tuples = _chain_levels(C, N)
     levels = [C.objects] + [FinSet(len(ts)) for ts in tuples[1:]]
@@ -327,14 +326,14 @@ def partial_monoid_nerve(M: PartialMonoid, N: int) -> TruncSimplicialSet:
     return _monoid_nerve(M, N)[0]
 
 
-def _check_monoid_level(N: int) -> None:
+def _require_correspondence_level(N: int) -> None:
     if N < 3:
         raise StructuralError("correspondence checks need N >= 3")
 
 
 def _monoid_nerve(M: PartialMonoid, N: int) -> tuple[TruncSimplicialSet, Callable]:
     """`partial_monoid_nerve` with its `move`."""
-    _check_monoid_level(N)
+    _require_correspondence_level(N)
     tuples = _monoid_levels(M, N)
     levels = [FinSet(len(ts)) for ts in tuples]
     unit = M.unit
@@ -343,16 +342,30 @@ def _monoid_nerve(M: PartialMonoid, N: int) -> tuple[TruncSimplicialSet, Callabl
     )
 
 
-def interval_cyclic(L: int, N: int) -> ParacyclicData:
-    """The cyclic structure on the interval nerve: rotate and complete the
-    sum to L."""
-    from .paracyclic import ParacyclicData
-
-    _check_monoid_level(N)  # before the monoid's (L+1)^2 table is built
+def _interval_nerve(L: int, N: int) -> tuple[TruncSimplicialSet, Callable, tuple[FinMap, ...]]:
+    """The interval nerve with its `move` and its cyclic structure: rotate
+    and complete the sum to L."""
+    _require_correspondence_level(N)  # before the monoid's (L+1)^2 table is built
     X, move = _monoid_nerve(interval_monoid(L), N)
     tau = [move(0, 0, lambda t: t)]
     tau += [move(n, n, lambda t: t[1:] + (L - sum(t),)) for n in range(1, N + 1)]
-    return ParacyclicData(X, tuple(tau))
+    return X, move, tuple(tau)
+
+
+def interval_cyclic(L: int, N: int) -> ParacyclicData:
+    """The cyclic structure on the interval nerve."""
+    from .paracyclic import ParacyclicData
+
+    X, _, tau = _interval_nerve(L, N)
+    return ParacyclicData(X, tau)
+
+
+def _component_swaps(N: int, move: Callable) -> tuple[tuple[FinMap, ...], ...]:
+    """theta_i^n on a monoid nerve: swap the tuple components i - 1 and i."""
+    return ((), ()) + tuple(
+        tuple(move(n, n, lambda t: t[: i - 1] + (t[i], t[i - 1]) + t[i + 1 :]) for i in range(1, n))
+        for n in range(2, N + 1)
+    )
 
 
 def commutative_monoid_gamma(M: PartialMonoid, N: int) -> GammaData:
@@ -363,10 +376,16 @@ def commutative_monoid_gamma(M: PartialMonoid, N: int) -> GammaData:
     if not M.is_commutative():
         raise StructuralError("transposition actions need commutativity")
     X, move = _monoid_nerve(M, N)
-    return GammaData(X, ((), ()) + tuple(
-        tuple(move(n, n, lambda t: t[: i - 1] + (t[i], t[i - 1]) + t[i + 1 :]) for i in range(1, n))
-        for n in range(2, N + 1)
-    ))
+    return GammaData(X, _component_swaps(N, move))
+
+
+def _interval_document(L: int, N: int) -> StructureDocument:
+    """The interval nerve with its cyclic structure and its transpositions."""
+    from .gammaset import GammaData
+    from .paracyclic import ParacyclicData
+
+    X, move, tau = _interval_nerve(L, N)
+    return _document(paracyclic=ParacyclicData(X, tau), gamma=GammaData(X, _component_swaps(N, move)))
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +431,7 @@ def twisted_cyclic_nerve(C: SmallCategory, F: Endofunctor, N: int) -> TruncSimpl
 
 def _twisted_nerve(C: SmallCategory, F: Endofunctor, N: int) -> tuple[TruncSimplicialSet, Callable]:
     """`twisted_cyclic_nerve` with its `move`."""
-    if N < 3:
-        raise StructuralError("correspondence checks need N >= 3")
+    _require_correspondence_level(N)
     F.validate(C)
     # level n: the composable (n + 1)-tuples (f_0, ..., f_n) whose top
     # morphism is composable with the twist of the bottom one
@@ -486,8 +504,7 @@ def graph_partition_gamma(G: Graph, N: int) -> GammaData:
     the derived simplicial structure and transposition actions."""
     from .gammaset import GammaData, phistar_d, phistar_d_top, phistar_s, phistar_theta
 
-    if N < 3:
-        raise StructuralError("correspondence checks need N >= 3")
+    _require_correspondence_level(N)
     tuples = [_partition_elements(G, n) for n in range(N + 1)]
 
     def action(f: PhiStarMor):
@@ -615,9 +632,7 @@ EXAMPLES: dict[str, Callable[[int, int, int, int], StructureDocument]] = {
     "pair-groupoid": lambda N, k, L, a: _document(paracyclic=groupoid_cyclic(pair_groupoid(k), N)),
     "groupoid-zk": lambda N, k, L, a: _document(paracyclic=groupoid_cyclic(cyclic_group_category(k), N)),
     "pair-groupoid-bisection": lambda N, k, L, a: _document(paracyclic=swap_bisection_cyclic(N)),
-    "interval": lambda N, k, L, a: _document(
-        paracyclic=interval_cyclic(L, N), gamma=commutative_monoid_gamma(interval_monoid(L), N)
-    ),
+    "interval": lambda N, k, L, a: _interval_document(L, N),
     "twisted-zk-id": lambda N, k, L, a: _document(paracyclic=twisted_cyclic_paracyclic(
         cyclic_group_category(k), identity_endofunctor(cyclic_group_category(k)), N
     )),

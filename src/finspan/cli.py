@@ -31,9 +31,10 @@ from .simplicial import (
 from .spans import StructuralError
 
 
-def _fail(message: str, code: int = 2) -> int:
+def _fail(message: str) -> int:
+    """Report bad input: the message on stderr, exit code 2."""
     print(f"error: {message}", file=sys.stderr)
-    return code
+    return 2
 
 
 def _emit(text: str, output) -> int:

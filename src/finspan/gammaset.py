@@ -521,17 +521,12 @@ def commutative_from_gamma(G: GammaData, full_span_level: bool = False) -> tuple
     """The commutativity cell of a Gamma structure, with the reduced checks
     (and optionally the full span-level equations)."""
     X = G.base
-    segal = check_2segal(X)
-    if not segal.ok:
-        raise NotCommutativeError(f"base is not 2-Segal: {segal.failures[0].name}")
+    check_2segal(X).require(NotCommutativeError, "base is not 2-Segal: ")
+    span_cell = ((("d{} theta = d{}", i, 2 - i), 2, (("theta", 2, 1), ("d", 2, i)), (("d", 2, 2 - i),))
+                 for i in range(3))
+    check_relations(span_cell, gamma_tables(G), X.levels).require(
+        NotCommutativeError, "transposition is not a span cell: ")
     theta = G.theta(2, 1)
-    for name, lhs, rhs in (
-        ("d0 theta = d2", theta.then(X.d(2, 0)), X.d(2, 2)),
-        ("d1 theta = d1", theta.then(X.d(2, 1)), X.d(2, 1)),
-        ("d2 theta = d0", theta.then(X.d(2, 2)), X.d(2, 0)),
-    ):
-        if lhs.table != rhs.table:
-            raise NotCommutativeError(f"transposition is not a span cell: {name}")
     report = reduced_commutativity(X, G)
     braided = braided_mult(X)
     if full_span_level:
@@ -548,9 +543,7 @@ def gamma_from_commutative(X: TruncSimplicialSet, gamma: SpanCell,
     constructed triangle by triangle and the full relation set is verified.
     `braided` is `braided_mult(X)`, evaluated here when not given.
     """
-    segal = check_2segal(X)
-    if not segal.ok:
-        raise NotCommutativeError(f"base is not 2-Segal: {segal.failures[0].name}")
+    check_2segal(X).require(NotCommutativeError, "base is not 2-Segal: ")
     if not gamma.map.is_bijective():
         raise NotCommutativeError("cell is not invertible")
     if braided is None:
@@ -558,17 +551,13 @@ def gamma_from_commutative(X: TruncSimplicialSet, gamma: SpanCell,
     theta = theta_from_gamma_cell(X, gamma, braided)
     span_report = span_level_commutativity(X, theta, braided)
     if not span_report.ok:
-        raise NotCommutativeError(
-            f"not commutative: {span_report.failures[0].name}, "
-            f"diagnostic {span_report.failures[0].witness}"
-        )
+        failure = span_report.failures[0]
+        raise NotCommutativeError(f"{failure.name}, diagnostic {failure.witness}")
     tables: list[tuple[FinMap, ...]] = [(), (), (theta,)]
     for n in range(3, X.N + 1):
         tables.append(tuple(
             theta_via_triangulation(X, theta, n, i) for i in range(1, n)
         ))
     G = GammaData(X, tuple(tables[: X.N + 1]))
-    rep = check_gamma(G)
-    if not rep.ok:
-        raise NotCommutativeError(f"derived structure fails: {rep.failures[0].name}")
+    check_gamma(G).require(NotCommutativeError, "derived structure fails: ")
     return G

@@ -333,9 +333,7 @@ def frobenius_from_paracyclic(P: ParacyclicData) -> CounitData:
     the extra-degeneracy pullback square and the (id, tau) form of the
     induced pairing."""
     X = P.base
-    segal = check_2segal(X)
-    if not segal.ok:
-        raise NotFrobeniusError(f"base is not 2-Segal: {segal.failures[0].name}")
+    check_2segal(X).require(NotFrobeniusError, "base is not 2-Segal: ")
     s1_0 = P.extra_degeneracy(0)
     eps = counit_span(X, s1_0)
     tau1 = P.tau[1]
@@ -394,9 +392,7 @@ def paracyclic_from_frobenius(X: TruncSimplicialSet, eps: Span) -> ParacyclicDat
     """
     if eps.src != X.levels[1] or eps.tgt != UNIT:
         raise StructuralError("counit must be a span X_1 -> {*}")
-    segal = check_2segal(X)
-    if not segal.ok:
-        raise NotFrobeniusError(f"base is not 2-Segal: {segal.failures[0].name}")
+    check_2segal(X).require(NotFrobeniusError, "base is not 2-Segal: ")
     if X.N < 3:
         raise StructuralError("need truncation level at least 3")
 
@@ -441,9 +437,7 @@ def paracyclic_from_frobenius(X: TruncSimplicialSet, eps: Span) -> ParacyclicDat
         raise NotFrobeniusError("tau^0 inverse formula fails")
 
     P = ParacyclicData(X, tuple(tau))
-    rep = check_paracyclic(P)
-    if not rep.ok:
-        raise NotFrobeniusError(f"derived structure fails: {rep.failures[0].name}")
+    check_paracyclic(P).require(NotFrobeniusError, "derived structure fails: ")
     return P
 
 

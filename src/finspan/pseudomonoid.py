@@ -33,19 +33,18 @@ from .diagrams import (
     rule_from_cell,
     tensorator_rule,
 )
+from .reporting import Report
 from .simplicial import (
     Triangulation,
     TruncSimplicialSet,
+    _failures,
     check_2segal,
     check_unitality,
     degeneracy_relations,
     edge_map,
     make_simplicial,
     polygon_stack,
-    relation_name,
-    relation_witnesses,
     segal_witness,
-    structure_tables,
 )
 from .spans import (
     FinMap,
@@ -179,12 +178,8 @@ def build_pseudomonoid(X: TruncSimplicialSet) -> PseudomonoidData:
     2-truncation with the 2-Segal associator."""
     if X.N < 3:
         raise ConstructionError("need truncation level at least 3")
-    segal = check_2segal(X)
-    if not segal.ok:
-        raise ConstructionError(f"not 2-Segal: {segal.failures[0].name}")
-    unital = check_unitality(X)
-    if not unital.ok:
-        raise ConstructionError(f"not unital: {unital.failures[0].name}")
+    check_2segal(X).require(ConstructionError, "not 2-Segal: ")
+    check_unitality(X).require(ConstructionError, "not unital: ")
     return pseudomonoid_from_two_truncated(two_truncation(X), canonical_segal_associator(X))
 
 
@@ -265,9 +260,7 @@ class TwoTruncatedData:
 
     def __post_init__(self):
         X = two_truncated_simplicial(self)
-        for relation, witness in relation_witnesses(degeneracy_relations(2), structure_tables(X), X.levels):
-            if witness is not None:
-                raise StructuralError(f"truncated identity fails: {relation_name(relation)}")
+        Report(_failures(degeneracy_relations(2), X)).require(StructuralError, "truncated identity fails: ")
 
 
 def two_truncation(X: TruncSimplicialSet) -> TwoTruncatedData:

@@ -70,6 +70,13 @@ class Report:
     def failures(self) -> list[CheckResult]:
         return [r for r in self.results if r.witness is not None]
 
+    def require(self, error: type[Exception], prefix: str) -> "Report":
+        """This report when every line holds; otherwise raise `error`,
+        its message `prefix` and the name of the first failing line."""
+        if not self.ok:
+            raise error(prefix + self.failures[0].name)
+        return self
+
     def lines(self) -> list[str]:
         return [r.line() for r in self.results]
 

@@ -94,6 +94,16 @@ class TestPartialMonoids:
             assert check_2segal(X).ok
             assert check_unitality(X).ok
 
+    def test_interval_example_builds_one_nerve(self, monkeypatch):
+        calls = []
+        nerve = catalog._monoid_nerve
+        monkeypatch.setattr(catalog, "_monoid_nerve", lambda M, N: calls.append(N) or nerve(M, N))
+        doc = catalog.example("interval", 4, 2, 3, 1)
+        assert calls == [4]
+        assert doc.paracyclic.base is doc.gamma.base
+        assert doc.paracyclic.tau == catalog.interval_cyclic(3, 4).tau
+        assert doc.gamma.theta_tables == catalog.commutative_monoid_gamma(catalog.interval_monoid(3), 4).theta_tables
+
 
 class TestTwistedCyclicNerves:
     def test_inertia_groupoid_sizes(self):

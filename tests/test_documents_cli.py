@@ -22,6 +22,7 @@ from finspan.documents import (
     dumps_document,
     loads_document,
 )
+from finspan.reporting import CheckResult, Report
 from finspan.spans import UNIT, FinMap, FinSet, Span, constant_map
 from test_catalog import _catalog_documents
 from test_simplicial import empty_structure, random_complex_nerve
@@ -370,6 +371,19 @@ class TestCli:
         assert re.sub(r"in [0-9.]+s:", "in Ts:", lines[-1]) == (
             "checked in Ts: 68 passed, 0 failed, 0 skipped"
         )
+
+    def test_not_commutative_verdict_names_the_equation_once(self, tmp_path, capsys, monkeypatch):
+        from finspan import gammaset
+
+        comm = tmp_path / "comm.json"
+        assert main(["derive", str(FIXTURES / "interval_l3.json"), "--direction", "gamma-to-commutative",
+                     "-o", str(comm)]) == 0
+        failing = Report([CheckResult("span-level symmetry equation", ((0,), (1,)))])
+        monkeypatch.setattr(gammaset, "span_level_commutativity", lambda *args: failing)
+        assert main(["derive", str(comm), "--direction", "commutative-to-gamma"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "not commutative: span-level symmetry equation, diagnostic ((0,), (1,))\n"
 
 
 # per command: argv that parse, then argv that miss a required argument

@@ -292,6 +292,57 @@ def test_the_scan_sees_a_table_composed_by_map():
     assert _item_maps(tree) == [1, 2]
 
 
+def _is_first_failure_name(node: ast.expr) -> bool:
+    """Whether `node` reads `<expr>.failures[0].name`."""
+    return (
+        isinstance(node, ast.Attribute) and node.attr == "name"
+        and isinstance(sub := node.value, ast.Subscript)
+        and isinstance(sub.slice, ast.Constant) and sub.slice.value == 0
+        and isinstance(sub.value, ast.Attribute) and sub.value.attr == "failures"
+    )
+
+
+def _first_failure_raises(tree: ast.Module) -> list[int]:
+    """The line of each `raise E(<literal prefix> + <report>.failures[0].name)`
+    in `tree`, as an f-string or a sum: a requirement written out by hand,
+    where `Report.require` states it once."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and len(node.exc.args) == 1):
+            continue
+        message = node.exc.args[0]
+        if isinstance(message, ast.JoinedStr) and len(message.values) == 2:
+            prefix, value = message.values[0], message.values[1].value
+        elif isinstance(message, ast.BinOp) and isinstance(message.op, ast.Add):
+            prefix, value = message.left, message.right
+        else:
+            continue
+        if isinstance(prefix, ast.Constant) and isinstance(prefix.value, str) and _is_first_failure_name(value):
+            found.append(node.lineno)
+    return found
+
+
+def test_every_requirement_goes_through_require():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "reporting.py"
+        for line in _first_failure_raises(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_the_scan_sees_a_hand_written_requirement():
+    tree = ast.parse(
+        "if not rep.ok:\n    raise E(f'base fails: {rep.failures[0].name}')\n"
+        "if not rep.ok:\n    raise E('base fails: ' + check(X).failures[0].name)\n"
+        "if not rep.ok:\n    raise E(f'{rep.failures[0].name}, diagnostic {rep.failures[0].witness}')\n"
+        "if not rep.ok:\n    raise E(f'base fails: {rep.failures[0].witness}')\n"
+        "rep.require(E, 'base fails: ')\n"
+    )
+    assert _first_failure_raises(tree) == [2, 4]
+
+
 # ---------------------------------------------------------------------------
 # the package namespace
 

@@ -39,3 +39,15 @@ def test_the_verdict_is_read_only():
         r.passed = True
     with pytest.raises(TypeError):
         CheckResult("x", skipped=True)
+
+
+def test_require_returns_a_passing_report():
+    report = Report([CheckResult("x"), CheckResult.skip("y", "why")])
+    assert report.require(ValueError, "fails: ") is report
+
+
+def test_require_names_the_first_failing_line():
+    report = Report([CheckResult("x"), CheckResult("y", 0), CheckResult("z", 1)])
+    with pytest.raises(KeyError) as error:
+        report.require(KeyError, "fails: ")
+    assert error.value.args == ("fails: y",)
