@@ -8,12 +8,13 @@ from typing import Any, Optional
 from .spans import FinMap, first_difference
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     """One verdict, decided by its witness: the line fails exactly when it
     carries one (any value but None) and passes when it carries none.
     `skip` builds the only lines whose `passed` is None.  A bool witness is
-    refused, since it can only be a pass/fail flag."""
+    refused, since it can only be a pass/fail flag.  A line is frozen, so
+    a memoised verdict cannot be rewritten through a report that holds it."""
 
     name: str
     witness: Any = None
@@ -27,7 +28,7 @@ class CheckResult:
     @classmethod
     def skip(cls, name: str, detail: str) -> "CheckResult":
         result = cls(name, detail=detail)
-        result.skipped = True
+        object.__setattr__(result, "skipped", True)
         return result
 
     @property

@@ -40,10 +40,10 @@ class TruncSimplicialSet:
     `face[n]` holds (d_0^n, ..., d_n^n) for 1 <= n <= N (face[0] is empty);
     `degen[n]` holds (s_0^n, ..., s_n^n) for 0 <= n < N (degen[N] is empty).
 
-    `memo` holds data derived from the tables (vertex maps, Segal witnesses
-    with their stacks, the face identities and the 2-Segal and unitality
-    verdicts).  It is left out of `==` and `hash`, so two equal
-    structures never share an entry, and it dies with its structure.
+    `memo` holds data derived from the tables (vertex maps, the component
+    tables gluing reads, the face identities and the 2-Segal and unitality
+    verdicts), and no stack.  It is left out of `==` and `hash`, so two
+    equal structures never share an entry, and it dies with its structure.
     """
 
     N: int
@@ -381,8 +381,7 @@ class PolygonStack:
 
 
 def polygon_stack(X: TruncSimplicialSet, n: int, cells: tuple[tuple[int, ...], ...]) -> PolygonStack:
-    """The iterated pullback for `cells`.  Nothing is memoised: the only
-    stacks a structure keeps are those its Segal witnesses hold."""
+    """The iterated pullback for `cells`.  Nothing is memoised."""
     # two cells can share only a side, so a cell is keyed by its sides
     factors = []
     for c in cells:
@@ -413,12 +412,9 @@ def subdivision_map(X: TruncSimplicialSet, n: int, cells: tuple[tuple[int, ...],
 
 
 def segal_witness(X: TruncSimplicialSet, T: Triangulation) -> SegalWitness:
-    """The triangulation map for T with its inverse, memoised in `X.memo`."""
-    if T not in X.memo:
-        stack, fwd = subdivision_map(X, T.n, T.triangles)
-        inverse = fwd.inverse() if fwd.is_bijective() else None
-        X.memo[T] = SegalWitness(stack, fwd, inverse)
-    return X.memo[T]
+    """The triangulation map for T with its inverse.  Nothing is memoised."""
+    stack, fwd = subdivision_map(X, T.n, T.triangles)
+    return SegalWitness(stack, fwd, fwd.inverse() if fwd.is_bijective() else None)
 
 
 def _one_verdict(check):
@@ -454,7 +450,7 @@ def check_subdivision_criterion(X: TruncSimplicialSet) -> Report:
 def _segal_maps(X: TruncSimplicialSet, maps: Iterable[tuple[str, int, tuple[tuple[int, ...], ...]]]) -> Report:
     """One line per `(name, n, cells)`, passing when the map from X_n to the
     stack of the subdivision `cells` of the polygon 0..n is bijective: the
-    one decision behind `check_2segal` and `check_subdivision_criterion`.
+    one decision of `check_2segal`, `check_subdivision_criterion` and gluing.
 
     When the face identities hold, a map passes when it is a composite of
     bijections (`_composed_verdicts`).  Every other map is decided by its
@@ -577,19 +573,23 @@ def glue_columns(X: TruncSimplicialSet, T: Triangulation, columns: Sequence[Sequ
     a batch: `columns` holds one column of components per triangle of T,
     in `T.triangles` order, and member k has the components
     `columns[j][k]`.  An empty batch glues nothing and raises nothing; an
-    error names the first member that fails."""
+    error names the first member that fails.  The first glue along T decides
+    T's map by `_segal_maps` and memoises None if it is not bijective, else
+    T's component table, from each simplex's `unglue` tuple to the simplex."""
     # no columns at all is the one decomposition with no components
     keys = list(zip(*columns)) if columns else [()]
     if not keys:
         return ()
-    w = segal_witness(X, T)
-    if w.inverse is None:
+    if T not in X.memo:
+        bijective = _segal_maps(X, [("triangulation map", T.n, T.triangles)]).ok
+        components = zip(*(vertex_map(X, T.n, t).table for t in T.triangles))
+        X.memo[T] = dict(zip(components, X.levels[T.n])) if bijective else None
+    if (table := X.memo[T]) is None:
         raise GluingError("triangulation map is not bijective; cannot glue")
-    idx = w.stack.index
     try:
-        return gather(w.inverse.table, gather(idx, keys))
+        return gather(table, keys)
     except KeyError:
-        key = next(k for k in keys if k not in idx)
+        key = next(k for k in keys if k not in table)
         raise GluingError(f"incompatible parts {key} for diagonals {T.diagonals}") from None
 
 

@@ -303,7 +303,12 @@ def compose_pairs(f: Span, g: Span) -> tuple[tuple[int, int], ...]:
 
 def compose_spans(f: Span, g: Span) -> Span:
     """Composite span of f: X -> Y followed by g: Y -> Z."""
-    pairs = compose_pairs(f, g)
+    return _composite(f, g, compose_pairs(f, g))
+
+
+def _composite(f: Span, g: Span, pairs: tuple[tuple[int, int], ...]) -> Span:
+    """The composite span of f and g whose apex is `pairs`, their
+    `compose_pairs`."""
     apex = FinSet(len(pairs))
     left = FinMap(apex, f.src, tuple(f.left.table[a] for a, _ in pairs))
     right = FinMap(apex, g.tgt, tuple(g.right.table[b] for _, b in pairs))
@@ -360,8 +365,8 @@ def horizontal_compose(u: SpanCell, v: SpanCell) -> SpanCell:
     tgt_pairs = compose_pairs(fp, gp)
     tgt_index = {pair: i for i, pair in enumerate(tgt_pairs)}
     table = tuple(tgt_index[(u.map.table[a], v.map.table[b])] for a, b in src_pairs)
-    source = compose_spans(f, g)
-    target = compose_spans(fp, gp)
+    source = _composite(f, g, src_pairs)
+    target = _composite(fp, gp, tgt_pairs)
     return SpanCell(source, target, FinMap(source.apex, target.apex, table))
 
 

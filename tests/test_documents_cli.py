@@ -23,6 +23,7 @@ from finspan.documents import (
     loads_document,
 )
 from finspan.reporting import CheckResult, Report
+from finspan.simplicial import PolygonStack, SegalWitness
 from finspan.spans import UNIT, FinMap, FinSet, Span, constant_map
 from test_catalog import _catalog_documents
 from test_simplicial import empty_structure, random_complex_nerve
@@ -275,6 +276,34 @@ class TestCli:
         a = json.loads(src.read_text())
         b = json.loads(back.read_text())
         assert a["gamma"] == b["gamma"]
+
+    def test_derive_keeps_no_stack(self, tmp_path, monkeypatch, capsys):
+        """Every derive direction, on each shipped fixture with its block,
+        leaves no Segal witness or stack in the memo of what it read."""
+        loaded = []
+        load = cli.load_document
+
+        def recording_load(path):
+            loaded.append(load(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_document", recording_load)
+        directions = {"paracyclic": ("paracyclic-to-frobenius", "frobenius-to-paracyclic"),
+                      "gamma": ("gamma-to-commutative", "commutative-to-gamma")}
+        derived = set()
+        for path in sorted(FIXTURES.glob("*.json")):
+            blocks = json.loads(path.read_text())
+            for block, (there, back) in directions.items():
+                out = tmp_path / f"{path.stem}-{block}.json"
+                if block in blocks and main(["derive", str(path), "--direction", there, "-o", str(out)]) == 0:
+                    derived.add(there)
+                    if main(["derive", str(out), "--direction", back]) == 0:
+                        derived.add(back)
+        assert derived == {d for pair in directions.values() for d in pair}
+        memos = [doc.simplicial.memo.values() for doc in loaded]
+        assert not [v for memo in memos for v in memo if isinstance(v, (SegalWitness, PolygonStack))]
+        # the backward directions glued, through component tables
+        assert any(isinstance(v, dict) for memo in memos for v in memo)
 
     def test_derive_missing_block(self, capsys):
         assert main(["derive", str(FIXTURES / "chain_poset_nerve.json"),

@@ -343,6 +343,42 @@ def test_the_scan_sees_a_hand_written_requirement():
     assert _first_failure_raises(tree) == [2, 4]
 
 
+def _memo_uses(tree: ast.Module) -> list[int]:
+    """The line of each read or write of a `.memo` attribute in `tree`, by
+    attribute syntax or by `getattr`/`setattr`/`delattr` with the name
+    spelled out."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "memo"
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("getattr", "setattr", "delattr") and len(node.args) >= 2
+        and isinstance(node.args[1], ast.Constant) and node.args[1].value == "memo"
+    )
+
+
+def test_only_simplicial_touches_a_memo():
+    # a structure's memo has one owner, which decides what it keeps
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "simplicial.py"
+        for line in _memo_uses(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_the_scan_sees_a_memo_use():
+    tree = ast.parse(
+        "X.memo[key] = 1\n"
+        "value = X.memo.get(key)\n"
+        "X.memo = {}\n"
+        "table = getattr(X, 'memo')\n"
+        "memo = {}\n"
+        "other = getattr(X, 'memos')\n"
+    )
+    assert _memo_uses(tree) == [1, 2, 3, 4]
+
+
 # ---------------------------------------------------------------------------
 # the package namespace
 

@@ -1,6 +1,7 @@
 """Simplicial identities, triangulations, 2-Segal maps, unitality, and the
 polygon calculus for faces and degeneracies."""
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -22,6 +23,7 @@ from finspan.simplicial import (
     _bijectivity_witness,
     _coarse_bijective,
     _composed_verdicts,
+    _face_violations,
     _polygon_cells,
     check_2segal,
     check_simplicial_identities,
@@ -337,6 +339,13 @@ class TestMemo:
             # adding to a returned report leaves the memo alone
             report.add(CheckResult("extra", witness="added"))
             assert check(X) == again and check(X).ok
+
+    def test_a_memoised_verdict_cannot_be_rewritten(self):
+        X = catalog.nerve(catalog.cyclic_group_category(2), 4)
+        line = check_2segal(X).results[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            line.witness = ("planted",)
+        assert check_2segal(X).ok and check_2segal(X).results[0].witness is None
 
     def test_vertex_map_is_memoised(self, nerve_z2):
         assert vertex_map(nerve_z2, 4, (0, 2)) is vertex_map(nerve_z2, 4, (0, 2))
@@ -848,9 +857,17 @@ class TestBrokenFaceIdentities:
 # batch gluing against the per-simplex loop
 
 
+# the last (X, T, witness) that `loop_glue` read: a loop over X_n reads one
+# witness, which `segal_witness`, memoising nothing, would build per simplex
+_last_witness = [None, None, None]
+
+
 def loop_glue(X, T, parts):
     """`glue` as one lookup per simplex, as it was before batches."""
-    w = segal_witness(X, T)
+    last_X, last_T, w = _last_witness
+    if last_X is not X or last_T != T:
+        w = segal_witness(X, T)
+        _last_witness[:] = X, T, w
     if w.inverse is None:
         raise GluingError("triangulation map is not bijective; cannot glue")
     key = tuple(parts)
@@ -944,6 +961,54 @@ class TestGlueColumns:
         assert T not in X.memo
         assert segal_witness(X, T).inverse is None
         assert glue_columns(X, T, ((), ())) == ()
+
+    def test_a_composed_pass_glues_without_a_stack(self, monkeypatch):
+        # each structure is built twice, so that the glue under test meets a
+        # fresh memo; the references come from the per-simplex loop
+        def structures():
+            return [catalog.nerve(catalog.cyclic_group_category(3), 4),
+                    catalog.partial_monoid_nerve(catalog.interval_monoid(3), 4)]
+
+        rng = random.Random(11)
+        expected = {}
+        for k, X in enumerate(structures()):
+            for n in (3, 4):
+                for T in enumerate_triangulations(n):
+                    keys = list(zip(*(vertex_map(X, n, t).table for t in T.triangles)))
+                    keys += [tuple(rng.randrange(X.levels[2].size) for _ in T.triangles) for _ in range(20)]
+                    expected[k, T] = keys, [outcome(loop_glue, X, T, key) for key in keys]
+
+        def no_stack(*args):
+            raise AssertionError("a stack was built")
+
+        monkeypatch.setattr(simplicial, "polygon_stack", no_stack)
+        monkeypatch.setattr(simplicial, "subdivision_map", no_stack)
+        for k, X in enumerate(structures()):
+            assert not _face_violations(X)
+            for n in (3, 4):
+                for T in enumerate_triangulations(n):
+                    keys, outcomes = expected[k, T]
+                    assert [outcome(glue, X, T, key) for key in keys] == outcomes
+                    assert outcomes[:X.levels[n].size] == list(X.levels[n])
+
+    def test_glue_raises_as_the_loop_does_off_the_2_segal_path(self, complex_nerves, doubled):
+        # failing maps, structures that are not 2-Segal, and broken face
+        # identities, where deciding a map raises the stack's own error
+        broken = [mutated_face(catalog.nerve(catalog.cyclic_group_category(2), 4), 4, 2, e) for e in (3, 7)]
+        rng = random.Random(17)
+        compared = set()
+        for X in [catalog_non_two_segal()] + doubled + complex_nerves[::10] + broken:
+            for n in range(3, min(X.N, 4) + 1):
+                for T in enumerate_triangulations(n):
+                    columns = [list(vertex_map(X, n, t).table) for t in T.triangles]
+                    j, k = rng.randrange(len(columns)), rng.randrange(X.levels[n].size)
+                    columns[j][k] = rng.randrange(X.levels[2].size)
+                    loop = [outcome(loop_glue, X, T, parts) for parts in zip(*columns)]
+                    first_error = next((r for r in loop if isinstance(r, tuple)), None)
+                    assert outcome(glue_columns, X, T, columns) == (first_error or tuple(loop))
+                    assert [outcome(glue, X, T, parts) for parts in zip(*columns)] == loop
+                    compared.add(first_error and first_error[1].split()[0])
+        assert compared == {None, "triangulation", "incompatible", "components"}
 
     def test_an_empty_structure_glues_nothing(self):
         X = empty_structure(4)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finspan import spans
 from finspan.documents import document_from_dict
 from finspan.diagrams import (
     braiding_cell,
@@ -344,6 +345,31 @@ class TestTwoCells:
         g = rand_span(rng, 3, 2, 4)
         w = whisker(g, identity_cell(f), side="left")
         assert w.map.table == tuple(range(w.source.apex.size))
+
+    def test_a_horizontal_composite_computes_each_pullback_once(self, monkeypatch):
+        rng = random.Random(13)
+        u = rand_cell_into(rng, rand_span(rng, 2, 3, 3), 4)
+        v = rand_cell_into(rng, rand_span(rng, 3, 2, 4), 3)
+        s = rand_span(rng, 2, 2, 3)
+        cases = [
+            (lambda: horizontal_compose(u, v), (u.source, v.source), (u.target, v.target)),
+            (lambda: whisker(s, u, side="left"), (s, u.source), (s, u.target)),
+            (lambda: whisker(s, v, side="right"), (v.source, s), (v.target, s)),
+        ]
+        expected = [(compose_spans(*source), compose_spans(*target)) for _, source, target in cases]
+        calls = []
+        pullback_pairs_ = spans.pullback_pairs
+
+        def counting_pullback_pairs(f, g):
+            calls.append((f, g))
+            return pullback_pairs_(f, g)
+
+        monkeypatch.setattr(spans, "pullback_pairs", counting_pullback_pairs)
+        for (compose, _, _), (source, target) in zip(cases, expected):
+            calls.clear()
+            cell = compose()
+            assert len(calls) == 2
+            assert (cell.source, cell.target) == (source, target)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
