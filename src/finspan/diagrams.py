@@ -31,6 +31,7 @@ as nested assignments, one apex element per box grouped by row.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -43,6 +44,8 @@ from .spans import (
     SpanCell,
     StructuralError,
     block_braiding_span,
+    decode_columns,
+    encode_columns,
     gather,
     identity_span,
     pullback_columns,
@@ -60,9 +63,9 @@ class Box:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if _wire_size(self.in_objs) != self.span.src.size:
+        if math.prod(o.size for o in self.in_objs) != self.span.src.size:
             raise StructuralError("in wires do not multiply to the span source")
-        if _wire_size(self.out_objs) != self.span.tgt.size:
+        if math.prod(o.size for o in self.out_objs) != self.span.tgt.size:
             raise StructuralError("out wires do not multiply to the span target")
 
     @cached_property
@@ -84,31 +87,12 @@ class Box:
     @cached_property
     def in_wires(self) -> tuple[tuple[int, ...], ...]:
         """For each in wire, its value at each apex element."""
-        return _wire_columns(self.span.left.table, self.in_objs)
+        return decode_columns(self.span.left.table, [o.size for o in self.in_objs])
 
     @cached_property
     def out_wires(self) -> tuple[tuple[int, ...], ...]:
         """For each out wire, its value at each apex element."""
-        return _wire_columns(self.span.right.table, self.out_objs)
-
-
-def _wire_columns(table: tuple[int, ...], objs: tuple[FinSet, ...]) -> tuple[tuple[int, ...], ...]:
-    """Each wire's value at each entry of a leg table whose values encode
-    the wires `objs` row-major, as `decode_tuple` reads them."""
-    if len(objs) == 1:
-        return (table,)
-    columns, stride = [], 1
-    for o in reversed(objs):
-        columns.append(tuple(v // stride % o.size for v in table))
-        stride *= o.size
-    return tuple(reversed(columns))
-
-
-def _wire_size(objs: tuple[FinSet, ...]) -> int:
-    n = 1
-    for o in objs:
-        n *= o.size
-    return n
+        return decode_columns(self.span.right.table, [o.size for o in self.out_objs])
 
 
 def identity_box(x: FinSet) -> Box:
@@ -157,16 +141,6 @@ def _wire_values(wires, row) -> list[tuple[int, ...]]:
     return [row[c] if t is None else gather(t, row[c]) for c, t in wires]
 
 
-def _leg_column(legs, columns, count: int) -> tuple[int, ...]:
-    """The row-major index of a row's boundary in each of `count` tuples,
-    folded from each box's (boundary size, leg table) and element column:
-    equals `encode_tuple` of the row's wire values."""
-    index = [0] * count
-    for (size, table), column in zip(legs, columns):
-        index = [i * size + table[e] for i, e in zip(index, column)]
-    return tuple(index)
-
-
 Assignment = tuple[tuple[int, ...], ...]
 
 # A batch of apex elements of one diagram, held as one element column per
@@ -201,11 +175,16 @@ class EvaluatedDiagram:
 
     @cached_property
     def span(self) -> Span:
-        first, last, count = self.diagram[0], self.diagram[-1], self.count
-        src, tgt, apex = FinSet(_wire_size(row_in_objs(first))), FinSet(_wire_size(row_out_objs(last))), FinSet(count)
-        left = _leg_column(((b.span.src.size, b.span.left.table) for b in first), self.columns[0], count)
-        right = _leg_column(((b.span.tgt.size, b.span.right.table) for b in last), self.columns[-1], count)
-        return Span(src, tgt, apex, FinMap(apex, src, left), FinMap(apex, tgt, right))
+        apex = FinSet(self.count)
+
+        def leg(maps, columns) -> FinMap:
+            sizes = [m.cod.size for m in maps]
+            return FinMap(apex, FinSet(math.prod(sizes)), encode_columns(
+                [gather(m.table, c) for m, c in zip(maps, columns)], sizes, self.count))
+
+        left = leg([b.span.left for b in self.diagram[0]], self.columns[0])
+        right = leg([b.span.right for b in self.diagram[-1]], self.columns[-1])
+        return Span(left.cod, right.cod, apex, left, right)
 
 
 def member_index(ev: EvaluatedDiagram) -> dict[tuple[int, ...], int]:
@@ -656,8 +635,8 @@ def braiding_rule(f: Box, g: Box) -> RewriteRule:
     def carry(columns, count: int) -> tuple[tuple[int, ...], ...]:
         # the new braid's element is its source index: f's in wires, then g's
         ef, eg = columns[0], columns[1]
-        fl, gl, size = f.span.left.table, g.span.left.table, g.span.src.size
-        return (tuple(fl[a] * size + gl[b] for a, b in zip(ef, eg)), eg, ef)
+        sizes = (f.span.src.size, g.span.src.size)
+        return (encode_columns((gather(f.span.left.table, ef), gather(g.span.left.table, eg)), sizes, count), eg, ef)
 
     return ClosedFormRule("braiding", src, tgt, carry)
 
@@ -670,19 +649,16 @@ def syllepsis_rule(x: FinSet, y: FinSet) -> RewriteRule:
     tgt = (ids, ids)
 
     def split(columns, count: int) -> tuple[tuple[int, ...], ...]:
-        # the first braid's element p is the pair (p // |Y|, p % |Y|), read
-        # by both identity rows
-        size = y.size
-        a = tuple(p // size for p in columns[0])
-        b = tuple(p % size for p in columns[0])
+        # the first braid's element is a pair (a, b) in X×Y, read by both
+        # identity rows
+        a, b = decode_columns(columns[0], (x.size, y.size))
         return (a, b, a, b)
 
     def join(columns, count: int) -> tuple[tuple[int, ...], ...]:
-        # the pair (a, b) of the first identity row is a * |Y| + b in X×Y
-        # and b * |X| + a in Y×X
+        # the pair (a, b) of the first identity row is (a, b) in X×Y and
+        # (b, a) in Y×X
         a, b = columns[0], columns[1]
-        ys, xs = y.size, x.size
-        return (tuple(i * ys + j for i, j in zip(a, b)), tuple(j * xs + i for i, j in zip(a, b)))
+        return (encode_columns((a, b), (x.size, y.size), count), encode_columns((b, a), (y.size, x.size), count))
 
     return ClosedFormRule("syllepsis", src, tgt, split,
                           inverse=lambda: ClosedFormRule("syllepsis^-1", tgt, src, join))
@@ -696,14 +672,11 @@ def hexagonator_rule(x: FinSet, y: FinSet, z: FinSet) -> RewriteRule:
     tgt = ((_braid_box((x,), (y, z)),), _ids((y, z, x)))
 
     def carry(columns, count: int) -> tuple[tuple[int, ...], ...]:
-        # the pair p in X×Y and c in Z make p * |Z| + c in X×Y×Z, whose out
+        # the pair p in X×Y and c in Z make (p, c) in X×Y×Z, whose out
         # wires y, z, x the padding row reads
         p, c = columns[0], columns[1]
-        ys, zs = y.size, z.size
-        return (
-            tuple(i * zs + k for i, k in zip(p, c)),
-            tuple(i % ys for i in p), c, tuple(i // ys for i in p),
-        )
+        a, b = decode_columns(p, (x.size, y.size))
+        return (encode_columns((p, c), (x.size * y.size, z.size), count), b, c, a)
 
     return ClosedFormRule("hexagonator", src, tgt, carry)
 

@@ -61,6 +61,7 @@ from .spans import (
     FinMap,
     SpanCell,
     StructuralError,
+    encode_columns,
     gather,
     identity_map,
 )
@@ -375,9 +376,10 @@ def braided_mult(X: TruncSimplicialSet) -> EvaluatedDiagram:
 def _commutor_images(X: TruncSimplicialSet, theta: FinMap, m) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The image of each level-2 element in the column `m` under mu =>
     mu∘rho, as the braided composite's two box columns: the braid element
-    d_2(m)·|X_1| + d_0(m) and theta(m)."""
-    d0, d2, size = X.d(2, 0).table, X.d(2, 2).table, X.levels[1].size
-    return tuple(d2[e] * size + d0[e] for e in m), gather(theta.table, m)
+    (d_2(m), d_0(m)) in X_1 x X_1 and theta(m)."""
+    size = X.levels[1].size
+    braid = encode_columns((gather(X.d(2, 2).table, m), gather(X.d(2, 0).table, m)), (size, size), len(m))
+    return braid, gather(theta.table, m)
 
 
 def gamma_rule(X: TruncSimplicialSet, theta: FinMap, mub: Box,

@@ -53,6 +53,7 @@ from .spans import (
     StructuralError,
     UNIT,
     constant_map,
+    encode_columns,
     gather,
     identity_map,
     pullback_pairs,
@@ -447,18 +448,14 @@ def paracyclic_from_frobenius(X: TruncSimplicialSet, eps: Span) -> ParacyclicDat
 
 def normalized_pairing_span(x1: FinSet, tau1: FinMap) -> Span:
     """The pairing in its (id, tau) graph form: X_1 x X_1 <- X_1 -> {*}."""
-    left = FinMap(x1, FinSet(x1.size * x1.size), tuple(
-        x * x1.size + tau1.table[x] for x in x1
-    ))
+    left = FinMap(x1, FinSet(x1.size * x1.size), encode_columns((tuple(x1), tau1.table), (x1.size, x1.size), x1.size))
     return Span(left.cod, UNIT, x1, left, constant_map(x1, UNIT))
 
 
 def copairing_span(x1: FinSet, tau1: FinMap) -> Span:
     """The copairing {*} <- X_1 -> X_1 x X_1 with right leg x -> (x, tau^{-1} x)."""
     tinv = tau1.inverse()
-    right = FinMap(x1, FinSet(x1.size * x1.size), tuple(
-        x * x1.size + tinv.table[x] for x in x1
-    ))
+    right = FinMap(x1, FinSet(x1.size * x1.size), encode_columns((tuple(x1), tinv.table), (x1.size, x1.size), x1.size))
     return Span(UNIT, right.cod, x1, constant_map(x1, UNIT), right)
 
 

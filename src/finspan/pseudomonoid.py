@@ -45,6 +45,7 @@ from .simplicial import (
     make_simplicial,
     polygon_stack,
     segal_witness,
+    vertex_map,
 )
 from .spans import (
     FinMap,
@@ -54,7 +55,7 @@ from .spans import (
     StructuralError,
     UNIT,
     constant_map,
-    encode_tuple,
+    encode_columns,
     gather,
     identity_span,
     pullback_pairs,
@@ -70,9 +71,7 @@ class ConstructionError(ValueError):
 
 
 def mult_span(x1: FinSet, x2: FinSet, d0: FinMap, d1: FinMap, d2: FinMap) -> Span:
-    left = FinMap(x2, FinSet(x1.size * x1.size), tuple(
-        d2.table[e] * x1.size + d0.table[e] for e in x2
-    ))
+    left = FinMap(x2, FinSet(x1.size * x1.size), encode_columns((d2.table, d0.table), (x1.size, x1.size), x2.size))
     return Span(left.cod, x1, x2, left, d1)
 
 
@@ -307,28 +306,27 @@ def taco_fibers(T: TwoTruncatedData) -> tuple[dict, dict]:
 
 def taco_spaces(T: TwoTruncatedData) -> tuple[Span, Span]:
     """The two square-triangulation spans (X_1)^3 <- taco -> X_1."""
-    d0, d1, d2 = T.d2
+    d0, d1, d2 = (f.table for f in T.d2)
     n1 = T.x1.size
     left_pairs, right_pairs = taco_pairs(T)
     cube = FinSet(n1 * n1 * n1)
 
     def span_from(pairs, edges, eout):
+        # edges and eout read the face tables on the two triangle columns
         apex = FinSet(len(pairs))
-        left = FinMap(apex, cube, tuple(
-            encode_tuple(edges(a, b), (n1, n1, n1)) for a, b in pairs
-        ))
-        right = FinMap(apex, T.x1, tuple(eout(a, b) for a, b in pairs))
-        return Span(cube, T.x1, apex, left, right)
+        a, b = zip(*pairs) if pairs else ((), ())
+        left = FinMap(apex, cube, encode_columns(edges(a, b), (n1, n1, n1), apex.size))
+        return Span(cube, T.x1, apex, left, FinMap(apex, T.x1, eout(a, b)))
 
     left_span = span_from(
         left_pairs,
-        lambda a, b: (d2.table[a], d0.table[a], d0.table[b]),
-        lambda a, b: d1.table[b],
+        lambda a, b: (gather(d2, a), gather(d0, a), gather(d0, b)),
+        lambda a, b: gather(d1, b),
     )
     right_span = span_from(
         right_pairs,
-        lambda a, b: (d2.table[a], d2.table[b], d0.table[b]),
-        lambda a, b: d1.table[a],
+        lambda a, b: (gather(d2, a), gather(d2, b), gather(d0, b)),
+        lambda a, b: gather(d1, a),
     )
     return left_span, right_span
 
@@ -583,11 +581,8 @@ def n_fold_multiplication(X: TruncSimplicialSet, n: int) -> Span:
         raise StructuralError("level outside the truncation")
     x1 = X.levels[1]
     xn = X.levels[n]
-    sizes = tuple([x1.size] * n)
     edge_tables = [edge_map(X, n, i).table for i in range(1, n + 1)]
-    left = FinMap(xn, FinSet(x1.size**n), tuple(
-        encode_tuple(tuple(t[e] for t in edge_tables), sizes) for e in xn
-    ))
+    left = FinMap(xn, FinSet(x1.size**n), encode_columns(edge_tables, [x1.size] * n, xn.size))
     right = edge_map(X, n, "out")
     return Span(left.cod, x1, xn, left, right)
 
@@ -596,16 +591,18 @@ def triangulation_composite_span(X: TruncSimplicialSet, T: Triangulation) -> tup
     """The iterated pullback span for T together with the cell from the
     n-fold multiplication span into it (invertible iff X is 2-Segal at T)."""
     w = segal_witness(X, T)
-    n = T.n
-    x1 = X.levels[1]
-    stack = w.stack
+    n, x1, stack = T.n, X.levels[1], w.stack
     apex = FinSet(len(stack.elements))
-    sizes = tuple([x1.size] * n)
-    left = FinMap(apex, FinSet(x1.size**n), tuple(
-        encode_tuple(tuple(stack.edge_value(e, (i - 1, i)) for i in range(1, n + 1)), sizes)
-        for e in stack.elements
-    ))
-    right = FinMap(apex, x1, tuple(stack.edge_value(e, (0, n)) for e in stack.elements))
+    columns = tuple(zip(*stack.elements)) or ((),) * len(stack.cells)
+
+    def edge_column(a: int, b: int) -> tuple[int, ...]:
+        # the edge's value in each element, read in the first triangle holding it
+        j, c = next((j, c) for j, c in enumerate(stack.cells) if a in c and b in c)
+        return gather(vertex_map(X, 2, (c.index(a), c.index(b))).table, columns[j])
+
+    left = FinMap(apex, FinSet(x1.size**n), encode_columns(
+        [edge_column(i - 1, i) for i in range(1, n + 1)], [x1.size] * n, apex.size))
+    right = FinMap(apex, x1, edge_column(0, n))
     span = Span(left.cod, x1, apex, left, right)
     cell = SpanCell(n_fold_multiplication(X, n), span, w.forward)
     return span, cell

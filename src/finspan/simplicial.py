@@ -21,6 +21,7 @@ from .spans import (
     FinMap,
     FinSet,
     StructuralError,
+    encode_columns,
     first_difference,
     gather,
     identity_map,
@@ -373,12 +374,6 @@ class PolygonStack:
     def index(self) -> dict[tuple[int, ...], int]:
         return {e: i for i, e in enumerate(self.elements)}
 
-    def edge_value(self, element: tuple[int, ...], edge: tuple[int, int]) -> int:
-        for c, e in zip(self.cells, element):
-            if edge[0] in c and edge[1] in c:
-                return vertex_map(self.X, len(c) - 1, (c.index(edge[0]), c.index(edge[1]))).table[e]
-        raise GluingError(f"edge {edge} not present in the subdivision")
-
 
 def polygon_stack(X: TruncSimplicialSet, n: int, cells: tuple[tuple[int, ...], ...]) -> PolygonStack:
     """The iterated pullback for `cells`.  Nothing is memoised."""
@@ -499,30 +494,29 @@ def _coarse_bijective(X: TruncSimplicialSet, top: tuple[int, ...]) -> bool:
     polygon a..b; the coarse map X_n -> X_k x_{X_1} prod X_{b-a} sends a
     simplex to its top-cell simplex and its side-polygon simplices.
 
-    A simplex psi is coded by its top-cell simplex t[psi] followed by its
-    side simplices in mixed radix, `(t[psi] * |X_{b1-a1}| + v_1[psi]) *
-    |X_{b2-a2}| + ...` for the vertex maps v_j onto the side polygons, so
-    the map is injective exactly when the codes are distinct.  The stack
-    has, over each t in X_k, the product over those sides of the number of
-    simplices of X_{b-a} whose outer edge is t's side, so the map is
-    bijective exactly when that sum is |X_n| as well.  Both are exact only
+    A simplex psi is coded row-major by its top-cell simplex t[psi] and its
+    side simplices v_j[psi], for the vertex maps v_j onto the side
+    polygons, so the map is injective exactly when the codes are distinct.
+    The stack has, over each t in X_k, the product over those sides of the
+    number of simplices of X_{b-a} whose outer edge is t's side, so the map
+    is bijective exactly when that sum is |X_n| as well.  Both are exact only
     when the face identities hold, since psi's components are read through
     vertex maps.
     """
     n, k = top[-1], len(top) - 1
-    codes = vertex_map(X, n, top).table
+    columns, sizes = [vertex_map(X, n, top).table], [X.levels[k].size]
     weights = [1] * X.levels[k].size
     for j, (a, b) in enumerate(zip(top, top[1:])):
         if b - a < 2:
             continue
-        radix = X.levels[b - a].size
-        codes = [c * radix + v for c, v in zip(codes, vertex_map(X, n, range(a, b + 1)).table)]
+        columns.append(vertex_map(X, n, range(a, b + 1)).table)
+        sizes.append(X.levels[b - a].size)
         outer = [0] * X.levels[1].size
         for e in vertex_map(X, b - a, (0, b - a)).table:
             outer[e] += 1
         weights = [w * outer[e] for w, e in zip(weights, vertex_map(X, k, (j, j + 1)).table)]
     size = X.levels[n].size
-    return sum(weights) == size and len(set(codes)) == size
+    return sum(weights) == size and len(set(encode_columns(columns, sizes, size))) == size
 
 
 def _bijectivity_witness(f: FinMap):
@@ -572,10 +566,13 @@ def glue_columns(X: TruncSimplicialSet, T: Triangulation, columns: Sequence[Sequ
     """The unique simplices with the given triangulated decompositions, as
     a batch: `columns` holds one column of components per triangle of T,
     in `T.triangles` order, and member k has the components
-    `columns[j][k]`.  An empty batch glues nothing and raises nothing; an
-    error names the first member that fails.  The first glue along T decides
-    T's map by `_segal_maps` and memoises None if it is not bijective, else
-    T's component table, from each simplex's `unglue` tuple to the simplex."""
+    `columns[j][k]`.  Columns of unequal lengths are refused.  An empty
+    batch glues nothing and raises nothing; an error names the first member
+    that fails.  The first glue along T decides T's map by `_segal_maps`
+    and memoises None if it is not bijective, else T's component table,
+    from each simplex's `unglue` tuple to the simplex."""
+    if len(set(lengths := [len(c) for c in columns])) > 1:
+        raise GluingError(f"component columns of unequal lengths {lengths}")
     # no columns at all is the one decomposition with no components
     keys = list(zip(*columns)) if columns else [()]
     if not keys:

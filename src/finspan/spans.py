@@ -7,6 +7,10 @@ Conventions used throughout the package:
   ``b`` ranging over a set of size ``nb`` has index ``a * nb + b``.
   Iterated products in any bracketing therefore share one flat index,
   so rebracketing and unit cells act as the identity on indices.
+  Outside this module, product elements are coded and split only by
+  ``encode_columns`` and ``decode_columns``, a column of elements at a
+  time; the scalar ``encode_tuple`` and ``decode_tuple`` are used only
+  here, and by the tests as the reference.
 * Pullback apexes list their elements lexicographically in ``(a, b)``.
   Left-nested and right-nested pullback composites then enumerate the
   same flat tuples in the same order, which pins down the associativity
@@ -425,6 +429,8 @@ class ProductShape:
         return n
 
     def decode(self, index: int) -> tuple[int, ...]:
+        if not 0 <= index < self.size:
+            raise StructuralError("index out of range")
         return decode_tuple(index, self.leaf_sizes())
 
     def encode(self, values: tuple[int, ...]) -> int:
@@ -449,6 +455,31 @@ def decode_tuple(index: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
         out.append(index % s)
         index //= s
     return tuple(reversed(out))
+
+
+def encode_columns(columns: Sequence[Sequence[int]], sizes: Sequence[int], count: int) -> tuple[int, ...]:
+    """The row-major code of each of `count` rows given as one column per
+    factor: row k's code is `encode_tuple` of the row's values.  The first
+    size is never read, and no columns code every row as 0."""
+    if not columns:
+        return (0,) * count
+    codes = columns[0]
+    for column, size in zip(columns[1:], sizes[1:]):
+        codes = [c * size + v for c, v in zip(codes, column)]
+    return tuple(codes)
+
+
+def decode_columns(codes: Sequence[int], sizes: Sequence[int]) -> tuple[Sequence[int], ...]:
+    """The factor columns of row-major codes, column i holding entry i of
+    each code's `decode_tuple`.  A single factor's column is `codes`
+    itself."""
+    if not sizes:
+        return ()
+    columns = []
+    for size in reversed(sizes[1:]):
+        columns.append(tuple(c % size for c in codes))
+        codes = tuple(c // size for c in codes)
+    return (codes, *reversed(columns))
 
 
 def product_finset(a: FinSet, b: FinSet) -> FinSet:

@@ -379,6 +379,51 @@ def test_the_scan_sees_a_memo_use():
     assert _memo_uses(tree) == [1, 2, 3, 4]
 
 
+def _product_codes(tree: ast.Module) -> list[tuple[int, str]]:
+    """The line and kind of each product code written out by hand in
+    `tree`: an `a * b + c`, a `//`, or a call to `encode_tuple` or
+    `decode_tuple`, where `spans.encode_columns` and
+    `spans.decode_columns` code whole columns."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and (
+                isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mult)):
+            found.append((node.lineno, "product"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.FloorDiv):
+            found.append((node.lineno, "floor division"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in (
+                "encode_tuple", "decode_tuple"):
+            found.append((node.lineno, "scalar code"))
+    return sorted(found)
+
+
+def test_only_spans_codes_a_product():
+    found = [
+        f"{path.relative_to(ROOT)}:{line} {kind}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "spans.py"
+        for line, kind in _product_codes(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_the_scan_sees_a_hand_written_product_code():
+    tree = ast.parse(
+        "code = a * size + b\n"
+        "first = p // size\n"
+        "stride //= size\n"
+        "index = encode_tuple(values, sizes)\n"
+        "parts = spans.decode_tuple(index, sizes)\n"
+        "fine = b + a * size\n"
+        "also = (a + b) * size\n"
+        "q, r = divmod(p, size)\n"
+        "codes = encode_columns(columns, sizes, count)\n"
+    )
+    assert _product_codes(tree) == [
+        (1, "product"), (2, "floor division"), (3, "floor division"), (4, "scalar code"), (5, "scalar code"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # the package namespace
 

@@ -1010,6 +1010,22 @@ class TestGlueColumns:
                     compared.add(first_error and first_error[1].split()[0])
         assert compared == {None, "triangulation", "incompatible", "components"}
 
+    def test_a_ragged_batch_is_refused_before_the_lookup(self):
+        # zip would stop at the shortest column and glue a truncated batch
+        X = catalog.nerve(catalog.cyclic_group_category(2), 4)
+        full = [X.d(3, 3).table, X.d(3, 1).table]
+        for columns, lengths in (([full[0], full[1][:3]], [8, 3]),
+                                 ([(), full[1]], [0, 8]),
+                                 ([full[0], full[1] + (0,)], [8, 9])):
+            assert outcome(glue_columns, X, T13, columns) == (
+                "GluingError", f"component columns of unequal lengths {lengths}")
+        # nothing was looked up, so T's map was never decided
+        assert T13 not in X.memo
+        # equal lengths still glue, and an empty batch still glues nothing
+        assert glue_columns(X, T13, full) == tuple(X.levels[3])
+        assert glue_columns(X, T13, [full[0][:3], full[1][:3]]) == (0, 1, 2)
+        assert glue_columns(X, T13, ((), ())) == ()
+
     def test_an_empty_structure_glues_nothing(self):
         X = empty_structure(4)
         for n in (3, 4):

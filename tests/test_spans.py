@@ -31,7 +31,9 @@ from finspan.spans import (
     braiding_span,
     coherence_cell,
     compose_spans,
+    decode_columns,
     decode_tuple,
+    encode_columns,
     encode_tuple,
     gather,
     horizontal_compose,
@@ -439,6 +441,66 @@ class TestProductsAndShapes:
         sh = product_shape(f.apex, g.apex)
         assert sh.size == p.apex.size
         assert sh.decode(p.apex.size - 1) == (2, 3)
+
+    def test_decode_refuses_an_index_out_of_range(self):
+        from finspan.spans import product_shape
+
+        sh = product_shape(2, 3)
+        assert (sh.decode(0), sh.decode(1), sh.decode(4), sh.decode(5)) == ((0, 0), (0, 1), (1, 1), (1, 2))
+        for index in (-1, 6):
+            with pytest.raises(StructuralError, match="index out of range"):
+                sh.decode(index)
+
+
+@st.composite
+def column_batches(draw):
+    """Factor sizes, a row count, the rows as one column per factor, and
+    codes drawn from the whole product."""
+    sizes = tuple(draw(st.lists(st.integers(1, 4), max_size=4)))
+    count = draw(st.integers(0, 6))
+    columns = tuple(
+        tuple(draw(st.lists(st.integers(0, s - 1), min_size=count, max_size=count))) for s in sizes
+    )
+    codes = tuple(draw(st.lists(st.integers(0, math.prod(sizes) - 1), max_size=6)))
+    return columns, sizes, count, codes
+
+
+class TestColumnCodes:
+    @given(column_batches(), st.integers(0, 9))
+    @settings(max_examples=200, deadline=None)
+    def test_encode_columns_codes_each_row_as_encode_tuple(self, batch, first):
+        columns, sizes, count, _ = batch
+        rows = list(zip(*columns)) if columns else [()] * count
+        expected = tuple(encode_tuple(row, sizes) for row in rows)
+        assert encode_columns(columns, sizes, count) == expected
+        # the first size is never read
+        assert encode_columns(columns, (first,) + sizes[1:], count) == expected
+
+    @given(column_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_decode_columns_splits_each_code_as_decode_tuple(self, batch):
+        columns, sizes, count, codes = batch
+        decoded = decode_columns(codes, sizes)
+        assert len(decoded) == len(sizes)
+        assert all(len(c) == len(codes) for c in decoded)
+        assert [tuple(c[k] for c in decoded) for k in range(len(codes))] == [decode_tuple(i, sizes) for i in codes]
+        assert decode_columns(encode_columns(columns, sizes, count), sizes) == columns
+
+    def test_the_edge_cases(self):
+        # no columns code every row as 0, and no sizes split into no columns
+        assert encode_columns((), (), 3) == (0, 0, 0)
+        assert decode_columns((0, 0, 0), ()) == ()
+        # no rows
+        assert encode_columns(((), ()), (2, 3), 0) == ()
+        assert decode_columns((), (2, 3)) == ((), ())
+        # factors of size 1 hold only 0
+        assert encode_columns(((0, 0), (1, 2), (0, 0)), (1, 3, 1), 2) == (1, 2)
+        assert decode_columns((1, 2), (1, 3, 1)) == ((0, 0), (1, 2), (0, 0))
+        # a single factor's codes are its column, the same object
+        for codes in ((2, 0, 1), [2, 0, 1], ()):
+            assert encode_columns((codes,), (3,), len(codes)) == tuple(codes)
+            (column,) = decode_columns(codes, (3,))
+            assert column is codes
 
 
 class TestCoherenceCells:
