@@ -132,6 +132,9 @@ def _document_from_dict(data: dict) -> StructureDocument:
     levels = [_parse_level(l) for l in data["levels"]]
     if len(levels) != N + 1:
         raise DocumentError("declared truncation differs from the level count")
+    for key, kind in (("face", "face"), ("degen", "degeneracy")):
+        if len(data[key]) != N:
+            raise DocumentError(f"need {N} {kind} rows at truncation {N}, not {len(data[key])}")
     face = [()]
     for n in range(1, N + 1):
         row = data["face"][n - 1]

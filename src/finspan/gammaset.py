@@ -42,7 +42,6 @@ from .diagrams import (
 from .paracyclic import LambdaMor, check_on_morphisms
 from .reporting import CheckResult, Report
 from .simplicial import (
-    T13,
     Relation,
     Token,
     Triangulation,
@@ -53,9 +52,8 @@ from .simplicial import (
     check_relations,
     degeneracy_relations,
     face_relations,
-    glue_columns,
+    glued_map,
     structure_tables,
-    vertex_map,
 )
 from .spans import (
     FinMap,
@@ -422,8 +420,7 @@ def theta_from_gamma_cell(X: TruncSimplicialSet, gamma: SpanCell,
 
 def crossing_map(X: TruncSimplicialSet, theta: FinMap) -> FinMap:
     """The auxiliary level-3 map c with d_1 c = theta d_2 and d_3 c = d_0."""
-    columns = (X.d(3, 0).table, gather(theta.table, X.d(3, 2).table))
-    return FinMap(X.levels[3], X.levels[3], glue_columns(X, T13, columns))
+    return glued_map(X, 3, 3, {(0, 1, 2): ((1, 2, 3), None), (0, 2, 3): ((0, 1, 3), theta)})
 
 
 def theta_via_triangulation(
@@ -439,10 +436,7 @@ def theta_via_triangulation(
         T = _triangulation_with_triangle(n, tri)
     if tri not in T.triangles:
         raise StructuralError("triangulation misses the required triangle")
-    pos = T.triangles.index(tri)
-    columns = [vertex_map(X, n, t).table for t in T.triangles]
-    columns[pos] = gather(theta.table, columns[pos])
-    return FinMap(X.levels[n], X.levels[n], glue_columns(X, T, columns))
+    return glued_map(X, n, n, {t: (t, theta if t == tri else None) for t in T.triangles})
 
 
 def span_level_commutativity(X: TruncSimplicialSet, theta: FinMap,

@@ -33,17 +33,15 @@ from .reporting import CheckResult, Report
 from .simplicial import (
     Relation,
     Token,
-    Triangulation,
     TruncSimplicialSet,
     check_2segal,
     check_relations,
     degeneracy_relations,
     face_relations,
     fan_triangulation,
-    glue_columns,
+    glued_map,
     relation_name,
     structure_tables,
-    vertex_map,
 )
 from .spans import (
     FinMap,
@@ -54,7 +52,6 @@ from .spans import (
     UNIT,
     constant_map,
     encode_columns,
-    gather,
     identity_map,
     pullback_pairs,
     pullback_square_witness,
@@ -367,19 +364,15 @@ def _glued_tower(X: TruncSimplicialSet, s1_0: FinMap, s2_1: FinMap) -> tuple[dic
     """
     extra: dict[int, FinMap] = {0: s1_0, 1: s2_1}
     for n in range(2, X.N):
-        base_tris = fan_triangulation(list(range(n + 1)), anchor=0)
-        new_tris = tuple(sorted(set(base_tris) | {(0, n, n + 1)}))
-        columns = {t: vertex_map(X, n, t).table for t in base_tris}
-        columns[(0, n, n + 1)] = gather(s2_1.table, vertex_map(X, n, (0, n)).table)
-        glued = glue_columns(X, Triangulation(n + 1, new_tris), [columns[t] for t in new_tris])
-        extra[n] = FinMap(X.levels[n], X.levels[n + 1], glued)
+        parts = {t: (t, None) for t in fan_triangulation(range(n + 1))}
+        parts[(0, n, n + 1)] = ((0, n), s2_1)
+        extra[n] = glued_map(X, n, n + 1, parts)
     tau = [extra[n].then(X.d(n + 1, 0)) for n in range(X.N)]
 
     N = X.N
-    fan = Triangulation(N, tuple(sorted(fan_triangulation(list(range(N + 1)), anchor=0))))
-    columns = [vertex_map(X, N, (1, i + 1, i + 2)).table for i in range(1, N - 1)]
-    columns.append(gather(tau[2].table, vertex_map(X, N, (0, 1, N)).table))
-    tau.append(FinMap(X.levels[N], X.levels[N], glue_columns(X, fan, columns)))
+    parts = {(0, i, i + 1): ((1, i + 1, i + 2), None) for i in range(1, N - 1)}
+    parts[(0, N - 1, N)] = ((0, 1, N), tau[2])
+    tau.append(glued_map(X, N, N, parts))
     return extra, tau
 
 

@@ -365,8 +365,6 @@ class PolygonStack:
     per cell, matching along shared diagonals.  Cells are kept in sorted
     order and elements in lexicographic order, left-nested."""
 
-    X: TruncSimplicialSet
-    n: int
     cells: tuple[tuple[int, ...], ...]
     elements: tuple[tuple[int, ...], ...]
 
@@ -383,7 +381,7 @@ def polygon_stack(X: TruncSimplicialSet, n: int, cells: tuple[tuple[int, ...], .
         sides = _sides(range(len(c)))
         columns = [vertex_map(X, len(c) - 1, side).table for side in sides]
         factors.append((tuple((c[i], c[j]) for i, j in sides), tuple(zip(*columns))))
-    return PolygonStack(X, n, cells, iterated_pullback(factors))
+    return PolygonStack(cells, iterated_pullback(factors))
 
 
 @dataclass(frozen=True)
@@ -566,15 +564,17 @@ def glue_columns(X: TruncSimplicialSet, T: Triangulation, columns: Sequence[Sequ
     """The unique simplices with the given triangulated decompositions, as
     a batch: `columns` holds one column of components per triangle of T,
     in `T.triangles` order, and member k has the components
-    `columns[j][k]`.  Columns of unequal lengths are refused.  An empty
-    batch glues nothing and raises nothing; an error names the first member
-    that fails.  The first glue along T decides T's map by `_segal_maps`
-    and memoises None if it is not bijective, else T's component table,
-    from each simplex's `unglue` tuple to the simplex."""
+    `columns[j][k]`.  A column count other than T's triangle count and
+    columns of unequal lengths are refused.  An empty batch glues nothing
+    and raises nothing; an error names the first member that fails.  The
+    first glue along T decides T's map by `_segal_maps` and memoises None
+    if it is not bijective, else T's component table, from each simplex's
+    `unglue` tuple to the simplex."""
+    if len(columns) != len(T.triangles):
+        raise GluingError(f"{len(columns)} component columns for {len(T.triangles)} triangles")
     if len(set(lengths := [len(c) for c in columns])) > 1:
         raise GluingError(f"component columns of unequal lengths {lengths}")
-    # no columns at all is the one decomposition with no components
-    keys = list(zip(*columns)) if columns else [()]
+    keys = list(zip(*columns))
     if not keys:
         return ()
     if T not in X.memo:
@@ -593,6 +593,21 @@ def glue_columns(X: TruncSimplicialSet, T: Triangulation, columns: Sequence[Sequ
 def glue(X: TruncSimplicialSet, T: Triangulation, parts: Sequence[int]) -> int:
     """The unique simplex with the given triangulated decomposition."""
     return glue_columns(X, T, [(p,) for p in parts])[0]
+
+
+def glued_map(X: TruncSimplicialSet, n: int, m: int, parts: dict) -> FinMap:
+    """The map X_n -> X_m gluing each simplex's components along the
+    triangulation of 0..m formed by the keys of `parts`, the one recipe of
+    the polygon calculus.  `parts[t] = (cell, f)` makes the component on
+    the triangle t the simplex's face on the vertices `cell` of 0..n, sent
+    through `f` unless `f` is None."""
+    T = Triangulation(m, tuple(sorted(parts)))
+    columns = []
+    for t in T.triangles:
+        cell, f = parts[t]
+        column = vertex_map(X, n, cell).table
+        columns.append(column if f is None else gather(f.table, column))
+    return FinMap(X.levels[n], X.levels[m], glue_columns(X, T, columns))
 
 
 def _triangle_at_vertex(n: int, i: int) -> tuple[int, int, int]:
@@ -626,47 +641,32 @@ def _triangulation_with_triangle(n: int, tri: tuple[int, int, int]) -> Triangula
 
 
 @cache
-def _face_recipe(n: int, i: int) -> tuple[Triangulation, Triangulation, tuple[int, ...]]:
-    """The triangulation T of the (n+1)-gon that `face_via_polygon` cuts
-    along at vertex i, the triangulation of the n-gon left when the
-    triangle at vertex i is deleted and the vertices after i move down by
-    one, and, for each of its triangles, the position in T it came from."""
+def _face_recipe(n: int, i: int) -> dict:
+    """The parts of d_i^n for `glued_map`: cut the (n+1)-gon along a
+    triangulation holding the triangle at vertex i, delete that triangle,
+    and move the vertices after i down by one.  They depend only on
+    (n, i)."""
     tri = _triangle_at_vertex(n, i)
     T = _triangulation_with_triangle(n, tri)
-    kept = {tuple(v - (v > i) for v in t): k for k, t in enumerate(T.triangles) if t != tri}
-    T_new = Triangulation(n - 1, tuple(sorted(kept)))
-    return T, T_new, tuple(kept[t] for t in T_new.triangles)
+    return {tuple(v - (v > i) for v in t): (t, None) for t in T.triangles if t != tri}
 
 
-def face_via_polygon(X: TruncSimplicialSet, n: int, i: int, psi: int) -> int:
-    """d_i by the polygon recipe: decompose along a triangulation containing
-    the triangle at vertex i, delete that component, relabel, and glue."""
+def face_via_polygon(X: TruncSimplicialSet, n: int, i: int) -> FinMap:
+    """d_i^n by the polygon recipe: decompose along a triangulation
+    containing the triangle at vertex i, delete that component, relabel,
+    and glue."""
     if n < 3:
-        return X.d(n, i).table[psi]
-    T, T_new, kept = _face_recipe(n, i)
-    parts = unglue(X, T, psi)
-    return glue(X, T_new, tuple(parts[k] for k in kept))
+        return X.d(n, i)
+    return glued_map(X, n, n - 1, _face_recipe(n, i))
 
 
-def degen_via_polygon(X: TruncSimplicialSet, n: int, i: int, psi: int) -> int:
-    """s_i by the polygon recipe: attach a degenerate triangle so that the
-    resulting (n+2)-gon has degenerate edge e_{i+1}."""
+def degen_via_polygon(X: TruncSimplicialSet, n: int, i: int) -> FinMap:
+    """s_i^n by the polygon recipe: attach the degenerate triangle
+    s_0 e_{i+1} (s_1 e_n when i = n) to the fan of the (n+1)-gon, so that
+    the resulting (n+2)-gon has degenerate edge e_{i+1}."""
     if n < 2:
-        return X.s(n, i).table[psi]
-    if i <= n - 1:
-        tri = (i, i + 1, i + 2)
-        x = edge_map(X, n, i + 1).table[psi]
-        tri_comp = X.s(1, 0).table[x]
-        section = {v: (v if v <= i else v + 1) for v in range(n + 1)}
-    else:
-        tri = (n - 1, n, n + 1)
-        x = edge_map(X, n, n).table[psi]
-        tri_comp = X.s(1, 1).table[x]
-        section = {v: (v if v <= n - 1 else v + 1) for v in range(n + 1)}
-    base = fan_triangulation(list(range(n + 1)), anchor=0)
-    comps = {tri: tri_comp}
-    for t in base:
-        lifted = tuple(sorted(section[v] for v in t))
-        comps[lifted] = vertex_map(X, n, t).table[psi]
-    T_new = Triangulation(n + 1, tuple(sorted(comps)))
-    return glue(X, T_new, tuple(comps[t] for t in sorted(comps)))
+        return X.s(n, i)
+    j = min(i, n - 1)
+    parts = {tuple(v + (v > j) for v in t): (t, None) for t in fan_triangulation(range(n + 1))}
+    parts[(j, j + 1, j + 2)] = ((j, j + 1), X.s(1, i - j))
+    return glued_map(X, n, n + 1, parts)

@@ -176,10 +176,12 @@ class TestCli:
         (lambda d: d["gamma"]["theta"][1].pop(), "need 2 transpositions at level 3"),
         (lambda d: d.update(counit={"apex_size": 1, "left": [0], "right": "line"}),
          "counit right leg must be the point"),
+        (lambda d: d["face"].append([[0], [0]]), "need 4 face rows at truncation 4, not 5"),
+        (lambda d: d["degen"].append([[0, 1]]), "need 4 degeneracy rows at truncation 4, not 5"),
     ], ids=["tau-entries-ints", "paracyclic-not-object", "counit-without-apex-size",
             "negative-apex-size", "boolean-apex-size", "boolean-face-index",
             "string-labels", "missing-face", "missing-degeneracy", "missing-theta",
-            "counit-right-leg-not-point"])
+            "counit-right-leg-not-point", "extra-face-row", "extra-degeneracy-row"])
     def test_check_rejects_malformed_blocks(self, tmp_path, capsys, mutate, message):
         data = json.loads((FIXTURES / "interval_l2.json").read_text())
         mutate(data)

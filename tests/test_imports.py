@@ -379,6 +379,39 @@ def test_the_scan_sees_a_memo_use():
     assert _memo_uses(tree) == [1, 2, 3, 4]
 
 
+def _glue_calls(tree: ast.Module) -> list[int]:
+    """The line of each call to `glue_columns` in `tree`, by name or as an
+    attribute."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "glue_columns"
+    )
+
+
+def test_only_simplicial_glues():
+    # every glued structure map goes through `simplicial.glued_map`, so only
+    # `simplicial` reads a component from a vertex-map table
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "simplicial.py"
+        for line in _glue_calls(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+def test_the_scan_sees_a_glue_call():
+    tree = ast.parse(
+        "table = glue_columns(X, T, columns)\n"
+        "other = simplicial.glue_columns(X, T13, columns)\n"
+        "f = glued_map(X, 3, 3, parts)\n"
+        "psi = glue(X, T, parts)\n"
+        "name = glue_columns\n"
+    )
+    assert _glue_calls(tree) == [1, 2]
+
+
 def _product_codes(tree: ast.Module) -> list[tuple[int, str]]:
     """The line and kind of each product code written out by hand in
     `tree`: an `a * b + c`, a `//`, or a call to `encode_tuple` or

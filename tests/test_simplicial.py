@@ -4,6 +4,7 @@ polygon calculus for faces and degeneracies."""
 import dataclasses
 import gc
 import itertools
+import pathlib
 import random
 import weakref
 
@@ -11,7 +12,8 @@ import pytest
 
 from finspan import catalog, simplicial
 from finspan.acceptance import catalog_non_two_segal
-from finspan.documents import StructureDocument, dumps_document, loads_document
+from finspan.documents import StructureDocument, dumps_document, load_document, loads_document
+from finspan.gammaset import theta_via_triangulation
 from finspan.pseudomonoid import ConstructionError, build_pseudomonoid, verify_pentagon, verify_triangle
 from finspan.reporting import CheckResult
 from finspan.simplicial import (
@@ -45,6 +47,8 @@ from finspan.simplicial import (
 )
 from finspan.spans import FinMap, FinSet
 
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 T13 = Triangulation(3, ((0, 1, 2), (0, 2, 3)))
 T02 = Triangulation(3, ((0, 1, 3), (1, 2, 3)))
@@ -287,15 +291,30 @@ class TestGluing:
         for X in (nerve_z2, interval_l3):
             for n in (3, 4):
                 for i in range(n + 1):
-                    for psi in X.levels[n]:
-                        assert face_via_polygon(X, n, i, psi) == X.d(n, i).table[psi]
+                    assert face_via_polygon(X, n, i) == X.d(n, i)
 
     def test_degeneracies_via_polygon(self, nerve_z2, interval_l3):
         for X in (nerve_z2, interval_l3):
             for n in (2, 3):
                 for i in range(n + 1):
-                    for psi in X.levels[n]:
-                        assert degen_via_polygon(X, n, i, psi) == X.s(n, i).table[psi]
+                    assert degen_via_polygon(X, n, i) == X.s(n, i)
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+    def test_recipes_give_every_fixture_table(self, path):
+        # every face from level 3, every degeneracy from level 2 and every
+        # transposition the Gamma block stores, recomputed by gluing
+        doc = load_document(path)
+        X = doc.simplicial
+        for n in range(3, X.N + 1):
+            for i in range(n + 1):
+                assert face_via_polygon(X, n, i) == X.d(n, i), (n, i)
+        for n in range(2, X.N):
+            for i in range(n + 1):
+                assert degen_via_polygon(X, n, i) == X.s(n, i), (n, i)
+        if doc.gamma is not None:
+            for n in range(2, X.N + 1):
+                for i in range(1, n):
+                    assert theta_via_triangulation(X, doc.gamma.theta(2, 1), n, i) == doc.gamma.theta(n, i), (n, i)
 
 
 class TestChangeOfTriangulation:
@@ -321,7 +340,6 @@ class TestMemo:
         check_2segal(Y)
         assert X.memo.keys() == Y.memo.keys()
         assert not {id(v) for v in X.memo.values()} & {id(v) for v in Y.memo.values()}
-        assert all(segal_witness(Y, T).stack.X is Y for T in enumerate_triangulations(3))
 
     def test_one_verdict_per_structure(self, monkeypatch):
         X = catalog.nerve(catalog.cyclic_group_category(3), 4)
@@ -1025,6 +1043,16 @@ class TestGlueColumns:
         assert glue_columns(X, T13, full) == tuple(X.levels[3])
         assert glue_columns(X, T13, [full[0][:3], full[1][:3]]) == (0, 1, 2)
         assert glue_columns(X, T13, ((), ())) == ()
+
+    def test_a_wrong_column_count_is_refused_before_the_lookup(self):
+        # T13 has two triangles: one column or three name both counts
+        X = catalog.nerve(catalog.cyclic_group_category(2), 4)
+        full = X.d(3, 3).table
+        assert outcome(glue, X, T13, (0,)) == ("GluingError", "1 component columns for 2 triangles")
+        for columns in ([full], [full, full, full], [full, full[:3], full]):
+            assert outcome(glue_columns, X, T13, columns) == (
+                "GluingError", f"{len(columns)} component columns for 2 triangles")
+        assert T13 not in X.memo
 
     def test_an_empty_structure_glues_nothing(self):
         X = empty_structure(4)
