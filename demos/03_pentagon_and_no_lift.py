@@ -35,7 +35,7 @@ print("== the canonical associator fails the pentagon when |A| = 2 ==")
 canon = no_lift_canonical_associator(T)
 disc = pentagon_flip_discrepancy(T, canon)
 moved = {k: v for k, v in disc.items() if k != v}
-lab = T.x2.labels
+lab = T.levels[2].labels
 for k, v in sorted(moved.items()):
     print("  ", tuple(lab[c] for c in k), "->", tuple(lab[c] for c in v))
 print("the discrepancy swaps the two labels around the middle unit triangle")

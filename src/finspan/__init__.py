@@ -30,9 +30,8 @@ _EXPORTS = {
         "degen_via_polygon", "glue", "glue_columns", "make_simplicial", "unglue",
     ),
     "pseudomonoid": (
-        "ConstructionError", "PseudomonoidData", "TwoTruncatedData", "build_pseudomonoid",
-        "n_fold_multiplication", "search_associator_lift", "taco_spaces", "two_truncation",
-        "verify_pentagon", "verify_triangle",
+        "ConstructionError", "PseudomonoidData", "build_pseudomonoid", "n_fold_multiplication",
+        "search_associator_lift", "taco_spaces", "verify_pentagon", "verify_triangle",
     ),
     "paracyclic": (
         "CounitData", "LambdaMor", "NotFrobeniusError", "ParacyclicData", "check_cyclic",

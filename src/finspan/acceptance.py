@@ -358,7 +358,7 @@ def criterion_9_mutation_sensitivity() -> Report:
     T = no_lift_family(2)
     canon = no_lift_canonical_associator(T)
     mutated = dict(canon)
-    d0, d1, d2 = T.d2
+    d0, d1, d2 = T.face[2]
     fiber = [p for p in canon if (d2.table[p[0]], d0.table[p[0]], d0.table[p[1]]) == (1, 0, 1)]
     mutated[fiber[0]], mutated[fiber[1]] = canon[fiber[1]], canon[fiber[0]]
 

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .pseudomonoid import TwoTruncatedData, two_truncated_simplicial  # re-exported
+from .pseudomonoid import two_truncated_simplicial  # re-exported
 from .simplicial import TruncSimplicialSet, make_simplicial
 from .spans import FinMap, FinSet, StructuralError, gather, identity_map
 
@@ -524,8 +524,8 @@ def graph_partition_gamma(G: Graph, N: int) -> GammaData:
 # monoids in the homotopy category that may not lift
 
 
-def no_lift_family(a_size: int) -> TwoTruncatedData:
-    """The 2-truncated family with carrier {0, 1} whose sum-to-zero
+def no_lift_family(a_size: int) -> TruncSimplicialSet:
+    """The truncation-2 family with carrier {0, 1} whose sum-to-zero
     2-simplices are labeled by an arbitrary set of size a_size."""
     if a_size < 0:
         raise StructuralError(f"no-lift family needs a label set of size a >= 0, got a={a_size}")
@@ -555,10 +555,10 @@ def no_lift_family(a_size: int) -> TwoTruncatedData:
         FinMap(x1, x2, (0, 2)),  # s_0(k) = (0, k)
         FinMap(x1, x2, (0, 1)),  # s_1(k) = (k, 0)
     )
-    return TwoTruncatedData(x0, x1, x2, d1_maps, d2_maps, s0, s1_maps)
+    return two_truncated_simplicial(make_simplicial([x0, x1, x2], [(), d1_maps, d2_maps], [(s0,), s1_maps, ()]))
 
 
-def no_lift_canonical_associator(T: TwoTruncatedData) -> dict:
+def no_lift_canonical_associator(X: TruncSimplicialSet) -> dict:
     """The canonical associator of the no-lift family: match taco fibers by
     their label component (fibers are singletons or copies of the label set)."""
     from .pseudomonoid import taco_fibers
@@ -566,7 +566,7 @@ def no_lift_canonical_associator(T: TwoTruncatedData) -> dict:
     def label(p):
         return tuple(x for x in p if x >= 3) or None
 
-    left, right = taco_fibers(T)
+    left, right = taco_fibers(X)
     out = {}
     for key, pairs in left.items():
         by_label = {label(p): p for p in right[key]}
@@ -640,7 +640,7 @@ EXAMPLES: dict[str, Callable[[int, int, int, int], StructureDocument]] = {
         paracyclic=twisted_cyclic_paracyclic(cyclic_group_category(3), inversion_twist(3), N)
     ),
     "graph-path": lambda N, k, L, a: _document(gamma=graph_partition_gamma(path_graph(k), N)),
-    "nolift": lambda N, k, L, a: _document(two_truncated_simplicial(no_lift_family(a))),
+    "nolift": lambda N, k, L, a: _document(no_lift_family(a)),
     "point": lambda N, k, L, a: _document(constant_point(N)),
 }
 

@@ -98,6 +98,8 @@ def cmd_check(args) -> int:
 
                 if not identities.ok:
                     report.add(CheckResult.skip("span-level equations", "simplicial identities fail"))
+                elif X.N < 3:
+                    report.add(CheckResult.skip("span-level equations", "truncation below 3"))
                 else:
                     try:
                         report.extend(span_level_commutativity(X, doc.gamma.theta(2, 1)))
@@ -168,7 +170,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_search_lift(args) -> int:
-    from .pseudomonoid import search_associator_lift, two_truncation
+    from .pseudomonoid import search_associator_lift
 
     if args.budget < 1:
         return _fail(f"--budget must be at least 1, got {args.budget}")
@@ -177,8 +179,7 @@ def cmd_search_lift(args) -> int:
     except (DocumentError, OSError) as exc:
         return _fail(str(exc))
     try:
-        T = two_truncation(doc.simplicial)
-        res = search_associator_lift(T, budget=args.budget)
+        res = search_associator_lift(doc.simplicial, budget=args.budget)
     except StructuralError as exc:
         return _fail(str(exc))
     print(f"verdict: {res.status}")

@@ -357,8 +357,7 @@ class CommutativityCell:
 def _mu_box(X: TruncSimplicialSet) -> Box:
     from .pseudomonoid import mult_box, mult_span
 
-    mu = mult_span(X.levels[1], X.levels[2], X.d(2, 0), X.d(2, 1), X.d(2, 2))
-    return mult_box(mu, X.levels[1])
+    return mult_box(mult_span(X), X.levels[1])
 
 
 def _braided_mult_rows(X: TruncSimplicialSet, mub: Box):

@@ -42,7 +42,6 @@ from .simplicial import (
     check_unitality,
     degeneracy_relations,
     edge_map,
-    make_simplicial,
     polygon_stack,
     segal_witness,
     vertex_map,
@@ -70,13 +69,16 @@ class ConstructionError(ValueError):
 # basic spans and boxes
 
 
-def mult_span(x1: FinSet, x2: FinSet, d0: FinMap, d1: FinMap, d2: FinMap) -> Span:
+def mult_span(X: TruncSimplicialSet) -> Span:
+    x1, x2 = X.levels[1], X.levels[2]
+    d0, d1, d2 = X.face[2]
     left = FinMap(x2, FinSet(x1.size * x1.size), encode_columns((d2.table, d0.table), (x1.size, x1.size), x2.size))
     return Span(left.cod, x1, x2, left, d1)
 
 
-def unit_span(x0: FinSet, x1: FinSet, s0: FinMap) -> Span:
-    return Span(UNIT, x1, x0, constant_map(x0, UNIT), s0)
+def unit_span(X: TruncSimplicialSet) -> Span:
+    x0 = X.levels[0]
+    return Span(UNIT, X.levels[1], x0, constant_map(x0, UNIT), X.s(0, 0))
 
 
 def mult_box(mu: Span, x1: FinSet) -> Box:
@@ -179,7 +181,7 @@ def build_pseudomonoid(X: TruncSimplicialSet) -> PseudomonoidData:
         raise ConstructionError("need truncation level at least 3")
     check_2segal(X).require(ConstructionError, "not 2-Segal: ")
     check_unitality(X).require(ConstructionError, "not unital: ")
-    return pseudomonoid_from_two_truncated(two_truncation(X), canonical_segal_associator(X))
+    return pseudomonoid_from_two_truncated(X, canonical_segal_associator(X))
 
 
 # ---------------------------------------------------------------------------
@@ -240,61 +242,35 @@ def verify_triangle(P: PseudomonoidData) -> EquationResult:
 
 
 # ---------------------------------------------------------------------------
-# 2-truncated data, taco spaces, and the associator lift search
+# the 2-truncation, taco spaces, and the associator lift search
 
 
-@dataclass(frozen=True)
-class TwoTruncatedData:
-    """X_0, X_1, X_2 with faces and degeneracies, every simplicial identity
-    that involves a degeneracy holding (the face identities on X_2 are not
-    checked)."""
-
-    x0: FinSet
-    x1: FinSet
-    x2: FinSet
-    d1: tuple[FinMap, FinMap]
-    d2: tuple[FinMap, FinMap, FinMap]
-    s0: FinMap
-    s1: tuple[FinMap, FinMap]
-
-    def __post_init__(self):
-        X = two_truncated_simplicial(self)
-        Report(_failures(degeneracy_relations(2), X)).require(StructuralError, "truncated identity fails: ")
+def two_truncated_simplicial(X: TruncSimplicialSet) -> TruncSimplicialSet:
+    """Levels X_0, X_1, X_2 of X with their faces and degeneracies, as a
+    truncation-2 simplicial set (X itself when N = 2).  Every simplicial
+    identity there that involves a degeneracy must hold, or StructuralError
+    names the first that fails; the face identities on X_2 are not
+    checked."""
+    if X.N > 2:
+        X = TruncSimplicialSet(2, X.levels[:3], X.face[:3], X.degen[:2] + ((),))
+    Report(_failures(degeneracy_relations(2), X)).require(StructuralError, "truncated identity fails: ")
+    return X
 
 
-def two_truncation(X: TruncSimplicialSet) -> TwoTruncatedData:
-    return TwoTruncatedData(
-        X.levels[0], X.levels[1], X.levels[2],
-        (X.d(1, 0), X.d(1, 1)),
-        (X.d(2, 0), X.d(2, 1), X.d(2, 2)),
-        X.s(0, 0),
-        (X.s(1, 0), X.s(1, 1)),
-    )
-
-
-def two_truncated_simplicial(T: TwoTruncatedData) -> TruncSimplicialSet:
-    """Repackage 2-truncated data as a truncation-2 simplicial set."""
-    return make_simplicial(
-        [T.x0, T.x1, T.x2],
-        [(), T.d1, T.d2],
-        [(T.s0,), T.s1, ()],
-    )
-
-
-def taco_pairs(T: TwoTruncatedData) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+def taco_pairs(X: TruncSimplicialSet) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
     """The left (0 1 2),(0 2 3) and right (0 1 3),(1 2 3) taco pairs: the
-    pullbacks of d_1 against d_2 and of d_0 against d_1."""
-    d0, d1, d2 = T.d2
+    pullbacks of d_1 against d_2 and of d_0 against d_1 on X_2."""
+    d0, d1, d2 = X.face[2]
     return pullback_pairs(d1, d2), pullback_pairs(d0, d1)
 
 
-def taco_fibers(T: TwoTruncatedData) -> tuple[dict, dict]:
+def taco_fibers(X: TruncSimplicialSet) -> tuple[dict, dict]:
     """The left (0 1 2),(0 2 3) and right (0 1 3),(1 2 3) taco pairs grouped
     by their boundary edges (01, 12, 23, 03), in index order within each
     fiber.  An associator maps each left fiber bijectively to the right
     fiber with the same key."""
-    d0, d1, d2 = T.d2
-    left_pairs, right_pairs = taco_pairs(T)
+    d0, d1, d2 = X.face[2]
+    left_pairs, right_pairs = taco_pairs(X)
     left: dict[tuple, list] = {}
     for a, b in left_pairs:
         left.setdefault((d2.table[a], d0.table[a], d0.table[b], d1.table[b]), []).append((a, b))
@@ -304,11 +280,12 @@ def taco_fibers(T: TwoTruncatedData) -> tuple[dict, dict]:
     return left, right
 
 
-def taco_spaces(T: TwoTruncatedData) -> tuple[Span, Span]:
+def taco_spaces(X: TruncSimplicialSet) -> tuple[Span, Span]:
     """The two square-triangulation spans (X_1)^3 <- taco -> X_1."""
-    d0, d1, d2 = (f.table for f in T.d2)
-    n1 = T.x1.size
-    left_pairs, right_pairs = taco_pairs(T)
+    d0, d1, d2 = (f.table for f in X.face[2])
+    x1 = X.levels[1]
+    n1 = x1.size
+    left_pairs, right_pairs = taco_pairs(X)
     cube = FinSet(n1 * n1 * n1)
 
     def span_from(pairs, edges, eout):
@@ -316,7 +293,7 @@ def taco_spaces(T: TwoTruncatedData) -> tuple[Span, Span]:
         apex = FinSet(len(pairs))
         a, b = zip(*pairs) if pairs else ((), ())
         left = FinMap(apex, cube, encode_columns(edges(a, b), (n1, n1, n1), apex.size))
-        return Span(cube, T.x1, apex, left, FinMap(apex, T.x1, eout(a, b)))
+        return Span(cube, x1, apex, left, FinMap(apex, x1, eout(a, b)))
 
     left_span = span_from(
         left_pairs,
@@ -344,10 +321,10 @@ PENTAGON_LHS_FLIPS = (("a", "b", (0, 1, 2, 3)), ("b", "c", (0, 1, 3, 4)), ("c", 
 PENTAGON_RHS_FLIPS = (("a", "e", (0, 2, 3, 4)), ("e", "d", (0, 1, 2, 4)))
 
 
-def _fan_stack(T: TwoTruncatedData) -> tuple[tuple, ...]:
+def _fan_stack(X: TruncSimplicialSet) -> tuple[tuple, ...]:
     """The elements of the iterated pullback of X_2's over the fan
     triangulation "a" of the pentagon, in lexicographic order."""
-    return polygon_stack(two_truncated_simplicial(T), 4, PENTAGON_TRIANGULATIONS["a"]).elements
+    return polygon_stack(X, PENTAGON_TRIANGULATIONS["a"]).elements
 
 
 def _flip(triangles, quad, assoc, element):
@@ -398,12 +375,12 @@ def _walk(steps, assoc, element):
     return element, None
 
 
-def pentagon_flip_discrepancy(T: TwoTruncatedData, assoc: dict) -> dict:
+def pentagon_flip_discrepancy(X: TruncSimplicialSet, assoc: dict) -> dict:
     """Walk both sides of the pentagon cycle and compose one against the
     other: the result maps the fan-triangulation stack to itself and is the
     identity exactly when the pentagon equation holds.  Raises KeyError on
     the first taco pair `assoc` lacks."""
-    start = _fan_stack(T)
+    start = _fan_stack(X)
 
     def walk(steps, element):
         end, missing = _walk(steps, assoc, element)
@@ -443,7 +420,7 @@ class LiftSearchResult:
     nodes: int = 0  # taco pairs assigned by the search, one per node
 
 
-def search_associator_lift(T: TwoTruncatedData, budget: int = 1_000_000) -> LiftSearchResult:
+def search_associator_lift(X: TruncSimplicialSet, budget: int = 1_000_000) -> LiftSearchResult:
     """Search the span isomorphisms between the taco spaces for one whose
     pentagon cycle closes, and return the lexicographically first.
 
@@ -456,10 +433,12 @@ def search_associator_lift(T: TwoTruncatedData, budget: int = 1_000_000) -> Lift
     grows, so when both walks end and differ no candidate below the node
     closes the pentagon: the node is pruned and all its candidates count as
     tried, so `candidates_tried` and the witness are those of trying every
-    candidate in order.  `budget` bounds the nodes explored."""
+    candidate in order.  `budget` bounds the nodes explored.  Only levels
+    0..2 of X are read, and they must pass `two_truncated_simplicial`."""
+    X = two_truncated_simplicial(X)
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    left, right = taco_fibers(T)
+    left, right = taco_fibers(X)
     if set(left) != set(right) or any(len(left[k]) != len(right[k]) for k in left):
         bad = sorted(set(left) ^ set(right)) or [
             k for k in sorted(left) if len(left[k]) != len(right[k])
@@ -480,7 +459,7 @@ def search_associator_lift(T: TwoTruncatedData, budget: int = 1_000_000) -> Lift
              for i, k in enumerate(open_keys) for m in range(1, len(left[k]) + 1)]
     position = {p: n for n, p in enumerate(order)}
 
-    waiting = _settle(_fan_stack(T), assoc, position)
+    waiting = _settle(_fan_stack(X), assoc, position)
     if waiting is None:
         return LiftSearchResult("no lift", candidates_tried=total, candidates_total=total)
     tried = nodes = 0
@@ -518,44 +497,47 @@ def search_associator_lift(T: TwoTruncatedData, budget: int = 1_000_000) -> Lift
         return LiftSearchResult("no lift", candidates_tried=tried, candidates_total=total, nodes=nodes)
 
     witness = {p: assoc[p] for k in keys for p in left[k]}
-    if any(k != v for k, v in pentagon_flip_discrepancy(T, witness).items()):
+    if any(k != v for k, v in pentagon_flip_discrepancy(X, witness).items()):
         raise RuntimeError("pruned lift search returned an associator whose pentagon does not close")
     return LiftSearchResult("lift exists", witness=witness, candidates_tried=tried + 1,
                             candidates_total=total, nodes=nodes)
 
 
-def pseudomonoid_from_two_truncated(T: TwoTruncatedData, assoc: dict) -> PseudomonoidData:
-    """Candidate pseudomonoid data from 2-truncated levels and an associator
-    given as a taco-pair map; unitors come from the unitality pullbacks."""
-    d0_2, d1_2, d2_2 = T.d2
-    mu = mult_span(T.x1, T.x2, d0_2, d1_2, d2_2)
-    eta = unit_span(T.x0, T.x1, T.s0)
-    mub = mult_box(mu, T.x1)
-    etab = unit_box(eta, T.x1)
-    idb = identity_box(T.x1)
+def pseudomonoid_from_two_truncated(X: TruncSimplicialSet, assoc: dict) -> PseudomonoidData:
+    """Candidate pseudomonoid data from levels 0..2 of X, which must pass
+    `two_truncated_simplicial`, and an associator given as a taco-pair map;
+    unitors come from the unitality pullbacks."""
+    X = two_truncated_simplicial(X)
+    x1 = X.levels[1]
+    d1, s1 = X.face[1], X.degen[1]
+    mu = mult_span(X)
+    eta = unit_span(X)
+    mub = mult_box(mu, x1)
+    etab = unit_box(eta, x1)
+    idb = identity_box(x1)
 
     # an associator src element (m, x, m') goes through the taco pair
     # (m, m') to the tgt element (d_2 z_a, z_b, z_a) of its image (z_a, z_b)
     assoc_src = evaluate(assoc_src_rows(mub, idb))
     assoc_tgt = evaluate(assoc_tgt_rows(mub, idb))
     pairs = map(assoc.__getitem__, zip(assoc_src.columns[0][0], assoc_src.columns[1][0]))
-    a_cell = _rule_cell("associator", assoc_src, assoc_tgt,
-                        ((d2_2.table[za], zb, za) for za, zb in pairs))
+    d2 = X.d(2, 2).table
+    a_cell = _rule_cell("associator", assoc_src, assoc_tgt, ((d2[za], zb, za) for za, zb in pairs))
 
     def unitor(side, ev, key):
-        inv = {key(x): x for x in T.x1}
+        inv = {key(x): x for x in x1}
         members = member_index(ev)
         if inv.keys() != members.keys():
             raise ConstructionError(f"{side} unitality square is not a pullback")
-        return SpanCell(ev.span, identity_span(T.x1), FinMap(
-            ev.span.apex, T.x1, gather(inv, list(members))
+        return SpanCell(ev.span, identity_span(x1), FinMap(
+            ev.span.apex, x1, gather(inv, list(members))
         ))
 
     lunit_src = evaluate(lunit_src_rows(etab, mub, idb))
-    lunit = unitor("left", lunit_src, lambda x: (T.d1[1].table[x], x, T.s1[0].table[x]))
+    lunit = unitor("left", lunit_src, lambda x: (d1[1].table[x], x, s1[0].table[x]))
     runit_src = evaluate(runit_src_rows(etab, mub, idb))
-    runit = unitor("right", runit_src, lambda x: (x, T.d1[0].table[x], T.s1[1].table[x]))
-    return PseudomonoidData(T.x1, eta, mu, a_cell, lunit, runit,
+    runit = unitor("right", runit_src, lambda x: (x, d1[0].table[x], s1[1].table[x]))
+    return PseudomonoidData(x1, eta, mu, a_cell, lunit, runit,
                             evaluated=(assoc_src, assoc_tgt, lunit_src, runit_src))
 
 

@@ -373,7 +373,7 @@ class PolygonStack:
         return {e: i for i, e in enumerate(self.elements)}
 
 
-def polygon_stack(X: TruncSimplicialSet, n: int, cells: tuple[tuple[int, ...], ...]) -> PolygonStack:
+def polygon_stack(X: TruncSimplicialSet, cells: tuple[tuple[int, ...], ...]) -> PolygonStack:
     """The iterated pullback for `cells`.  Nothing is memoised."""
     # two cells can share only a side, so a cell is keyed by its sides
     factors = []
@@ -394,7 +394,7 @@ class SegalWitness:
 
 
 def subdivision_map(X: TruncSimplicialSet, n: int, cells: tuple[tuple[int, ...], ...]) -> tuple[PolygonStack, FinMap]:
-    stack = polygon_stack(X, n, cells)
+    stack = polygon_stack(X, cells)
     table = tuple(map(stack.index.get, zip(*(vertex_map(X, n, c).table for c in cells))))
     if None in table:
         raise GluingError(

@@ -202,33 +202,33 @@ class TestGraphPartitions:
 class TestNoLiftFamily:
     def test_singleton_is_truncated_z2_nerve(self, nerve_z2):
         T = catalog.no_lift_family(1)
-        from finspan.pseudomonoid import two_truncation
+        from finspan.pseudomonoid import two_truncated_simplicial
 
-        Z = two_truncation(nerve_z2)
+        Z = two_truncated_simplicial(nerve_z2)
         # same shape: relabel the 2-simplices by their face triples
         def profile(data):
             return sorted(
-                (data.d2[2].table[e], data.d2[0].table[e], data.d2[1].table[e])
-                for e in data.x2
+                (data.d(2, 2).table[e], data.d(2, 0).table[e], data.d(2, 1).table[e])
+                for e in data.levels[2]
             )
 
-        assert T.x1.size == Z.x1.size
+        assert T.levels[1].size == Z.levels[1].size
         assert profile(T) == profile(Z)
-        assert T.s1[0].then(T.d2[0]).table == Z.s1[0].then(Z.d2[0]).table
+        assert T.s(1, 0).then(T.d(2, 0)).table == Z.s(1, 0).then(Z.d(2, 0)).table
 
     def test_m100_is_singleton(self):
         T = catalog.no_lift_family(3)
         from finspan.pseudomonoid import taco_pairs
 
         left, _ = taco_pairs(T)
-        d0, d1, d2 = T.d2
+        d0, d1, d2 = T.face[2]
         m100 = [p for p in left
                 if (d2.table[p[0]], d0.table[p[0]], d0.table[p[1]]) == (1, 0, 0)]
         assert len(m100) == 1
 
     def test_empty_label_set(self):
         T = catalog.no_lift_family(0)
-        assert T.x2.size == 3
+        assert T.levels[2].size == 3
 
 
 class TestParacyclicAndGammaFixturesValidate:

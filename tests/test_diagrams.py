@@ -1019,7 +1019,7 @@ def test_discrepancy_matches_the_eager_construction_on_failing_equations(monkeyp
     canon = catalog.no_lift_canonical_associator(T)
     assert not pseudomonoid.verify_pentagon(pseudomonoid.pseudomonoid_from_two_truncated(T, canon)).ok
     mutated = dict(canon)
-    d0, _, d2 = T.d2
+    d0, _, d2 = T.face[2]
     fiber = [p for p in canon if (d2.table[p[0]], d0.table[p[0]], d0.table[p[1]]) == (1, 0, 1)]
     mutated[fiber[0]], mutated[fiber[1]] = canon[fiber[1]], canon[fiber[0]]
     assert not pseudomonoid.verify_triangle(pseudomonoid.pseudomonoid_from_two_truncated(T, mutated)).ok

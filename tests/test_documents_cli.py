@@ -417,6 +417,46 @@ class TestCli:
         assert captured.err == "not commutative: span-level symmetry equation, diagnostic ((0,), (1,))\n"
 
 
+def cut_document(data: dict, N: int) -> dict:
+    """The document dict `data` cut to truncation N: its levels, faces and
+    degeneracies up to level N, and its blocks' tables up to level N."""
+    out = dict(data, truncation=N, levels=data["levels"][:N + 1], face=data["face"][:N], degen=data["degen"][:N])
+    if "paracyclic" in data:
+        out["paracyclic"] = {"tau": data["paracyclic"]["tau"][:N + 1]}
+    if "gamma" in data:
+        out["gamma"] = {"theta": data["gamma"]["theta"][:N - 1]}
+    return out
+
+
+class TestCutFixtures:
+    """Every shipped fixture cut to truncations 2 and 3: a check skips each
+    stage that needs a higher level, and the lift search reads levels 0..2
+    only."""
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+    def test_checks_pass_or_skip(self, path, tmp_path, capsys):
+        data = json.loads(path.read_text())
+        for N in range(2, min(3, data["truncation"]) + 1):
+            cut = tmp_path / f"cut{N}.json"
+            cut.write_text(json.dumps(cut_document(data, N)))
+            for flags in ([], ["--subdivisions", "--full-hexagon"]):
+                assert main(["check", str(cut), *flags]) == 0, (N, flags)
+                out = capsys.readouterr().out
+                assert "[FAIL]" not in out
+                if flags and N == 2 and "gamma" in data:
+                    assert "[skipped] span-level equations (truncation below 3)" in out.splitlines()
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+    def test_search_lift_reads_only_the_2_truncation(self, path, tmp_path, capsys):
+        cut = tmp_path / "cut2.json"
+        cut.write_text(json.dumps(cut_document(json.loads(path.read_text()), 2)))
+        for flags in ([], ["-v"]):
+            runs = []
+            for doc in (path, cut):
+                runs.append((main(["search-lift", str(doc), *flags]), capsys.readouterr().out))
+            assert runs[0] == runs[1]
+
+
 # per command: argv that parse, then argv that miss a required argument
 # or are refused; each command also gets every PARSER_ODD case after its
 # positional arguments

@@ -460,12 +460,13 @@ def test_the_scan_sees_a_hand_written_product_code():
 # ---------------------------------------------------------------------------
 # the package namespace
 
-# `finspan.__all__` as it was when `__init__.py` imported every name eagerly
+# `finspan.__all__` as it was when `__init__.py` imported every name eagerly,
+# less the two names of the removed 2-truncated data container
 EXPORTED = (
     "CommutativityCell", "ConstructionError", "CounitData", "FinMap", "FinSet", "GammaData",
     "GluingError", "LambdaMor", "NotCommutativeError", "NotFrobeniusError", "ParacyclicData",
     "PhiStarMor", "ProductShape", "PseudomonoidData", "Span", "SpanCell", "StructuralError",
-    "Subdivision", "Triangulation", "TruncSimplicialSet", "TwoTruncatedData", "UNIT",
+    "Subdivision", "Triangulation", "TruncSimplicialSet", "UNIT",
     "braiding_cell", "braiding_span", "build_pseudomonoid", "check_2segal", "check_cyclic",
     "check_gamma", "check_lambda_relations", "check_paracyclic", "check_simplicial_identities",
     "check_subdivision_criterion", "check_unitality", "coherence_cell",
@@ -477,13 +478,13 @@ EXPORTED = (
     "lambda_factorize", "make_simplicial", "n_fold_multiplication", "paracyclic",
     "paracyclic_from_frobenius", "phistar_compose", "phistar_factorize", "product_span",
     "pseudomonoid", "pullback", "reporting", "search_associator_lift", "simplicial", "spans",
-    "spans_isomorphic", "syllepsis_cell", "taco_spaces", "tensorator_cell", "two_truncation",
+    "spans_isomorphic", "syllepsis_cell", "taco_spaces", "tensorator_cell",
     "unglue", "verify_pentagon", "verify_triangle", "vertical_compose", "whisker",
 )
 
 
 def test_the_package_exports_the_same_names():
-    assert len(EXPORTED) == 81
+    assert len(EXPORTED) == 79
     assert finspan.__all__ == list(EXPORTED)
 
 

@@ -22,7 +22,6 @@ from finspan.pseudomonoid import (
     PENTAGON_TRIANGULATIONS,
     ConstructionError,
     PseudomonoidData,
-    TwoTruncatedData,
     _fan_stack,
     _flip,
     build_pseudomonoid,
@@ -35,11 +34,13 @@ from finspan.pseudomonoid import (
     taco_pairs,
     taco_spaces,
     triangulation_composite_span,
-    two_truncation,
+    two_truncated_simplicial,
     verify_pentagon,
     verify_triangle,
 )
-from finspan.simplicial import T02, T13, GluingError, degeneracy_relations, relation_name, segal_witness
+from finspan.simplicial import (
+    T02, T13, GluingError, check_2segal, degeneracy_relations, make_simplicial, relation_name, segal_witness,
+)
 from finspan.spans import FinMap, FinSet, StructuralError, spans_isomorphic
 from test_diagrams import assignments
 from test_simplicial import doubled_top_simplex, mutated_face, random_complex_nerve
@@ -54,7 +55,7 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 def brute_force_fan_stack(T) -> tuple[tuple, ...]:
     """The fan stack by filtering all of X_2^3: the triples of triangles of
     the fan triangulation "a" that agree on every shared edge."""
-    d0, d1, d2 = T.d2
+    d0, d1, d2 = T.face[2]
     triangles = PENTAGON_TRIANGULATIONS["a"]
 
     def edge(tri, e, elt):
@@ -68,7 +69,7 @@ def brute_force_fan_stack(T) -> tuple[tuple, ...]:
         raise StructuralError("edge not in triangle")
 
     elements = []
-    for combo in itertools.product(T.x2, repeat=len(triangles)):
+    for combo in itertools.product(T.levels[2], repeat=len(triangles)):
         edges = {}
         ok = True
         for tri, elt in zip(triangles, combo):
@@ -133,36 +134,48 @@ def brute_force_lift(T, limit=None):
     return "no lift", None, total, total
 
 
+def simplicial_of(x0, x1, x2, d1, d2, s0, s1):
+    """The truncation-2 simplicial set of levels x0, x1, x2, faces d1, d2
+    and degeneracies s0, s1, its identities unchecked."""
+    return make_simplicial([x0, x1, x2], [(), d1, d2], [(s0,), s1, ()])
+
+
+def truncated(x0, x1, x2, d1, d2, s0, s1):
+    """`simplicial_of`, checked by `two_truncated_simplicial`."""
+    return two_truncated_simplicial(simplicial_of(x0, x1, x2, d1, d2, s0, s1))
+
+
 def relabel_x2(T, rng):
     """The same data with the 2-simplices renumbered by a random permutation."""
-    new = list(T.x2)
+    x0, x1, old_x2 = T.levels
+    new = list(old_x2)
     rng.shuffle(new)  # new[e] is the index of old element e
-    old = sorted(T.x2, key=new.__getitem__)
-    x2 = FinSet(T.x2.size, labels=tuple(T.x2.labels[e] for e in old) if T.x2.labels else None)
-    return TwoTruncatedData(
-        T.x0, T.x1, x2, T.d1,
-        tuple(FinMap(x2, T.x1, tuple(d.table[e] for e in old)) for d in T.d2),
-        T.s0,
-        tuple(FinMap(T.x1, x2, tuple(new[e] for e in s.table)) for s in T.s1),
+    old = sorted(old_x2, key=new.__getitem__)
+    x2 = FinSet(old_x2.size, labels=tuple(old_x2.labels[e] for e in old) if old_x2.labels else None)
+    return truncated(
+        x0, x1, x2, T.face[1],
+        tuple(FinMap(x2, x1, tuple(d.table[e] for e in old)) for d in T.face[2]),
+        T.s(0, 0),
+        tuple(FinMap(x1, x2, tuple(new[e] for e in s.table)) for s in T.degen[1]),
     )
 
 
-def doubled_point() -> TwoTruncatedData:
+def doubled_point():
     """X_2 of the point, doubled: one fiber of four taco pairs (24 candidates)."""
     pt, two = FinSet(1), FinSet(2)
     one = FinMap(pt, pt, (0,))
     down = FinMap(two, pt, (0, 0))
     up = FinMap(pt, two, (0,))
-    return TwoTruncatedData(pt, pt, two, (one, one), (down, down, down), one, (up, up))
+    return truncated(pt, pt, two, (one, one), (down, down, down), one, (up, up))
 
 
-def random_two_truncated(rng) -> TwoTruncatedData:
+def random_two_truncated(rng):
     """X_1 = {0, 1} with the three degenerate 2-simplices of the no-lift
     family and two to six more with random faces."""
     faces = [(0, 0, 0), (0, 1, 1), (1, 1, 0)]  # (d0, d1, d2) of (0,0), (1,0), (0,1)
     faces += [tuple(rng.randrange(2) for _ in range(3)) for _ in range(rng.randrange(2, 7))]
     pt, x1, x2 = FinSet(1), FinSet(2), FinSet(len(faces))
-    return TwoTruncatedData(
+    return truncated(
         pt, x1, x2,
         (FinMap(x1, pt, (0, 0)), FinMap(x1, pt, (0, 0))),
         tuple(FinMap(x2, x1, tuple(f[i] for f in faces)) for i in range(3)),
@@ -172,7 +185,7 @@ def random_two_truncated(rng) -> TwoTruncatedData:
 
 
 def _fixture_truncations():
-    return [pytest.param(two_truncation(load_document(path).simplicial), id=path.stem)
+    return [pytest.param(two_truncated_simplicial(load_document(path).simplicial), id=path.stem)
             for path in sorted(FIXTURES.glob("*.json"))]
 
 
@@ -262,7 +275,7 @@ class TestEquations:
 
     def test_k4_cycle_identity_on_catalog(self, nerve_z2, nerve_z3, interval_l2):
         for X in (nerve_z2, nerve_z3, interval_l2):
-            T = two_truncation(X)
+            T = two_truncated_simplicial(X)
             disc = pentagon_flip_discrepancy(T, canonical_segal_associator(X))
             assert all(k == v for k, v in disc.items())
 
@@ -352,12 +365,13 @@ def with_every_face_triple(T):
     """The fields of T with one more 2-simplex for each triple (d0, d1, d2)
     of 1-simplices, so that a degeneracy can be moved to a 2-simplex that
     breaks any one of its identities."""
-    triples = list(itertools.product(T.x1, repeat=3))
-    x2 = FinSet(T.x2.size + len(triples))
+    x0, x1, old_x2 = T.levels
+    triples = list(itertools.product(x1, repeat=3))
+    x2 = FinSet(old_x2.size + len(triples))
     return {
-        "x0": T.x0, "x1": T.x1, "x2": x2, "d1": T.d1,
-        "d2": tuple(FinMap(x2, T.x1, d.table + tuple(t[i] for t in triples)) for i, d in enumerate(T.d2)),
-        "s0": T.s0, "s1": tuple(FinMap(T.x1, x2, s.table) for s in T.s1),
+        "x0": x0, "x1": x1, "x2": x2, "d1": T.face[1],
+        "d2": tuple(FinMap(x2, x1, d.table + tuple(t[i] for t in triples)) for i, d in enumerate(T.face[2])),
+        "s0": T.s(0, 0), "s1": tuple(FinMap(x1, x2, s.table) for s in T.degen[1]),
     }
 
 
@@ -375,19 +389,19 @@ def single_entry_mutations(fields):
 
 class TestTruncatedIdentities:
     def test_each_identity_is_decided_and_named(self):
-        fields = with_every_face_triple(two_truncation(catalog.nerve(catalog.chain_poset_category(2), 3)))
+        fields = with_every_face_triple(two_truncated_simplicial(catalog.nerve(catalog.chain_poset_category(2), 3)))
         assert not hand_written_failures(fields)
-        TwoTruncatedData(**fields)
+        truncated(**fields)
         order = [relation_name(r) for r in degeneracy_relations(2)]
         named, alone = set(), set()
         for mutated in single_entry_mutations(fields):
             broken = hand_written_failures(mutated)
             if not broken:
-                TwoTruncatedData(**mutated)
+                truncated(**mutated)
                 continue
             first = min(broken, key=order.index)
             with pytest.raises(StructuralError, match=f"^{re.escape(f'truncated identity fails: {first}')}$"):
-                TwoTruncatedData(**mutated)
+                truncated(**mutated)
             named.add(first)
             if len(broken) == 1:
                 alone.add(first)
@@ -397,10 +411,48 @@ class TestTruncatedIdentities:
         # so neither fails alone
         assert set(order) - alone == {order[1], order[2]}
 
+    def test_the_search_and_the_builder_refuse_as_the_truncation_does(self):
+        fields = with_every_face_triple(two_truncated_simplicial(catalog.nerve(catalog.chain_poset_category(2), 3)))
+        X = next(simplicial_of(**m) for m in single_entry_mutations(fields) if hand_written_failures(m))
+        with pytest.raises(StructuralError, match="^truncated identity fails: ") as expected:
+            two_truncated_simplicial(X)
+        for entry in (search_associator_lift, lambda X: pseudomonoid_from_two_truncated(X, {})):
+            with pytest.raises(StructuralError) as raised:
+                entry(X)
+            assert str(raised.value) == str(expected.value)
+
+
+class TestOneTruncation:
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+    def test_levels_0_to_2_are_kept(self, path):
+        X = load_document(path).simplicial
+        T = two_truncated_simplicial(X)
+        assert T.N == 2
+        assert (T.levels, T.face, T.degen) == (X.levels[:3], X.face[:3], X.degen[:2] + ((),))
+        assert (T == X) is (X.N == 2)
+
+
+class TestLiftProperty:
+    def test_a_2segal_nerve_lifts_and_both_equations_hold(self):
+        """The lift property: the search finds a lift on every 2-Segal
+        complex nerve at N = 4, and the pseudomonoid of its witness passes
+        the pentagon and the triangle by the diagram route."""
+        lifted = 0
+        for seed in range(120):
+            X = random_complex_nerve(random.Random(seed), 4)
+            if not check_2segal(X).ok:
+                continue
+            res = search_associator_lift(X)
+            assert res.status == "lift exists", seed
+            P = pseudomonoid_from_two_truncated(X, res.witness)
+            assert verify_pentagon(P).ok and verify_triangle(P).ok, seed
+            lifted += 1
+        assert lifted == 90
+
 
 class TestTacoSpaces:
     def test_nerve_z2_sizes(self, nerve_z2):
-        T = two_truncation(nerve_z2)
+        T = two_truncated_simplicial(nerve_z2)
         left, right = taco_spaces(T)
         assert left.apex.size == 8 and right.apex.size == 8
 
@@ -411,13 +463,10 @@ class TestTacoSpaces:
 
     def test_empty_carrier(self):
         empty = FinSet(0)
-        T = catalog.TwoTruncatedData.__new__(catalog.TwoTruncatedData)
         # build the genuinely empty two-truncated structure
-        from finspan.pseudomonoid import TwoTruncatedData
-
         nothing = FinMap(empty, empty, ())
-        T = TwoTruncatedData(empty, empty, empty, (nothing, nothing),
-                             (nothing, nothing, nothing), nothing, (nothing, nothing))
+        T = truncated(empty, empty, empty, (nothing, nothing),
+                      (nothing, nothing, nothing), nothing, (nothing, nothing))
         left, right = taco_spaces(T)
         assert left.apex.size == 0 and right.apex.size == 0
 
@@ -426,8 +475,8 @@ class TestNoLift:
     def test_doubled_family_fiber_contents(self):
         T = no_lift_family(2)
         left, right = taco_pairs(T)
-        d0, d1, d2 = T.d2
-        lab = T.x2.labels
+        d0, d1, d2 = T.face[2]
+        lab = T.levels[2].labels
 
         def named(pairs):
             return sorted((lab[a], lab[b]) for a, b in pairs)
@@ -479,13 +528,13 @@ class TestNoLift:
             assert sorted(phi_prime.values()) == [3, 4]
 
     def test_singleton_fiber_witness_is_canonical(self, nerve_z2):
-        res = search_associator_lift(two_truncation(nerve_z2))
+        res = search_associator_lift(two_truncated_simplicial(nerve_z2))
         assert res.status == "lift exists"
         assert res.witness == canonical_segal_associator(nerve_z2)
 
     def test_lift_exists_for_catalog_truncations(self, nerve_z3, interval_l2):
         for X in (nerve_z3, interval_l2):
-            res = search_associator_lift(two_truncation(X))
+            res = search_associator_lift(two_truncated_simplicial(X))
             assert res.status == "lift exists"
 
     def test_budget_exceeded(self):
@@ -506,7 +555,7 @@ class TestNoLift:
         canon = no_lift_canonical_associator(T)
         pent = verify_pentagon(pseudomonoid_from_two_truncated(T, canon))
         mutated = dict(canon)
-        d0, d1, d2 = T.d2
+        d0, d1, d2 = T.face[2]
         fiber = [p for p in canon if (d2.table[p[0]], d0.table[p[0]], d0.table[p[1]]) == (1, 0, 1)]
         mutated[fiber[0]], mutated[fiber[1]] = canon[fiber[1]], canon[fiber[0]]
         tri = verify_triangle(pseudomonoid_from_two_truncated(T, mutated))
@@ -650,7 +699,7 @@ class TestNFold:
         from finspan.pseudomonoid import assoc_src_rows, mult_box, mult_span
 
         X = nerve_z2
-        mu = mult_span(X.levels[1], X.levels[2], X.d(2, 0), X.d(2, 1), X.d(2, 2))
+        mu = mult_span(X)
         rows = assoc_src_rows(mult_box(mu, X.levels[1]), identity_box(X.levels[1]))
         composite = evaluate(rows).span
         span, _ = triangulation_composite_span(X, T13)

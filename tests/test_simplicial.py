@@ -226,7 +226,7 @@ class TestPolygonStack:
         X = make()
         for n in range(2, X.N + 1):
             for S in enumerate_subdivisions(n):
-                assert polygon_stack(X, n, S.cells).elements == brute_force_polygon_stack(X, n, S.cells)
+                assert polygon_stack(X, S.cells).elements == brute_force_polygon_stack(X, n, S.cells)
 
 
 class TestEdgeMaps:
