@@ -16,8 +16,8 @@ import importlib
 # each exported submodule with the names re-exported from it
 _EXPORTS = {
     "spans": (
-        "FinMap", "FinSet", "ProductShape", "Span", "SpanCell", "StructuralError", "UNIT",
-        "braiding_span", "coherence_cell", "compose_spans", "horizontal_compose",
+        "FinMap", "FinSet", "Span", "SpanCell", "StructuralError", "UNIT", "braiding_span",
+        "compose_spans", "horizontal_compose",
         "identity_cell", "identity_map", "identity_span", "product_span", "pullback",
         "spans_isomorphic", "vertical_compose", "whisker",
     ),

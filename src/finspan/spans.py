@@ -9,8 +9,7 @@ Conventions used throughout the package:
   so rebracketing and unit cells act as the identity on indices.
   Outside this module, product elements are coded and split only by
   ``encode_columns`` and ``decode_columns``, a column of elements at a
-  time; the scalar ``encode_tuple`` and ``decode_tuple`` are used only
-  here, and by the tests as the reference.
+  time.
 * Pullback apexes list their elements lexicographically in ``(a, b)``.
   Left-nested and right-nested pullback composites then enumerate the
   same flat tuples in the same order, which pins down the associativity
@@ -388,79 +387,14 @@ def whisker(s: Span, u: SpanCell, side: str) -> SpanCell:
 
 
 # ---------------------------------------------------------------------------
-# products and product shapes
-
-
-@dataclass(frozen=True)
-class ProductShape:
-    """Binary bracketing of an iterated product; leaves carry factor sizes.
-
-    The flat decoding of any bracketing is the row-major mixed-radix index
-    over the leaf sizes, so two shapes with the same leaf sequence decode
-    identically; coherence cells are pure index arithmetic (the identity).
-    """
-
-    leaf_size: Optional[int] = None
-    children: Optional[tuple["ProductShape", "ProductShape"]] = None
-
-    def __post_init__(self):
-        if (self.leaf_size is None) == (self.children is None):
-            raise StructuralError("shape is either a leaf or a node")
-
-    @staticmethod
-    def leaf(size: int) -> "ProductShape":
-        return ProductShape(leaf_size=size)
-
-    @staticmethod
-    def node(l: "ProductShape", r: "ProductShape") -> "ProductShape":
-        return ProductShape(children=(l, r))
-
-    def leaf_sizes(self) -> tuple[int, ...]:
-        if self.leaf_size is not None:
-            return (self.leaf_size,)
-        l, r = self.children
-        return l.leaf_sizes() + r.leaf_sizes()
-
-    @property
-    def size(self) -> int:
-        n = 1
-        for s in self.leaf_sizes():
-            n *= s
-        return n
-
-    def decode(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.size:
-            raise StructuralError("index out of range")
-        return decode_tuple(index, self.leaf_sizes())
-
-    def encode(self, values: tuple[int, ...]) -> int:
-        sizes = self.leaf_sizes()
-        if len(values) != len(sizes):
-            raise StructuralError("tuple arity differs from leaf count")
-        if any(not 0 <= v < s for v, s in zip(values, sizes)):
-            raise StructuralError("tuple entry out of range")
-        return encode_tuple(values, sizes)
-
-
-def encode_tuple(values: tuple[int, ...], sizes: tuple[int, ...]) -> int:
-    index = 0
-    for v, s in zip(values, sizes):
-        index = index * s + v
-    return index
-
-
-def decode_tuple(index: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for s in reversed(sizes):
-        out.append(index % s)
-        index //= s
-    return tuple(reversed(out))
+# products and braidings
 
 
 def encode_columns(columns: Sequence[Sequence[int]], sizes: Sequence[int], count: int) -> tuple[int, ...]:
     """The row-major code of each of `count` rows given as one column per
-    factor: row k's code is `encode_tuple` of the row's values.  The first
-    size is never read, and no columns code every row as 0."""
+    factor: starting from its first value, each further value is added
+    to the code so far times that factor's size.  The first size is never
+    read, and no columns code every row as 0."""
     if not columns:
         return (0,) * count
     codes = columns[0]
@@ -470,9 +404,9 @@ def encode_columns(columns: Sequence[Sequence[int]], sizes: Sequence[int], count
 
 
 def decode_columns(codes: Sequence[int], sizes: Sequence[int]) -> tuple[Sequence[int], ...]:
-    """The factor columns of row-major codes, column i holding entry i of
-    each code's `decode_tuple`.  A single factor's column is `codes`
-    itself."""
+    """The factor columns of row-major codes, undoing `encode_columns`:
+    column i holds each code's value in factor i.  A single factor's
+    column is `codes` itself."""
     if not sizes:
         return ()
     columns = []
@@ -500,8 +434,8 @@ def product_map(f: FinMap, g: FinMap) -> FinMap:
 def product_span(f: Span, g: Span) -> Span:
     """Componentwise Cartesian product of two spans.
 
-    The apex decodes row-major, i.e. per `product_shape` applied to the
-    factors' shapes; pass the result to `coherence_cell` to rebracket.
+    The apex codes the pair (a, b) row-major, as a * g.apex.size + b, so
+    both bracketings of a triple product are the same span.
     """
     return Span(
         product_finset(f.src, g.src),
@@ -510,32 +444,6 @@ def product_span(f: Span, g: Span) -> Span:
         product_map(f.left, g.left),
         product_map(f.right, g.right),
     )
-
-
-def product_shape(a, b) -> ProductShape:
-    """The shape of a binary product; arguments are shapes, sets, or sizes."""
-
-    def as_shape(x):
-        if isinstance(x, ProductShape):
-            return x
-        if isinstance(x, FinSet):
-            return ProductShape.leaf(x.size)
-        return ProductShape.leaf(int(x))
-
-    return ProductShape.node(as_shape(a), as_shape(b))
-
-
-def coherence_cell(f: Span, shape_from: ProductShape, shape_to: ProductShape) -> SpanCell:
-    """The structural rebracketing cell on a span whose apex is a product.
-
-    Under the row-major encoding a rebracketing with the same leaf order is
-    the identity on indices; the shapes are still checked for compatibility.
-    """
-    if shape_from.leaf_sizes() != shape_to.leaf_sizes():
-        raise StructuralError("shapes have different leaf sequences")
-    if shape_from.size != f.apex.size:
-        raise StructuralError("shape does not describe the apex")
-    return identity_cell(f)
 
 
 def braiding_span(x: FinSet, y: FinSet) -> Span:

@@ -14,6 +14,7 @@ import pytest
 from finspan import catalog
 from finspan.gammaset import (
     GammaData,
+    NotCommutativeError,
     check_gamma,
     commutative_from_gamma,
     gamma_from_commutative,
@@ -21,6 +22,7 @@ from finspan.gammaset import (
     gamma_tables,
 )
 from finspan.paracyclic import (
+    NotFrobeniusError,
     ParacyclicData,
     check_extra_degeneracy_relations,
     check_paracyclic,
@@ -73,6 +75,7 @@ def test_gamma_commutative_gamma_is_exact(seed):
     G = catalog.commutative_monoid_gamma(random_ideal_monoid(random.Random(seed)), 4)
     cell, report = commutative_from_gamma(G)
     assert report.ok
+    assert cell.theta == G.theta(2, 1)
     G2 = gamma_from_commutative(G.base, cell.gamma)
     assert G2.theta_tables == G.theta_tables
 
@@ -81,7 +84,50 @@ def test_gamma_commutative_gamma_is_exact(seed):
 def test_paracyclic_frobenius_paracyclic_is_exact(seed):
     P = random_twisted_nerve(random.Random(seed))
     C = frobenius_from_paracyclic(P)
+    assert (C.s1_0, C.tau1) == (P.extra_degeneracy(0), P.tau[1])
     assert P.tau == paracyclic_from_frobenius(P.base, C.counit).tau
+
+
+def entry_changed(rng: random.Random, f: FinMap) -> FinMap:
+    """f with one entry changed to another element of its codomain."""
+    table = list(f.table)
+    e = rng.randrange(len(table))
+    table[e] = rng.choice([v for v in range(f.cod.size) if v != table[e]])
+    return FinMap(f.dom, f.cod, tuple(table))
+
+
+def test_a_transposition_that_is_not_a_span_cell_is_refused():
+    """With one entry of theta^2 changed, theta^2 no longer swaps the outer
+    faces, so no commutativity cell carries it back."""
+    refused = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        G = catalog.commutative_monoid_gamma(random_ideal_monoid(rng), 4)
+        if G.base.levels[2].size < 2:
+            continue
+        tables = list(G.theta_tables)
+        tables[2] = (entry_changed(rng, G.theta(2, 1)),)
+        with pytest.raises(NotCommutativeError, match="transposition is not a span cell"):
+            commutative_from_gamma(GammaData(G.base, tuple(tables)))
+        refused += 1
+    assert refused > 30
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_a_translation_its_counit_does_not_give_back_is_refused(seed):
+    """tau^1 with one entry changed off the degenerate edges keeps the counit,
+    from which `paracyclic_from_frobenius` rebuilds the old tau^1, so the
+    counit's pairing is not the graph of the new one."""
+    rng = random.Random(seed)
+    P = random_twisted_nerve(rng)
+    X = P.base
+    table = list(P.tau[1].table)
+    e = rng.choice([x for x in X.levels[1] if x not in X.s(0, 0).table])
+    table[e] = rng.choice([v for v in X.levels[1] if v != table[e]])
+    changed = ParacyclicData(X, (P.tau[0], FinMap(X.levels[1], X.levels[1], tuple(table)), *P.tau[2:]))
+    assert changed.extra_degeneracy(0) == P.extra_degeneracy(0)
+    with pytest.raises(NotFrobeniusError, match="pairing is not the graph of tau"):
+        frobenius_from_paracyclic(changed)
 
 
 def mutated(rng: random.Random, S, kind: str):
@@ -92,11 +138,7 @@ def mutated(rng: random.Random, S, kind: str):
     rows["tau" if isinstance(S, ParacyclicData) else "theta"] = (
         [list(S.tau)] if isinstance(S, ParacyclicData) else [list(r) for r in S.theta_tables])
     r, i = rng.choice([(r, i) for r, row in enumerate(rows[kind]) for i, f in enumerate(row) if f.cod.size > 1])
-    f = rows[kind][r][i]
-    table = list(f.table)
-    e = rng.randrange(len(table))
-    table[e] = rng.choice([v for v in range(f.cod.size) if v != table[e]])
-    rows[kind][r][i] = FinMap(f.dom, f.cod, tuple(table))
+    rows[kind][r][i] = entry_changed(rng, rows[kind][r][i])
     base = make_simplicial(X.levels, rows["face"], rows["degen"])
     if isinstance(S, ParacyclicData):
         return ParacyclicData(base, tuple(rows["tau"][0]))

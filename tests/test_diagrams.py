@@ -37,12 +37,11 @@ from finspan.spans import (
     block_braiding_span,
     braiding_span,
     compose_spans,
-    decode_tuple,
-    encode_tuple,
     identity_map,
     identity_span,
     product_span,
 )
+from test_spans import decode_tuple, encode_tuple
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -88,11 +88,19 @@ def brute_force_fan_stack(T) -> tuple[tuple, ...]:
 
 def _candidates(T):
     """Every fiber-preserving associator, fibers in key order and bijections
-    per fiber in lexicographic order, the first fiber varying slowest."""
+    per fiber in lexicographic order, the first fiber varying slowest.  Each
+    fiber's bijections are drawn only as the candidates need them."""
     left, right = taco_fibers(T)
     keys = sorted(left)
-    for perms in itertools.product(*[itertools.permutations(right[k]) for k in keys]):
-        yield {src: dst for k, perm in zip(keys, perms) for src, dst in zip(left[k], perm)}
+
+    def extend(i, pairs):
+        if i == len(keys):
+            yield dict(pairs)
+            return
+        for perm in itertools.permutations(right[keys[i]]):
+            yield from extend(i + 1, pairs + list(zip(left[keys[i]], perm)))
+
+    return extend(0, [])
 
 
 def _side(flips, assoc, element):
@@ -118,13 +126,21 @@ def flip_discrepancy(assoc, start):
     return {e: rhs_back[lhs[e]] for e in start}
 
 
+def candidate_total(T):
+    """The number of fiber-preserving associators, 0 when the taco fibers
+    differ."""
+    left, right = taco_fibers(T)
+    if set(left) != set(right) or any(len(left[k]) != len(right[k]) for k in left):
+        return 0
+    return math.prod(math.factorial(len(ps)) for ps in left.values())
+
+
 def brute_force_lift(T, limit=None):
     """(status, witness, tried, total) from trying every candidate in order,
     or None once more than `limit` candidates have been tried."""
-    left, right = taco_fibers(T)
-    if set(left) != set(right) or any(len(left[k]) != len(right[k]) for k in left):
+    total = candidate_total(T)
+    if total == 0:
         return "no lift", None, 0, 0
-    total = math.prod(math.factorial(len(ps)) for ps in left.values())
     start = brute_force_fan_stack(T)
     for tried, assoc in enumerate(_candidates(T), 1):
         if limit is not None and tried > limit:
@@ -169,11 +185,10 @@ def doubled_point():
     return truncated(pt, pt, two, (one, one), (down, down, down), one, (up, up))
 
 
-def random_two_truncated(rng):
+def with_extra_simplices(extra):
     """X_1 = {0, 1} with the three degenerate 2-simplices of the no-lift
-    family and two to six more with random faces."""
-    faces = [(0, 0, 0), (0, 1, 1), (1, 1, 0)]  # (d0, d1, d2) of (0,0), (1,0), (0,1)
-    faces += [tuple(rng.randrange(2) for _ in range(3)) for _ in range(rng.randrange(2, 7))]
+    family and one more 2-simplex per face triple (d0, d1, d2) of `extra`."""
+    faces = [(0, 0, 0), (0, 1, 1), (1, 1, 0), *extra]  # (d0, d1, d2) of (0,0), (1,0), (0,1), then `extra`
     pt, x1, x2 = FinSet(1), FinSet(2), FinSet(len(faces))
     return truncated(
         pt, x1, x2,
@@ -182,6 +197,21 @@ def random_two_truncated(rng):
         FinMap(pt, x1, (0,)),
         (FinMap(x1, x2, (0, 2)), FinMap(x1, x2, (0, 1))),
     )
+
+
+def random_two_truncated(rng):
+    """`with_extra_simplices` of two to six random face triples."""
+    return with_extra_simplices([tuple(rng.randrange(2) for _ in range(3)) for _ in range(rng.randrange(2, 7))])
+
+
+def census(m):
+    """Every `with_extra_simplices` of a multiset of at most m face triples
+    in {0, 1}^3, by size, then in `combinations_with_replacement` order:
+    C(8 + m, m) inputs."""
+    triples = list(itertools.product((0, 1), repeat=3))
+    for size in range(m + 1):
+        for extra in itertools.combinations_with_replacement(triples, size):
+            yield with_extra_simplices(extra)
 
 
 def _fixture_truncations():
@@ -643,6 +673,46 @@ class TestPrunedSearch:
                 compared += 1
                 late_lifts += res.status == "lift exists" and res.candidates_tried > 1
         assert compared > 750 and late_lifts >= 3
+
+    def test_census_4(self):
+        """Every census-4 input with at most 5,000 candidates, 472 of them
+        with differing taco fibers, and the 13 lifts of census 4."""
+        compared = lifts = 0
+        for T in census(4):
+            if candidate_total(T) <= 5000:
+                res = self.assert_matches_brute_force(T)
+                compared += 1
+            else:
+                res = search_associator_lift(T)
+            lifts += res.status == "lift exists"
+        assert (compared, lifts) == (484, 13)
+
+    @pytest.mark.parametrize("extra,fibers,want", [
+        # a nine-pair fiber (9! bijections) and a lift at the first candidate
+        ([(1, 1, 1)] * 3, 8, ("lift exists", 1)),
+        # no lift: the limit ends the walk
+        ([(1, 0, 1)] * 2 + [(1, 1, 1)] * 2, 12, None),
+    ])
+    def test_the_reference_draws_bijections_as_it_needs_them(self, monkeypatch, extra, fibers, want):
+        T = with_extra_simplices(extra)
+        assert len(taco_fibers(T)[0]) == fibers
+        pulled = 0
+        permutations = itertools.permutations
+
+        def counted(*args):
+            nonlocal pulled
+            for perm in permutations(*args):
+                pulled += 1
+                yield perm
+
+        monkeypatch.setattr(itertools, "permutations", counted)
+        got = brute_force_lift(T, limit=50)
+        assert (got if got is None else (got[0], got[2])) == want
+        if got is None:
+            # 51 candidates, each drawing at most one bijection per fiber
+            assert pulled <= 51 * fibers
+        else:
+            assert pulled == fibers
 
     @pytest.mark.parametrize("a,nodes", [(4, 119), (5, 324)])
     def test_large_label_sets_are_decided(self, a, nodes):

@@ -22,19 +22,15 @@ from finspan.diagrams import (
 from finspan.spans import (
     FinMap,
     FinSet,
-    ProductShape,
     Span,
     SpanCell,
     StructuralError,
     UNIT,
     block_braiding_span,
     braiding_span,
-    coherence_cell,
     compose_spans,
     decode_columns,
-    decode_tuple,
     encode_columns,
-    encode_tuple,
     gather,
     horizontal_compose,
     identity_cell,
@@ -52,6 +48,24 @@ from finspan.spans import (
 from finspan.simplicial import vertex_map
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def encode_tuple(values, sizes):
+    """The row-major code of one product element, one factor at a time:
+    the scalar reference for the column codecs."""
+    index = 0
+    for v, s in zip(values, sizes):
+        index = index * s + v
+    return index
+
+
+def decode_tuple(index, sizes):
+    """The factor values of one row-major code, undoing `encode_tuple`."""
+    out = []
+    for s in reversed(sizes):
+        out.append(index % s)
+        index //= s
+    return tuple(reversed(out))
 
 
 def rand_span(rng, ns, nt, na):
@@ -409,47 +423,19 @@ class TestProductsAndShapes:
         lhs = product_span(product_span(f, g), h)
         rhs = product_span(f, product_span(g, h))
         assert lhs == rhs
-        sh = [ProductShape.leaf(k) for k in (2, 3, 4)]
-        a = ProductShape.node(ProductShape.node(sh[0], sh[1]), sh[2])
-        b = ProductShape.node(sh[0], ProductShape.node(sh[1], sh[2]))
-        cell = coherence_cell(lhs, a, b)
-        assert cell.map.table == tuple(range(24))
-        back = coherence_cell(rhs, b, a)
-        assert vertical_compose(cell, back).map.table == tuple(range(24))
-
-    def test_shape_mismatch_rejected(self):
-        a = ProductShape.node(ProductShape.leaf(2), ProductShape.leaf(3))
-        b = ProductShape.node(ProductShape.leaf(3), ProductShape.leaf(2))
-        s = identity_span(FinSet(6))
-        with pytest.raises(StructuralError):
-            coherence_cell(s, a, b)
-
-    def test_shape_codec(self):
-        sh = ProductShape.node(
-            ProductShape.leaf(2), ProductShape.node(ProductShape.leaf(3), ProductShape.leaf(4))
-        )
-        for i in range(sh.size):
-            assert sh.encode(sh.decode(i)) == i
 
     def test_product_records_shape(self):
-        from finspan.spans import product_shape
-
+        # the apex pair (a, b) is the row-major code of (a, b), and each leg
+        # codes its pair of images the same way
         rng = random.Random(16)
         f = rand_span(rng, 2, 2, 3)
         g = rand_span(rng, 2, 2, 4)
         p = product_span(f, g)
-        sh = product_shape(f.apex, g.apex)
-        assert sh.size == p.apex.size
-        assert sh.decode(p.apex.size - 1) == (2, 3)
-
-    def test_decode_refuses_an_index_out_of_range(self):
-        from finspan.spans import product_shape
-
-        sh = product_shape(2, 3)
-        assert (sh.decode(0), sh.decode(1), sh.decode(4), sh.decode(5)) == ((0, 0), (0, 1), (1, 1), (1, 2))
-        for index in (-1, 6):
-            with pytest.raises(StructuralError, match="index out of range"):
-                sh.decode(index)
+        assert p.apex.size == 12
+        for e in p.apex:
+            a, b = decode_tuple(e, (f.apex.size, g.apex.size))
+            assert p.left.table[e] == encode_tuple((f.left.table[a], g.left.table[b]), (f.src.size, g.src.size))
+            assert p.right.table[e] == encode_tuple((f.right.table[a], g.right.table[b]), (f.tgt.size, g.tgt.size))
 
 
 @st.composite
